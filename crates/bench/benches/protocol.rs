@@ -70,10 +70,11 @@ fn bench_protocol(c: &mut Criterion) {
         b.iter(|| run_pipeline::<Wbf>(&dataset, &batch, &config, &options).expect("pipeline runs"));
     });
 
-    // The scaled-out deployment shape: sharded stations over a fixed pool.
+    // The scaled-out deployment shape: sharded stations over a fixed
+    // executor pool.
     group.bench_function("batch_pipeline_q8_sharded_pool", |b| {
         let options = PipelineOptions {
-            mode: ExecutionMode::ThreadPool { workers: 6 },
+            mode: ExecutionMode::Async { workers: 6 },
             shards: Shards::new(4),
             top_k: Some(10),
             ..PipelineOptions::default()

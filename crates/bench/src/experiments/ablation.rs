@@ -32,7 +32,7 @@ fn run_variant(
         dataset,
         queries,
         config,
-        ExecutionMode::Threaded,
+        ExecutionMode::Sequential,
         Some(relevant.len()),
     )
     .expect("pipeline runs");

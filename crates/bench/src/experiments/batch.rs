@@ -7,9 +7,9 @@
 //!   vs Q single-query runs: scan passes (N vs Q·N), broadcast bytes and
 //!   wall time. The claim: station work is flat in Q because every local
 //!   pattern is sampled once per batch.
-//! * **Shard scaling** — the same workload across shard layouts and worker
-//!   pools: identical bytes (rebalance safety), wall time as the pool
-//!   shrinks below one thread per station.
+//! * **Shard scaling** — the same workload across shard layouts, run
+//!   sequentially and on an executor pool of half a worker per station:
+//!   identical bytes (rebalance safety), only wall time moves.
 
 use std::time::Duration;
 
@@ -115,12 +115,9 @@ pub fn shard_scaling(scale: &Scale) -> Report {
     report.columns(["shards", "mode", "total KB", "scan passes", "seconds"]);
     let reference = run_batch(&dataset, &qs, &config, ExecutionMode::Sequential, 1);
     let workers = (scale.stations as usize / 2).max(1);
-    let pool = ExecutionMode::ThreadPool { workers };
     for &shards in &[1usize, 2, 4, 8] {
         for (label, mode) in [
             ("seq", ExecutionMode::Sequential),
-            ("thread/station", ExecutionMode::Threaded),
-            ("pool", pool),
             ("async", ExecutionMode::Async { workers }),
         ] {
             let outcome = run_batch(&dataset, &qs, &config, mode, shards);
@@ -138,7 +135,7 @@ pub fn shard_scaling(scale: &Scale) -> Report {
             ]);
         }
     }
-    report.note("the pool and async rows run at half a worker per station — the shape a city-scale deployment multiplexes at");
+    report.note("the async rows run at half a worker per station — the shape a city-scale deployment multiplexes at");
     report
 }
 
@@ -169,6 +166,6 @@ mod tests {
         scale.users = 200;
         // The table itself asserts byte equality across layouts.
         let report = shard_scaling(&scale);
-        assert_eq!(report.rows.len(), 16, "4 shard layouts × 4 modes");
+        assert_eq!(report.rows.len(), 8, "4 shard layouts × 2 modes");
     }
 }

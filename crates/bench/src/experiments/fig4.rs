@@ -20,13 +20,13 @@ use crate::scale::Scale;
 /// Shards per station in the sweep's deployment.
 const SWEEP_SHARDS: usize = 2;
 
-/// Worker threads the sweep's pool multiplexes station shards over (kept
-/// below the quick scale's station count, the intended pool shape).
+/// Executor workers the sweep's station tasks run on (kept below the quick
+/// scale's station count, the intended pool shape).
 const SWEEP_WORKERS: usize = 8;
 
 /// Runs one method through the generic pipeline in the sweep's scaled-out
 /// deployment shape: merged filter (the paper's Algorithm 1 over all given
-/// patterns), sharded stations, fixed worker pool.
+/// patterns), sharded stations, fixed executor pool.
 fn run_method<S: FilterStrategy>(
     dataset: &Dataset,
     queries: &[PatternQuery],
@@ -34,7 +34,7 @@ fn run_method<S: FilterStrategy>(
     top_k: Option<usize>,
 ) -> QueryOutcome {
     let options = PipelineOptions {
-        mode: ExecutionMode::ThreadPool {
+        mode: ExecutionMode::Async {
             workers: SWEEP_WORKERS,
         },
         shards: Shards::new(SWEEP_SHARDS),

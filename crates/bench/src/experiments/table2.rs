@@ -43,7 +43,7 @@ pub fn score_day(seed: u64) -> DayScore {
             &dataset,
             &[query],
             &config,
-            ExecutionMode::Threaded,
+            ExecutionMode::Sequential,
             Some(relevant.len()),
         )
         .expect("pipeline runs");

@@ -1,8 +1,9 @@
 //! Base-station-side matching (Algorithm 2) over hash-sharded local stores.
 //!
 //! A station's local store is split into [`Shards`] by a pure
-//! `UserId → shard` mapping, so one station can scan its shards in parallel
-//! and a simulated city can grow past one thread per station. Each scan is
+//! `UserId → shard` mapping, so a station task scans in shard-sized steps
+//! and yields its executor worker between them; the layout never changes
+//! the results. Each scan is
 //! *batch-first*: every locally stored pattern is accumulated, sampled and
 //! hashed **once**, then probed against every query section of the batch —
 //! one pass over the store per batch, however many queries it carries. Only

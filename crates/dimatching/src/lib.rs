@@ -39,7 +39,7 @@
 //! let query = PatternQuery::from_fragments(dataset.fragments(probe.id).unwrap())?;
 //!
 //! let config = DiMatchingConfig::default();
-//! let outcome = run_wbf(&dataset, &[query.clone()], &config, ExecutionMode::Threaded, None)?;
+//! let outcome = run_wbf(&dataset, &[query.clone()], &config, ExecutionMode::Sequential, None)?;
 //!
 //! let relevant = ground_truth::eps_similar_users(&dataset, query.global(), config.eps);
 //! let score = evaluate(outcome.retrieved(), &relevant);

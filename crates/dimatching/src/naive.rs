@@ -228,7 +228,7 @@ mod tests {
     }
 
     #[test]
-    fn naive_threaded_matches_sequential() {
+    fn naive_async_matches_sequential() {
         let dataset = Dataset::small(34);
         let query = probe_query(&dataset, 2);
         let seq = run_naive(
@@ -239,8 +239,15 @@ mod tests {
             None,
         )
         .unwrap();
-        let thr = run_naive(&dataset, &[query], 3, ExecutionMode::Threaded, None).unwrap();
-        assert_eq!(seq.ranked, thr.ranked);
+        let pool = run_naive(
+            &dataset,
+            &[query],
+            3,
+            ExecutionMode::Async { workers: 3 },
+            None,
+        )
+        .unwrap();
+        assert_eq!(seq.ranked, pool.ranked);
     }
 
     #[test]

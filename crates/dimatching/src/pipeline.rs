@@ -5,11 +5,12 @@
 //! parameterized by a [`FilterStrategy`]: the data center builds one filter
 //! section per query (Algorithm 1), broadcasts the batch frame, every
 //! station decodes it once and scans its hash-sharded local store in **one
-//! pass per batch** (Algorithm 2 — shards are the unit of parallelism, so
-//! [`ExecutionMode::ThreadPool`] multiplexes every station's shards over a
-//! small worker pool), ships canonical-ordered reports back, and the center
-//! aggregates one ranking per query (Algorithm 3) — metering every byte and
-//! operation along the way.
+//! pass per batch** (Algorithm 2 — one task per station on the executor,
+//! yielding its worker between shards), ships canonical-ordered reports
+//! back, and the center aggregates one ranking per query (Algorithm 3) —
+//! metering every byte and operation along the way. The station side is
+//! the same code in every [`ExecutionMode`]: the mode picks only the
+//! executor's worker count and whether the network models time.
 //!
 //! [`DiMatchingConfig::scan_algorithm`] threads through unchanged to the
 //! shard-scan cores: every station scans under the same dynamic-pruning
@@ -29,14 +30,15 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use dipm_distsim::{
-    block_on_all, run_station_shards, run_stations, ExecutionMode, LatencyModel, LatencyReport,
-    Network, NodeId, StationLatency, TrafficClass, VirtualClock, DATA_CENTER,
+    block_on_all, ExecutionMode, LatencyModel, LatencyReport, Network, NodeId, StationLatency,
+    TrafficClass, VirtualClock, DATA_CENTER,
 };
-use dipm_mobilenet::{Dataset, StationId};
+use dipm_mobilenet::{Dataset, StationId, UserId};
+use dipm_timeseries::Pattern;
 
 use crate::basestation::{BaseStation, Shards};
 use crate::config::{DiMatchingConfig, RoutingPolicy};
-use crate::error::{ProtocolError, Result};
+use crate::error::Result;
 use crate::query::PatternQuery;
 use crate::result::{BatchOutcome, QueryOutcome};
 use crate::routing;
@@ -68,7 +70,7 @@ pub enum SectionGrouping {
 /// tenant's `DiMatchingConfig` stays per-session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PipelineOptions {
-    /// How station shards are scheduled.
+    /// How station tasks are scheduled.
     pub mode: ExecutionMode,
     /// The per-station shard layout (pure `UserId → shard`; identical
     /// results for every count).
@@ -80,9 +82,23 @@ pub struct PipelineOptions {
     /// Modeled flight and scan times, used only under
     /// [`ExecutionMode::Async`]: broadcast and report envelopes are stamped
     /// with virtual delivery ticks and the run reports a deterministic
-    /// `makespan_ticks`. Synchronous modes ignore it entirely, so it cannot
-    /// perturb the mode-invariant byte meters.
+    /// `makespan_ticks`. [`ExecutionMode::Sequential`] runs on an unmodeled
+    /// network and ignores it entirely. Either way it cannot perturb the
+    /// mode-invariant byte meters.
     pub latency: LatencyModel,
+}
+
+impl PipelineOptions {
+    /// The simulated network one run executes on: stamped against `clock`
+    /// under [`ExecutionMode::Async`], unmodeled (every stamp zero) under
+    /// [`ExecutionMode::Sequential`]. Everything downstream asks the
+    /// network, never the mode, whether time is modeled.
+    pub(crate) fn network(&self, clock: &Arc<VirtualClock>) -> Network {
+        match self.mode {
+            ExecutionMode::Async { .. } => Network::with_latency(self.latency, Arc::clone(clock)),
+            ExecutionMode::Sequential => Network::new(),
+        }
+    }
 }
 
 impl Default for PipelineOptions {
@@ -115,27 +131,9 @@ pub(crate) struct CollectedReports {
     pub(crate) received_bytes: u64,
     /// The latest modeled delivery tick (zero in unmodeled runs).
     pub(crate) makespan: u64,
-}
-
-impl CollectedReports {
-    /// The latency dimension of the collected frames, in modeled delivery
-    /// order.
-    pub(crate) fn latency_report(&self) -> LatencyReport {
-        let mut stations: Vec<StationLatency> = self
-            .frames
-            .iter()
-            .map(|(frame, deliver)| StationLatency {
-                station: frame.station,
-                report_sent: frame.sent_tick,
-                report_delivered: *deliver,
-            })
-            .collect();
-        stations.sort_by_key(|s| (s.report_delivered, s.station));
-        LatencyReport {
-            makespan_ticks: self.makespan,
-            stations,
-        }
-    }
+    /// The latency dimension, in modeled delivery order; `None` when the
+    /// network does not model time.
+    pub(crate) latency: Option<LatencyReport>,
 }
 
 /// The shared Algorithm 3 intake: drains the center's mailbox, works
@@ -173,12 +171,77 @@ pub(crate) fn collect_station_reports(
         .max()
         .unwrap_or(0);
     network.meter().record_makespan(makespan);
+    let latency = network.latency_model().map(|_| LatencyReport {
+        makespan_ticks: makespan,
+        stations: arrivals
+            .iter()
+            .map(|(frame, deliver)| StationLatency {
+                station: frame.station,
+                report_sent: frame.sent_tick,
+                report_delivered: *deliver,
+            })
+            .collect(),
+    });
     arrivals.sort_by_key(|(frame, _)| frame.station);
     Ok(CollectedReports {
         frames: arrivals,
         received_bytes,
         makespan,
+        latency,
     })
+}
+
+/// Algorithm 2 at one station once its filter sections are ready, shared
+/// by the batch pipeline and the streaming epoch engine: scans the shards
+/// in order, merges their output in canonical `(query, user)` order (the
+/// report bytes are identical whatever the shard layout) and sends the
+/// stamped report frame to the center.
+///
+/// `station_now` is the station's own virtual timeline, starting at its
+/// broadcast copy's delivery tick. Deadlines are interleaving-free; global
+/// `clock.now()` reads are not (the pool may advance the clock while this
+/// station's poll sits in a queue), so every stamp derives from
+/// `station_now`, never from the global reading. On an unmodeled network
+/// every tick stays zero.
+pub(crate) async fn scan_and_report<S: FilterStrategy>(
+    network: &Network,
+    clock: &Arc<VirtualClock>,
+    station: usize,
+    layout: &BaseStation<'_>,
+    mut station_now: u64,
+    scan: impl Fn(&[(UserId, &Pattern)]) -> Result<Vec<S::StationReport>>,
+) -> Result<()> {
+    let mut merged: Vec<S::StationReport> = Vec::new();
+    for shard_index in 0..layout.shard_count() {
+        let shard = layout.shard(shard_index);
+        // Charge the modeled scan time to the station's own timeline…
+        let scan_ticks = network
+            .latency_model()
+            .map_or(0, |model| model.scan_ticks(shard.len()));
+        station_now = station_now.saturating_add(scan_ticks);
+        clock.sleep_until(station_now).await;
+        merged.extend(scan(shard)?);
+        // …and yield unconditionally after each shard (an already-elapsed
+        // sleep resolves without suspending), so one large station cannot
+        // monopolize a worker even under a zero-tick latency model.
+        dipm_distsim::yield_now().await;
+    }
+    merged.sort_by_key(S::report_key);
+    network.meter().record_scan_pass();
+    let payload = wire::encode_batch_reports(
+        layout.shard_count() as u32,
+        station as u32,
+        station_now,
+        S::encode_reports(&merged)?,
+    );
+    network.send_at(
+        NodeId::base_station(station as u32),
+        DATA_CENTER,
+        S::REPORT_CLASS,
+        payload,
+        station_now,
+    )?;
+    Ok(())
 }
 
 /// Runs the full DI-matching protocol for a batch of queries under filter
@@ -213,7 +276,7 @@ pub(crate) fn collect_station_reports(
 ///     })
 ///     .collect::<Result<_, _>>()?;
 /// let options = PipelineOptions {
-///     mode: ExecutionMode::ThreadPool { workers: 4 },
+///     mode: ExecutionMode::Async { workers: 4 },
 ///     shards: Shards::new(2),
 ///     top_k: Some(10),
 ///     ..PipelineOptions::default()
@@ -234,16 +297,8 @@ pub fn run_pipeline<S: FilterStrategy>(
 ) -> Result<BatchOutcome> {
     let start = Instant::now();
     config.validate()?;
-    // Async runs stamp every envelope against a shared virtual clock; the
-    // synchronous modes keep the unmodeled network (all stamps zero).
-    let (clock, network) = match options.mode {
-        ExecutionMode::Async { .. } => {
-            let clock = Arc::new(VirtualClock::new());
-            let network = Network::with_latency(options.latency, Arc::clone(&clock));
-            (Some(clock), network)
-        }
-        _ => (None, Network::new()),
-    };
+    let clock = Arc::new(VirtualClock::new());
+    let network = options.network(&clock);
     let center = network.register(DATA_CENTER)?;
     let stations = station_nodes(dataset);
     let mailboxes = stations
@@ -312,8 +367,11 @@ pub fn run_pipeline<S: FilterStrategy>(
             .record_storage(frame.len() as u64 * recipients.len() as u64);
     }
 
-    // Station side: every station receives and decodes the frame once and
-    // partitions its local store into shards.
+    // Station side, Algorithm 2: one task per targeted station. It waits
+    // for its broadcast copy's modeled delivery tick, decodes the frame once
+    // and scans its shards; stations complete in virtual-time order, not
+    // station order. Pruned stations received nothing, so their mailboxes
+    // are never polled.
     let empty = BTreeMap::new();
     let layouts: Vec<BaseStation<'_>> = stations
         .iter()
@@ -322,161 +380,37 @@ pub fn run_pipeline<S: FilterStrategy>(
             BaseStation::from_locals(station, locals, options.shards)
         })
         .collect();
-    let shard_count = options.shards.count() as u32;
-    match options.mode {
-        ExecutionMode::Async { workers } => {
-            // One future per station, polled per shard: the station sleeps
-            // until its broadcast copy's modeled delivery tick, decodes,
-            // charges each shard scan to the virtual clock (yielding the
-            // worker between shards), and sends its stamped report the
-            // moment it finishes — stations complete in virtual-time order,
-            // not station order.
-            let clock = clock.as_ref().expect("async mode builds a clock");
-            let model = options.latency;
-            let futures: Vec<_> = mailboxes
-                .into_iter()
-                .enumerate()
-                .filter(|&(i, _)| active(i))
-                .map(|(i, mailbox)| {
-                    let network = network.clone();
-                    let clock = Arc::clone(clock);
-                    let layout = &layouts[i];
-                    async move {
-                        // The station's own virtual timeline. Deadlines are
-                        // interleaving-free; global `clock.now()` reads are
-                        // not (the pool may advance the clock while this
-                        // station's poll sits in a queue), so every stamp
-                        // below derives from `station_now`, never from the
-                        // global reading.
-                        let mut station_now = 0u64;
-                        let sections: Vec<(u32, S::Decoded)> = if S::BROADCASTS {
-                            let envelope = mailbox.recv()?;
-                            station_now = envelope.deliver_at;
-                            clock.sleep_until(station_now).await;
-                            wire::decode_batch_broadcast(envelope.payload)?
-                                .into_iter()
-                                .map(|(query, bytes)| Ok((query, S::decode_filter(bytes)?)))
-                                .collect::<Result<Vec<_>>>()?
-                        } else {
-                            Vec::new()
-                        };
-                        let mut merged: Vec<S::StationReport> = Vec::new();
-                        for shard_index in 0..layout.shard_count() {
-                            let shard = layout.shard(shard_index);
-                            // Charge the modeled scan time to the station's
-                            // own timeline…
-                            station_now = station_now.saturating_add(model.scan_ticks(shard.len()));
-                            clock.sleep_until(station_now).await;
-                            merged.extend(S::scan_shard(
-                                &sections,
-                                shard,
-                                config,
-                                Some(network.meter()),
-                            )?);
-                            // …and yield unconditionally after each shard
-                            // (an already-elapsed sleep resolves without
-                            // suspending), so one large station cannot
-                            // monopolize a worker even under a zero-tick
-                            // latency model.
-                            dipm_distsim::yield_now().await;
-                        }
-                        merged.sort_by_key(S::report_key);
-                        network.meter().record_scan_pass();
-                        let payload = wire::encode_batch_reports(
-                            shard_count,
-                            i as u32,
-                            station_now,
-                            S::encode_reports(&merged)?,
-                        );
-                        network.send_at(
-                            NodeId::base_station(i as u32),
-                            DATA_CENTER,
-                            S::REPORT_CLASS,
-                            payload,
-                            station_now,
-                        )?;
-                        Ok::<(), ProtocolError>(())
-                    }
-                })
-                .collect();
-            let (results, _run) = block_on_all(workers, clock, futures);
-            for result in results {
-                result?;
-            }
-        }
-        mode => {
-            let mut decoded: Vec<Vec<(u32, S::Decoded)>> =
-                stations.iter().map(|_| Vec::new()).collect();
-            if S::BROADCASTS {
-                // Each targeted station decodes its own copy of the frame,
-                // under the same execution mode the scans will use (decoding
-                // is station-side work, not the center's). Pruned stations
-                // received nothing, so their mailboxes must never be polled.
-                let targeted: Vec<(usize, &dipm_distsim::Mailbox)> = mailboxes
-                    .iter()
-                    .enumerate()
-                    .filter(|&(i, _)| active(i))
-                    .collect();
-                let results = run_stations(mode, &targeted, |_, &(_, mailbox)| {
+    let tasks: Vec<_> = mailboxes
+        .into_iter()
+        .enumerate()
+        .filter(|&(i, _)| active(i))
+        .map(|(i, mailbox)| {
+            let (network, clock, layout) = (&network, &clock, &layouts[i]);
+            async move {
+                let mut station_now = 0;
+                let mut sections: Vec<(u32, S::Decoded)> = Vec::new();
+                if S::BROADCASTS {
                     let envelope = mailbox.recv()?;
-                    wire::decode_batch_broadcast(envelope.payload)?
-                        .into_iter()
-                        .map(|(query, bytes)| Ok((query, S::decode_filter(bytes)?)))
-                        .collect::<Result<Vec<_>>>()
-                });
-                for (result, &(i, _)) in results.into_iter().zip(&targeted) {
-                    decoded[i] = result?;
+                    station_now = envelope.deliver_at;
+                    clock.sleep_until(station_now).await;
+                    for (query, bytes) in wire::decode_batch_broadcast(envelope.payload)? {
+                        sections.push((query, S::decode_filter(bytes)?));
+                    }
                 }
+                scan_and_report::<S>(network, clock, i, layout, station_now, |shard| {
+                    S::scan_shard(&sections, shard, config, Some(network.meter()))
+                })
+                .await
             }
-
-            // Algorithm 2: one scan pass per targeted station per batch,
-            // fanned out over the flattened (station, shard) grid.
-            let grid: Vec<(usize, usize)> = layouts
-                .iter()
-                .enumerate()
-                .filter(|&(i, _)| active(i))
-                .flat_map(|(i, layout)| (0..layout.shard_count()).map(move |shard| (i, shard)))
-                .collect();
-            let scanned = run_station_shards(mode, &grid, |_, &(station, shard)| {
-                S::scan_shard(
-                    &decoded[station],
-                    layouts[station].shard(shard),
-                    config,
-                    Some(network.meter()),
-                )
-            });
-
-            // Merge each station's shard output in canonical (query, user)
-            // order — the report bytes are identical whatever the shard
-            // layout — and send.
-            let mut shard_results = scanned.into_iter();
-            for (i, layout) in layouts.iter().enumerate().filter(|&(i, _)| active(i)) {
-                let mut merged: Vec<S::StationReport> = Vec::new();
-                for _ in 0..layout.shard_count() {
-                    merged.extend(shard_results.next().expect("one result per grid entry")?);
-                }
-                merged.sort_by_key(S::report_key);
-                network.meter().record_scan_pass();
-                let payload = wire::encode_batch_reports(
-                    shard_count,
-                    i as u32,
-                    0,
-                    S::encode_reports(&merged)?,
-                );
-                network.send(
-                    NodeId::base_station(i as u32),
-                    DATA_CENTER,
-                    S::REPORT_CLASS,
-                    payload,
-                )?;
-            }
-        }
-    }
+        })
+        .collect();
+    let (results, _run) = block_on_all(options.mode.workers(), &clock, tasks);
+    results.into_iter().collect::<Result<()>>()?;
 
     // Algorithm 3 at the data center: admit, order and decode the report
     // frames (shared with the streaming epoch runner), then aggregate.
+    let shard_count = options.shards.count() as u32;
     let collected = collect_station_reports(&center, &network, shard_count, stations.len() as u32)?;
-    let latency = clock.map(|_| collected.latency_report());
     let received_bytes = collected.received_bytes;
     let mut all_reports: Vec<S::StationReport> = Vec::new();
     for (frame, _) in &collected.frames {
@@ -495,7 +429,7 @@ pub fn run_pipeline<S: FilterStrategy>(
         method: S::METHOD,
         queries: verdicts,
         cost: network.meter().report(),
-        latency,
+        latency: collected.latency,
         elapsed: start.elapsed(),
     })
 }
@@ -651,27 +585,17 @@ mod tests {
             None,
         )
         .unwrap();
-        let thr = run_wbf(
-            &dataset,
-            std::slice::from_ref(&query),
-            &config,
-            ExecutionMode::Threaded,
-            None,
-        )
-        .unwrap();
         let pool = run_wbf(
             &dataset,
             &[query],
             &config,
-            ExecutionMode::ThreadPool { workers: 3 },
+            ExecutionMode::Async { workers: 3 },
             None,
         )
         .unwrap();
-        assert_eq!(seq.ranked, thr.ranked);
         assert_eq!(seq.ranked, pool.ranked);
-        // Communication costs are identical; only wall time may differ.
-        assert_eq!(seq.cost, thr.cost);
-        assert_eq!(seq.cost, pool.cost);
+        // Communication costs are identical; only modeled time may differ.
+        assert_eq!(seq.cost, pool.cost.mode_invariant());
     }
 
     #[test]

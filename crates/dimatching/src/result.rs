@@ -104,7 +104,8 @@ pub struct BatchOutcome {
     pub cost: CostReport,
     /// The latency dimension — modeled per-station critical paths and the
     /// run's makespan on the virtual clock. `Some` only under
-    /// `ExecutionMode::Async`; synchronous modes do not model time.
+    /// `ExecutionMode::Async`; `ExecutionMode::Sequential` does not model
+    /// time.
     pub latency: Option<LatencyReport>,
     /// Wall-clock time of the full batch run.
     pub elapsed: Duration,

@@ -16,7 +16,8 @@
 //!   the [`FilterDelta`](crate::wire::FilterDelta) the counting filter
 //!   tracked while queries churned;
 //! * **base stations** hold their decoded filter across epochs and apply
-//!   deltas shard-locally under any [`ExecutionMode`] — a pure CDR-churn
+//!   deltas shard-locally under any
+//!   [`ExecutionMode`](dipm_distsim::ExecutionMode) — a pure CDR-churn
 //!   epoch (new traffic, same queries) costs a near-empty delta frame plus
 //!   the scans, never a re-broadcast.
 //!
@@ -25,8 +26,8 @@
 //! rebuild), and the counting filter's rebuild-equivalence guarantee makes
 //! the whole path checkable: after any update sequence the station-side
 //! state byte-matches a from-scratch [`run_pipeline`](crate::run_pipeline)
-//! over the surviving query set at the same geometry — asserted across all
-//! four execution modes by the streaming conformance suite.
+//! over the surviving query set at the same geometry — asserted across
+//! execution modes by the streaming conformance suite.
 //!
 //! Epoch scans honor [`DiMatchingConfig::scan_algorithm`] like the batch
 //! pipeline: the dynamic-pruning rungs skip only provably reportless work,
@@ -40,8 +41,7 @@ use std::time::Instant;
 use bytes::Bytes;
 use dipm_core::{encode, CountingWbf, FilterParams, Weight, WeightSet, WeightedBloomFilter};
 use dipm_distsim::{
-    block_on_all, run_station_shards, run_stations, CostMeter, ExecutionMode, LatencyModel,
-    Mailbox, Network, NodeId, TrafficClass, VirtualClock, DATA_CENTER,
+    block_on_all, CostMeter, Mailbox, Network, NodeId, TrafficClass, VirtualClock, DATA_CENTER,
 };
 use dipm_mobilenet::{Dataset, UserId};
 
@@ -49,11 +49,11 @@ use crate::basestation::{scan_shard_wbf, BaseStation};
 use crate::config::{DiMatchingConfig, RoutingPolicy};
 use crate::datacenter::{aggregate_and_rank, prepare_build, sized_params, BuildStats};
 use crate::error::{ProtocolError, Result};
-use crate::pipeline::{collect_station_reports, PipelineOptions};
+use crate::pipeline::{collect_station_reports, scan_and_report, PipelineOptions};
 use crate::query::PatternQuery;
 use crate::result::{Method, MethodDetails, QueryOutcome};
 use crate::routing::{self, RoutingTree};
-use crate::strategy::CENTER_ENTRY_BYTES;
+use crate::strategy::{Wbf, CENTER_ENTRY_BYTES};
 use crate::wire::{self, FilterDelta, StationUpdate};
 
 /// Handle to one live query of a [`StreamingSession`]; returned by
@@ -196,8 +196,9 @@ pub struct EpochOutcome {
     /// rebuild-vs-delta economics `repro streaming` reports.
     pub rebuild_bytes: u64,
     /// The epoch's modeled per-station critical paths. `Some` only under
-    /// [`ExecutionMode::Async`]; ticks continue across epochs (epoch `n+1`
-    /// is stamped from epoch `n`'s makespan).
+    /// [`ExecutionMode::Async`](dipm_distsim::ExecutionMode::Async); ticks
+    /// continue across epochs (epoch `n+1` is stamped from epoch `n`'s
+    /// makespan).
     pub latency: Option<dipm_distsim::LatencyReport>,
 }
 
@@ -403,7 +404,8 @@ impl StreamingSession {
 
     /// Runs one epoch over `dataset`: broadcasts the pending filter state
     /// (full on the first epoch, delta after), scans every station's
-    /// current local store under the session's [`ExecutionMode`], and
+    /// current local store under the session's
+    /// [`ExecutionMode`](dipm_distsim::ExecutionMode), and
     /// aggregates one merged ranking over the live query set.
     ///
     /// The dataset may change freely between epochs (CDR churn) as long as
@@ -665,8 +667,6 @@ impl StreamingSession {
     ) -> Result<EpochOutcome> {
         let collected =
             collect_station_reports(center, network, shard_count, station_count as u32)?;
-        let latency = matches!(self.options.mode, ExecutionMode::Async { .. })
-            .then(|| collected.latency_report());
         let mut reports: Vec<(dipm_mobilenet::UserId, Weight)> = Vec::new();
         for (report_frame, _) in &collected.frames {
             for (query, user, weight) in
@@ -704,7 +704,7 @@ impl StreamingSession {
             broadcast: plan.broadcast,
             broadcast_bytes: plan.broadcast_bytes,
             rebuild_bytes: plan.full_frame_len as u64 * station_count as u64,
-            latency,
+            latency: collected.latency,
             outcome,
         })
     }
@@ -916,20 +916,18 @@ impl StationMemory {
 /// its previous frame, so concurrent tenants queue behind each other
 /// exactly as they would on real station radios. With fresh (all-zero)
 /// links — the solo case — every frame is stamped straight from the
-/// tenant's `clock_base`, byte-identically to a lone session.
-fn broadcast_plan(
-    plan: &mut EpochPlan,
-    latency: &LatencyModel,
-    network: &Network,
-    links: &mut [u64],
-) -> Result<()> {
+/// tenant's `clock_base`, byte-identically to a lone session. An unmodeled
+/// network serializes in zero ticks, so its links never advance.
+fn broadcast_plan(plan: &mut EpochPlan, network: &Network, links: &mut [u64]) -> Result<()> {
     let frames = [
         (&plan.full_frame, &plan.full_stations),
         (&plan.delta_frame, &plan.delta_stations),
     ];
     for (frame, stations) in frames {
         if let Some(frame) = frame {
-            let serialize = latency.ticks_per_byte.saturating_mul(frame.len() as u64);
+            let serialize = network.latency_model().map_or(0, |model| {
+                model.ticks_per_byte.saturating_mul(frame.len() as u64)
+            });
             let targets: Vec<(NodeId, u64)> = stations
                 .iter()
                 .map(|&i| {
@@ -967,8 +965,9 @@ struct TenantEpoch {
 /// existence — each tenant runs on its own [`Network`] (own meter, own
 /// mailboxes), so its byte and operation accounting cannot observe its
 /// neighbors. Only modeled *time* couples tenants: under
-/// [`ExecutionMode::Async`] all tenants share one [`VirtualClock`] and the
-/// `links` vector serializes each station's downlink across tenants.
+/// [`ExecutionMode::Async`](dipm_distsim::ExecutionMode::Async) the shared
+/// [`VirtualClock`] advances and the `links` vector serializes each
+/// station's downlink across tenants.
 ///
 /// All sessions must share the same [`PipelineOptions`] (the service
 /// guarantees this); the first session's options drive the executor.
@@ -1000,37 +999,30 @@ fn interleaved_epochs_inner(
     if sessions.is_empty() {
         return Ok(Vec::new());
     }
-    let mode = sessions[0].options.mode;
-    let latency = sessions[0].options.latency;
+    let workers = sessions[0].options.mode.workers();
     let shards = sessions[0].options.shards;
     let station_count = dataset.stations().len();
     if links.len() < station_count {
         links.resize(station_count, 0);
     }
 
-    // One shared clock timeline across all tenants (async); each tenant
-    // still gets a fresh network per epoch so nodes re-register and meters
-    // stay private.
-    let clock = match mode {
-        ExecutionMode::Async { .. } => Some(Arc::new(VirtualClock::new())),
-        _ => None,
-    };
+    // One shared clock timeline across all tenants; each tenant still gets
+    // a fresh network per epoch so nodes re-register and meters stay
+    // private.
+    let clock = Arc::new(VirtualClock::new());
 
     // Phases 1+2 per tenant, in registration order: plan, then claim the
     // shared downlinks. The first tenant's frames are stamped exactly as a
     // solo run's; later tenants queue behind it.
     let mut tenants: Vec<TenantEpoch> = Vec::with_capacity(sessions.len());
     for session in sessions.iter_mut() {
-        let network = match &clock {
-            Some(clock) => Network::with_latency(session.options.latency, Arc::clone(clock)),
-            None => Network::new(),
-        };
+        let network = session.options.network(&clock);
         let center = network.register(DATA_CENTER)?;
         let mailboxes = (0..station_count)
             .map(|i| network.register(NodeId::base_station(i as u32)))
             .collect::<dipm_distsim::Result<Vec<_>>>()?;
         let mut plan = session.plan_epoch(dataset, network.meter())?;
-        broadcast_plan(&mut plan, &latency, &network, links)?;
+        broadcast_plan(&mut plan, &network, links)?;
         tenants.push(TenantEpoch {
             network,
             center,
@@ -1051,163 +1043,39 @@ fn interleaved_epochs_inner(
             BaseStation::from_locals(station, locals, shards)
         })
         .collect();
-    let shard_count = shards.count() as u32;
-
-    match mode {
-        ExecutionMode::Async { workers } => {
-            // One future per (tenant, active station), all on one executor
-            // and one virtual clock — tenants' epochs genuinely interleave.
-            // The update is applied to the station's *retained* filter
-            // before the scan, on the station's own virtual timeline.
-            let clock = clock.as_ref().expect("async mode builds a clock");
-            let mut futures = Vec::new();
-            for (session, tenant) in sessions.iter_mut().zip(tenants.iter_mut()) {
-                let epoch = tenant.plan.epoch;
-                let mailboxes = std::mem::take(&mut tenant.mailboxes);
-                let tenant_network = tenant.network.clone();
-                let active = &tenant.plan.active;
-                let (stations, config) = session.exec_parts();
-                for (i, (mailbox, state)) in
-                    mailboxes.into_iter().zip(stations.iter_mut()).enumerate()
-                {
-                    if !active[i] {
-                        continue;
-                    }
-                    let network = tenant_network.clone();
-                    let clock = Arc::clone(clock);
-                    let layout = &layouts[i];
-                    let model = latency;
-                    futures.push(async move {
-                        let envelope = mailbox.recv()?;
-                        let mut station_now = envelope.deliver_at;
-                        clock.sleep_until(station_now).await;
-                        state.apply(wire::decode_station_update(envelope.payload)?, epoch)?;
-                        let (filter, totals) = state.view()?;
-                        let mut merged: Vec<(u32, dipm_mobilenet::UserId, Weight)> = Vec::new();
-                        for shard_index in 0..layout.shard_count() {
-                            let shard = layout.shard(shard_index);
-                            station_now = station_now.saturating_add(model.scan_ticks(shard.len()));
-                            clock.sleep_until(station_now).await;
-                            merged.extend(scan_shard_wbf(
-                                &[(0, filter, totals)],
-                                shard,
-                                config,
-                                Some(network.meter()),
-                            )?);
-                            dipm_distsim::yield_now().await;
-                        }
-                        merged.sort_by_key(|&(q, user, _)| (q, user));
-                        network.meter().record_scan_pass();
-                        let payload = wire::encode_batch_reports(
-                            shard_count,
-                            i as u32,
-                            station_now,
-                            wire::encode_tagged_weight_reports(&merged)?,
-                        );
-                        network.send_at(
-                            NodeId::base_station(i as u32),
-                            DATA_CENTER,
-                            TrafficClass::Report,
-                            payload,
-                            station_now,
-                        )?;
-                        Ok::<(), ProtocolError>(())
-                    });
-                }
+    // One task per (tenant, active station), all on one executor and one
+    // virtual clock — tenants' epochs genuinely interleave. The update is
+    // applied to the station's *retained* filter before the scan, on the
+    // station's own virtual timeline.
+    let mut tasks = Vec::new();
+    for (session, tenant) in sessions.iter_mut().zip(tenants.iter_mut()) {
+        let epoch = tenant.plan.epoch;
+        let mailboxes = std::mem::take(&mut tenant.mailboxes);
+        let (network, active) = (&tenant.network, &tenant.plan.active);
+        let (stations, config) = session.exec_parts();
+        for (i, (mailbox, state)) in mailboxes.into_iter().zip(stations.iter_mut()).enumerate() {
+            if !active[i] {
+                continue;
             }
-            let (results, _run) = block_on_all(workers, clock, futures);
-            for result in results {
-                result?;
-            }
-        }
-        mode => {
-            // Station-side decode under the epoch's execution mode, over
-            // the union of every tenant's targeted stations — a pruned
-            // station's mailbox must never be polled…
-            let targeted: Vec<(usize, usize, &Mailbox)> = tenants
-                .iter()
-                .enumerate()
-                .flat_map(|(t, tenant)| {
-                    tenant
-                        .mailboxes
-                        .iter()
-                        .enumerate()
-                        .filter(move |&(i, _)| tenant.plan.active[i])
-                        .map(move |(i, mailbox)| (t, i, mailbox))
+            let (clock, layout) = (&clock, &layouts[i]);
+            tasks.push(async move {
+                let envelope = mailbox.recv()?;
+                let station_now = envelope.deliver_at;
+                clock.sleep_until(station_now).await;
+                state.apply(wire::decode_station_update(envelope.payload)?, epoch)?;
+                let (filter, totals) = state.view()?;
+                scan_and_report::<Wbf>(network, clock, i, layout, station_now, |shard| {
+                    scan_shard_wbf(&[(0, filter, totals)], shard, config, Some(network.meter()))
                 })
-                .collect();
-            let updates: Vec<StationUpdate> =
-                run_stations(mode, &targeted, |_, &(_, _, mailbox)| {
-                    let envelope = mailbox.recv()?;
-                    wire::decode_station_update(envelope.payload)
-                })
-                .into_iter()
-                .collect::<Result<_>>()?;
-            // …apply shard-locally (cheap, deterministic)…
-            for (&(t, i, _), update) in targeted.iter().zip(updates) {
-                sessions[t].stations[i].apply(update, tenants[t].plan.epoch)?;
-            }
-            // …then one scan pass per (tenant, station) over the union
-            // (tenant, station, shard) grid, identical to the batch
-            // pipeline within each tenant.
-            let grid: Vec<(usize, usize, usize)> = tenants
-                .iter()
-                .enumerate()
-                .flat_map(|(t, tenant)| {
-                    layouts
-                        .iter()
-                        .enumerate()
-                        .filter(move |&(i, _)| tenant.plan.active[i])
-                        .flat_map(move |(i, layout)| {
-                            (0..layout.shard_count()).map(move |shard| (t, i, shard))
-                        })
-                })
-                .collect();
-            let views: Vec<(&[StationState], &DiMatchingConfig)> = sessions
-                .iter()
-                .map(|session| (&session.stations[..], &session.config))
-                .collect();
-            let meters: Vec<&CostMeter> = tenants.iter().map(|t| t.network.meter()).collect();
-            let scanned = run_station_shards(mode, &grid, |_, &(t, station, shard)| {
-                let (filter, totals) = views[t].0[station].view()?;
-                scan_shard_wbf(
-                    &[(0, filter, totals)],
-                    layouts[station].shard(shard),
-                    views[t].1,
-                    Some(meters[t]),
-                )
+                .await
             });
-            let mut shard_results = scanned.into_iter();
-            for tenant in &tenants {
-                for (i, layout) in layouts
-                    .iter()
-                    .enumerate()
-                    .filter(|&(i, _)| tenant.plan.active[i])
-                {
-                    let mut merged: Vec<(u32, dipm_mobilenet::UserId, Weight)> = Vec::new();
-                    for _ in 0..layout.shard_count() {
-                        merged.extend(shard_results.next().expect("one result per grid entry")?);
-                    }
-                    merged.sort_by_key(|&(q, user, _)| (q, user));
-                    tenant.network.meter().record_scan_pass();
-                    let payload = wire::encode_batch_reports(
-                        shard_count,
-                        i as u32,
-                        0,
-                        wire::encode_tagged_weight_reports(&merged)?,
-                    );
-                    tenant.network.send(
-                        NodeId::base_station(i as u32),
-                        DATA_CENTER,
-                        TrafficClass::Report,
-                        payload,
-                    )?;
-                }
-            }
         }
     }
+    let (results, _run) = block_on_all(workers, &clock, tasks);
+    results.into_iter().collect::<Result<()>>()?;
 
     // Phase 4 per tenant.
+    let shard_count = shards.count() as u32;
     let mut outcomes = Vec::with_capacity(sessions.len());
     for (session, tenant) in sessions.iter_mut().zip(tenants) {
         outcomes.push(session.finish_epoch(
@@ -1273,8 +1141,7 @@ where
 mod tests {
     use super::*;
     use crate::pipeline::{run_pipeline, SectionGrouping};
-    use crate::strategy::Wbf;
-    use dipm_distsim::LatencyModel;
+    use dipm_distsim::{ExecutionMode, LatencyModel};
 
     fn probe_query(dataset: &Dataset, index: usize) -> PatternQuery {
         let user = dataset.users()[index];
@@ -1355,7 +1222,7 @@ mod tests {
     }
 
     #[test]
-    fn all_four_modes_agree_on_streaming_epochs() {
+    fn all_modes_agree_on_streaming_epochs() {
         let day0 = Dataset::small(43);
         let day1 = Dataset::small(44);
         let q0 = probe_query(&day0, 0);
@@ -1393,8 +1260,7 @@ mod tests {
         };
         let reference = run(ExecutionMode::Sequential);
         for mode in [
-            ExecutionMode::Threaded,
-            ExecutionMode::ThreadPool { workers: 3 },
+            ExecutionMode::Async { workers: 1 },
             ExecutionMode::Async { workers: 3 },
         ] {
             let outcomes = run(mode);

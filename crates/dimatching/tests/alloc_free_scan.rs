@@ -5,9 +5,12 @@
 //! A counting global allocator measures whole `scan_shard_wbf` calls over
 //! shards of different sizes: the allocation count must not grow with
 //! `rows × sections` — it stays at the fixed per-call setup cost.
+//!
+//! The counter is per thread: the test harness runs tests in parallel, and
+//! a process-global count would charge one test's allocations to another.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use dipm_core::WbfFrameView;
 use dipm_mobilenet::UserId;
@@ -16,15 +19,23 @@ use dipm_protocol::{
 };
 use dipm_timeseries::Pattern;
 
-/// `System` wrapped with an allocation counter; frees are not counted —
-/// the contract is about *new* heap traffic on the probe path.
+/// `System` wrapped with a per-thread allocation counter; frees are not
+/// counted — the contract is about *new* heap traffic on the probe path.
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Bumps the calling thread's counter. `try_with` because the allocator
+/// also runs during thread-local teardown, where `with` would panic.
+fn count_allocation() {
+    let _ = ALLOCATIONS.try_with(|count| count.set(count.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc(layout)
     }
 
@@ -33,7 +44,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -41,8 +52,9 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
 
+/// Allocations made so far on the calling thread.
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 /// A deterministic pattern per row, far from the inserted query's values so

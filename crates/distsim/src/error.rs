@@ -42,7 +42,7 @@ impl fmt::Display for DistSimError {
                 write!(
                     f,
                     "DIPM_MODE={value:?} is not a valid execution mode \
-                     (expected sequential|seq|threaded|pool:N|async|async:N)"
+                     (expected sequential|seq|async|async:N)"
                 )
             }
         }

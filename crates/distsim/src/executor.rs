@@ -1,5 +1,6 @@
-//! A small vendored executor for [`ExecutionMode::Async`]
-//! (no registry is reachable, so no tokio — this is the whole runtime).
+//! A small vendored executor that every [`ExecutionMode`] runs station
+//! tasks on (no registry is reachable, so no tokio — this is the whole
+//! runtime).
 //!
 //! Two variants share one scheduler core:
 //!
@@ -24,7 +25,7 @@
 //! meter claims ("every station polled, every report sent exactly once")
 //! hold under stealing.
 //!
-//! [`ExecutionMode::Async`]: crate::ExecutionMode::Async
+//! [`ExecutionMode`]: crate::ExecutionMode
 
 use std::collections::VecDeque;
 use std::future::Future;

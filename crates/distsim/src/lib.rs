@@ -12,23 +12,23 @@
 //! * [`CostMeter`] / [`CostReport`] — lock-free accounting of bytes moved,
 //!   bytes stored and operations executed (Fig. 4b/4d machine-independent
 //!   cost).
-//! * [`run_stations`] / [`run_station_shards`] — sequential,
-//!   thread-per-station, fixed-pool or async execution ([`ExecutionMode`]),
-//!   with identical results in every mode; the shard entry point lets a
-//!   sharded station parallelize internally while the pool stays far below
-//!   one thread per station.
-//! * [`block_on_all`] / [`VirtualClock`] — the vendored mini-executor
-//!   behind [`ExecutionMode::Async`]: a deterministic single-worker task
-//!   queue, a work-stealing pool, and a discrete-event clock that the
+//! * [`ExecutionMode`] — how station tasks run: `Sequential` on the
+//!   calling thread over an unmodeled network, or `Async` on any number of
+//!   workers with modeled time. The results are identical in every mode.
+//! * [`block_on_all`] / [`VirtualClock`] — the vendored mini-executor every
+//!   mode runs station tasks on: a deterministic single-worker task queue,
+//!   a work-stealing pool, and a discrete-event clock that the
 //!   [`LatencyModel`] stamps broadcast/report envelopes against, producing
 //!   the [`CostReport::makespan_ticks`] latency meter.
 //!
 //! # Example
 //!
 //! ```
+//! use std::sync::Arc;
+//!
 //! use bytes::Bytes;
 //! use dipm_distsim::{
-//!     run_stations, ExecutionMode, Network, NodeId, TrafficClass, DATA_CENTER,
+//!     block_on_all, ExecutionMode, Network, NodeId, TrafficClass, VirtualClock, DATA_CENTER,
 //! };
 //!
 //! # fn main() -> Result<(), dipm_distsim::DistSimError> {
@@ -39,12 +39,19 @@
 //!     network.register(*s)?;
 //! }
 //!
-//! // Every station reports 8 bytes to the center, one thread per station.
-//! run_stations(ExecutionMode::Threaded, &stations, |_, s| {
-//!     network
-//!         .send(*s, DATA_CENTER, TrafficClass::Report, Bytes::from_static(b"id+wght!"))
-//!         .expect("center is registered");
-//! });
+//! // Every station reports 8 bytes to the center, one task per station.
+//! let tasks: Vec<_> = stations
+//!     .iter()
+//!     .map(|&s| {
+//!         let network = &network;
+//!         async move {
+//!             network.send(s, DATA_CENTER, TrafficClass::Report, Bytes::from_static(b"id+wght!"))
+//!         }
+//!     })
+//!     .collect();
+//! let mode = ExecutionMode::Async { workers: 2 };
+//! let (sent, _run) = block_on_all(mode.workers(), &Arc::new(VirtualClock::new()), tasks);
+//! assert!(sent.iter().all(Result::is_ok));
 //! assert_eq!(center.drain().len(), 4);
 //! assert_eq!(network.meter().report().report_bytes, 32);
 //! # Ok(())
@@ -69,4 +76,4 @@ pub use executor::{block_on_all, AsyncRunReport};
 pub use metrics::{CostMeter, CostReport, LatencyReport, StationLatency, TrafficClass};
 pub use network::{Envelope, LatencyModel, Mailbox, Network};
 pub use node::{NodeId, DATA_CENTER};
-pub use runtime::{run_station_shards, run_stations, ExecutionMode};
+pub use runtime::ExecutionMode;

@@ -3,7 +3,7 @@
 //! The evaluation compares methods on four axes — precision, time,
 //! communication and storage. [`CostMeter`] collects the machine-independent
 //! ones (bytes moved per traffic class, bytes stored, operation counts) with
-//! lock-free atomics so the thread-per-station runtime can record
+//! lock-free atomics so the executor's worker pool can record
 //! concurrently; wall time is measured by the harness around the run.
 
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -1,69 +1,63 @@
-//! Station execution runtimes.
+//! Station execution modes.
 //!
-//! The paper's experiment environment runs "one thread as a base station"
-//! (Section V-A). [`ExecutionMode::Threaded`] reproduces that: one OS thread
-//! per station via crossbeam's scoped threads. [`ExecutionMode::Sequential`]
-//! runs the same closures in station order on the calling thread, which is
-//! deterministic and convenient for tests. [`ExecutionMode::ThreadPool`]
-//! multiplexes the work items over a fixed pool of workers so the simulated
-//! city can grow past one OS thread per station. All modes must produce
-//! identical results and byte-identical cost reports (property-tested at
-//! pipeline level in the facade crate's `mode_agreement` suite as well as in
-//! the protocol crate).
+//! Every mode runs the station protocol the same way: one future per
+//! station on the vendored executor ([`block_on_all`]). The mode picks only
+//! the worker count and whether time is modeled.
+//! [`ExecutionMode::Sequential`] is the executor's inline worker on the
+//! calling thread over an unmodeled network, which is deterministic and
+//! convenient for tests. [`ExecutionMode::Async`] adds workers (a
+//! work-stealing pool) and stamps envelopes against a [`VirtualClock`]. The
+//! paper's experiment environment runs "one thread as a base station"
+//! (Section V-A); `Async { workers: stations }` is that setup. Both modes
+//! must produce identical results and byte-identical cost reports
+//! (property-tested at pipeline level in the facade crate's
+//! `mode_agreement` suite).
+//!
+//! [`block_on_all`]: crate::block_on_all
+//! [`VirtualClock`]: crate::VirtualClock
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
-
-use crossbeam::thread;
-
-use crate::clock::VirtualClock;
 use crate::error::{DistSimError, Result};
-use crate::executor::block_on_all;
 
-/// How per-station (or per-shard) work is executed.
+/// How per-station work is executed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum ExecutionMode {
-    /// Run work items one after another on the calling thread.
+    /// Run station tasks one after another on the calling thread (the
+    /// executor's single inline worker); time is not modeled.
     #[default]
     Sequential,
-    /// Run one scoped OS thread per work item (the paper's setup, where the
-    /// item is a whole station).
-    Threaded,
-    /// Run all work items over a fixed pool of `workers` scoped threads.
-    ///
-    /// The pool is capped at the number of work items (spawning idle workers
-    /// is pointless), so a deployment can keep `workers` well below one
-    /// thread per station and still scan every station — the intended
-    /// configuration once stations are sharded and the work items are
-    /// `(station, shard)` pairs.
-    ThreadPool {
-        /// Number of worker threads; clamped to `1..=items`.
-        workers: usize,
-    },
-    /// Run work items as futures on the vendored mini-executor
-    /// ([`block_on_all`]): `workers == 1` is the deterministic
-    /// single-threaded task queue, more workers the work-stealing pool. In
-    /// the matching pipeline this mode additionally models broadcast/report
-    /// flight times on a [`VirtualClock`], producing the `makespan_ticks`
-    /// latency meter; results and byte meters stay identical to every other
-    /// mode.
+    /// Run station tasks on the vendored mini-executor
+    /// ([`block_on_all`](crate::block_on_all)): `workers == 1` is the
+    /// deterministic single-threaded task queue, more workers the
+    /// work-stealing pool. In the matching pipeline this mode additionally
+    /// models broadcast/report flight times on a
+    /// [`VirtualClock`](crate::VirtualClock), producing the `makespan_ticks`
+    /// latency meter; results and byte meters stay identical to
+    /// [`ExecutionMode::Sequential`].
     Async {
-        /// Number of executor workers; clamped to `1..=items`.
+        /// Number of executor workers; clamped to `1..=tasks`.
         workers: usize,
     },
 }
 
 impl ExecutionMode {
+    /// The number of executor workers station tasks run on (one for
+    /// [`ExecutionMode::Sequential`]).
+    pub fn workers(self) -> usize {
+        match self {
+            ExecutionMode::Sequential => 1,
+            ExecutionMode::Async { workers } => workers,
+        }
+    }
+
     /// Reads the mode from the `DIPM_MODE` environment variable: `default`
     /// when unset or empty, an error when set to anything outside the
     /// grammar.
     ///
-    /// Accepted forms: `sequential` (or `seq`), `threaded`, `pool:N`,
-    /// `async`, `async:N` (`async` alone means one deterministic worker).
-    /// The CI example jobs use this to re-run every example under
-    /// [`ExecutionMode::Async`] without code changes — which is exactly why
-    /// a typo must fail loudly instead of silently running the default
-    /// runtime under the wrong label.
+    /// Accepted forms: `sequential` (or `seq`), `async`, `async:N` (`async`
+    /// alone means one deterministic worker). The CI example jobs use this
+    /// to re-run every example under [`ExecutionMode::Async`] without code
+    /// changes — which is exactly why a typo must fail loudly instead of
+    /// silently running the default runtime under the wrong label.
     ///
     /// # Errors
     ///
@@ -76,11 +70,10 @@ impl ExecutionMode {
     /// use dipm_distsim::ExecutionMode;
     ///
     /// // Unset (or empty) falls back to the given default.
-    /// let mode = ExecutionMode::from_env(ExecutionMode::Threaded)?;
+    /// let mode = ExecutionMode::from_env(ExecutionMode::Sequential)?;
     /// assert!(matches!(
     ///     mode,
-    ///     ExecutionMode::Threaded | ExecutionMode::Sequential
-    ///         | ExecutionMode::ThreadPool { .. } | ExecutionMode::Async { .. }
+    ///     ExecutionMode::Sequential | ExecutionMode::Async { .. }
     /// ));
     /// # Ok::<(), dipm_distsim::DistSimError>(())
     /// ```
@@ -121,206 +114,66 @@ impl ExecutionMode {
         let value = value.trim().to_ascii_lowercase();
         match value.as_str() {
             "sequential" | "seq" => Some(ExecutionMode::Sequential),
-            "threaded" => Some(ExecutionMode::Threaded),
             "async" => Some(ExecutionMode::Async { workers: 1 }),
             other => {
-                let (kind, count) = other.split_once(':')?;
-                let workers: usize = count.parse().ok()?;
-                match kind {
-                    "pool" => Some(ExecutionMode::ThreadPool { workers }),
-                    "async" => Some(ExecutionMode::Async { workers }),
-                    _ => None,
-                }
+                let workers = other.strip_prefix("async:")?.parse().ok()?;
+                Some(ExecutionMode::Async { workers })
             }
         }
     }
-}
-
-/// Shared executor behind [`run_stations`] and [`run_station_shards`]:
-/// returns outputs in item order regardless of mode.
-fn execute<S, T, F>(mode: ExecutionMode, items: &[S], work: F) -> Vec<T>
-where
-    S: Sync,
-    T: Send,
-    F: Fn(usize, &S) -> T + Sync,
-{
-    match mode {
-        ExecutionMode::Sequential => items.iter().enumerate().map(|(i, s)| work(i, s)).collect(),
-        ExecutionMode::Threaded => thread::scope(|scope| {
-            let handles: Vec<_> = items
-                .iter()
-                .enumerate()
-                .map(|(i, s)| {
-                    scope.spawn({
-                        let work = &work;
-                        move |_| work(i, s)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("station thread panicked"))
-                .collect()
-        })
-        .expect("station scope panicked"),
-        ExecutionMode::ThreadPool { workers } => {
-            if items.is_empty() {
-                return Vec::new();
-            }
-            let workers = workers.clamp(1, items.len());
-            let next = AtomicUsize::new(0);
-            let mut slots: Vec<Option<T>> = (0..items.len()).map(|_| None).collect();
-            let done = thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        scope.spawn({
-                            let work = &work;
-                            let next = &next;
-                            move |_| {
-                                let mut out = Vec::new();
-                                loop {
-                                    let i = next.fetch_add(1, Ordering::Relaxed);
-                                    if i >= items.len() {
-                                        break;
-                                    }
-                                    out.push((i, work(i, &items[i])));
-                                }
-                                out
-                            }
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("pool worker panicked"))
-                    .collect::<Vec<_>>()
-            })
-            .expect("pool scope panicked");
-            for (i, value) in done {
-                slots[i] = Some(value);
-            }
-            slots
-                .into_iter()
-                .map(|s| s.expect("every work item executed exactly once"))
-                .collect()
-        }
-        ExecutionMode::Async { workers } => {
-            // Plain closures become immediately-ready futures; the executor
-            // still drives them (and a pipeline passing real futures gets
-            // the full virtual-clock treatment through `block_on_all`
-            // directly).
-            let clock = Arc::new(VirtualClock::new());
-            let futures: Vec<_> = items
-                .iter()
-                .enumerate()
-                .map(|(i, s)| {
-                    let work = &work;
-                    async move { work(i, s) }
-                })
-                .collect();
-            let (outputs, _report) = block_on_all(workers, &clock, futures);
-            outputs
-        }
-    }
-}
-
-/// Runs `work` once per station, returning outputs in station order
-/// regardless of execution mode.
-///
-/// `work` receives the station's index and the station item itself.
-///
-/// # Panics
-///
-/// Propagates panics from `work` (in threaded/pool modes, after the scope's
-/// threads have been joined).
-///
-/// # Examples
-///
-/// ```
-/// use dipm_distsim::{run_stations, ExecutionMode};
-///
-/// let stations = vec![10u64, 20, 30];
-/// let out = run_stations(ExecutionMode::Threaded, &stations, |i, s| s + i as u64);
-/// assert_eq!(out, vec![10, 21, 32]);
-/// ```
-pub fn run_stations<S, T, F>(mode: ExecutionMode, stations: &[S], work: F) -> Vec<T>
-where
-    S: Sync,
-    T: Send,
-    F: Fn(usize, &S) -> T + Sync,
-{
-    execute(mode, stations, work)
-}
-
-/// Runs `work` once per shard work item, returning outputs in item order
-/// regardless of execution mode.
-///
-/// This is the scan entry point for hash-sharded stations: the caller
-/// flattens every station's shards into one item grid (station-major order)
-/// so a station parallelizes *internally* — under
-/// [`ExecutionMode::ThreadPool`] shards from many stations multiplex onto a
-/// worker pool much smaller than the station count, and under
-/// [`ExecutionMode::Threaded`] each shard gets its own scoped thread. The
-/// contract is identical to [`run_stations`]; only the unit of work differs.
-///
-/// # Panics
-///
-/// Propagates panics from `work` (in threaded/pool modes, after the scope's
-/// threads have been joined).
-///
-/// # Examples
-///
-/// ```
-/// use dipm_distsim::{run_station_shards, ExecutionMode};
-///
-/// // Two stations with two shards each, flattened station-major.
-/// let grid = vec![(0, 0), (0, 1), (1, 0), (1, 1)];
-/// let out = run_station_shards(
-///     ExecutionMode::ThreadPool { workers: 2 },
-///     &grid,
-///     |_, &(station, shard)| station * 10 + shard,
-/// );
-/// assert_eq!(out, vec![0, 1, 10, 11]);
-/// ```
-pub fn run_station_shards<S, T, F>(mode: ExecutionMode, shards: &[S], work: F) -> Vec<T>
-where
-    S: Sync,
-    T: Send,
-    F: Fn(usize, &S) -> T + Sync,
-{
-    execute(mode, shards, work)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clock::VirtualClock;
+    use crate::executor::block_on_all;
     use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
+
+    /// Runs `work` once per item as one task each on the executor `mode`
+    /// selects, returning outputs in item order.
+    fn run<S: Sync, T: Send>(
+        mode: ExecutionMode,
+        items: &[S],
+        work: impl Fn(usize, &S) -> T + Sync,
+    ) -> Vec<T> {
+        let clock = Arc::new(VirtualClock::new());
+        let work = &work;
+        let tasks: Vec<_> = items
+            .iter()
+            .enumerate()
+            .map(|(i, s)| async move { work(i, s) })
+            .collect();
+        block_on_all(mode.workers(), &clock, tasks).0
+    }
 
     #[test]
     fn sequential_preserves_order() {
+        assert_eq!(ExecutionMode::Sequential.workers(), 1);
         let stations = vec!["a", "b", "c"];
-        let out = run_stations(ExecutionMode::Sequential, &stations, |i, s| {
+        let out = run(ExecutionMode::Sequential, &stations, |i, s| {
             format!("{i}{s}")
         });
         assert_eq!(out, vec!["0a", "1b", "2c"]);
     }
 
     #[test]
-    fn threaded_matches_sequential() {
-        let stations: Vec<u64> = (0..32).collect();
-        let seq = run_stations(ExecutionMode::Sequential, &stations, |i, s| {
-            s * 3 + i as u64
+    fn async_matches_sequential_in_item_order() {
+        let items: Vec<u64> = (0..41).collect();
+        let seq = run(ExecutionMode::Sequential, &items, |i, s| s * 5 + i as u64);
+        let single = run(ExecutionMode::Async { workers: 1 }, &items, |i, s| {
+            s * 5 + i as u64
         });
-        let thr = run_stations(ExecutionMode::Threaded, &stations, |i, s| s * 3 + i as u64);
-        assert_eq!(seq, thr);
+        assert_eq!(seq, single);
     }
 
     #[test]
     fn pool_matches_sequential_in_item_order() {
         let items: Vec<u64> = (0..57).collect();
-        let seq = run_stations(ExecutionMode::Sequential, &items, |i, s| s * 7 + i as u64);
-        for workers in [1, 2, 3, 8, 200] {
-            let pooled = run_stations(ExecutionMode::ThreadPool { workers }, &items, |i, s| {
+        let seq = run(ExecutionMode::Sequential, &items, |i, s| s * 7 + i as u64);
+        for workers in [2, 3, 8, 200] {
+            let pooled = run(ExecutionMode::Async { workers }, &items, |i, s| {
                 s * 7 + i as u64
             });
             assert_eq!(seq, pooled, "workers = {workers}");
@@ -330,9 +183,7 @@ mod tests {
     #[test]
     fn pool_clamps_zero_workers() {
         let items = vec![1u32, 2, 3];
-        let out = run_stations(ExecutionMode::ThreadPool { workers: 0 }, &items, |_, s| {
-            s * 2
-        });
+        let out = run(ExecutionMode::Async { workers: 0 }, &items, |_, s| s * 2);
         assert_eq!(out, vec![2, 4, 6]);
     }
 
@@ -340,45 +191,33 @@ mod tests {
     fn pool_runs_every_item_exactly_once() {
         let counter = AtomicU64::new(0);
         let items = vec![(); 64];
-        run_stations(ExecutionMode::ThreadPool { workers: 4 }, &items, |_, _| {
+        run(ExecutionMode::Async { workers: 4 }, &items, |_, _| {
             counter.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(counter.load(Ordering::Relaxed), 64);
     }
 
     #[test]
-    fn threaded_actually_runs_every_station() {
-        let counter = AtomicU64::new(0);
-        let stations = vec![(); 16];
-        run_stations(ExecutionMode::Threaded, &stations, |_, _| {
-            counter.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(counter.load(Ordering::Relaxed), 16);
-    }
-
-    #[test]
     fn empty_station_list() {
         for mode in [
             ExecutionMode::Sequential,
-            ExecutionMode::Threaded,
-            ExecutionMode::ThreadPool { workers: 4 },
             ExecutionMode::Async { workers: 4 },
         ] {
-            let out: Vec<u32> = run_stations(mode, &[] as &[u32], |_, s| *s);
+            let out: Vec<u32> = run(mode, &[] as &[u32], |_, s| *s);
             assert!(out.is_empty());
         }
     }
 
     #[test]
-    fn async_matches_sequential_in_item_order() {
-        let items: Vec<u64> = (0..41).collect();
-        let seq = run_stations(ExecutionMode::Sequential, &items, |i, s| s * 5 + i as u64);
-        for workers in [1, 2, 7] {
-            let run = run_stations(ExecutionMode::Async { workers }, &items, |i, s| {
-                s * 5 + i as u64
-            });
-            assert_eq!(seq, run, "workers = {workers}");
-        }
+    #[should_panic(expected = "a scoped thread panicked")]
+    fn pool_propagates_panics() {
+        run(
+            ExecutionMode::Async { workers: 2 },
+            &[1u32, 2],
+            |_, _| -> u32 {
+                panic!("boom");
+            },
+        );
     }
 
     #[test]
@@ -389,14 +228,6 @@ mod tests {
         );
         assert_eq!(ExecutionMode::parse("SEQ"), Some(ExecutionMode::Sequential));
         assert_eq!(
-            ExecutionMode::parse("threaded"),
-            Some(ExecutionMode::Threaded)
-        );
-        assert_eq!(
-            ExecutionMode::parse("pool:6"),
-            Some(ExecutionMode::ThreadPool { workers: 6 })
-        );
-        assert_eq!(
             ExecutionMode::parse("async"),
             Some(ExecutionMode::Async { workers: 1 })
         );
@@ -405,33 +236,21 @@ mod tests {
             Some(ExecutionMode::Async { workers: 3 })
         );
         assert_eq!(ExecutionMode::parse("fibers:2"), None);
-        assert_eq!(ExecutionMode::parse("pool"), None);
         // `from_env` treats empty as unset (no warning); `parse` rejects it.
         assert_eq!(ExecutionMode::parse(""), None);
     }
 
     #[test]
     fn from_env_value_resolves_the_full_grammar() {
-        let default = ExecutionMode::Threaded;
+        let default = ExecutionMode::Async { workers: 2 };
         // Unset and empty/whitespace values mean "use the default".
-        assert_eq!(
-            ExecutionMode::from_env_value(None, default),
-            Ok(ExecutionMode::Threaded)
-        );
-        assert_eq!(
-            ExecutionMode::from_env_value(Some(""), default),
-            Ok(ExecutionMode::Threaded)
-        );
-        assert_eq!(
-            ExecutionMode::from_env_value(Some("  "), default),
-            Ok(ExecutionMode::Threaded)
-        );
+        for value in [None, Some(""), Some("  ")] {
+            assert_eq!(ExecutionMode::from_env_value(value, default), Ok(default));
+        }
         // Every documented form resolves.
         for (value, expect) in [
             ("sequential", ExecutionMode::Sequential),
             ("SEQ", ExecutionMode::Sequential),
-            ("threaded", ExecutionMode::Threaded),
-            ("pool:6", ExecutionMode::ThreadPool { workers: 6 }),
             ("async", ExecutionMode::Async { workers: 1 }),
             (" async:3 ", ExecutionMode::Async { workers: 3 }),
         ] {
@@ -447,6 +266,9 @@ mod tests {
         let default = ExecutionMode::Sequential;
         for bad in [
             "fibers:2",
+            // Retired runtimes: rejected, never a silent fallback.
+            "threaded",
+            "pool:6",
             "pool",
             "pool:",
             "pool:x",
@@ -466,37 +288,5 @@ mod tests {
             );
             assert!(err.to_string().contains("DIPM_MODE"));
         }
-    }
-
-    #[test]
-    fn shard_grid_entry_point_matches_station_entry_point() {
-        let grid: Vec<(usize, usize)> = (0..6).flat_map(|s| (0..3).map(move |h| (s, h))).collect();
-        let a = run_stations(ExecutionMode::Sequential, &grid, |_, &(s, h)| s * 100 + h);
-        let b = run_station_shards(
-            ExecutionMode::ThreadPool { workers: 3 },
-            &grid,
-            |_, &(s, h)| s * 100 + h,
-        );
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    #[should_panic(expected = "station thread panicked")]
-    fn threaded_propagates_panics() {
-        run_stations(ExecutionMode::Threaded, &[1u32], |_, _| -> u32 {
-            panic!("boom");
-        });
-    }
-
-    #[test]
-    #[should_panic(expected = "pool worker panicked")]
-    fn pool_propagates_panics() {
-        run_station_shards(
-            ExecutionMode::ThreadPool { workers: 2 },
-            &[1u32, 2],
-            |_, _| -> u32 {
-                panic!("boom");
-            },
-        );
     }
 }

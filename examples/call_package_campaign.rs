@@ -52,10 +52,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ));
     }
 
-    // The deployment shape: four shards per station, multiplexed over a
-    // worker pool half the station count.
+    // The deployment shape: four shards per station, multiplexed over an
+    // executor pool half the station count.
     let options = PipelineOptions {
-        mode: ExecutionMode::ThreadPool { workers: 10 },
+        mode: ExecutionMode::Async { workers: 10 },
         shards: Shards::new(4),
         top_k: Some(relevant.len()),
         ..PipelineOptions::default()

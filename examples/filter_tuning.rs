@@ -7,7 +7,7 @@
 //! filter).
 //!
 //! Run with: `cargo run --example filter_tuning`
-//! (set `DIPM_MODE=seq|threaded|pool:N|async:N` to switch runtimes)
+//! (set `DIPM_MODE=seq|async|async:N` to switch runtimes)
 
 use dipm::mobilenet::ground_truth;
 use dipm::prelude::*;

@@ -33,14 +33,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let query = PatternQuery::from_fragments(fragments)?;
 
     // Run DI-matching: the query is encoded into one weighted Bloom filter,
-    // broadcast to all stations (one thread each), and only (ID, weight)
-    // pairs come back.
+    // broadcast to all stations (one executor worker each, the paper's
+    // one-thread-per-station setup), and only (ID, weight) pairs come back.
     let config = DiMatchingConfig::default(); // b = 12, ε = 2, 1% target fpp
+    let mode = ExecutionMode::Async {
+        workers: dataset.stations().len(),
+    };
     let outcome = run_wbf(
         &dataset,
         std::slice::from_ref(&query),
         &config,
-        ExecutionMode::Threaded,
+        mode,
         Some(10),
     )?;
 
@@ -55,7 +58,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &dataset,
         std::slice::from_ref(&query),
         config.eps,
-        ExecutionMode::Threaded,
+        mode,
         Some(10),
     )?;
     println!(

@@ -9,7 +9,7 @@
 //! the standing set.
 //!
 //! Run with: `cargo run --example streaming_monitor`
-//! (set `DIPM_MODE=seq|threaded|pool:N|async:N` to switch runtimes)
+//! (set `DIPM_MODE=seq|async|async:N` to switch runtimes)
 
 use std::collections::BTreeSet;
 

@@ -15,7 +15,7 @@
 //!    first.
 //!
 //! Run with: `cargo run --example tenant_service`
-//! (set `DIPM_MODE=seq|threaded|pool:N|async:N` to switch runtimes)
+//! (set `DIPM_MODE=seq|async|async:N` to switch runtimes)
 
 use std::collections::BTreeMap;
 

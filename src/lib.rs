@@ -13,9 +13,9 @@
 //!   sampling, ε-similarity (Eq. 2), combination enumeration (Eq. 4).
 //! * [`mobilenet`] — the synthetic city-scale mobile network substituting
 //!   for the paper's proprietary CDR corpus.
-//! * [`distsim`] — the simulated deployment: byte-accounted messaging,
-//!   one-thread-per-station, pooled and async execution (a vendored
-//!   mini-executor with a virtual-clock latency model).
+//! * [`distsim`] — the simulated deployment: byte-accounted messaging and
+//!   one task per station on a vendored mini-executor, run sequentially or
+//!   on a worker pool with a virtual-clock latency model.
 //! * [`protocol`] — the DI-matching framework (Algorithms 1–3) plus the
 //!   naive and Bloom-filter baselines and effectiveness metrics.
 //!
@@ -32,12 +32,14 @@
 //! let probe = dataset.users()[0];
 //! let query = PatternQuery::from_fragments(dataset.fragments(probe.id).unwrap())?;
 //!
-//! // Run DI-matching with one thread per base station.
+//! // Run DI-matching with one executor worker per base station.
 //! let outcome = run_wbf(
 //!     &dataset,
 //!     &[query],
 //!     &DiMatchingConfig::default(),
-//!     ExecutionMode::Threaded,
+//!     ExecutionMode::Async {
+//!         workers: dataset.stations().len(),
+//!     },
 //!     Some(10),
 //! )?;
 //! assert!(outcome.ranked.contains(&probe.id));

@@ -162,10 +162,13 @@ fn storage_ordering_matches_figure_4d() {
 }
 
 #[test]
-fn threaded_and_sequential_agree_across_methods() {
+fn async_and_sequential_agree_across_methods() {
     let dataset = Dataset::city_slice(250, 8, 13).unwrap();
     let config = DiMatchingConfig::default();
     let query = probe_query(&dataset, 5);
+    // One executor worker per station: the paper's one-thread-per-station
+    // setup.
+    let pool = ExecutionMode::Async { workers: 8 };
 
     let wbf_seq = run_wbf(
         &dataset,
@@ -175,15 +178,8 @@ fn threaded_and_sequential_agree_across_methods() {
         None,
     )
     .unwrap();
-    let wbf_thr = run_wbf(
-        &dataset,
-        std::slice::from_ref(&query),
-        &config,
-        ExecutionMode::Threaded,
-        None,
-    )
-    .unwrap();
-    assert_eq!(wbf_seq.ranked, wbf_thr.ranked);
+    let wbf_pool = run_wbf(&dataset, std::slice::from_ref(&query), &config, pool, None).unwrap();
+    assert_eq!(wbf_seq.ranked, wbf_pool.ranked);
 
     let bf_seq = run_bloom(
         &dataset,
@@ -193,15 +189,8 @@ fn threaded_and_sequential_agree_across_methods() {
         None,
     )
     .unwrap();
-    let bf_thr = run_bloom(
-        &dataset,
-        std::slice::from_ref(&query),
-        &config,
-        ExecutionMode::Threaded,
-        None,
-    )
-    .unwrap();
-    assert_eq!(bf_seq.ranked, bf_thr.ranked);
+    let bf_pool = run_bloom(&dataset, std::slice::from_ref(&query), &config, pool, None).unwrap();
+    assert_eq!(bf_seq.ranked, bf_pool.ranked);
 
     let naive_seq = run_naive(
         &dataset,
@@ -211,15 +200,8 @@ fn threaded_and_sequential_agree_across_methods() {
         None,
     )
     .unwrap();
-    let naive_thr = run_naive(
-        &dataset,
-        &[query],
-        config.eps,
-        ExecutionMode::Threaded,
-        None,
-    )
-    .unwrap();
-    assert_eq!(naive_seq.ranked, naive_thr.ranked);
+    let naive_pool = run_naive(&dataset, &[query], config.eps, pool, None).unwrap();
+    assert_eq!(naive_seq.ranked, naive_pool.ranked);
 }
 
 #[test]
@@ -310,8 +292,8 @@ fn batch_per_query_rankings_match_single_query_runs() {
 #[test]
 fn sharded_pooled_deployment_preserves_conformance_invariants() {
     // The scaled-out deployment shape — sharded stations multiplexed over a
-    // small worker pool — must satisfy the same correctness invariants as
-    // the paper's one-thread-per-station setup, with identical bytes.
+    // small executor pool — must satisfy the same correctness invariants as
+    // the unsharded sequential run, with identical bytes.
     let seed = conformance::SEEDS[2];
     let dataset = conformance::dataset(seed);
     let config = DiMatchingConfig::default();
@@ -328,14 +310,18 @@ fn sharded_pooled_deployment_preserves_conformance_invariants() {
         std::slice::from_ref(&query),
         &config,
         &PipelineOptions {
-            mode: ExecutionMode::ThreadPool { workers: 4 },
+            mode: ExecutionMode::Async { workers: 4 },
             shards: Shards::new(3),
             ..PipelineOptions::default()
         },
     )
     .unwrap();
     assert_eq!(flat.queries[0].ranked, scaled.queries[0].ranked);
-    assert_eq!(flat.cost, scaled.cost, "shard layout leaked into the bytes");
+    assert_eq!(
+        flat.cost,
+        scaled.cost.mode_invariant(),
+        "shard layout leaked into the bytes"
+    );
 
     // And the cross-method invariants still hold when the WBF leg runs in
     // the scaled-out shape.

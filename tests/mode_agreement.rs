@@ -1,15 +1,14 @@
-//! Pipeline-level execution-mode agreement — all four modes.
+//! Pipeline-level execution-mode agreement.
 //!
-//! `dipm_distsim::run_stations` / `run_station_shards` promise that every
-//! [`ExecutionMode`] produces identical results. Unit tests in the runtime
-//! crate cover pure closures; this suite asserts the promise where it
-//! actually matters — through the full generic pipeline, where the modes
-//! interleave metered sends, shared-meter updates, shard merging and (under
-//! `Async`) virtual-clock scheduling — by requiring **byte-identical
-//! mode-invariant `CostReport`s** (every byte, storage and operation meter
-//! including `scan_passes`; not just equal rankings) across `Sequential`,
-//! `Threaded`, `ThreadPool` and `Async` for every strategy, shard layout
-//! and section grouping. Async runs must additionally produce the *same
+//! Every [`ExecutionMode`] runs the same station tasks on the executor and
+//! must produce identical results. This suite asserts that through the
+//! full generic pipeline, where the worker pool interleaves metered sends,
+//! shared-meter updates, shard merging and (under `Async`) virtual-clock
+//! scheduling — by requiring **byte-identical mode-invariant
+//! `CostReport`s** (every byte, storage and operation meter including
+//! `scan_passes`; not just equal rankings) across `Sequential`, one async
+//! worker and an async pool, for every strategy, shard layout and section
+//! grouping. Async runs must additionally produce the *same
 //! deterministic* `makespan_ticks` on every run and worker count under a
 //! fixed seeded latency model — the property that keeps the new latency
 //! dimension publishable next to the Fig. 4 meters.
@@ -17,12 +16,9 @@
 use dipm::prelude::*;
 use proptest::prelude::*;
 
-fn modes() -> [ExecutionMode; 6] {
+fn modes() -> [ExecutionMode; 3] {
     [
         ExecutionMode::Sequential,
-        ExecutionMode::Threaded,
-        ExecutionMode::ThreadPool { workers: 1 },
-        ExecutionMode::ThreadPool { workers: 3 },
         ExecutionMode::Async { workers: 1 },
         ExecutionMode::Async { workers: 3 },
     ]
@@ -121,7 +117,7 @@ fn assert_mode_agreement<S: FilterStrategy>(seed: u64, shards: usize, batch: usi
                         ),
                     }
                 }
-                _ => {
+                ExecutionMode::Sequential => {
                     assert!(outcome.latency.is_none());
                     assert_eq!(outcome.cost.makespan_ticks, 0);
                 }

@@ -24,12 +24,10 @@ use dipm::prelude::*;
 /// Tree fanouts the conformance sweep exercises.
 const FANOUTS: [usize; 2] = [2, 4];
 
-fn modes() -> [ExecutionMode; 4] {
+fn modes() -> [ExecutionMode; 2] {
     [
         ExecutionMode::Sequential,
-        ExecutionMode::Threaded,
-        ExecutionMode::ThreadPool { workers: 3 },
-        ExecutionMode::Async { workers: 2 },
+        ExecutionMode::Async { workers: 3 },
     ]
 }
 

@@ -9,7 +9,7 @@
 //! 2. **Delta-path equivalence** — after any query-churn sequence, a
 //!    streaming session's epoch answers byte-match a from-scratch
 //!    `run_pipeline::<Wbf>` over the same final query set at the same
-//!    geometry, under **all four** execution modes.
+//!    geometry, under every execution mode.
 //! 3. **Delta-frame fidelity** — the deltas a real session's counting
 //!    filter emits round-trip the wire exactly, and replaying them onto a
 //!    station-side filter reproduces the center's snapshot.
@@ -155,8 +155,6 @@ fn streaming_epochs_match_rebuilds_across_all_modes_and_seeds() {
         };
         let modes = [
             ExecutionMode::Sequential,
-            ExecutionMode::Threaded,
-            ExecutionMode::ThreadPool { workers: 3 },
             ExecutionMode::Async { workers: 3 },
         ];
         let mut per_mode = Vec::new();
@@ -202,7 +200,7 @@ fn streaming_epochs_match_rebuilds_across_all_modes_and_seeds() {
                 second.broadcast,
             ));
         }
-        // And the four modes agree with each other byte for byte.
+        // And the modes agree with each other byte for byte.
         let (ranked, cost, broadcast) = &per_mode[0];
         for (other_ranked, other_cost, other_broadcast) in &per_mode[1..] {
             assert_eq!(

@@ -1,7 +1,7 @@
 //! Top-k / dynamic-pruning conformance: every rung of the `ScanAlgorithm`
 //! ladder must be **bit-for-bit** identical to `Exhaustive` — in the
 //! shard-scan core, in the top-k kernel, and through the full pipeline
-//! under all four execution modes.
+//! under every execution mode.
 //!
 //! Two layers:
 //!
@@ -9,7 +9,7 @@
 //!    conformance seed's sharded stations, compared down to the encoded
 //!    wire bytes for every algorithm (and every k for the top-k kernel).
 //! 2. **Pipeline**: `run_pipeline::<Wbf>` with a top-k cutoff across
-//!    Sequential / Threaded / ThreadPool / Async — rankings, verdicts and
+//!    Sequential and an Async pool — rankings, verdicts and
 //!    the byte meters (query and report traffic) must match `Exhaustive`
 //!    exactly, and each algorithm's own meters must stay mode-invariant.
 
@@ -26,12 +26,10 @@ use dipm::protocol::{
 /// beyond any candidate population.
 const KS: [usize; 4] = [0, 1, 5, 10_000];
 
-fn modes() -> [ExecutionMode; 4] {
+fn modes() -> [ExecutionMode; 2] {
     [
         ExecutionMode::Sequential,
-        ExecutionMode::Threaded,
-        ExecutionMode::ThreadPool { workers: 3 },
-        ExecutionMode::Async { workers: 2 },
+        ExecutionMode::Async { workers: 3 },
     ]
 }
 
