@@ -15,6 +15,11 @@
 //!    position-tagged hash scheme): the tree prunes stations, and the
 //!    answers still match broadcast exactly while the query traffic drops
 //!    strictly below broadcast-to-all.
+//!
+//! A third case drives standing [`StreamingSession`]s instead of
+//! `run_pipeline`: a routed session keeps its tree across epochs of data
+//! and query churn, and every epoch must still rank exactly like a
+//! broadcast session fed the same updates.
 
 #[allow(dead_code)]
 mod conformance;
@@ -215,5 +220,130 @@ fn selective_queries_prune_stations_without_changing_answers() {
             pruned_somewhere,
             "seed {seed}: the selective query never pruned — vacuous pass"
         );
+    }
+}
+
+/// Day snapshots of one 16-station city: each day is a fresh trace, so
+/// every station's rows churn between epochs.
+fn days(seed: u64) -> Vec<Dataset> {
+    (0..4u64)
+        .map(|day| {
+            Dataset::city_slice(conformance::USERS, 16, seed + 1000 * day)
+                .expect("conformance preset is valid")
+        })
+        .collect()
+}
+
+/// One epoch as a routed session and its broadcast twin report it: the
+/// routed ranking and meters, and the broadcast session's meters.
+type EpochTrace = (Vec<UserId>, CostReport, u64, CostReport);
+
+/// Runs a routed session and a `BroadcastAll` session side by side over
+/// `days`, applying the same query churn to both before each epoch:
+///
+/// - day 0: `{whale 300}` — selective, the tree prunes;
+/// - day 1: `+probe` of that day's city — everyone is targeted again, so
+///   stations pruned at day 0 come back through a full resync;
+/// - day 2: `−probe, +whale 200` — pruned again;
+/// - day 3: `−whale 300, +probe` of that day's city.
+fn routed_session_trace(
+    days: &[Dataset],
+    config: &DiMatchingConfig,
+    fanout: usize,
+    options: PipelineOptions,
+) -> Vec<EpochTrace> {
+    let initial = [whale_query(&days[0], 300)];
+    let mut routed = StreamingSession::new(&initial, with_routing(config, fanout), options)
+        .expect("routed session opens");
+    let mut broadcast =
+        StreamingSession::new(&initial, config.clone(), options).expect("session opens");
+    let mut probe_ids: Option<(StreamQueryId, StreamQueryId)> = None;
+    let mut trace = Vec::new();
+    for (day, dataset) in days.iter().enumerate() {
+        match day {
+            1 | 3 => {
+                let probe = conformance::probe_query(dataset, conformance::PROBES[day / 2]);
+                if day == 3 {
+                    routed.remove_query(routed.live_queries()[0]).unwrap();
+                    broadcast.remove_query(broadcast.live_queries()[0]).unwrap();
+                }
+                probe_ids = Some((
+                    routed.insert_query(&probe).unwrap(),
+                    broadcast.insert_query(&probe).unwrap(),
+                ));
+            }
+            2 => {
+                let (routed_probe, broadcast_probe) = probe_ids.take().expect("inserted at day 1");
+                routed.remove_query(routed_probe).unwrap();
+                broadcast.remove_query(broadcast_probe).unwrap();
+                let whale = whale_query(dataset, 200);
+                routed.insert_query(&whale).unwrap();
+                broadcast.insert_query(&whale).unwrap();
+            }
+            _ => {}
+        }
+        let reference = broadcast.run_epoch(dataset).expect("broadcast epoch runs");
+        let outcome = routed.run_epoch(dataset).expect("routed epoch runs");
+        assert_eq!(
+            reference.outcome.ranked, outcome.outcome.ranked,
+            "day {day}: routed session ranking diverged from broadcast"
+        );
+        assert_eq!(reference.outcome.cost.routing_bytes, 0);
+        assert!(
+            outcome.outcome.cost.routing_bytes > 0,
+            "day {day}: the routed session moved no routing traffic"
+        );
+        if outcome.outcome.cost.stations_pruned > 0 {
+            assert!(
+                outcome.broadcast_bytes < reference.broadcast_bytes,
+                "day {day}: pruning saved no broadcast bytes"
+            );
+        }
+        trace.push((
+            outcome.outcome.ranked,
+            outcome.outcome.cost.mode_invariant(),
+            outcome.broadcast_bytes,
+            reference.outcome.cost.mode_invariant(),
+        ));
+    }
+    trace
+}
+
+#[test]
+fn routed_streaming_sessions_match_broadcast_under_churn() {
+    let config = DiMatchingConfig {
+        hash_scheme: HashScheme::PositionTagged,
+        // Headroom: the live set grows past its initial single whale.
+        fixed_geometry: Some(FilterParams::new(1 << 15, 5).unwrap()),
+        ..DiMatchingConfig::default()
+    };
+    for seed in conformance::SEEDS {
+        let days = days(seed);
+        let mut per_mode: Vec<Vec<EpochTrace>> = Vec::new();
+        for mode in modes() {
+            let options = PipelineOptions {
+                mode,
+                shards: Shards::new(2),
+                ..PipelineOptions::default()
+            };
+            per_mode.push(routed_session_trace(&days, &config, 2, options));
+        }
+        let trace = &per_mode[0];
+        for (other, mode) in per_mode[1..].iter().zip(&modes()[1..]) {
+            assert_eq!(
+                trace, other,
+                "seed {seed}: {mode:?} diverged from sequential (rankings or meters)"
+            );
+        }
+        let pruned: u64 = trace
+            .iter()
+            .map(|(_, cost, _, _)| cost.stations_pruned)
+            .sum();
+        let hits: usize = trace.iter().map(|(ranked, ..)| ranked.len()).sum();
+        assert!(
+            pruned > 0,
+            "seed {seed}: no station-epoch was pruned — vacuous pass"
+        );
+        assert!(hits > 0, "seed {seed}: no epoch reported — vacuous pass");
     }
 }
