@@ -12,7 +12,9 @@
 //! The sweep experiments (`batch`, `latency`, `streaming`, `service`,
 //! `scan`, `topk`, `routing`) also write their tables as
 //! `BENCH_<experiment>.json` into `--out` (default: the current directory)
-//! — the checked-in perf trajectory every PR updates.
+//! — the checked-in perf trajectory every PR updates. A `--quick` run writes
+//! `BENCH_<experiment>_quick.json` instead, so it never replaces a full
+//! grid, and a run never writes over the baseline it is checking.
 //! `scan`/`topk`/`routing`/`service` with
 //! `--check BASELINE.json` additionally compare the fresh sweep's
 //! geometric-mean gate column against the baseline file and exit non-zero
@@ -22,7 +24,7 @@
 //! baseline fails the check even when the geomean still clears, so one
 //! collapsed configuration cannot hide behind the others.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use dipm_bench::{check, experiments, Report, Scale};
@@ -35,25 +37,32 @@ fn print(report: Report) {
     println!("{report}");
 }
 
+/// A `--check` baseline: its path and its contents, read once before any
+/// experiment writes its own JSON.
+struct Baseline {
+    path: PathBuf,
+    json: std::io::Result<String>,
+}
+
 /// Runs the `--check` regression gate for one sweep report: compares the
-/// fresh geomean of `column` against `baseline_path` and names the worst
+/// fresh geomean of `column` against the baseline and names the worst
 /// per-row regression alongside. Returns `true` when the gate fails.
 fn run_check(
     report: &Report,
     name: &str,
     column: &str,
-    baseline_path: &std::path::Path,
+    baseline: &Baseline,
     tolerance: f64,
 ) -> bool {
     let fresh_json = report.to_json();
     let fresh = check::extract_column(&fresh_json, column);
     let current = check::geomean(&fresh);
-    let baseline_json = match std::fs::read_to_string(baseline_path) {
+    let baseline_json = match &baseline.json {
         Ok(json) => json,
         Err(e) => {
             eprintln!(
                 "error: could not read baseline {}: {e}",
-                baseline_path.display()
+                baseline.path.display()
             );
             return true;
         }
@@ -62,7 +71,7 @@ fn run_check(
     // ran (the `probe kernel: …` note), a mismatch means the numbers are
     // not comparable — a forced-scalar CI arm must not "regress" against an
     // AVX2 baseline, nor may a vectorized run claim a win over scalar here.
-    let baseline_kernel = check::extract_note(&baseline_json, "probe kernel: ");
+    let baseline_kernel = check::extract_note(baseline_json, "probe kernel: ");
     let current_kernel = check::extract_note(&fresh_json, "probe kernel: ");
     if let (Some(base), Some(cur)) = (&baseline_kernel, &current_kernel) {
         if base != cur {
@@ -74,8 +83,8 @@ fn run_check(
         }
         eprintln!("perf check [{name}]: probe kernel `{cur}` on both sides");
     }
-    let verdict = check::check_regression(&baseline_json, column, current, tolerance);
-    let worst = check::worst_ratio(&check::extract_column(&baseline_json, column), &fresh);
+    let verdict = check::check_regression(baseline_json, column, current, tolerance);
+    let worst = check::worst_ratio(&check::extract_column(baseline_json, column), &fresh);
     eprintln!(
         "perf check [{name}]: baseline {:.0} {column}, current {:.0} ({:.0}% of baseline, tolerance {:.0}%) → {}",
         verdict.baseline,
@@ -107,13 +116,16 @@ fn run_check(
     !verdict.pass || row_failed
 }
 
-/// Writes one experiment's reports as `BENCH_<name>.json` (a JSON array of
-/// report objects) under `out`.
-fn emit_json(out: &std::path::Path, name: &str, reports: &[Report]) {
+/// Writes one experiment's reports to `path` as a JSON array of report
+/// objects, creating its directory if needed.
+fn emit_json(path: &Path, reports: &[Report]) {
     let body: Vec<String> = reports.iter().map(Report::to_json).collect();
     let payload = format!("[\n{}]\n", body.join(","));
-    let path = out.join(format!("BENCH_{name}.json"));
-    match std::fs::write(&path, payload) {
+    let written = path
+        .parent()
+        .map_or(Ok(()), std::fs::create_dir_all)
+        .and_then(|()| std::fs::write(path, payload));
+    match written {
         Ok(()) => eprintln!("wrote {}", path.display()),
         Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
     }
@@ -132,12 +144,16 @@ fn main() -> ExitCode {
     let mut scale = Scale::default();
     let mut experiments_requested: Vec<String> = Vec::new();
     let mut out_dir = PathBuf::from(".");
+    let mut quick = false;
     let mut check_baseline: Option<PathBuf> = None;
     let mut tolerance = DEFAULT_CHECK_TOLERANCE;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--quick" => scale = Scale::quick(),
+            "--quick" => {
+                scale = Scale::quick();
+                quick = true;
+            }
             "--users" => match args.next().and_then(|v| v.parse().ok()) {
                 Some(v) => scale.users = v,
                 None => return usage(),
@@ -185,6 +201,22 @@ fn main() -> ExitCode {
         experiments_requested.push("all".to_string());
     }
 
+    // Read the baseline before any experiment writes: `--out` may name the
+    // very file being checked.
+    let check_baseline = check_baseline.map(|path| Baseline {
+        json: std::fs::read_to_string(&path),
+        path,
+    });
+    let emit = |name: &str, reports: &[Report]| {
+        let path = check::bench_json_path(&out_dir, name, quick);
+        match &check_baseline {
+            Some(baseline) if check::same_file(&path, &baseline.path) => eprintln!(
+                "warning: not writing {}: it is the --check baseline; pass --out DIR",
+                path.display()
+            ),
+            _ => emit_json(&path, reports),
+        }
+    };
     let mut check_failed = false;
     for name in &experiments_requested {
         match name.as_str() {
@@ -222,17 +254,17 @@ fn main() -> ExitCode {
                 for r in &reports {
                     print(r.clone());
                 }
-                emit_json(&out_dir, "batch", &reports);
+                emit("batch", &reports);
             }
             "latency" => {
                 let report = experiments::latency(&scale);
                 print(report.clone());
-                emit_json(&out_dir, "latency", std::slice::from_ref(&report));
+                emit("latency", std::slice::from_ref(&report));
             }
             "streaming" => {
                 let report = experiments::streaming(&scale);
                 print(report.clone());
-                emit_json(&out_dir, "streaming", std::slice::from_ref(&report));
+                emit("streaming", std::slice::from_ref(&report));
             }
             "service" => {
                 eprintln!(
@@ -241,30 +273,28 @@ fn main() -> ExitCode {
                 );
                 let report = experiments::service(&scale);
                 print(report.clone());
-                emit_json(&out_dir, "service", std::slice::from_ref(&report));
-                if let Some(baseline_path) = &check_baseline {
+                emit("service", std::slice::from_ref(&report));
+                if let Some(baseline) = &check_baseline {
                     check_failed |=
-                        run_check(&report, "service", "saved_bytes", baseline_path, tolerance);
+                        run_check(&report, "service", "saved_bytes", baseline, tolerance);
                 }
             }
             "scan" => {
                 eprintln!("running scan microbench sweep (seed {})…", scale.seed);
                 let report = experiments::scan(&scale);
                 print(report.clone());
-                emit_json(&out_dir, "scan", std::slice::from_ref(&report));
-                if let Some(baseline_path) = &check_baseline {
-                    check_failed |=
-                        run_check(&report, "scan", "rows_per_sec", baseline_path, tolerance);
+                emit("scan", std::slice::from_ref(&report));
+                if let Some(baseline) = &check_baseline {
+                    check_failed |= run_check(&report, "scan", "rows_per_sec", baseline, tolerance);
                 }
             }
             "topk" => {
                 eprintln!("running top-k scan sweep (seed {})…", scale.seed);
                 let report = experiments::topk(&scale);
                 print(report.clone());
-                emit_json(&out_dir, "topk", std::slice::from_ref(&report));
-                if let Some(baseline_path) = &check_baseline {
-                    check_failed |=
-                        run_check(&report, "topk", "rows_per_sec", baseline_path, tolerance);
+                emit("topk", std::slice::from_ref(&report));
+                if let Some(baseline) = &check_baseline {
+                    check_failed |= run_check(&report, "topk", "rows_per_sec", baseline, tolerance);
                 }
             }
             "routing" => {
@@ -274,10 +304,10 @@ fn main() -> ExitCode {
                 );
                 let report = experiments::routing(&scale);
                 print(report.clone());
-                emit_json(&out_dir, "routing", std::slice::from_ref(&report));
-                if let Some(baseline_path) = &check_baseline {
+                emit("routing", std::slice::from_ref(&report));
+                if let Some(baseline) = &check_baseline {
                     check_failed |=
-                        run_check(&report, "routing", "saved_bytes", baseline_path, tolerance);
+                        run_check(&report, "routing", "saved_bytes", baseline, tolerance);
                 }
             }
             "all" => {
@@ -304,19 +334,19 @@ fn main() -> ExitCode {
                 for r in &batch {
                     print(r.clone());
                 }
-                emit_json(&out_dir, "batch", &batch);
+                emit("batch", &batch);
                 let latency = experiments::latency(&scale);
                 print(latency.clone());
-                emit_json(&out_dir, "latency", std::slice::from_ref(&latency));
+                emit("latency", std::slice::from_ref(&latency));
                 let streaming = experiments::streaming(&scale);
                 print(streaming.clone());
-                emit_json(&out_dir, "streaming", std::slice::from_ref(&streaming));
+                emit("streaming", std::slice::from_ref(&streaming));
                 let service = experiments::service(&scale);
                 print(service.clone());
-                emit_json(&out_dir, "service", std::slice::from_ref(&service));
+                emit("service", std::slice::from_ref(&service));
                 let routing = experiments::routing(&scale);
                 print(routing.clone());
-                emit_json(&out_dir, "routing", std::slice::from_ref(&routing));
+                emit("routing", std::slice::from_ref(&routing));
             }
             _ => return usage(),
         }

@@ -5,6 +5,26 @@
 //! named numeric column and compares geometric means. A >30 % drop against
 //! the checked-in baseline fails CI's perf-smoke job.
 
+use std::path::{Path, PathBuf};
+
+/// Where `repro` writes one experiment's table: `BENCH_<name>.json` under
+/// `out`, or `BENCH_<name>_quick.json` for a `--quick` run, so a smoke run
+/// never overwrites a full-grid trajectory.
+pub fn bench_json_path(out: &Path, name: &str, quick: bool) -> PathBuf {
+    let suffix = if quick { "_quick" } else { "" };
+    out.join(format!("BENCH_{name}{suffix}.json"))
+}
+
+/// Whether `a` and `b` name the same existing file, however each is
+/// spelled (`./x` and `x` agree). A path that does not exist is never the
+/// same file as anything.
+pub fn same_file(a: &Path, b: &Path) -> bool {
+    match (std::fs::canonicalize(a), std::fs::canonicalize(b)) {
+        (Ok(a), Ok(b)) => a == b,
+        _ => false,
+    }
+}
+
 /// Extracts every numeric value stored under `column` in a `BENCH_*.json`
 /// payload (our own [`crate::Report::to_json`] output — row objects keyed by
 /// column header). Non-numeric cells under the key are skipped.
@@ -107,6 +127,32 @@ pub fn worst_ratio(baseline: &[f64], current: &[f64]) -> Option<(usize, f64)> {
 mod tests {
     use super::*;
     use crate::report::{Cell, Report};
+
+    #[test]
+    fn quick_runs_write_their_own_file() {
+        let out = Path::new("bench-out");
+        assert_eq!(
+            bench_json_path(out, "routing", false),
+            Path::new("bench-out/BENCH_routing.json")
+        );
+        assert_eq!(
+            bench_json_path(out, "routing", true),
+            Path::new("bench-out/BENCH_routing_quick.json")
+        );
+    }
+
+    #[test]
+    fn same_file_sees_through_spelling() {
+        // Tests run from the package root, where the manifest exists.
+        let manifest = Path::new("Cargo.toml");
+        assert!(same_file(manifest, Path::new("./Cargo.toml")));
+        assert!(same_file(manifest, Path::new("src/../Cargo.toml")));
+        assert!(!same_file(manifest, Path::new("src/lib.rs")));
+        assert!(!same_file(
+            Path::new("missing.json"),
+            Path::new("./missing.json")
+        ));
+    }
 
     fn sample_json() -> String {
         let mut r = Report::new("Scan", "t", "c");

@@ -321,21 +321,6 @@ impl CountingWbf {
             .expect("a counting filter's visible state is always consistent")
     }
 
-    /// The *membership-only* projection: a classic [`BloomFilter`] whose set
-    /// bits are exactly the occupied positions, with the same geometry and
-    /// seed. This is the summary a routing tree keeps per station — weights
-    /// are irrelevant to "can this subtree match at all", so the projection
-    /// drops them and unions cheaply.
-    ///
-    /// [`BloomFilter`]: crate::BloomFilter
-    pub fn bloom_snapshot(&self) -> crate::BloomFilter {
-        let mut bits = crate::bitset::BitSet::new(self.bit_len);
-        for &idx in self.counts.keys() {
-            bits.set(idx as usize);
-        }
-        crate::BloomFilter::from_parts(bits, self.family, self.live)
-    }
-
     /// Drains the positions whose visible state changed since the last
     /// drain, as `(position, diff)` entries in ascending position order —
     /// the payload of one delta broadcast. Each diff carries the weights
@@ -625,30 +610,6 @@ mod tests {
             }
         }
         assert_eq!(counting.snapshot(), reference);
-    }
-
-    #[test]
-    fn bloom_snapshot_tracks_occupancy_exactly() {
-        let mut counting = CountingWbf::new(params(), 9);
-        let mut reference = crate::BloomFilter::new(params(), 9);
-        for i in 0..40u64 {
-            counting.insert(i * 131, w(i % 5 + 1, 9)).unwrap();
-        }
-        for i in 0..40u64 {
-            if i % 4 == 0 {
-                counting.remove(i * 131, w(i % 5 + 1, 9)).unwrap();
-            } else {
-                reference.insert(i * 131);
-            }
-        }
-        let snapshot = counting.bloom_snapshot();
-        assert_eq!(snapshot, reference, "occupancy diverged from a fresh build");
-        assert_eq!(snapshot.inserted(), counting.live());
-        for i in 0..40u64 {
-            if i % 4 != 0 {
-                assert!(snapshot.contains(i * 131));
-            }
-        }
     }
 
     #[test]

@@ -31,16 +31,18 @@
 //! independent bit-collision per distinct nonzero value and is the same
 //! probability class as the WBF's own false reports.)
 //!
-//! Leaves are [`CountingWbf`]s holding each row's keys at [`Weight::ONE`]:
-//! the reference counts make row insertion and removal exact inverses, so a
-//! streaming session keeps the tree hot under CDR churn — per-station row
-//! diffs update the touched leaf and recompute only its root path — and
-//! after any interleaving the tree equals a from-scratch build (the
-//! counting filter's rebuild-equivalence guarantee, lifted to the tree).
+//! Each summary is a plain [`BloomFilter`] holding every key of its
+//! station's current rows, built in one pass. A streaming session keeps the
+//! tree hot under CDR churn by re-summarizing only the stations whose rows
+//! changed ([`RoutingTree::set_station`]) and recomputing their root paths,
+//! so after any sequence of updates the tree equals a one-pass build over
+//! every station's latest rows. Routing hashes the probe keys once per call
+//! and replays the word masks against every node: all nodes share one hash
+//! family and bit length.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use dipm_core::{BloomFilter, CountingWbf, FilterParams, Weight};
+use dipm_core::{BloomFilter, FilterParams, HashFamily, PrecomputedProbes};
 use dipm_distsim::CostMeter;
 use dipm_mobilenet::{Dataset, UserId};
 
@@ -75,10 +77,7 @@ pub struct RoutingTree {
     fanout: usize,
     params: FilterParams,
     seed: u64,
-    /// Reference-counted per-station key populations (all at
-    /// [`Weight::ONE`]); the incremental source of truth.
-    leaves: Vec<CountingWbf>,
-    /// Each leaf's occupancy projected to a plain Bloom filter — the form
+    /// Per-station summaries: every key of the station's rows — the form
     /// that unions, ships and probes.
     blooms: Vec<BloomFilter>,
     /// Interior levels bottom-up: `levels[0]` unions chunks of `blooms`,
@@ -100,23 +99,42 @@ impl RoutingTree {
         params: FilterParams,
         seed: u64,
     ) -> Result<RoutingTree> {
+        let no_rows = (0..station_count).map(|_| [] as [&[u64]; 0]);
+        RoutingTree::from_rows(no_rows, fanout, params, seed)
+    }
+
+    /// Builds the tree in one pass over each station's rows, in station
+    /// order: every key of a station's rows goes into its summary, then the
+    /// interior levels are unioned once, bottom-up.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ProtocolError::InvalidConfig`] if `fanout < 2`.
+    pub fn from_rows<S, R, K>(
+        stations: S,
+        fanout: usize,
+        params: FilterParams,
+        seed: u64,
+    ) -> Result<RoutingTree>
+    where
+        S: IntoIterator<Item = R>,
+        R: IntoIterator<Item = K>,
+        K: AsRef<[u64]>,
+    {
         if fanout < 2 {
             return Err(ProtocolError::invalid_config(
                 "routing tree fanout must be at least 2",
             ));
         }
         let seed = seed ^ SUMMARY_SEED_TWEAK;
-        let leaves: Vec<CountingWbf> = (0..station_count)
-            .map(|_| CountingWbf::new(params, seed))
-            .collect();
-        let blooms: Vec<BloomFilter> = (0..station_count)
-            .map(|_| BloomFilter::new(params, seed))
+        let blooms = stations
+            .into_iter()
+            .map(|rows| summarize(params, seed, rows))
             .collect();
         let mut tree = RoutingTree {
             fanout,
             params,
             seed,
-            leaves,
             blooms,
             levels: Vec::new(),
         };
@@ -139,13 +157,12 @@ impl RoutingTree {
     ) -> Result<RoutingTree> {
         let rows = station_row_keys(dataset, config)?;
         let params = summary_params(&rows)?;
-        let mut tree = RoutingTree::new(rows.len(), fanout, params, config.seed)?;
-        for (station, station_rows) in rows.iter().enumerate() {
-            for keys in station_rows.values() {
-                tree.insert_row(station, keys)?;
-            }
-        }
-        Ok(tree)
+        RoutingTree::from_rows(
+            rows.iter().map(BTreeMap::values),
+            fanout,
+            params,
+            config.seed,
+        )
     }
 
     /// The number of leaf stations.
@@ -174,77 +191,55 @@ impl RoutingTree {
         &self.blooms[station]
     }
 
-    /// Registers one row's sampled keys at `station`, refreshing the leaf
-    /// summary and its root path.
+    /// Replaces `station`'s summary with one built from its current `rows`
+    /// and recomputes the union nodes on its path to the root — the only
+    /// nodes the change can touch. After any sequence of calls the tree
+    /// equals [`RoutingTree::from_rows`] over every station's latest rows.
     ///
     /// # Errors
     ///
-    /// Propagates filter errors (counter overflow) and rejects an
-    /// out-of-range station.
-    pub fn insert_row(&mut self, station: usize, keys: &[u64]) -> Result<()> {
-        self.check_station(station)?;
-        for &key in keys {
-            self.leaves[station]
-                .insert(key, Weight::ONE)
-                .map_err(ProtocolError::Core)?;
-        }
-        self.refresh_path(station)
-    }
-
-    /// Removes one previously inserted row's keys from `station` —
-    /// the exact inverse of [`RoutingTree::insert_row`], reference-counted
-    /// so rows sharing keys survive each other's removal.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filter errors (removing keys never inserted) and rejects
-    /// an out-of-range station.
-    pub fn remove_row(&mut self, station: usize, keys: &[u64]) -> Result<()> {
-        self.check_station(station)?;
-        for &key in keys {
-            self.leaves[station]
-                .remove(key, Weight::ONE)
-                .map_err(ProtocolError::Core)?;
-        }
-        self.refresh_path(station)
-    }
-
-    fn check_station(&self, station: usize) -> Result<()> {
+    /// Rejects an out-of-range station.
+    pub fn set_station<R, K>(&mut self, station: usize, rows: R) -> Result<()>
+    where
+        R: IntoIterator<Item = K>,
+        K: AsRef<[u64]>,
+    {
         if station >= self.station_count() {
             return Err(ProtocolError::invalid_config(format!(
                 "routing tree has {} stations, no station {station}",
                 self.station_count()
             )));
         }
-        Ok(())
-    }
-
-    /// Re-projects one leaf's summary and recomputes the union nodes on its
-    /// path to the root — the only nodes an update can change.
-    fn refresh_path(&mut self, station: usize) -> Result<()> {
-        self.blooms[station] = self.leaves[station].bloom_snapshot();
+        self.blooms[station] = summarize(self.params, self.seed, rows);
         let mut child = station;
         for level in 0..self.levels.len() {
             let parent = child / self.fanout;
-            let node = self.union_of_children(level, parent)?;
-            self.levels[level][parent] = node;
+            self.levels[level][parent] = self.union_of_children(level, parent)?;
             child = parent;
         }
         Ok(())
     }
 
+    /// The nodes at `depth`: the station summaries at depth 0, interior
+    /// level `depth - 1` above.
+    fn layer(&self, depth: usize) -> &[BloomFilter] {
+        match depth {
+            0 => &self.blooms,
+            _ => &self.levels[depth - 1],
+        }
+    }
+
+    /// The indices in `layer` of node `parent`'s children.
+    fn children(&self, parent: usize, layer: &[BloomFilter]) -> std::ops::Range<usize> {
+        parent * self.fanout..((parent + 1) * self.fanout).min(layer.len())
+    }
+
     /// The union of node `parent`'s children at `level` (children live in
     /// `blooms` for level 0, in `levels[level - 1]` above).
     fn union_of_children(&self, level: usize, parent: usize) -> Result<BloomFilter> {
-        let children = if level == 0 {
-            &self.blooms
-        } else {
-            &self.levels[level - 1]
-        };
-        let lo = parent * self.fanout;
-        let hi = ((parent + 1) * self.fanout).min(children.len());
+        let layer = self.layer(level);
         let mut node = BloomFilter::new(self.params, self.seed);
-        for child in &children[lo..hi] {
+        for child in &layer[self.children(parent, layer)] {
             child.union_into(&mut node).map_err(ProtocolError::Core)?;
         }
         Ok(node)
@@ -271,39 +266,31 @@ impl RoutingTree {
     /// back to every station; otherwise the probe descends from the root
     /// and an empty or unmatched key set prunes everything (an empty query
     /// filter reports nothing anyway).
+    ///
+    /// The keys are hashed once per call: every node shares one geometry,
+    /// so each node test replays the same precomputed word masks.
     pub fn route(&self, keys: &[u64]) -> Vec<u32> {
-        let n = self.station_count();
         if self.is_degenerate() {
-            return (0..n as u32).collect();
+            return (0..self.station_count() as u32).collect();
         }
-        let top = self.levels.len() - 1;
-        let mut survivors: Vec<usize> = (0..self.levels[top].len())
-            .filter(|&i| self.levels[top][i].may_contain_any(keys.iter().copied()))
-            .collect();
-        for level in (0..top).rev() {
-            let mut next = Vec::new();
-            for &parent in &survivors {
-                let lo = parent * self.fanout;
-                let hi = ((parent + 1) * self.fanout).min(self.levels[level].len());
-                for child in lo..hi {
-                    if self.levels[level][child].may_contain_any(keys.iter().copied()) {
-                        next.push(child);
-                    }
-                }
-            }
-            survivors = next;
+        let mut probes = PrecomputedProbes::new();
+        let family = HashFamily::new(self.params.hashes(), self.seed);
+        probes.compute(&family, self.params.bits(), keys);
+        // The root is the single node of the top level, i.e. the only
+        // child of a virtual parent 0 above it.
+        let mut survivors = vec![0usize];
+        for depth in (0..=self.levels.len()).rev() {
+            let layer = self.layer(depth);
+            survivors = survivors
+                .iter()
+                .flat_map(|&parent| self.children(parent, layer))
+                .filter(|&node| layer[node].may_contain_any(&probes))
+                .collect();
         }
-        let mut targets = Vec::new();
-        for &parent in &survivors {
-            let lo = parent * self.fanout;
-            let hi = ((parent + 1) * self.fanout).min(n);
-            for station in lo..hi {
-                if self.blooms[station].may_contain_any(keys.iter().copied()) {
-                    targets.push(station as u32);
-                }
-            }
-        }
-        targets
+        survivors
+            .into_iter()
+            .map(|station| station as u32)
+            .collect()
     }
 
     /// [`RoutingTree::route`], grouped into per-subtree claim frames: one
@@ -329,6 +316,22 @@ impl RoutingTree {
         }
         frames
     }
+}
+
+/// One station's summary: every key of its `rows`, inserted into a plain
+/// Bloom filter.
+fn summarize<R, K>(params: FilterParams, seed: u64, rows: R) -> BloomFilter
+where
+    R: IntoIterator<Item = K>,
+    K: AsRef<[u64]>,
+{
+    let mut summary = BloomFilter::new(params, seed);
+    for row in rows {
+        for &key in row.as_ref() {
+            summary.insert(key);
+        }
+    }
+    summary
 }
 
 /// The sampled-zero keys under `config`'s hash scheme — the keys an idle
@@ -473,8 +476,8 @@ mod tests {
     #[test]
     fn routes_only_subtrees_holding_the_keys() {
         let mut tree = RoutingTree::new(9, 2, params(), 7).unwrap();
-        tree.insert_row(2, &[10, 20, 30]).unwrap();
-        tree.insert_row(7, &[40, 50]).unwrap();
+        tree.set_station(2, [[10, 20, 30]]).unwrap();
+        tree.set_station(7, [[40, 50]]).unwrap();
         // A key only station 2 holds routes to exactly station 2.
         assert_eq!(tree.route(&[10]), vec![2]);
         // Keys from both stations route to both, ascending.
@@ -499,53 +502,93 @@ mod tests {
         // tree (not degenerate — the root can prune the whole deployment).
         let mut tree = RoutingTree::new(3, 8, params(), 7).unwrap();
         assert!(!tree.is_degenerate());
-        tree.insert_row(1, &[77]).unwrap();
+        tree.set_station(1, [[77]]).unwrap();
         assert_eq!(tree.route(&[77]), vec![1]);
         assert!(tree.route(&[78]).is_empty());
     }
 
     #[test]
-    fn insert_remove_interleaving_equals_fresh_build() {
+    fn set_station_sequence_equals_one_pass_build() {
+        let final_rows: Vec<Vec<Vec<u64>>> = vec![
+            vec![],
+            vec![vec![1, 2, 3]],
+            vec![],
+            vec![],
+            vec![vec![2, 9], vec![50, 60]],
+            vec![vec![7]],
+        ];
         let mut incremental = RoutingTree::new(6, 3, params(), 11).unwrap();
-        let rows: [(usize, &[u64]); 4] = [(0, &[1, 2, 3]), (4, &[2, 9]), (4, &[50, 60]), (5, &[7])];
-        for &(station, keys) in &rows {
-            incremental.insert_row(station, keys).unwrap();
-        }
-        // Shared key 2 survives removing only one of its rows.
-        incremental.remove_row(0, &[1, 2, 3]).unwrap();
-        let mut fresh = RoutingTree::new(6, 3, params(), 11).unwrap();
-        for &(station, keys) in &rows[1..] {
-            fresh.insert_row(station, keys).unwrap();
-        }
+        // Stations are set, overwritten and emptied again in any order.
+        incremental.set_station(0, [vec![1, 2, 3]]).unwrap();
+        incremental.set_station(4, [vec![2, 9]]).unwrap();
+        incremental.set_station(5, &final_rows[5]).unwrap();
+        incremental.set_station(4, &final_rows[4]).unwrap();
+        incremental.set_station(0, &final_rows[0]).unwrap();
+        incremental.set_station(1, &final_rows[1]).unwrap();
+        let fresh = RoutingTree::from_rows(&final_rows, 3, params(), 11).unwrap();
         assert_eq!(incremental, fresh);
-        assert_eq!(incremental.route(&[2]), vec![4]);
-        // Removing the remaining rows restores the empty tree.
-        incremental.remove_row(4, &[2, 9]).unwrap();
-        incremental.remove_row(4, &[50, 60]).unwrap();
-        incremental.remove_row(5, &[7]).unwrap();
+        assert_eq!(incremental.route(&[2]), vec![1, 4]);
+        // Emptying every station restores the empty tree.
+        let no_rows: [&[u64]; 0] = [];
+        for station in 0..6 {
+            incremental.set_station(station, no_rows).unwrap();
+        }
         assert_eq!(incremental, RoutingTree::new(6, 3, params(), 11).unwrap());
     }
 
     #[test]
-    fn removal_of_uninserted_keys_errors() {
+    fn unknown_station_is_rejected() {
         let mut tree = RoutingTree::new(2, 2, params(), 3).unwrap();
-        assert!(tree.remove_row(0, &[42]).is_err());
-        assert!(tree.insert_row(9, &[1]).is_err(), "unknown station");
-        assert!(tree.remove_row(9, &[1]).is_err(), "unknown station");
+        assert!(tree.set_station(2, [[1]]).is_err(), "unknown station");
+        assert!(tree.set_station(9, [[1]]).is_err(), "unknown station");
+        assert_eq!(tree, RoutingTree::new(2, 2, params(), 3).unwrap());
     }
 
     #[test]
     fn route_frames_group_by_bottom_subtree() {
         let mut tree = RoutingTree::new(10, 4, params(), 5).unwrap();
-        tree.insert_row(0, &[100]).unwrap();
-        tree.insert_row(3, &[100]).unwrap();
-        tree.insert_row(9, &[100]).unwrap();
+        for station in [0, 3, 9] {
+            tree.set_station(station, [[100]]).unwrap();
+        }
         let frames = tree.route_frames(&[100]);
         assert_eq!(
             frames,
             vec![(0, 4, vec![0, 3]), (8, 10, vec![9])],
             "targets grouped by their fanout-4 leaf chunk"
         );
+    }
+
+    #[test]
+    fn from_dataset_equals_per_station_set_station_builds() {
+        let dataset = Dataset::small(61);
+        let config = DiMatchingConfig::default();
+        let tree = RoutingTree::from_dataset(&dataset, 3, &config).unwrap();
+        let rows = station_row_keys(&dataset, &config).unwrap();
+        let mut incremental = RoutingTree::new(rows.len(), 3, tree.params(), config.seed).unwrap();
+        for (station, station_rows) in rows.iter().enumerate().rev() {
+            incremental
+                .set_station(station, station_rows.values())
+                .unwrap();
+        }
+        assert_eq!(incremental, tree);
+    }
+
+    #[test]
+    fn summaries_are_bloom_filters_over_their_rows_keys() {
+        let dataset = Dataset::small(62);
+        let config = DiMatchingConfig::default();
+        let tree = RoutingTree::from_dataset(&dataset, 2, &config).unwrap();
+        let rows = station_row_keys(&dataset, &config).unwrap();
+        for (station, station_rows) in rows.iter().enumerate() {
+            let mut expected = BloomFilter::new(tree.params(), config.seed ^ SUMMARY_SEED_TWEAK);
+            for &key in station_rows.values().flatten() {
+                expected.insert(key);
+            }
+            let summary = tree.summary(station);
+            assert_eq!(summary.bits(), expected.bits(), "station {station} bits");
+            assert_eq!(summary.inserted(), expected.inserted());
+            assert_eq!(summary, &expected);
+        }
     }
 
     #[test]

@@ -72,9 +72,9 @@ struct LiveQuery {
 }
 
 /// The session's standing routing state under a tree policy: the hot
-/// Bloofi tree plus the per-station row keys it currently holds — the base
-/// each epoch's dataset is diffed against, so only changed rows touch the
-/// tree and only changed stations re-upload summaries.
+/// Bloofi tree plus the per-station row keys it currently summarizes — the
+/// base each epoch's dataset is diffed against, so only stations whose rows
+/// changed are re-summarized and re-upload their summaries.
 #[derive(Debug)]
 struct SessionRouting {
     tree: RoutingTree,
@@ -254,9 +254,9 @@ pub struct StreamingSession {
     cached_full_len: Option<usize>,
     /// The standing routing tree under [`RoutingPolicy::Tree`]; built
     /// lazily on the first routed epoch (geometry pinned there, like the
-    /// session filter) and kept hot by per-epoch row diffs. Dropped by a
-    /// failed epoch, which may have left the diff half-applied — the next
-    /// epoch rebuilds it from scratch.
+    /// session filter) and kept hot by re-summarizing changed stations.
+    /// Dropped by a failed epoch, which may have left the update
+    /// half-applied — the next epoch rebuilds it from scratch.
     routing: Option<SessionRouting>,
     /// The virtual tick the session has reached (async mode): each epoch's
     /// broadcast is stamped from the previous epoch's makespan, so modeled
@@ -430,11 +430,12 @@ impl StreamingSession {
     }
 
     /// Keeps the routing tree synchronized with this epoch's dataset —
-    /// built whole on the first routed epoch, row-diffed against the
-    /// previous epoch after — then routes the union of the live queries'
-    /// probe keys through it. Summary refreshes (changed stations only) and
-    /// the routed plan are pushed through the wire codecs and metered.
-    /// Returns the per-station active mask.
+    /// built whole on the first routed epoch; after that, every station
+    /// whose rows differ from the previous epoch's is re-summarized — then
+    /// routes the union of the live queries' probe keys through it.
+    /// Summary refreshes (changed stations only) and the routed plan are
+    /// pushed through the wire codecs and metered. Returns the per-station
+    /// active mask.
     fn route_epoch(
         &mut self,
         dataset: &Dataset,
@@ -442,42 +443,25 @@ impl StreamingSession {
         meter: &CostMeter,
     ) -> Result<Vec<bool>> {
         let rows = routing::station_row_keys(dataset, &self.config)?;
-        let station_count = rows.len();
         let changed: Vec<usize> = match &mut self.routing {
             None => {
                 let params = routing::summary_params(&rows)?;
-                let mut tree = RoutingTree::new(station_count, fanout, params, self.config.seed)?;
-                for (station, station_rows) in rows.iter().enumerate() {
-                    for keys in station_rows.values() {
-                        tree.insert_row(station, keys)?;
-                    }
-                }
+                let stations = rows.iter().map(BTreeMap::values);
+                let tree = RoutingTree::from_rows(stations, fanout, params, self.config.seed)?;
+                let changed = (0..rows.len()).collect();
                 self.routing = Some(SessionRouting { tree, rows });
-                (0..station_count).collect()
+                changed
             }
             Some(routing_state) => {
-                let mut touched = Vec::new();
-                for (station, new_rows) in rows.iter().enumerate() {
-                    let old_rows = &routing_state.rows[station];
-                    let mut station_touched = false;
-                    for (user, old_keys) in old_rows {
-                        if new_rows.get(user) != Some(old_keys) {
-                            routing_state.tree.remove_row(station, old_keys)?;
-                            station_touched = true;
-                        }
-                    }
-                    for (user, new_keys) in new_rows {
-                        if old_rows.get(user) != Some(new_keys) {
-                            routing_state.tree.insert_row(station, new_keys)?;
-                            station_touched = true;
-                        }
-                    }
-                    if station_touched {
-                        touched.push(station);
+                let mut changed = Vec::new();
+                for (station, (old, new)) in routing_state.rows.iter().zip(&rows).enumerate() {
+                    if old != new {
+                        routing_state.tree.set_station(station, new.values())?;
+                        changed.push(station);
                     }
                 }
                 routing_state.rows = rows;
-                touched
+                changed
             }
         };
         let routing_state = self.routing.as_ref().expect("tree built above");
@@ -1362,6 +1346,47 @@ mod tests {
         // And the session continues on the delta path afterwards.
         let next = session.run_epoch(&day0).unwrap();
         assert_eq!(next.broadcast, EpochBroadcast::Delta { entries: 0 });
+    }
+
+    #[test]
+    fn routed_epochs_keep_the_tree_equal_to_a_fresh_build() {
+        let fanout = 3;
+        let config = DiMatchingConfig {
+            routing: RoutingPolicy::Tree { fanout },
+            ..DiMatchingConfig::default()
+        };
+        let query = probe_query(&Dataset::small(45), 0);
+        let mut session = StreamingSession::new(
+            std::slice::from_ref(&query),
+            config.clone(),
+            PipelineOptions::default(),
+        )
+        .unwrap();
+        let mut pinned = None;
+        let mut routing_bytes = Vec::new();
+        // The repeated day changes no station's rows.
+        for seed in [45, 46, 46, 47] {
+            let day = Dataset::small(seed);
+            let epoch = session.run_epoch(&day).unwrap();
+            routing_bytes.push(epoch.outcome.cost.routing_bytes);
+            let tree = &session
+                .routing
+                .as_ref()
+                .expect("routed sessions keep a tree")
+                .tree;
+            let params = *pinned.get_or_insert(tree.params());
+            let rows = routing::station_row_keys(&day, &config).unwrap();
+            let stations = rows.iter().map(BTreeMap::values);
+            let fresh = RoutingTree::from_rows(stations, fanout, params, config.seed).unwrap();
+            assert_eq!(
+                tree, &fresh,
+                "day {seed}: the tree drifted from a fresh build"
+            );
+        }
+        assert!(
+            routing_bytes[2] < routing_bytes[1],
+            "an unchanged day must upload no summaries: {routing_bytes:?}"
+        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property tests for the Bloofi-style routing tree: on *arbitrary* station
 //! populations and fanouts 2..=8, routing must never lose a station that
 //! could match (no false negatives vs broadcast), incremental maintenance
-//! must equal a from-scratch build after any insert/remove interleaving,
+//! must equal a one-pass build after any sequence of per-station updates,
 //! and degenerate shapes (one station, fanout above the station count) must
 //! fall back cleanly.
 
@@ -15,8 +15,8 @@ fn params() -> FilterParams {
 }
 
 /// One generated tree workload: row placements over an arbitrary station
-/// population, plus a removal script (indices into the placements, only the
-/// first occurrence of each removed).
+/// population, plus a removal script (indices into the placements; one that
+/// names an unplaced or already removed row is skipped).
 #[derive(Debug, Clone)]
 struct TreeWorkload {
     stations: usize,
@@ -45,13 +45,22 @@ fn arb_tree_workload() -> impl Strategy<Value = TreeWorkload> {
         })
 }
 
-/// Applies the workload's placements to a fresh tree.
+/// The keys of every row `live` admits, grouped by station.
+fn station_rows<'w>(workload: &'w TreeWorkload, live: &[bool]) -> Vec<Vec<&'w [u64]>> {
+    let mut stations = vec![Vec::new(); workload.stations];
+    for ((selector, keys), _) in workload.rows.iter().zip(live).filter(|(_, &l)| l) {
+        stations[selector % workload.stations].push(keys.as_slice());
+    }
+    stations
+}
+
+/// Applies the workload's placements to a fresh tree, station by station.
 fn populate(workload: &TreeWorkload) -> RoutingTree {
     let mut tree = RoutingTree::new(workload.stations, workload.fanout, params(), workload.seed)
         .expect("fanout >= 2 builds");
-    for (selector, keys) in &workload.rows {
-        tree.insert_row(selector % workload.stations, keys)
-            .expect("insert succeeds");
+    let all = vec![true; workload.rows.len()];
+    for (station, rows) in station_rows(workload, &all).iter().enumerate() {
+        tree.set_station(station, rows).expect("station exists");
     }
     tree
 }
@@ -98,33 +107,42 @@ proptest! {
         }
     }
 
-    // After any interleaving of inserts and removes, the tree equals a
-    // from-scratch build over the surviving rows — leaves, summaries and
-    // every interior union node.
+    // After any interleaving of row placements and removals, each
+    // followed by re-summarizing just the station it touched, the tree
+    // equals a one-pass build over the surviving rows — summaries and every
+    // interior union node.
     #[test]
     fn interleaved_maintenance_equals_from_scratch_build(workload in arb_tree_workload()) {
-        let mut incremental = populate(&workload);
-        let mut removed = vec![false; workload.rows.len()];
-        for &target in &workload.removals {
-            if let Some((selector, keys)) = workload.rows.get(target) {
-                if !removed[target] {
-                    incremental
-                        .remove_row(selector % workload.stations, keys)
-                        .expect("removing an inserted row succeeds");
-                    removed[target] = true;
-                }
-            }
-        }
-        let mut fresh =
+        let mut incremental =
             RoutingTree::new(workload.stations, workload.fanout, params(), workload.seed)
                 .expect("fanout >= 2 builds");
-        for (i, (selector, keys)) in workload.rows.iter().enumerate() {
-            if !removed[i] {
-                fresh
-                    .insert_row(selector % workload.stations, keys)
-                    .expect("insert succeeds");
+        let mut live = vec![false; workload.rows.len()];
+        // Step i places row i, then applies the i-th scripted removal if it
+        // names a live row.
+        for i in 0..workload.rows.len() {
+            live[i] = true;
+            let mut touched = vec![i];
+            if let Some(&target) = workload.removals.get(i) {
+                if target < live.len() && live[target] {
+                    live[target] = false;
+                    touched.push(target);
+                }
+            }
+            for row in touched {
+                let station = workload.rows[row].0 % workload.stations;
+                let rows = station_rows(&workload, &live);
+                incremental
+                    .set_station(station, &rows[station])
+                    .expect("station exists");
             }
         }
+        let fresh = RoutingTree::from_rows(
+            station_rows(&workload, &live),
+            workload.fanout,
+            params(),
+            workload.seed,
+        )
+        .expect("fanout >= 2 builds");
         prop_assert_eq!(incremental, fresh);
     }
 
@@ -150,7 +168,7 @@ proptest! {
         let mut wide = RoutingTree::new(stations, wide_fanout, params(), seed).expect("builds");
         prop_assert!(!wide.is_degenerate());
         let station = keys.len() % stations;
-        wide.insert_row(station, &keys).expect("insert succeeds");
+        wide.set_station(station, [&keys]).expect("station exists");
         prop_assert_eq!(wide.route(&keys), vec![station as u32]);
         prop_assert!(wide.route(&[u64::MAX]).is_empty());
     }
