@@ -15,8 +15,8 @@ fn params() -> FilterParams {
 }
 
 /// One generated tree workload: row placements over an arbitrary station
-/// population, plus a removal script (indices into the placements; one that
-/// names an unplaced or already removed row is skipped).
+/// population, plus a removal script (step `i` retires the already placed
+/// row `removals[i] % (i + 1)`, if it is still live).
 #[derive(Debug, Clone)]
 struct TreeWorkload {
     stations: usize,
@@ -117,13 +117,12 @@ proptest! {
             RoutingTree::new(workload.stations, workload.fanout, params(), workload.seed)
                 .expect("fanout >= 2 builds");
         let mut live = vec![false; workload.rows.len()];
-        // Step i places row i, then applies the i-th scripted removal if it
-        // names a live row.
         for i in 0..workload.rows.len() {
             live[i] = true;
             let mut touched = vec![i];
-            if let Some(&target) = workload.removals.get(i) {
-                if target < live.len() && live[target] {
+            if let Some(&pick) = workload.removals.get(i) {
+                let target = pick % (i + 1);
+                if live[target] {
                     live[target] = false;
                     touched.push(target);
                 }
