@@ -19,7 +19,10 @@
 #[allow(dead_code)]
 mod conformance;
 
-use dipm::core::{encode, CountingWbf, FilterParams, Weight, WeightedBloomFilter};
+use dipm::core::{
+    encode, CountingWbf, FilterParams, HashFamily, PrecomputedProbes, QueryScratch, Weight,
+    WeightedBloomFilter,
+};
 use dipm::prelude::*;
 use dipm::protocol::{run_streaming, wire, EpochBroadcast, StreamingSession, StreamingUpdate};
 use proptest::collection::vec;
@@ -87,54 +90,140 @@ proptest! {
         churn in vec((any::<bool>(), any::<u64>()), 1..40),
         seed_index in 0usize..conformance::SEEDS.len(),
     ) {
-        let seed = conformance::SEEDS[seed_index];
-        let mut center = CountingWbf::new(params(), seed);
-        let mut station = WeightedBloomFilter::new(params(), seed);
-        let mut live: Vec<(u64, Weight)> = Vec::new();
-        let mut next = 0u64;
-        for epoch_ops in churn.chunks(5) {
-            for &(is_insert, pick) in epoch_ops {
-                if is_insert || live.is_empty() {
-                    let (key, weight) = pair(next);
-                    next += 1;
-                    center.insert(key, weight).unwrap();
-                    live.push((key, weight));
-                } else {
-                    let (key, weight) = live.swap_remove(pick as usize % live.len());
-                    center.remove(key, weight).unwrap();
-                }
-            }
-            // One "broadcast": drain, frame, decode, apply at the station.
-            let delta = wire::FilterDelta { entries: center.drain_dirty() };
-            let frame = wire::encode_station_update(&wire::StationUpdate::Delta {
-                epoch: 0,
-                query_totals: vec![],
-                delta: delta.clone(),
-            }).unwrap();
-            let decoded = wire::decode_station_update(frame).unwrap();
-            let wire::StationUpdate::Delta { delta: received, .. } = decoded else {
-                panic!("kind flipped in flight");
-            };
-            prop_assert_eq!(&received, &delta, "delta did not round-trip");
-            for (pos, diff) in &received.entries {
-                station.apply_diff(*pos, diff).unwrap();
-            }
-            // Structural and behavioral equivalence. (The `inserted`
-            // statistic is deliberately excluded: it refreshes on full
-            // broadcasts only and never affects matching.)
-            let snapshot = center.snapshot();
-            prop_assert_eq!(station.bits(), snapshot.bits(), "bit state diverged");
-            for probe in 0..next.max(8) {
-                let (key, _) = pair(probe);
-                prop_assert_eq!(
-                    station.query(key),
-                    snapshot.query(key),
-                    "query {} diverged after delta replay",
-                    key
-                );
+        replay_session_deltas(&churn, pair, 5, conformance::SEEDS[seed_index])?;
+    }
+
+    // Invariant 3 across the fold-mask width: weights from a 97-weight pool
+    // push the station's weight universe past the 64 weights a fold mask
+    // indexes, then a remove-heavy tail brings it back under, so replayed
+    // deltas cover the mask path, the generic path and both transitions.
+    #[test]
+    fn session_deltas_replay_exactly_across_the_fold_mask_width(
+        grow in 40usize..110,
+        churn in vec((0u8..4, any::<u64>()), 0..120),
+        seed_index in 0usize..conformance::SEEDS.len(),
+    ) {
+        let ops: Vec<(bool, u64)> = std::iter::repeat((true, 0))
+            .take(grow)
+            .chain(churn.iter().map(|&(kind, pick)| (kind == 0, pick)))
+            .collect();
+        replay_session_deltas(&ops, wide_pair, 8, conformance::SEEDS[seed_index])?;
+    }
+}
+
+/// A pair pool like [`pair`] whose weights span 97 distinct values, more
+/// than the 64 a fold mask can index.
+fn wide_pair(index: u64) -> (u64, Weight) {
+    let key = index.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    let weight = Weight::new(index % 97 + 1, 97).unwrap();
+    (key, weight)
+}
+
+/// Drives `ops` (insert the next pool pair, or remove the live pair at
+/// `pick`) through a center counting filter, `per_epoch` ops per epoch.
+/// Each epoch's delta is framed, decoded and replayed onto a station
+/// filter whose derived fold state a scan has warmed, and the station must
+/// then answer exactly like the center's fresh snapshot: bits, weight
+/// universe, and both the generic and the precomputed (mask-fold) queries.
+fn replay_session_deltas(
+    ops: &[(bool, u64)],
+    pool: fn(u64) -> (u64, Weight),
+    per_epoch: usize,
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    let mut center = CountingWbf::new(params(), seed);
+    let mut station = WeightedBloomFilter::new(params(), seed);
+    let family = HashFamily::new(station.hashes(), station.seed());
+    let mut pre = PrecomputedProbes::new();
+    let (mut scratch, mut reference_scratch) = (QueryScratch::new(), QueryScratch::new());
+    let mut live: Vec<(u64, Weight)> = Vec::new();
+    let mut next = 0u64;
+    for epoch_ops in ops.chunks(per_epoch) {
+        // Warm the station's derived state the way an epoch scan does, so
+        // the delta lands on a filter with a built universe and fold masks.
+        station.weight_universe();
+        if let Some(&(key, _)) = live.iter().find(|&&(key, _)| station.contains(key)) {
+            pre.compute(&family, station.bit_len(), &[key]);
+            prop_assert!(station.query_precomputed(&pre, &mut scratch).is_some());
+        }
+        for &(is_insert, pick) in epoch_ops {
+            if is_insert || live.is_empty() {
+                let (key, weight) = pool(next);
+                next += 1;
+                center.insert(key, weight).unwrap();
+                live.push((key, weight));
+            } else {
+                let (key, weight) = live.swap_remove(pick as usize % live.len());
+                center.remove(key, weight).unwrap();
             }
         }
+        // One "broadcast": drain, frame, decode, apply at the station.
+        let delta = wire::FilterDelta {
+            entries: center.drain_dirty(),
+        };
+        let frame = wire::encode_station_update(&wire::StationUpdate::Delta {
+            epoch: 0,
+            query_totals: vec![],
+            delta: delta.clone(),
+        })
+        .unwrap();
+        let decoded = wire::decode_station_update(frame).unwrap();
+        let wire::StationUpdate::Delta {
+            delta: received, ..
+        } = decoded
+        else {
+            panic!("kind flipped in flight");
+        };
+        prop_assert_eq!(&received, &delta, "delta did not round-trip");
+        for (pos, diff) in &received.entries {
+            station.apply_diff(*pos, diff).unwrap();
+        }
+        // Structural and behavioral equivalence. (The `inserted` statistic
+        // is deliberately excluded: it refreshes on full broadcasts only
+        // and never affects matching.)
+        let snapshot = center.snapshot();
+        prop_assert_eq!(station.bits(), snapshot.bits(), "bit state diverged");
+        prop_assert_eq!(
+            station.weight_universe(),
+            snapshot.weight_universe(),
+            "weight universe diverged after delta replay"
+        );
+        // Probe sets: every pool key alone, neighbouring keys together
+        // (mostly stitched, empty intersections), and each live weight's
+        // keys together (genuine multi-position matches).
+        let mut probe_sets: Vec<Vec<u64>> = Vec::new();
+        for probe in 0..next.max(8) {
+            let (key, _) = pool(probe);
+            prop_assert_eq!(
+                station.query(key),
+                snapshot.query(key),
+                "query {} diverged after delta replay",
+                key
+            );
+            probe_sets.push(vec![key]);
+            probe_sets.push(vec![key, pool(probe + 1).0]);
+        }
+        let mut by_weight: Vec<(Weight, Vec<u64>)> = Vec::new();
+        for &(key, weight) in &live {
+            match by_weight.iter_mut().find(|(w, _)| *w == weight) {
+                Some((_, keys)) => keys.push(key),
+                None => by_weight.push((weight, vec![key])),
+            }
+        }
+        probe_sets.extend(by_weight.into_iter().map(|(_, keys)| keys));
+        for keys in &probe_sets {
+            pre.compute(&family, station.bit_len(), keys);
+            prop_assert_eq!(
+                station.query_precomputed(&pre, &mut scratch).cloned(),
+                snapshot
+                    .query_precomputed(&pre, &mut reference_scratch)
+                    .cloned(),
+                "precomputed query {:?} diverged after delta replay",
+                keys
+            );
+        }
     }
+    Ok(())
 }
 
 /// Invariant 2 — the acceptance criterion: after a churn sequence, every
