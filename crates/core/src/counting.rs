@@ -312,13 +312,15 @@ impl CountingWbf {
     /// insertion count.
     pub fn snapshot(&self) -> WeightedBloomFilter {
         let mut bits = crate::bitset::BitSet::new(self.bit_len);
-        let mut weights = BTreeMap::new();
-        for (&idx, position) in &self.counts {
-            bits.set(idx as usize);
-            weights.insert(idx, position.keys().copied().collect::<WeightSet>());
-        }
-        WeightedBloomFilter::from_parts(bits, weights, self.family, self.live)
-            .expect("a counting filter's visible state is always consistent")
+        let sets = self
+            .counts
+            .iter()
+            .map(|(&idx, position)| {
+                bits.set(idx as usize);
+                position.keys().copied().collect()
+            })
+            .collect();
+        WeightedBloomFilter::from_parts(bits, self.family, self.live, sets)
     }
 
     /// Drains the positions whose visible state changed since the last

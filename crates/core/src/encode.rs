@@ -30,8 +30,6 @@
 //! weight sets, so thousands of bits typically share a handful of set
 //! entries.
 
-use std::collections::BTreeMap;
-
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use crate::bitset::BitSet;
@@ -277,9 +275,7 @@ pub fn encoded_wbf_len(filter: &WeightedBloomFilter) -> usize {
 }
 
 /// Everything of a weighted wire frame up to (but not including) the
-/// per-bit set-id region: the shared first stage of the owned decoder and
-/// the zero-copy view decoder, which diverge only in how they consume the
-/// set ids.
+/// per-bit set-id region.
 pub(crate) struct WbfWireBody {
     pub(crate) bits: BitSet,
     pub(crate) family: HashFamily,
@@ -353,43 +349,26 @@ pub(crate) fn take_wbf_body(data: &mut Bytes) -> Result<WbfWireBody> {
     })
 }
 
-/// Decodes a weighted Bloom filter.
+/// Decodes a weighted Bloom filter into an owned, mutable filter: the
+/// frame is validated once by [`view_wbf`], then each set bit takes a copy
+/// of its interned weight set.
 ///
 /// # Errors
 ///
 /// Returns [`CoreError::Decode`] on any malformed input, including weight
 /// indices outside the dictionary.
-pub fn decode_wbf(mut data: Bytes) -> Result<WeightedBloomFilter> {
-    let body = take_wbf_body(&mut data)?;
-    let mut table = BTreeMap::new();
-    for bit in body.bits.iter_ones() {
-        if data.remaining() < 4 {
-            return Err(CoreError::decode("truncated per-bit set id"));
-        }
-        let set_id = data.get_u32_le() as usize;
-        let set = body
-            .sets
-            .get(set_id)
-            .cloned()
-            .ok_or_else(|| CoreError::decode("set id outside set table"))?;
-        table.insert(bit as u32, set);
-    }
-    if data.remaining() > 0 {
-        return Err(CoreError::decode("trailing bytes after filter payload"));
-    }
-    WeightedBloomFilter::from_parts(body.bits, table, body.family, body.inserted)
+pub fn decode_wbf(data: Bytes) -> Result<WeightedBloomFilter> {
+    view_wbf(data).map(WeightedBloomFilter::from)
 }
 
-/// Decodes a weighted frame into a zero-copy [`WbfFrameView`]: same
-/// validation and same accept/reject verdicts (and error messages) as
-/// [`decode_wbf`], but the per-bit set-id region is kept as a borrowed
-/// byte slice of `data` and indexed on demand instead of being exploded
-/// into an owned per-bit table.
+/// Decodes a weighted frame into a zero-copy [`WbfFrameView`]: the frame
+/// validator behind [`decode_wbf`], which keeps the per-bit set-id region
+/// as a borrowed byte slice of `data`, indexed on demand, instead of
+/// copying a weight set out to every set bit.
 ///
 /// # Errors
 ///
-/// Returns [`CoreError::Decode`] on any malformed input — exactly the
-/// inputs [`decode_wbf`] rejects.
+/// Returns [`CoreError::Decode`] on any malformed input.
 pub fn view_wbf(data: Bytes) -> Result<crate::WbfFrameView> {
     crate::view::parse_frame(data)
 }

@@ -1,16 +1,16 @@
 //! Zero-copy weighted-filter frame view: probe a broadcast straight out of
 //! the received bytes.
 //!
-//! The owned decoder ([`decode_wbf`](crate::encode::decode_wbf)) explodes
-//! the wire frame's per-bit set-id region into a `bit → WeightSet` table —
-//! the right shape for mutation (delta application, checkpoints), but pure
-//! overhead for a base station that only wants to *probe* the broadcast.
-//! [`WbfFrameView`] keeps that region as a borrowed slice of the receive
-//! buffer: validation runs once at parse time (same checks, same verdicts,
-//! same error messages as the owned decoder), then each occupied probe
-//! finds its weight set by rank — a prefix-popcount over the bit array
-//! gives the probe's ordinal among set bits, which indexes the id region
-//! directly.
+//! The owned decoder ([`decode_wbf`](crate::encode::decode_wbf)) copies a
+//! weight set out to every set bit — the right shape for mutation (delta
+//! application, checkpoints), but pure overhead for a base station that
+//! only wants to *probe* the broadcast. [`WbfFrameView`] keeps the frame's
+//! per-bit set-id region as a borrowed slice of the receive buffer:
+//! validation runs once at parse time, then each occupied probe finds its
+//! weight set by rank — a prefix-popcount over the bit array gives the
+//! probe's ordinal among set bits, which indexes the id region directly.
+//! The owned decoder is this view converted (`WeightedBloomFilter::from`),
+//! so both accept and reject exactly the same frames.
 //!
 //! Queries answer bit-identically to the owned filter decoded from the same
 //! frame; the scan conformance suite pins that equivalence across every
@@ -55,10 +55,8 @@ pub struct WbfFrameView {
     universe: OnceLock<WeightSet>,
 }
 
-/// Parses and validates a weighted frame into a view. Shared first stage
-/// with the owned decoder; the per-bit region is checked with a throwaway
-/// cursor in the owned decoder's exact per-ordinal order so both decoders
-/// accept and reject identical inputs with identical errors.
+/// Parses and validates a weighted frame into a view: every set bit has a
+/// set id inside the set table, and nothing trails the id region.
 pub(crate) fn parse_frame(mut data: Bytes) -> Result<WbfFrameView> {
     let body = crate::encode::take_wbf_body(&mut data)?;
     let ones = body.bits.count_ones();
@@ -243,6 +241,22 @@ impl ProbeTable for WbfFrameView {
 
     fn set_at(&self, idx: usize) -> Option<&WeightSet> {
         self.set_at_bit(idx)
+    }
+}
+
+/// Materializes the owned, mutable filter a streaming station applies
+/// deltas to: each set bit takes its own copy of its interned weight set.
+impl From<WbfFrameView> for WeightedBloomFilter {
+    fn from(view: WbfFrameView) -> WeightedBloomFilter {
+        let sets = view
+            .ids
+            .chunks_exact(4)
+            .map(|id| {
+                let id = u32::from_le_bytes(id.try_into().expect("4-byte chunks"));
+                view.sets[id as usize].clone()
+            })
+            .collect();
+        WeightedBloomFilter::from_parts(view.bits, view.family, view.inserted, sets)
     }
 }
 

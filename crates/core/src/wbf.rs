@@ -11,7 +11,6 @@
 //! *different* patterns — e.g. `{1,4,5}` probing a filter holding `{1,2,3}`
 //! and `{2,4,5}` hits only set bits but no consistent weight.
 
-use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
 use crate::bitset::BitSet;
@@ -69,31 +68,151 @@ pub struct WeightedBloomFilter {
     sets: Vec<WeightSet>,
     family: HashFamily,
     inserted: u64,
-    // Lazily computed union of every attached weight set — the score
-    // universe dynamic-pruning scans bound against. Derived state: every
-    // mutation path resets it, equality and the wire format ignore it.
-    universe: OnceLock<WeightSet>,
-    // Lazily computed fold acceleration (see `FoldTable`). Derived state
-    // like `universe`: reset on every mutation, ignored by equality and the
-    // wire format. `None` inside the cell means the universe is too wide
-    // for the mask representation and folds take the generic path.
-    fold: OnceLock<Option<FoldTable>>,
+    // Lazily derived weight state (see `FoldState`): `insert` and
+    // `union_with` reset it, `apply_delta` keeps it in step. Equality and
+    // the wire format ignore it.
+    fold: OnceLock<FoldState>,
 }
 
-/// Fold acceleration for the scan hot path: each weight-set slot reduced to
-/// a bitmask over the filter's (sorted) weight universe, so the per-row
-/// weight fold — intersect the weight sets of every probed position — is a
-/// chain of `AND`s over one `u64` with a zero early-exit, instead of up to
-/// `b × k` sorted-set merges. Only built while the universe holds at most
-/// 64 distinct weights; wider filters (rare — the universe is one entry per
-/// distinct pattern weight) keep the generic merge fold.
+/// The weight state derived from the per-position sets: the sorted weight
+/// universe — the score universe dynamic-pruning scans bound against — and
+/// the fold acceleration of the scan hot path, each weight-set slot
+/// reduced to a bitmask over that universe, so the per-row weight fold
+/// (intersect the weight sets of every probed position) is a chain of
+/// `AND`s over one `u64` with a zero early-exit instead of up to `b × k`
+/// sorted-set merges.
+///
+/// Per-weight carrier counts let a delta retire a weight from the universe
+/// the moment its last position drops it, without rescanning the filter.
 #[derive(Debug, Clone)]
-struct FoldTable {
-    /// The sorted weight universe the mask bits index into.
+struct FoldState {
+    /// Every weight attached somewhere, ascending; mask bits index into it.
     universe: WeightSet,
+    /// Parallel to `universe`: how many positions carry each weight.
+    carriers: Vec<u32>,
     /// One mask per slot in `sets`, parallel to it: bit `i` set iff the
-    /// slot's set contains `universe.as_slice()[i]`.
-    masks: Vec<u64>,
+    /// slot's set contains `universe.as_slice()[i]`. `None` while the
+    /// universe is wider than the 64-weight mask (rare — the universe is
+    /// one entry per distinct pattern weight); folds then take the generic
+    /// merge path.
+    masks: Option<Vec<u64>>,
+}
+
+/// Mask bits a [`FoldState`] has: universes wider than this fold generically.
+const MASK_WIDTH: usize = 64;
+
+impl FoldState {
+    fn derive(sets: &[WeightSet]) -> FoldState {
+        let mut universe = WeightSet::new();
+        for set in sets {
+            universe.union_with(set);
+        }
+        let mut carriers = vec![0u32; universe.len()];
+        let fits = universe.len() <= MASK_WIDTH;
+        let mut masks = Vec::with_capacity(if fits { sets.len() } else { 0 });
+        for set in sets {
+            let mut mask = 0u64;
+            for w in set.iter() {
+                let i = universe
+                    .position(w)
+                    .expect("universe holds every attached weight");
+                carriers[i] += 1;
+                if fits {
+                    mask |= 1 << i;
+                }
+            }
+            if fits {
+                masks.push(mask);
+            }
+        }
+        FoldState {
+            universe,
+            carriers,
+            masks: fits.then_some(masks),
+        }
+    }
+
+    /// Admits the weights `diffs` add that the universe lacks, shifting
+    /// every mask once per new weight (or dropping the masks once the
+    /// universe outgrows them), then returns each diff's `(removed, added)`
+    /// masks over the widened universe — none while masks are dropped.
+    fn admit(&mut self, diffs: &[WeightDiff]) -> Vec<(u64, u64)> {
+        for diff in diffs {
+            for w in diff.added.iter() {
+                let Err(i) = self.universe.as_slice().binary_search(&w) else {
+                    continue;
+                };
+                self.universe.insert(w);
+                self.carriers.insert(i, 0);
+                if self.universe.len() > MASK_WIDTH {
+                    self.masks = None;
+                }
+                if let Some(masks) = &mut self.masks {
+                    let low = (1u64 << i) - 1;
+                    for mask in masks {
+                        *mask = (*mask & low) | ((*mask & !low) << 1);
+                    }
+                }
+            }
+        }
+        if self.masks.is_none() {
+            return Vec::new();
+        }
+        let side = |set: &WeightSet| {
+            set.iter()
+                .filter_map(|w| self.universe.position(w))
+                .fold(0u64, |mask, i| mask | 1 << i)
+        };
+        diffs
+            .iter()
+            .map(|diff| (side(&diff.removed), side(&diff.added)))
+            .collect()
+    }
+
+    /// Moves the carrier counts by `applied[d]` uses of each diff, then
+    /// retires the weights no position carries any more.
+    fn settle(&mut self, diffs: &[WeightDiff], applied: &[u32]) {
+        let used = || diffs.iter().zip(applied).filter(|&(_, &uses)| uses > 0);
+        // Additions first: an entry may remove what an earlier entry of the
+        // same delta added, so only the net count is known to be in range.
+        for (diff, &uses) in used() {
+            for w in diff.added.iter() {
+                let i = self.universe.position(w).expect("admitted before apply");
+                self.carriers[i] += uses;
+            }
+        }
+        for (diff, &uses) in used() {
+            for w in diff.removed.iter() {
+                let i = self
+                    .universe
+                    .position(w)
+                    .expect("a removed weight was attached");
+                self.carriers[i] -= uses;
+            }
+        }
+        if !self.carriers.contains(&0) {
+            return;
+        }
+        if let Some(masks) = &mut self.masks {
+            for i in (0..self.carriers.len()).rev() {
+                if self.carriers[i] == 0 {
+                    let low = (1u64 << i) - 1;
+                    for mask in masks.iter_mut() {
+                        *mask = (*mask & low) | ((*mask >> 1) & !low);
+                    }
+                }
+            }
+        }
+        let kept: Vec<Weight> = self
+            .universe
+            .iter()
+            .zip(&self.carriers)
+            .filter(|&(_, &c)| c > 0)
+            .map(|(w, _)| w)
+            .collect();
+        self.universe.assign_sorted(kept.into_iter());
+        self.carriers.retain(|&c| c > 0);
+    }
 }
 
 /// Sentinel in `slots` for a position carrying no weights.
@@ -108,56 +227,44 @@ impl WeightedBloomFilter {
             sets: Vec::new(),
             family: HashFamily::new(params.hashes(), seed),
             inserted: 0,
-            universe: OnceLock::new(),
             fold: OnceLock::new(),
         }
     }
 
+    /// Assembles a decoded filter: `sets` holds the weight set of each set
+    /// bit of `bits`, in ascending bit order.
     pub(crate) fn from_parts(
         bits: BitSet,
-        weights: BTreeMap<u32, WeightSet>,
         family: HashFamily,
         inserted: u64,
-    ) -> Result<WeightedBloomFilter> {
+        sets: Vec<WeightSet>,
+    ) -> WeightedBloomFilter {
+        assert_eq!(sets.len(), bits.count_ones(), "one weight set per set bit");
         let mut slots = vec![EMPTY_SLOT; bits.len()];
-        let mut sets = Vec::with_capacity(weights.len());
-        for (idx, set) in weights {
-            if idx as usize >= bits.len() {
-                return Err(CoreError::decode("weight entry beyond filter length"));
-            }
-            if !bits.get(idx as usize) {
-                return Err(CoreError::decode("weight entry on an unset bit"));
-            }
-            if set.is_empty() {
-                return Err(CoreError::decode("empty weight set entry"));
-            }
-            slots[idx as usize] = sets.len() as u32;
-            sets.push(set);
+        for (slot, bit) in bits.iter_ones().enumerate() {
+            slots[bit] = slot as u32;
         }
-        Ok(WeightedBloomFilter {
+        WeightedBloomFilter {
             bits,
             slots,
             sets,
             family,
             inserted,
-            universe: OnceLock::new(),
             fold: OnceLock::new(),
-        })
+        }
     }
 
     /// The weight set slot for `bit`, allocating (or reusing a tombstoned)
     /// slot on first attachment.
-    fn set_mut_or_insert(&mut self, bit: usize) -> &mut WeightSet {
-        let slot = match self.slots[bit] {
+    fn slot_or_insert(&mut self, bit: usize) -> usize {
+        match self.slots[bit] {
             EMPTY_SLOT => {
-                let slot = self.sets.len() as u32;
+                self.slots[bit] = self.sets.len() as u32;
                 self.sets.push(WeightSet::new());
-                self.slots[bit] = slot;
-                slot
+                self.sets.len() - 1
             }
-            slot => slot,
-        };
-        &mut self.sets[slot as usize]
+            slot => slot as usize,
+        }
     }
 
     /// Iterates `(bit, weight set)` over every position carrying weights, in
@@ -179,10 +286,10 @@ impl WeightedBloomFilter {
         let m = self.bits.len();
         for idx in self.family.probes(key, m) {
             self.bits.set(idx);
-            self.set_mut_or_insert(idx).insert(weight);
+            let slot = self.slot_or_insert(idx);
+            self.sets[slot].insert(weight);
         }
         self.inserted += 1;
-        self.universe.take();
         self.fold.take();
     }
 
@@ -288,7 +395,8 @@ impl WeightedBloomFilter {
         scratch: &'s mut QueryScratch,
     ) -> Option<&'s WeightSet> {
         let indices = pre.indices();
-        if let Some(table) = self.fold_table() {
+        let state = self.fold_state();
+        if let Some(masks) = &state.masks {
             if indices.is_empty() {
                 return None;
             }
@@ -298,47 +406,21 @@ impl WeightedBloomFilter {
             // sorted universe.
             let mut mask = u64::MAX;
             for &idx in indices {
-                mask &= table.masks[self.slots[idx as usize] as usize];
+                mask &= masks[self.slots[idx as usize] as usize];
                 if mask == 0 {
                     break;
                 }
             }
-            scratch.acc.assign_mask(&table.universe, mask);
+            scratch.acc.assign_mask(&state.universe, mask);
             return Some(&scratch.acc);
         }
         probe::fold_weights_at(self, indices, scratch)
     }
 
-    /// The lazily built fold acceleration table, or `None` when the weight
-    /// universe exceeds the 64-weight mask width.
-    fn fold_table(&self) -> Option<&FoldTable> {
-        self.fold
-            .get_or_init(|| {
-                let universe = self.weight_universe();
-                if universe.len() > 64 {
-                    return None;
-                }
-                let masks = self
-                    .sets
-                    .iter()
-                    .map(|set| {
-                        let mut mask = 0u64;
-                        for w in set.iter() {
-                            let pos = universe
-                                .as_slice()
-                                .binary_search(&w)
-                                .expect("universe contains every attached weight");
-                            mask |= 1u64 << pos;
-                        }
-                        mask
-                    })
-                    .collect();
-                Some(FoldTable {
-                    universe: universe.clone(),
-                    masks,
-                })
-            })
-            .as_ref()
+    /// The derived weight state, built from the sets on first use after a
+    /// reset.
+    fn fold_state(&self) -> &FoldState {
+        self.fold.get_or_init(|| FoldState::derive(&self.sets))
     }
 
     /// The number of insert operations performed.
@@ -382,20 +464,14 @@ impl WeightedBloomFilter {
     /// against. Any weight a query of this filter can ever report is drawn
     /// from this set, so its maximum is the section's score upper bound.
     ///
-    /// Computed once per filter state and cached; [`insert`], [`union_with`]
-    /// and [`apply_diff`] invalidate the cache.
+    /// Derived on first use and cached; [`insert`] and [`union_with`]
+    /// reset the cache, and [`apply_delta`] updates it in place.
     ///
     /// [`insert`]: WeightedBloomFilter::insert
     /// [`union_with`]: WeightedBloomFilter::union_with
-    /// [`apply_diff`]: WeightedBloomFilter::apply_diff
+    /// [`apply_delta`]: WeightedBloomFilter::apply_delta
     pub fn weight_universe(&self) -> &WeightSet {
-        self.universe.get_or_init(|| {
-            let mut all = WeightSet::new();
-            for set in &self.sets {
-                all.union_with(set);
-            }
-            all
-        })
+        &self.fold_state().universe
     }
 
     /// The largest weight any candidate could report — the static
@@ -423,31 +499,69 @@ impl WeightedBloomFilter {
         }
         self.bits.union_with(&other.bits)?;
         for (idx, set) in other.weight_positions() {
-            self.set_mut_or_insert(idx as usize).union_with(set);
+            let slot = self.slot_or_insert(idx as usize);
+            self.sets[slot].union_with(set);
         }
         self.inserted += other.inserted;
-        self.universe.take();
         self.fold.take();
         Ok(())
     }
 
-    /// Applies one filter-delta entry: the [`WeightDiff`] of a single
-    /// position relative to this filter's current state, as broadcast by a
-    /// streaming data center maintaining a
-    /// [`CountingWbf`](crate::CountingWbf).
+    /// Applies a filter delta: `entries` pairs a position with an index
+    /// into `diffs`, the [`WeightDiff`] of that position relative to this
+    /// filter's current state, as broadcast by a streaming data center
+    /// maintaining a [`CountingWbf`](crate::CountingWbf).
     ///
-    /// Every removed weight must currently be attached and every added
-    /// weight absent — a mismatch means the station's state diverged from
-    /// the baseline the center diffed against (a missed or replayed epoch)
-    /// and is rejected before anything is mutated. A position whose set
-    /// empties is cleared; a previously clear position gains its first
-    /// weights and its bit.
+    /// Each entry is checked against its position's own set: every removed
+    /// weight must currently be attached and every added weight absent. A
+    /// mismatch means the station's state diverged from the baseline the
+    /// center diffed against (a missed or replayed epoch). Sets are edited
+    /// in place; a position whose set empties is cleared, and a previously
+    /// clear position gains its first weights and its bit. A derived weight
+    /// universe and its fold masks are kept in step rather than rebuilt, so
+    /// the cost follows the delta, not the filter.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::Decode`] if `bit` is outside the filter, the
-    /// diff is empty, or the diff does not match the current state.
-    pub fn apply_diff(&mut self, bit: u32, diff: &WeightDiff) -> Result<()> {
+    /// Returns [`CoreError::Decode`] at the first entry whose position is
+    /// outside the filter, whose diff index is outside `diffs`, whose diff
+    /// is empty, or whose diff does not match the current state. The entries
+    /// before it stay applied and none after it is.
+    pub fn apply_delta(&mut self, diffs: &[WeightDiff], entries: &[(u32, u32)]) -> Result<()> {
+        let mut state = self.fold.take();
+        let diff_masks = state
+            .as_mut()
+            .map_or_else(Vec::new, |state| state.admit(diffs));
+        let mut applied = vec![0u32; diffs.len()];
+        let result = entries.iter().try_for_each(|&(bit, d)| {
+            let diff = diffs.get(d as usize).ok_or_else(|| {
+                CoreError::decode("delta entry references a diff outside the table")
+            })?;
+            let slot = self.apply_entry(bit, diff)?;
+            applied[d as usize] += 1;
+            if let Some(masks) = state.as_mut().and_then(|state| state.masks.as_mut()) {
+                if slot == masks.len() {
+                    masks.push(0);
+                }
+                let (removed, added) = diff_masks[d as usize];
+                masks[slot] = (masks[slot] & !removed) | added;
+            }
+            Ok(())
+        });
+        if let Some(mut state) = state {
+            state.settle(diffs, &applied);
+            // Masks dropped while the universe was too wide are derived
+            // afresh on the next read once it fits again.
+            if state.masks.is_some() || state.universe.len() > MASK_WIDTH {
+                self.fold = OnceLock::from(state);
+            }
+        }
+        result
+    }
+
+    /// Applies one delta entry to its position's own set and returns the
+    /// slot the position occupies; mutates nothing on error.
+    fn apply_entry(&mut self, bit: u32, diff: &WeightDiff) -> Result<usize> {
         let idx = bit as usize;
         if idx >= self.bits.len() {
             return Err(CoreError::decode("delta entry beyond filter length"));
@@ -455,41 +569,29 @@ impl WeightedBloomFilter {
         if diff.is_empty() {
             return Err(CoreError::decode("empty delta entry"));
         }
-        let current = match self.slots[idx] {
-            EMPTY_SLOT => WeightSet::new(),
-            slot => self.sets[slot as usize].clone(),
-        };
-        for w in &diff.removed {
-            if !current.contains(w) {
-                return Err(CoreError::decode(
-                    "delta removes a weight the position does not carry",
-                ));
-            }
+        let current = ProbeTable::set_at(self, idx);
+        let carries = |w| current.is_some_and(|set| set.contains(w));
+        if !diff.removed.iter().all(carries) {
+            return Err(CoreError::decode(
+                "delta removes a weight the position does not carry",
+            ));
         }
-        for w in &diff.added {
-            if current.contains(w) {
-                return Err(CoreError::decode(
-                    "delta adds a weight the position already carries",
-                ));
-            }
+        if diff.added.iter().any(carries) {
+            return Err(CoreError::decode(
+                "delta adds a weight the position already carries",
+            ));
         }
-        let mut next = current.difference(&diff.removed);
-        next.union_with(&diff.added);
-        if next.is_empty() {
-            self.bits.unset(idx);
+        let slot = self.slot_or_insert(idx);
+        let set = &mut self.sets[slot];
+        set.apply_diff(&diff.removed, &diff.added);
+        if set.is_empty() {
             // Tombstone: the slot stays allocated for reuse when the
             // position refills; an empty set reads as "no weights".
-            let slot = self.slots[idx];
-            if slot != EMPTY_SLOT {
-                self.sets[slot as usize].clear();
-            }
+            self.bits.unset(idx);
         } else {
             self.bits.set(idx);
-            *self.set_mut_or_insert(idx) = next;
         }
-        self.universe.take();
-        self.fold.take();
-        Ok(())
+        Ok(slot)
     }
 
     /// Borrows the underlying bit set.
@@ -661,16 +763,23 @@ mod tests {
         wbf.union_with(&other).unwrap();
         assert_eq!(wbf.weight_universe().as_slice(), &[w(1, 3), w(2, 3)]);
 
-        // Delta application does too — replay a counting filter's churn.
+        // Delta application keeps it in step — replay a counting filter's
+        // churn onto the cached universe: a new weight is admitted, and a
+        // weight whose last position drops it is retired.
         let mut counting = crate::counting::CountingWbf::new(params(), 1);
         counting.insert(5, Weight::ONE).unwrap();
         let mut replayed = counting.snapshot();
         assert_eq!(replayed.max_weight(), Some(Weight::ONE));
         counting.drain_dirty();
+        counting.insert(6, w(1, 3)).unwrap();
+        replay(&mut replayed, counting.drain_dirty()).unwrap();
+        assert_eq!(
+            replayed.weight_universe().as_slice(),
+            &[w(1, 3), Weight::ONE]
+        );
         counting.remove(5, Weight::ONE).unwrap();
-        for (bit, diff) in counting.drain_dirty() {
-            replayed.apply_diff(bit, &diff).unwrap();
-        }
+        counting.remove(6, w(1, 3)).unwrap();
+        replay(&mut replayed, counting.drain_dirty()).unwrap();
         assert!(replayed.weight_universe().is_empty());
 
         // A clone carries an independent, consistent cache.
@@ -742,58 +851,179 @@ mod tests {
         assert!(!wbf.contains(11) || wbf.query(11).is_some());
     }
 
+    /// Applies drained `(position, diff)` pairs as one delta whose diff
+    /// table holds each entry's diff.
+    fn replay(wbf: &mut WeightedBloomFilter, drained: Vec<(u32, WeightDiff)>) -> Result<()> {
+        let (entries, diffs): (Vec<(u32, u32)>, Vec<WeightDiff>) = drained
+            .into_iter()
+            .enumerate()
+            .map(|(i, (bit, diff))| ((bit, i as u32), diff))
+            .unzip();
+        wbf.apply_delta(&diffs, &entries)
+    }
+
+    /// The position of `key`'s first probe.
+    fn first_probe(wbf: &WeightedBloomFilter, key: u64) -> u32 {
+        wbf.family.probes(key, wbf.bit_len()).next().unwrap() as u32
+    }
+
+    /// Builds and caches the derived weight state the way a scan does.
+    fn warm(wbf: &WeightedBloomFilter, key: u64) {
+        wbf.weight_universe();
+        let mut pre = crate::probe::PrecomputedProbes::new();
+        pre.compute(&wbf.family, wbf.bit_len(), &[key]);
+        assert!(wbf
+            .query_precomputed(&pre, &mut QueryScratch::new())
+            .is_some());
+    }
+
+    /// Asserts that `wbf`'s derived state answers exactly like that of
+    /// its wire round-trip, whose state is derived afresh: same universe,
+    /// same precomputed folds over every single key and key pair.
+    fn assert_derived_state_fresh(wbf: &WeightedBloomFilter, keys: &[u64]) {
+        let fresh = crate::encode::decode_wbf(crate::encode::encode_wbf(wbf).unwrap()).unwrap();
+        assert_eq!(wbf.weight_universe(), fresh.weight_universe());
+        let mut pre = crate::probe::PrecomputedProbes::new();
+        let (mut a, mut b) = (QueryScratch::new(), QueryScratch::new());
+        for &x in keys {
+            for probe in [vec![x], keys.iter().map(|&y| y ^ x).collect()] {
+                pre.compute(&wbf.family, wbf.bit_len(), &probe);
+                assert_eq!(
+                    wbf.query_precomputed(&pre, &mut a),
+                    fresh.query_precomputed(&pre, &mut b),
+                    "probe {probe:?}"
+                );
+            }
+            for &y in keys {
+                pre.compute(&wbf.family, wbf.bit_len(), &[x, y]);
+                assert_eq!(
+                    wbf.query_precomputed(&pre, &mut a),
+                    fresh.query_precomputed(&pre, &mut b),
+                    "probe [{x}, {y}]"
+                );
+            }
+        }
+    }
+
     #[test]
-    fn apply_diff_mirrors_counting_updates() {
+    fn apply_delta_mirrors_counting_updates() {
         let mut wbf = WeightedBloomFilter::new(params(), 1);
         wbf.insert(5, w(1, 2));
         let mut counting = crate::counting::CountingWbf::new(params(), 1);
         counting.insert(5, w(1, 2)).unwrap();
         counting.drain_dirty();
+        warm(&wbf, 5);
         // Churn the counting side, replay its diffs onto the plain filter.
         counting.insert(9, w(1, 3)).unwrap();
         counting.remove(5, w(1, 2)).unwrap();
-        for (bit, diff) in counting.drain_dirty() {
-            wbf.apply_diff(bit, &diff).unwrap();
-        }
+        replay(&mut wbf, counting.drain_dirty()).unwrap();
         assert_eq!(wbf, counting.snapshot());
+        assert_derived_state_fresh(&wbf, &[5, 9]);
     }
 
     #[test]
-    fn apply_diff_rejects_divergent_state() {
+    fn apply_delta_rejects_divergent_state() {
         let mut wbf = WeightedBloomFilter::new(params(), 1);
         wbf.insert(5, w(1, 2));
-        let bit = {
-            let m = wbf.bit_len();
-            wbf.family.probes(5, m).next().unwrap() as u32
-        };
+        warm(&wbf, 5);
+        let bit = first_probe(&wbf, 5);
         let before = wbf.clone();
+        let rejects = |wbf: &mut WeightedBloomFilter, diffs: &[WeightDiff], entry, msg| {
+            assert_eq!(
+                wbf.apply_delta(diffs, &[entry]),
+                Err(CoreError::decode(msg))
+            );
+        };
         // Removing a weight the position never carried…
-        let diff = WeightDiff {
+        let removes_foreign = WeightDiff {
             removed: WeightSet::singleton(w(1, 7)),
             added: WeightSet::new(),
         };
-        assert!(wbf.apply_diff(bit, &diff).is_err());
+        rejects(
+            &mut wbf,
+            &[removes_foreign],
+            (bit, 0),
+            "delta removes a weight the position does not carry",
+        );
         // …adding one it already carries…
-        let diff = WeightDiff {
+        let adds_present = WeightDiff {
             removed: WeightSet::new(),
             added: WeightSet::singleton(w(1, 2)),
         };
-        assert!(wbf.apply_diff(bit, &diff).is_err());
-        // …an empty diff, and an out-of-range position: all rejected
-        // without mutating anything.
-        assert!(wbf.apply_diff(bit, &WeightDiff::default()).is_err());
-        assert!(wbf.apply_diff(u32::MAX, &WeightDiff::default()).is_err());
+        rejects(
+            &mut wbf,
+            &[adds_present],
+            (bit, 0),
+            "delta adds a weight the position already carries",
+        );
+        // …an empty diff, an out-of-range position and a diff index
+        // outside the table: all rejected without mutating anything.
+        let empty = [WeightDiff::default()];
+        rejects(&mut wbf, &empty, (bit, 0), "empty delta entry");
+        rejects(
+            &mut wbf,
+            &empty,
+            (u32::MAX, 0),
+            "delta entry beyond filter length",
+        );
+        rejects(
+            &mut wbf,
+            &empty,
+            (bit, 1),
+            "delta entry references a diff outside the table",
+        );
         assert_eq!(wbf, before);
+        assert_derived_state_fresh(&wbf, &[5]);
     }
 
     #[test]
-    fn from_parts_validates_consistency() {
-        let wbf = WeightedBloomFilter::new(params(), 1);
-        let bits = wbf.bits().clone();
-        let mut weights = BTreeMap::new();
-        weights.insert(3u32, WeightSet::singleton(Weight::ONE));
-        // Bit 3 is not set → invalid.
-        let family = HashFamily::new(4, 1);
-        assert!(WeightedBloomFilter::from_parts(bits, weights, family, 0).is_err());
+    fn apply_delta_stops_at_the_first_rejected_entry() {
+        let mut wbf = WeightedBloomFilter::new(params(), 1);
+        wbf.insert(1, w(1, 2));
+        wbf.insert(2, w(1, 3));
+        wbf.insert(3, w(1, 4));
+        let retire = WeightDiff {
+            removed: WeightSet::singleton(w(1, 4)),
+            added: WeightSet::new(),
+        };
+        let admit = WeightDiff {
+            removed: WeightSet::new(),
+            added: WeightSet::singleton(w(5, 7)),
+        };
+        let diffs = [retire, admit];
+        let m = wbf.bit_len() as u32;
+        let occupied: Vec<u32> = (0..m).filter(|&b| wbf.bits.get(b as usize)).collect();
+        let key3: Vec<u32> = wbf.family.probes(3, m as usize).map(|b| b as u32).collect();
+        let clear: Vec<u32> = (0..m).filter(|b| !occupied.contains(b)).take(2).collect();
+        // Retire weight 1/4 from all but one of key 3's positions and admit
+        // 5/7 at a clear position; then re-admit 5/7 there (rejected), and
+        // behind the rejection finish both jobs.
+        let (last, rest) = key3.split_last().unwrap();
+        let mut entries: Vec<(u32, u32)> = rest.iter().map(|&b| (b, 0)).collect();
+        entries.push((clear[0], 1));
+        let k = entries.len();
+        entries.extend([(clear[0], 1), (*last, 0), (clear[1], 1)]);
+        for warmed in [false, true] {
+            let mut filter = wbf.clone();
+            if warmed {
+                warm(&filter, 3);
+            }
+            assert_eq!(
+                filter.apply_delta(&diffs, &entries),
+                Err(CoreError::decode(
+                    "delta adds a weight the position already carries"
+                ))
+            );
+            let mut reference = wbf.clone();
+            reference.apply_delta(&diffs, &entries[..k]).unwrap();
+            assert_eq!(filter, reference, "warmed: {warmed}");
+            assert!(filter.bits.get(clear[0] as usize));
+            assert!(!filter.bits.get(clear[1] as usize));
+            assert_eq!(
+                filter.weight_universe().as_slice(),
+                &[w(1, 4), w(1, 3), w(1, 2), w(5, 7)]
+            );
+            assert_derived_state_fresh(&filter, &[1, 2, 3, 4]);
+        }
     }
 }

@@ -217,6 +217,22 @@ impl WeightSet {
         }
     }
 
+    /// Removes the weights of `removed` and inserts those of `added`, in
+    /// place. The backing vector grows by exactly what the result must
+    /// hold, so a set edited by many deltas carries no doubling slack.
+    pub(crate) fn apply_diff(&mut self, removed: &WeightSet, added: &WeightSet) {
+        self.sorted.retain(|&w| !removed.contains(w));
+        self.sorted.reserve_exact(added.len());
+        for &w in &added.sorted {
+            self.insert(w);
+        }
+    }
+
+    /// The index of `weight` in ascending order, if present.
+    pub(crate) fn position(&self, weight: Weight) -> Option<usize> {
+        self.sorted.binary_search(&weight).ok()
+    }
+
     /// Adds every weight of `other` into `self`.
     pub fn union_with(&mut self, other: &WeightSet) {
         for &w in &other.sorted {

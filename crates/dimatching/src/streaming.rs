@@ -123,9 +123,7 @@ impl StationState {
                         self.applied_epoch
                     )));
                 }
-                for (pos, diff) in &delta.entries {
-                    filter.apply_diff(*pos, diff)?;
-                }
+                filter.apply_delta(&delta.diffs, &delta.entries)?;
                 self.totals = query_totals;
             }
         }
@@ -525,9 +523,7 @@ impl StreamingSession {
         // else — session start, post-failure resync, or a station an
         // earlier epoch's routing pruned and this one re-targets — gets
         // this epoch's full snapshot instead.
-        let delta = FilterDelta {
-            entries: self.center.drain_dirty(),
-        };
+        let delta = FilterDelta::intern(self.center.drain_dirty());
         let delta_entries = delta.entries.len();
         let mut full_stations: Vec<usize> = Vec::new();
         let mut delta_stations: Vec<usize> = Vec::new();
@@ -611,9 +607,7 @@ impl StreamingSession {
         let delta_len = wire::encode_station_update(&StationUpdate::Delta {
             epoch: self.epoch,
             query_totals: totals,
-            delta: FilterDelta {
-                entries: self.center.pending_dirty(),
-            },
+            delta: FilterDelta::intern(self.center.pending_dirty()),
         })?
         .len() as u64;
         let epoch = self.epoch;

@@ -615,7 +615,9 @@ const UPDATE_KIND_FULL: u8 = 0;
 const UPDATE_KIND_DELTA: u8 = 1;
 
 /// The changed positions of one filter section, as per-position
-/// [`WeightDiff`]s against the receiver's current state.
+/// [`WeightDiff`]s against the receiver's current state — held the way the
+/// frame carries them: each distinct diff once, and each entry as a
+/// position plus an index into that diff table.
 ///
 /// Entries are in strictly ascending position order — the canonical form
 /// [`CountingWbf::drain_dirty`](dipm_core::CountingWbf::drain_dirty)
@@ -629,11 +631,37 @@ const UPDATE_KIND_DELTA: u8 = 1;
 /// missed or replayed an epoch.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FilterDelta {
-    /// `(position, diff)` in strictly ascending position order.
-    pub entries: Vec<(u32, WeightDiff)>,
+    /// The diff table, in the order entries first reference each diff.
+    pub diffs: Vec<WeightDiff>,
+    /// `(position, index into diffs)` in strictly ascending position order.
+    pub entries: Vec<(u32, u32)>,
 }
 
 impl FilterDelta {
+    /// Interns drained `(position, diff)` entries: each distinct diff
+    /// enters the table once, in first-seen order.
+    pub fn intern(drained: Vec<(u32, WeightDiff)>) -> FilterDelta {
+        let mut diffs: Vec<WeightDiff> = Vec::new();
+        let mut index: std::collections::HashMap<WeightDiff, u32> =
+            std::collections::HashMap::new();
+        let entries = drained
+            .into_iter()
+            .map(|(pos, diff)| {
+                let id = match index.get(&diff) {
+                    Some(&id) => id,
+                    None => {
+                        let id = diffs.len() as u32;
+                        index.insert(diff.clone(), id);
+                        diffs.push(diff);
+                        id
+                    }
+                };
+                (pos, id)
+            })
+            .collect();
+        FilterDelta { diffs, entries }
+    }
+
     /// Whether the delta changes nothing (a pure CDR-churn epoch).
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
@@ -720,15 +748,28 @@ fn take_varint(data: &mut Bytes) -> Result<u64> {
 
 /// Serializes a delta with the same weight-set interning idea the
 /// full-filter encoding uses, applied to *diffs*: a dictionary of distinct
-/// weights (`u16` ids) and a table of distinct `(removed, added)` diffs,
-/// with each entry carrying its position as a varint gap from the previous
-/// entry plus a varint reference into the diff table. A churned pattern
-/// stamps the same diff onto every position it touches, so the table stays
-/// tiny however many positions change.
+/// weights (`u16` ids), the diff table as `(removed, added)` id lists, and
+/// each entry as its position's varint gap from the previous entry plus a
+/// varint reference into the diff table. A churned pattern stamps the same
+/// diff onto every position it touches, so the table stays tiny however
+/// many positions change.
 fn put_filter_delta(buf: &mut BytesMut, delta: &FilterDelta) -> Result<()> {
     // Dictionary of distinct weights across all diffs, ascending.
     let mut dict_set = WeightSet::new();
-    for (_, diff) in &delta.entries {
+    for diff in &delta.diffs {
+        if diff.is_empty() {
+            return Err(ProtocolError::malformed_report("empty delta entry"));
+        }
+        if !diff.removed.intersection(&diff.added).is_empty() {
+            return Err(ProtocolError::malformed_report(
+                "diff removes and adds the same weight",
+            ));
+        }
+        if diff.removed.len().max(diff.added.len()) > u16::MAX as usize {
+            return Err(ProtocolError::frame_too_large(
+                "more weights in one diff than the delta format supports",
+            ));
+        }
         dict_set.union_with(&diff.removed);
         dict_set.union_with(&diff.added);
     }
@@ -738,79 +779,45 @@ fn put_filter_delta(buf: &mut BytesMut, delta: &FilterDelta) -> Result<()> {
             "more distinct weights than the delta format's u16 dictionary",
         ));
     }
-    let side_ids = |side: &WeightSet| -> Result<Vec<u16>> {
-        if side.len() > u16::MAX as usize {
-            return Err(ProtocolError::frame_too_large(
-                "more weights in one diff than the delta format supports",
-            ));
-        }
-        Ok(side
-            .iter()
-            .map(|w| {
-                dict.binary_search(&w)
-                    .expect("dictionary contains every delta weight") as u16
-            })
-            .collect())
-    };
-    // Table of distinct diffs, first-seen order.
-    let mut diffs: Vec<(Vec<u16>, Vec<u16>)> = Vec::new();
-    let mut index: std::collections::HashMap<(Vec<u16>, Vec<u16>), u64> =
-        std::collections::HashMap::new();
-    let mut refs: Vec<u64> = Vec::with_capacity(delta.entries.len());
-    let mut previous: Option<u32> = None;
-    for (pos, diff) in &delta.entries {
-        if previous.is_some_and(|p| p >= *pos) {
-            return Err(ProtocolError::malformed_report(
-                "delta positions must be strictly ascending",
-            ));
-        }
-        previous = Some(*pos);
-        if diff.is_empty() {
-            return Err(ProtocolError::malformed_report("empty delta entry"));
-        }
-        if !diff.removed.intersection(&diff.added).is_empty() {
-            return Err(ProtocolError::malformed_report(
-                "diff removes and adds the same weight",
-            ));
-        }
-        let key = (side_ids(&diff.removed)?, side_ids(&diff.added)?);
-        let id = match index.get(&key) {
-            Some(&id) => id,
-            None => {
-                let id = diffs.len() as u64;
-                index.insert(key.clone(), id);
-                diffs.push(key);
-                id
-            }
-        };
-        refs.push(id);
-    }
     buf.put_u32_le(frame_count(dict.len())?);
     for weight in &dict {
         buf.put_u64_le(weight.numerator());
         buf.put_u64_le(weight.denominator());
     }
-    buf.put_u32_le(frame_count(diffs.len())?);
-    for (removed, added) in &diffs {
-        buf.put_u16_le(removed.len() as u16);
-        buf.put_u16_le(added.len() as u16);
-        for &id in removed.iter().chain(added) {
-            buf.put_u16_le(id);
+    buf.put_u32_le(frame_count(delta.diffs.len())?);
+    for diff in &delta.diffs {
+        buf.put_u16_le(diff.removed.len() as u16);
+        buf.put_u16_le(diff.added.len() as u16);
+        for w in diff.removed.iter().chain(diff.added.iter()) {
+            let id = dict
+                .binary_search(&w)
+                .expect("dictionary contains every delta weight");
+            buf.put_u16_le(id as u16);
         }
     }
     buf.put_u32_le(frame_count(delta.entries.len())?);
     let mut previous: Option<u32> = None;
-    for ((pos, _), diff_ref) in delta.entries.iter().zip(refs) {
+    for &(pos, diff_ref) in &delta.entries {
         // First entry: the absolute position. Later entries: the gap minus
         // one (strict ascent makes gap ≥ 1, so the common consecutive-run
         // case encodes as a zero byte).
         let gap = match previous {
-            None => u64::from(*pos),
-            Some(p) => u64::from(*pos - p - 1),
+            None => u64::from(pos),
+            Some(p) if p < pos => u64::from(pos - p - 1),
+            Some(_) => {
+                return Err(ProtocolError::malformed_report(
+                    "delta positions must be strictly ascending",
+                ))
+            }
         };
-        previous = Some(*pos);
+        if diff_ref as usize >= delta.diffs.len() {
+            return Err(ProtocolError::malformed_report(
+                "delta diff reference outside table",
+            ));
+        }
+        previous = Some(pos);
         put_varint(buf, gap);
-        put_varint(buf, diff_ref);
+        put_varint(buf, u64::from(diff_ref));
     }
     Ok(())
 }
@@ -914,14 +921,13 @@ fn take_filter_delta(data: &mut Bytes) -> Result<FilterDelta> {
         })?;
         previous = Some(pos);
         let diff_ref = take_varint(data)?;
-        let diff = usize::try_from(diff_ref)
+        let diff_ref = u32::try_from(diff_ref)
             .ok()
-            .and_then(|i| diffs.get(i))
-            .cloned()
+            .filter(|&i| (i as usize) < diffs.len())
             .ok_or_else(|| ProtocolError::malformed_report("delta diff reference outside table"))?;
-        entries.push((pos, diff));
+        entries.push((pos, diff_ref));
     }
-    Ok(FilterDelta { entries })
+    Ok(FilterDelta { diffs, entries })
 }
 
 /// Frames one streaming epoch's broadcast.
@@ -2008,15 +2014,20 @@ mod tests {
     #[test]
     fn station_update_delta_roundtrips_with_interning() {
         let churn = diff(&[w(1, 3)], &[w(2, 3)]);
-        let delta = FilterDelta {
-            entries: vec![
-                (3, churn.clone()),
-                (9, diff(&[Weight::ONE], &[])),
-                (17, churn.clone()),
-                (18, churn.clone()),
-                (40, diff(&[], &[Weight::ONE])),
-            ],
-        };
+        let delta = FilterDelta::intern(vec![
+            (3, churn.clone()),
+            (9, diff(&[Weight::ONE], &[])),
+            (17, churn.clone()),
+            (18, churn.clone()),
+            (40, diff(&[], &[Weight::ONE])),
+        ]);
+        // The table holds each distinct diff once, in first-seen order.
+        assert_eq!(delta.diffs.len(), 3);
+        assert_eq!(delta.diffs[0], churn);
+        assert_eq!(
+            delta.entries,
+            vec![(3, 0), (9, 1), (17, 0), (18, 0), (40, 2)]
+        );
         let update = StationUpdate::Delta {
             epoch: 7,
             query_totals: vec![100, 250],
@@ -2041,33 +2052,27 @@ mod tests {
 
     #[test]
     fn delta_encoder_rejects_disorder_and_empty_diffs() {
-        let out_of_order = FilterDelta {
-            entries: vec![
-                (9, diff(&[], &[Weight::ONE])),
-                (3, diff(&[], &[Weight::ONE])),
-            ],
-        };
+        let out_of_order = FilterDelta::intern(vec![
+            (9, diff(&[], &[Weight::ONE])),
+            (3, diff(&[], &[Weight::ONE])),
+        ]);
         assert!(encode_station_update(&StationUpdate::Delta {
             epoch: 0,
             query_totals: vec![],
             delta: out_of_order,
         })
         .is_err());
-        let duplicate = FilterDelta {
-            entries: vec![
-                (3, diff(&[], &[Weight::ONE])),
-                (3, diff(&[], &[Weight::ONE])),
-            ],
-        };
+        let duplicate = FilterDelta::intern(vec![
+            (3, diff(&[], &[Weight::ONE])),
+            (3, diff(&[], &[Weight::ONE])),
+        ]);
         assert!(encode_station_update(&StationUpdate::Delta {
             epoch: 0,
             query_totals: vec![],
             delta: duplicate,
         })
         .is_err());
-        let empty_diff = FilterDelta {
-            entries: vec![(3, WeightDiff::default())],
-        };
+        let empty_diff = FilterDelta::intern(vec![(3, WeightDiff::default())]);
         assert!(encode_station_update(&StationUpdate::Delta {
             epoch: 0,
             query_totals: vec![],
@@ -2077,13 +2082,22 @@ mod tests {
         // Encode/decode symmetry: an overlapping diff is rejected at the
         // encoder too, so the center can never frame an update every
         // station would refuse.
-        let overlapping = FilterDelta {
-            entries: vec![(3, diff(&[Weight::ONE], &[Weight::ONE]))],
-        };
+        let overlapping = FilterDelta::intern(vec![(3, diff(&[Weight::ONE], &[Weight::ONE]))]);
         assert!(encode_station_update(&StationUpdate::Delta {
             epoch: 0,
             query_totals: vec![],
             delta: overlapping,
+        })
+        .is_err());
+        // An entry must reference a diff inside the table.
+        let dangling = FilterDelta {
+            diffs: vec![diff(&[], &[Weight::ONE])],
+            entries: vec![(3, 1)],
+        };
+        assert!(encode_station_update(&StationUpdate::Delta {
+            epoch: 0,
+            query_totals: vec![],
+            delta: dangling,
         })
         .is_err());
     }

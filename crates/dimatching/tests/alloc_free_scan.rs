@@ -4,7 +4,9 @@
 //!
 //! A counting global allocator measures whole `scan_shard_wbf` calls over
 //! shards of different sizes: the allocation count must not grow with
-//! `rows × sections` — it stays at the fixed per-call setup cost.
+//! `rows × sections` — it stays at the fixed per-call setup cost. The same
+//! counter holds the streaming delta decoder to allocating per distinct
+//! diff, never per changed position.
 //!
 //! The counter is per thread: the test harness runs tests in parallel, and
 //! a process-global count would charge one test's allocations to another.
@@ -12,7 +14,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use dipm_core::WbfFrameView;
+use dipm_core::{WbfFrameView, Weight, WeightDiff, WeightSet};
 use dipm_mobilenet::UserId;
 use dipm_protocol::{
     build_wbf, scan_shard_wbf, wire, DiMatchingConfig, PatternQuery, WbfScanFilter, WbfScanSection,
@@ -171,5 +173,49 @@ fn zero_copy_wire_view_scan_holds_the_same_allocation_contract() {
     assert_eq!(
         tall, huge,
         "4× the view sections over 16× the rows must stay at the setup cost"
+    );
+}
+
+#[test]
+fn delta_decoding_allocates_per_diff_not_per_entry() {
+    // Two delta frames over one diff table, 100× apart in entry count: a
+    // station decoding either must pay for the table alone.
+    let w = |n, d| Weight::new(n, d).expect("nonzero denominator");
+    let diffs = [
+        WeightDiff {
+            removed: WeightSet::singleton(w(1, 3)),
+            added: WeightSet::singleton(w(2, 3)),
+        },
+        WeightDiff {
+            removed: WeightSet::new(),
+            added: [w(1, 2), Weight::ONE].into_iter().collect(),
+        },
+    ];
+    let frame = |entries: u32| {
+        let drained = (0..entries)
+            .map(|i| (i * 3, diffs[i as usize % diffs.len()].clone()))
+            .collect();
+        wire::encode_station_update(&wire::StationUpdate::Delta {
+            epoch: 1,
+            query_totals: vec![10, 20],
+            delta: wire::FilterDelta::intern(drained),
+        })
+        .expect("delta frames")
+    };
+    let measure = |frame| {
+        let before = allocations();
+        let update = wire::decode_station_update(frame).expect("delta decodes");
+        let after = allocations();
+        let wire::StationUpdate::Delta { delta, .. } = update else {
+            panic!("kind flipped in flight");
+        };
+        assert_eq!(delta.diffs.len(), diffs.len());
+        after - before
+    };
+    let small = measure(frame(100));
+    let large = measure(frame(10_000));
+    assert_eq!(
+        small, large,
+        "100× the entries must not add allocations: {small} -> {large}"
     );
 }

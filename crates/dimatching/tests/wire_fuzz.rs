@@ -35,7 +35,7 @@ fn delta_from(seeds: &[(u32, u64)]) -> wire::FilterDelta {
         .collect();
     entries.sort_by_key(|&(pos, _)| pos);
     entries.dedup_by_key(|&mut (pos, _)| pos);
-    wire::FilterDelta { entries }
+    wire::FilterDelta::intern(entries)
 }
 
 proptest! {

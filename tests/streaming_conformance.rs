@@ -158,9 +158,7 @@ fn replay_session_deltas(
             }
         }
         // One "broadcast": drain, frame, decode, apply at the station.
-        let delta = wire::FilterDelta {
-            entries: center.drain_dirty(),
-        };
+        let delta = wire::FilterDelta::intern(center.drain_dirty());
         let frame = wire::encode_station_update(&wire::StationUpdate::Delta {
             epoch: 0,
             query_totals: vec![],
@@ -175,9 +173,9 @@ fn replay_session_deltas(
             panic!("kind flipped in flight");
         };
         prop_assert_eq!(&received, &delta, "delta did not round-trip");
-        for (pos, diff) in &received.entries {
-            station.apply_diff(*pos, diff).unwrap();
-        }
+        station
+            .apply_delta(&received.diffs, &received.entries)
+            .unwrap();
         // Structural and behavioral equivalence. (The `inserted` statistic
         // is deliberately excluded: it refreshes on full broadcasts only
         // and never affects matching.)
