@@ -19,7 +19,12 @@
 //!   deltas shard-locally under any
 //!   [`ExecutionMode`](dipm_distsim::ExecutionMode) — a pure CDR-churn
 //!   epoch (new traffic, same queries) costs a near-empty delta frame plus
-//!   the scans, never a re-broadcast.
+//!   the scans, never a re-broadcast. A station pays for the delta, not
+//!   the filter: it decodes the frame's diff table once, applies each
+//!   entry in place to its position's weight set
+//!   ([`WeightedBloomFilter::apply_delta`]), and keeps the scan's derived
+//!   fold state (weight universe and per-slot fold masks) in step instead
+//!   of re-deriving it from every occupied position.
 //!
 //! The session pins its filter geometry at creation (incremental updates
 //! cannot resize a hash table without rehashing everything, i.e. a
@@ -31,8 +36,9 @@
 //!
 //! Epoch scans honor [`DiMatchingConfig::scan_algorithm`] like the batch
 //! pipeline: the dynamic-pruning rungs skip only provably reportless work,
-//! and the counting filter's cached score-bound universe is invalidated by
-//! every insert/remove, so churn can never leave a stale bound behind.
+//! and every applied delta admits and retires weights in the station
+//! filter's cached score-bound universe, so churn can never leave a stale
+//! bound behind.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -83,6 +89,10 @@ struct SessionRouting {
 
 /// One base station's cross-epoch state: its decoded filter, the live
 /// query volumes, and the last epoch it applied.
+///
+/// A full update replaces the filter; a delta is applied to it in place,
+/// and the fold state the previous epoch's scan derived stays cached and
+/// in step, so the next scan starts warm.
 #[derive(Debug, Default)]
 struct StationState {
     filter: Option<WeightedBloomFilter>,
