@@ -540,6 +540,7 @@ impl WeightedBloomFilter {
             let slot = self.apply_entry(bit, diff)?;
             applied[d as usize] += 1;
             if let Some(masks) = state.as_mut().and_then(|state| state.masks.as_mut()) {
+                // A freshly allocated slot extends the parallel mask vector.
                 if slot == masks.len() {
                     masks.push(0);
                 }

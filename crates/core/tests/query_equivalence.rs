@@ -11,7 +11,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use dipm_core::{
-    CountingWbf, FilterParams, HashFamily, Kernel, PrecomputedProbes, QueryScratch, Weight,
+    encode, CountingWbf, FilterParams, HashFamily, Kernel, PrecomputedProbes, QueryScratch, Weight,
     WeightedBloomFilter,
 };
 use proptest::collection::vec;
@@ -214,6 +214,102 @@ proptest! {
                     wbf.bits().contains_probes_simd(kw, km),
                     wbf.contains(key),
                     "key {} batch vs single-key membership", key
+                );
+            }
+        }
+    }
+
+    // Delta application keeps the derived fold state in step. Two drains of
+    // counting-filter churn are concatenated into one delta, so positions
+    // repeat and a weight may arrive and leave within it; optionally one
+    // entry is replayed right after itself, which must be rejected. The
+    // delta lands on a filter whose universe and fold masks a scan already
+    // built. Entries before the rejection stay applied and none after, and
+    // the universe and the precomputed (mask-fold) answers match those of
+    // the wire round-trip, whose state is derived afresh. A 97-weight pool
+    // takes the universe across the 64-weight mask width.
+    #[test]
+    fn apply_delta_keeps_the_fold_state_in_step(
+        seed in any::<u64>(),
+        wide in any::<bool>(),
+        initial in 0u64..100,
+        churn in vec((any::<bool>(), any::<u64>()), 0..60),
+        split in any::<u64>(),
+        replay in (any::<bool>(), any::<u64>()),
+    ) {
+        let params = FilterParams::new(1 << 11, 3).unwrap();
+        let pool = if wide { 97 } else { 9 };
+        // Weights scattered over the pool, so new ones land inside the
+        // sorted universe, not only past its end.
+        let pair = |i: u64| {
+            let key = i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            (key, Weight::new((key >> 40) % pool + 1, pool).unwrap())
+        };
+        let mut center = CountingWbf::new(params, seed);
+        let mut live: Vec<(u64, Weight)> = Vec::new();
+        for i in 0..initial {
+            let (key, w) = pair(i);
+            center.insert(key, w).unwrap();
+            live.push((key, w));
+        }
+        center.drain_dirty();
+        let station = center.snapshot();
+        let mut next = initial;
+        let mut diffs = Vec::new();
+        let mut entries: Vec<(u32, u32)> = Vec::new();
+        let cut = split as usize % (churn.len() + 1);
+        for ops in [&churn[..cut], &churn[cut..]] {
+            for &(is_insert, pick) in ops {
+                if is_insert || live.is_empty() {
+                    let (key, w) = pair(next);
+                    next += 1;
+                    center.insert(key, w).unwrap();
+                    live.push((key, w));
+                } else {
+                    let (key, w) = live.swap_remove(pick as usize % live.len());
+                    center.remove(key, w).unwrap();
+                }
+            }
+            for (bit, diff) in center.drain_dirty() {
+                entries.push((bit, diffs.len() as u32));
+                diffs.push(diff);
+            }
+        }
+        if replay.0 && !entries.is_empty() {
+            let at = replay.1 as usize % entries.len();
+            entries.insert(at + 1, entries[at]);
+        }
+
+        // Reference: the entries one at a time on a filter with no derived
+        // state, stopping at the first rejection.
+        let mut reference = station.clone();
+        let expected = entries
+            .iter()
+            .try_for_each(|&entry| reference.apply_delta(&diffs, &[entry]));
+        let mut filter = station.clone();
+        let family = HashFamily::new(params.hashes(), seed);
+        let mut pre = PrecomputedProbes::new();
+        let mut scratch = QueryScratch::new();
+        filter.weight_universe();
+        if let Some(&(key, _)) = live.first() {
+            pre.compute(&family, params.bits(), &[key]);
+            filter.query_precomputed(&pre, &mut scratch);
+        }
+        prop_assert_eq!(filter.apply_delta(&diffs, &entries), expected.clone());
+        prop_assert_eq!(&filter, &reference);
+        if expected.is_ok() {
+            prop_assert_eq!(filter.bits(), center.snapshot().bits());
+        }
+        let fresh = encode::decode_wbf(encode::encode_wbf(&filter).unwrap()).unwrap();
+        prop_assert_eq!(filter.weight_universe(), fresh.weight_universe());
+        let mut fresh_scratch = QueryScratch::new();
+        for i in 0..next {
+            for keys in [vec![pair(i).0], vec![pair(i).0, pair(i + 1).0]] {
+                pre.compute(&family, params.bits(), &keys);
+                prop_assert_eq!(
+                    filter.query_precomputed(&pre, &mut scratch).cloned(),
+                    fresh.query_precomputed(&pre, &mut fresh_scratch).cloned(),
+                    "keys {:?}", keys
                 );
             }
         }

@@ -90,16 +90,18 @@ proptest! {
         churn in vec((any::<bool>(), any::<u64>()), 1..40),
         seed_index in 0usize..conformance::SEEDS.len(),
     ) {
-        replay_session_deltas(&churn, pair, 5, conformance::SEEDS[seed_index])?;
+        replay_session_deltas(params(), &churn, pair, 5, conformance::SEEDS[seed_index])?;
     }
 
     // Invariant 3 across the fold-mask width: weights from a 97-weight pool
     // push the station's weight universe past the 64 weights a fold mask
     // indexes, then a remove-heavy tail brings it back under, so replayed
-    // deltas cover the mask path, the generic path and both transitions.
+    // deltas cover the mask path, the generic path and both transitions. A
+    // small, densely filled filter keeps most probes occupied, so a stale
+    // mask bit cannot hide behind a membership miss.
     #[test]
     fn session_deltas_replay_exactly_across_the_fold_mask_width(
-        grow in 40usize..110,
+        grow in 60usize..160,
         churn in vec((0u8..4, any::<u64>()), 0..120),
         seed_index in 0usize..conformance::SEEDS.len(),
     ) {
@@ -107,15 +109,17 @@ proptest! {
             .take(grow)
             .chain(churn.iter().map(|&(kind, pick)| (kind == 0, pick)))
             .collect();
-        replay_session_deltas(&ops, wide_pair, 8, conformance::SEEDS[seed_index])?;
+        let dense = FilterParams::new(1 << 9, 5).unwrap();
+        replay_session_deltas(dense, &ops, wide_pair, 8, conformance::SEEDS[seed_index])?;
     }
 }
 
 /// A pair pool like [`pair`] whose weights span 97 distinct values, more
-/// than the 64 a fold mask can index.
+/// than the 64 a fold mask can index, scattered so that new weights land
+/// inside the sorted universe, not only past its end.
 fn wide_pair(index: u64) -> (u64, Weight) {
     let key = index.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    let weight = Weight::new(index % 97 + 1, 97).unwrap();
+    let weight = Weight::new((key >> 40) % 97 + 1, 97).unwrap();
     (key, weight)
 }
 
@@ -126,13 +130,14 @@ fn wide_pair(index: u64) -> (u64, Weight) {
 /// then answer exactly like the center's fresh snapshot: bits, weight
 /// universe, and both the generic and the precomputed (mask-fold) queries.
 fn replay_session_deltas(
+    params: FilterParams,
     ops: &[(bool, u64)],
     pool: fn(u64) -> (u64, Weight),
     per_epoch: usize,
     seed: u64,
 ) -> Result<(), TestCaseError> {
-    let mut center = CountingWbf::new(params(), seed);
-    let mut station = WeightedBloomFilter::new(params(), seed);
+    let mut center = CountingWbf::new(params, seed);
+    let mut station = WeightedBloomFilter::new(params, seed);
     let family = HashFamily::new(station.hashes(), station.seed());
     let mut pre = PrecomputedProbes::new();
     let (mut scratch, mut reference_scratch) = (QueryScratch::new(), QueryScratch::new());
