@@ -361,10 +361,11 @@ pub fn decode_wbf(data: Bytes) -> Result<WeightedBloomFilter> {
     view_wbf(data).map(WeightedBloomFilter::from)
 }
 
-/// Decodes a weighted frame into a zero-copy [`WbfFrameView`]: the frame
-/// validator behind [`decode_wbf`], which keeps the per-bit set-id region
-/// as a borrowed byte slice of `data`, indexed on demand, instead of
-/// copying a weight set out to every set bit.
+/// Decodes a weighted frame into a zero-copy
+/// [`WbfFrameView`](crate::WbfFrameView): the frame validator behind
+/// [`decode_wbf`], which keeps the per-bit set-id region as a borrowed byte
+/// slice of `data`, indexed on demand, instead of copying a weight set out
+/// to every set bit.
 ///
 /// # Errors
 ///
