@@ -5,8 +5,8 @@ use dipm_core::Weight;
 use dipm_distsim::ExecutionMode;
 use dipm_mobilenet::{Dataset, UserId};
 use dipm_protocol::{
-    aggregate_and_rank, build_wbf, run_pipeline, run_wbf, scan_station, DiMatchingConfig,
-    PatternQuery, PipelineOptions, Service, Shards, TenantId, Wbf,
+    aggregate_and_rank, build_wbf, run_pipeline, run_wbf, scan_shard_wbf, BaseStation,
+    DiMatchingConfig, PatternQuery, PipelineOptions, Service, Shards, TenantId, Wbf,
 };
 
 fn queries(dataset: &Dataset, count: usize) -> Vec<PatternQuery> {
@@ -37,11 +37,10 @@ fn bench_protocol(c: &mut Criterion) {
     let built = build_wbf(&qs, &config).expect("builds");
     let station = dataset.stations()[0];
     let patterns = dataset.station_locals(station).expect("station has data");
-    group.bench_function("scan_station", |b| {
-        b.iter(|| {
-            scan_station(&built.filter, &built.query_totals, patterns, &config, None)
-                .expect("scans")
-        });
+    let store = BaseStation::from_locals(station, patterns, Shards::new(1));
+    let sections = [(0, &built.filter, built.query_totals.as_slice())];
+    group.bench_function("scan_shard_wbf", |b| {
+        b.iter(|| scan_shard_wbf(&sections, store.shard(0), &config, None).expect("scans"));
     });
 
     group.bench_function("aggregate_5k_reports", |b| {

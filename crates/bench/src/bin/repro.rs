@@ -6,16 +6,16 @@
 //!
 //! experiments: fig1a fig1b fig3 convergence fig4 fig4a fig4b fig4c fig4d
 //!              table2 fpp ablation batch latency streaming service scan
-//!              topk routing all   (default: all)
+//!              routing all   (default: all)
 //! ```
 //!
 //! The sweep experiments (`batch`, `latency`, `streaming`, `service`,
-//! `scan`, `topk`, `routing`) also write their tables as
+//! `scan`, `routing`) also write their tables as
 //! `BENCH_<experiment>.json` into `--out` (default: the current directory)
 //! — the checked-in perf trajectory every PR updates. A `--quick` run writes
 //! `BENCH_<experiment>_quick.json` instead, so it never replaces a full
 //! grid, and a run never writes over the baseline it is checking.
-//! `scan`/`topk`/`routing`/`service` with
+//! `scan`/`routing`/`service` with
 //! `--check BASELINE.json` additionally compare the fresh sweep's
 //! geometric-mean gate column against the baseline file and exit non-zero
 //! on a regression past `--tolerance` (default 0.30 = fail below 70 % of
@@ -133,7 +133,7 @@ fn emit_json(path: &Path, reports: &[Report]) {
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: repro [fig1a|fig1b|fig3|convergence|fig4|fig4a|fig4b|fig4c|fig4d|table2|fpp|ablation|batch|latency|streaming|service|scan|topk|routing|all]…"
+        "usage: repro [fig1a|fig1b|fig3|convergence|fig4|fig4a|fig4b|fig4c|fig4d|table2|fpp|ablation|batch|latency|streaming|service|scan|routing|all]…"
     );
     eprintln!("       [--quick] [--users N] [--stations N] [--patterns A,B,C] [--seed S]");
     eprintln!("       [--out DIR] [--check BASELINE.json] [--tolerance F]");
@@ -286,15 +286,6 @@ fn main() -> ExitCode {
                 emit("scan", std::slice::from_ref(&report));
                 if let Some(baseline) = &check_baseline {
                     check_failed |= run_check(&report, "scan", "rows_per_sec", baseline, tolerance);
-                }
-            }
-            "topk" => {
-                eprintln!("running top-k scan sweep (seed {})…", scale.seed);
-                let report = experiments::topk(&scale);
-                print(report.clone());
-                emit("topk", std::slice::from_ref(&report));
-                if let Some(baseline) = &check_baseline {
-                    check_failed |= run_check(&report, "topk", "rows_per_sec", baseline, tolerance);
                 }
             }
             "routing" => {

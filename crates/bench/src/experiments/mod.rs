@@ -12,7 +12,6 @@ mod scan;
 mod service;
 mod streaming;
 mod table2;
-mod topk;
 
 pub use ablation::ablation;
 pub use batch::{batch_scaling, shard_scaling};
@@ -26,4 +25,3 @@ pub use scan::{geomean_rows_per_sec, scan, scan_sweep, ScanPoint};
 pub use service::{service, service_sweep, ServicePoint};
 pub use streaming::{churn_sweep, streaming, ChurnPoint};
 pub use table2::{score_day, table2, DayScore};
-pub use topk::{topk, topk_sweep, TopkPoint};

@@ -9,7 +9,10 @@
 //!
 //! The workload is deliberately miss-dominated: in a city-scale deployment
 //! almost every stored pattern fails the membership test for almost every
-//! query, so the hit-free probe path is what the rows/sec number measures.
+//! query, so the hit-free path is what the rows/sec number measures. A row
+//! probes only the sections that survive the scan's exact prune (no weight
+//! in the section's universe plausible for the row's volume means no
+//! probe), so that number includes the prune test and whatever it skips.
 //! A fixed 1-in-64 slice of rows replays a query's own global pattern, so
 //! report encoding is exercised and the oracle hits stay deterministic.
 //!
@@ -31,11 +34,11 @@ use crate::scale::Scale;
 
 /// Intervals per synthetic CDR pattern (a week at 6-hour resolution, the
 /// paper's Dataset-1 shape).
-pub(crate) const PATTERN_LEN: usize = 28;
+const PATTERN_LEN: usize = 28;
 
 /// One row in `HIT_STRIDE` replays a query global, so the scan always
 /// produces some reports.
-pub(crate) const HIT_STRIDE: usize = 64;
+const HIT_STRIDE: usize = 64;
 
 /// One timed sweep point.
 #[derive(Debug, Clone)]
@@ -60,14 +63,14 @@ pub struct ScanPoint {
 
 /// A deterministic synthetic pattern: `PATTERN_LEN` intervals of bursty
 /// traffic derived from `mix64`.
-pub(crate) fn synthetic_pattern(seed: u64, row: u64) -> Pattern {
+fn synthetic_pattern(seed: u64, row: u64) -> Pattern {
     (0..PATTERN_LEN as u64)
         .map(|i| mix64(seed ^ (row.wrapping_mul(0x9e37) + i)) % 50)
         .collect()
 }
 
 /// A query over two synthetic local fragments.
-pub(crate) fn synthetic_query(seed: u64, index: u64) -> PatternQuery {
+fn synthetic_query(seed: u64, index: u64) -> PatternQuery {
     let a = synthetic_pattern(seed ^ 0xA5A5, index * 2);
     let b = synthetic_pattern(seed ^ 0x5A5A, index * 2 + 1);
     PatternQuery::from_locals(vec![a, b]).expect("synthetic fragments are valid")
@@ -75,11 +78,7 @@ pub(crate) fn synthetic_query(seed: u64, index: u64) -> PatternQuery {
 
 /// The synthetic shard: miss-dominated rows with a deterministic 1-in-64
 /// slice replaying query globals so the hit path is exercised too.
-pub(crate) fn synthetic_shard(
-    seed: u64,
-    rows: usize,
-    queries: &[PatternQuery],
-) -> Vec<(UserId, Pattern)> {
+fn synthetic_shard(seed: u64, rows: usize, queries: &[PatternQuery]) -> Vec<(UserId, Pattern)> {
     (0..rows)
         .map(|r| {
             let pattern = if r % HIT_STRIDE == 0 {
@@ -243,7 +242,8 @@ pub fn scan(scale: &Scale) -> Report {
     report.note(format!("probe kernel: {kernel}"));
     report.note(format!(
         "miss-dominated synthetic shard ({PATTERN_LEN}-interval rows, 1 hit per {HIT_STRIDE} \
-         rows), seed {}; one row = accumulate + sample + probe every section",
+         rows), seed {}; one row = accumulate + sample + prune test + probe every surviving \
+         section",
         scale.seed
     ));
     report

@@ -34,8 +34,11 @@ use crate::hash::{HashFamily, Probes};
 use crate::weight::Weight;
 use crate::weight_set::WeightSet;
 
-/// Reusable scratch for [`query_sequence_into`] — owns the running
-/// intersection so repeated queries share one heap buffer.
+/// Reusable scratch for the `query_sequence_into` probes of
+/// [`WeightedBloomFilter`](crate::WeightedBloomFilter::query_sequence_into),
+/// [`CountingWbf`](crate::CountingWbf::query_sequence_into) and
+/// [`WbfFrameView`](crate::WbfFrameView::query_sequence_into) — owns the
+/// running intersection so repeated queries share one heap buffer.
 ///
 /// Create it once per scan loop and pass it to every call; the buffer's
 /// capacity converges to the largest weight set encountered and the hot

@@ -10,11 +10,11 @@
 //! `(query, ID, weight)` (or `(query, ID)` for the Bloom baseline) tuples
 //! travel back to the center.
 //!
-//! [`scan_station`] and [`scan_station_bloom`] remain as the single-filter,
-//! unsharded convenience API: thin wrappers over the same shard-scan core
-//! the generic pipeline uses.
+//! [`scan_shard_wbf`] and [`scan_shard_bloom`] are the two scans, one per
+//! filter family; a single-filter, unsharded scan is one section over one
+//! shard.
 
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BTreeMap;
 
 use dipm_core::{
     BloomFilter, FilterCore, HashFamily, PrecomputedProbes, QueryScratch, WbfFrameView, Weight,
@@ -24,16 +24,8 @@ use dipm_distsim::CostMeter;
 use dipm_mobilenet::{StationId, UserId};
 use dipm_timeseries::{for_each_sampled_point, Pattern};
 
-use crate::config::{DiMatchingConfig, ScanAlgorithm};
+use crate::config::DiMatchingConfig;
 use crate::error::Result;
-
-/// Rows per block-max metadata entry: the granularity at which
-/// `ScanAlgorithm::BlockMaxWand` skips whole runs of a shard.
-pub const BLOCK_ROWS: usize = 64;
-
-/// One station's candidate report: a user and the weight their pattern
-/// matched with.
-pub type WeightReport = (UserId, Weight);
 
 /// A pure `UserId → shard` layout shared by every station of a deployment.
 ///
@@ -169,8 +161,12 @@ fn sample_keys(pattern: &Pattern, config: &DiMatchingConfig) -> Result<(Vec<u64>
 /// gets it wrongly deleted by Algorithm 3. With no plausible weight the
 /// candidate is dropped. Without broadcast volumes every weight is treated
 /// as plausible (pure-filter fallback).
+///
+/// The scan also runs this rule on a section's whole weight universe before
+/// probing it: `None` there means `None` on every subset, so the section
+/// cannot report the row.
 fn select_weight(
-    set: &dipm_core::WeightSet,
+    set: &WeightSet,
     query_totals: &[u64],
     local_total: u64,
     slack: u64,
@@ -189,49 +185,14 @@ fn select_weight(
     set.iter().find(|&w| !w.is_zero() && plausible(w))
 }
 
-/// The largest nonzero universe weight plausible for *some* volume in
-/// `[vmin, vmax]` under `slack` — the score upper bound dynamic pruning
-/// tests against. `None` proves no row in that volume window can pass
-/// [`select_weight`] for this section, whatever its probe intersection:
-/// the intersection is a subset of the filter's weight universe, and the
-/// plausibility window below is exactly `select_weight`'s when
-/// `vmin == vmax` (the interval form bounds whole blocks). Saturating
-/// arithmetic can only over-admit a weight near the `u128` edge — it never
-/// prunes a plausible one.
-fn max_plausible_weight(
-    universe: &WeightSet,
-    query_totals: &[u64],
-    vmin: u64,
-    vmax: u64,
-    slack: u64,
-) -> Option<Weight> {
-    let plausible = |w: Weight| -> bool {
-        if query_totals.is_empty() {
-            return true;
-        }
-        query_totals.iter().any(|&t| {
-            let implied = w.numerator() as u128 * t as u128;
-            let lo = vmin as u128 * w.denominator() as u128;
-            let hi = vmax as u128 * w.denominator() as u128;
-            let s = slack as u128 * w.denominator() as u128;
-            implied.saturating_add(s) >= lo && implied <= hi.saturating_add(s)
-        })
-    };
-    // Sorted ascending: the last plausible nonzero weight is the bound.
-    universe
-        .as_slice()
-        .iter()
-        .rev()
-        .copied()
-        .find(|&w| !w.is_zero() && plausible(w))
-}
-
-/// The query surface a WBF-style filter must expose for the station scan
-/// kernels — implemented by the owned [`WeightedBloomFilter`] and by the
+/// The query surface a WBF-style filter must expose for the station scan —
+/// implemented by the owned [`WeightedBloomFilter`] and by the
 /// zero-copy [`WbfFrameView`], so a station can scan straight out of a
 /// received broadcast frame without materializing an owned filter.
 pub trait WbfScanFilter: FilterCore {
-    /// The sorted universe of every distinct weight attached in the filter.
+    /// The sorted universe of every distinct weight attached in the filter:
+    /// every weight fold is a subset of it, which is what makes the scan's
+    /// prune exact.
     fn weight_universe(&self) -> &WeightSet;
 
     /// Whether every probed bit named by the `(word, mask)` run is set —
@@ -308,35 +269,6 @@ impl WbfScanFilter for WbfFrameView {
     }
 }
 
-/// Per-section state derived once per shard pass: the weight universe the
-/// score bounds come from, and whether the section is statically dead (no
-/// nonzero weight anywhere, so [`select_weight`] can never accept).
-struct SectionScan<'a, F> {
-    query: u32,
-    filter: &'a F,
-    query_totals: &'a [u64],
-    universe: &'a WeightSet,
-    dead: bool,
-}
-
-fn section_states<'a, F: WbfScanFilter>(
-    sections: &[WbfScanSection<'a, F>],
-) -> Vec<SectionScan<'a, F>> {
-    sections
-        .iter()
-        .map(|&(query, filter, query_totals)| {
-            let universe = filter.weight_universe();
-            SectionScan {
-                query,
-                filter,
-                query_totals,
-                universe,
-                dead: universe.as_slice().iter().all(|w| w.is_zero()),
-            }
-        })
-        .collect()
-}
-
 /// The hash family shared by every section, when they all agree on
 /// `(bits, hashes, seed)` — the precondition for hashing each row's probe
 /// set once and replaying it per section.
@@ -349,31 +281,7 @@ fn shared_geometry<F: WbfScanFilter>(sections: &[WbfScanSection<'_, F>]) -> Opti
         .then(|| HashFamily::new(first.hashes(), first.seed()))
 }
 
-/// The `(vmin, vmax, slack_max)` envelope of one row block, or `None` if
-/// any row is malformed (empty pattern, overflowing total, or zero
-/// configured samples) — a malformed row must reach the sampler so its
-/// error surfaces exactly as under an exhaustive scan, so its block can
-/// never be skipped.
-fn block_stats(block: &[(UserId, &Pattern)], config: &DiMatchingConfig) -> Option<(u64, u64, u64)> {
-    if config.samples == 0 {
-        return None;
-    }
-    let mut vmin = u64::MAX;
-    let mut vmax = 0u64;
-    let mut max_len = 0u64;
-    for &(_, pattern) in block {
-        if pattern.is_empty() {
-            return None;
-        }
-        let total = pattern.total()?;
-        vmin = vmin.min(total);
-        vmax = vmax.max(total);
-        max_len = max_len.max(pattern.len() as u64);
-    }
-    Some((vmin, vmax, config.eps.saturating_mul(max_len)))
-}
-
-/// One WBF query section as the scan kernels see it: the filter plus the
+/// One WBF query section as the station scan sees it: the filter plus the
 /// query volumes it was broadcast with, tagged with the batch-frame query
 /// id. The filter slot is generic over [`WbfScanFilter`] so the same scan
 /// runs against owned filters and zero-copy wire views; it defaults to the
@@ -385,14 +293,17 @@ pub type WbfScanSection<'a, F = WeightedBloomFilter> = (u32, &'a F, &'a [u64]);
 /// `(query, user, weight)` for each section that accepts a pattern with a
 /// consistent, plausible weight, in `(row, section)` visit order.
 ///
-/// `config.scan_algorithm` selects the pruning rung. Every rung is
-/// result-exact — only `(row, section)` pairs whose score bound proves they
-/// cannot pass [`select_weight`] are skipped, so the report list is
-/// byte-identical to [`ScanAlgorithm::Exhaustive`]; only the work (and the
-/// `rows_pruned` / `blocks_skipped` meters) differs. Block skipping never
-/// covers a malformed row, so errors surface identically on every rung.
+/// The scan prunes exactly. Once a row is sampled, a section is skipped
+/// when the weight-selection rule finds no weight in the section's whole
+/// [`weight_universe`](WbfScanFilter::weight_universe) plausible for the
+/// row's volume. A probe's weight fold is a subset of that universe, so a
+/// skipped section could not have reported the row: the reports and their
+/// order are those of an exhaustive scan. The row is sampled before the
+/// test, so a malformed row errors exactly where an exhaustive scan would.
 ///
-/// `meter`, when given, records the hash and comparison work performed.
+/// `meter`, when given, records the work performed: the full probe cost of
+/// every `(row, section)` pair that survives the test as `hash_ops`, every
+/// skipped pair as `rows_pruned`, and the weight-fold comparisons.
 ///
 /// # Errors
 ///
@@ -403,8 +314,6 @@ pub fn scan_shard_wbf<F: WbfScanFilter>(
     config: &DiMatchingConfig,
     meter: Option<&CostMeter>,
 ) -> Result<Vec<(u32, UserId, Weight)>> {
-    let algorithm: ScanAlgorithm = config.scan_algorithm;
-    let states = section_states(sections);
     let family = shared_geometry(sections);
     // Reserve for a percent-level hit rate so steady-state scans never grow
     // the report vector; reports stay rare in a miss-dominated store.
@@ -420,7 +329,7 @@ pub fn scan_shard_wbf<F: WbfScanFilter>(
     let mut keys: Vec<u64> = Vec::with_capacity(config.samples);
     let mut scratch = QueryScratch::new();
     let mut pre = PrecomputedProbes::new();
-    let mut alive: Vec<usize> = Vec::with_capacity(states.len());
+    let mut alive: Vec<usize> = Vec::with_capacity(sections.len());
     if family.is_some() {
         pre.reserve(
             config
@@ -428,309 +337,66 @@ pub fn scan_shard_wbf<F: WbfScanFilter>(
                 .saturating_mul(usize::from(sections[0].1.hashes())),
         );
     }
-    for block in shard.chunks(BLOCK_ROWS) {
-        if algorithm.prunes_blocks() && !states.is_empty() {
-            if let Some((vmin, vmax, smax)) = block_stats(block, config) {
-                let unreportable = states.iter().all(|s| {
-                    s.dead
-                        || max_plausible_weight(s.universe, s.query_totals, vmin, vmax, smax)
-                            .is_none()
-                });
-                if unreportable {
-                    if let Some(m) = meter {
-                        m.record_blocks_skipped(1);
-                    }
-                    continue;
-                }
-            }
-        }
-        for &(user, pattern) in block {
-            let local_total = sample_keys_into(pattern, config, &mut keys)?;
-            let slack = config.eps.saturating_mul(pattern.len() as u64);
-            // Stage 1: score-bound pruning picks the candidate sections.
-            // The meter charges each candidate its full probe cost here —
-            // the work an exhaustive probe of that section would do — so
-            // the recorded cost model is identical on every rung however
-            // early stage 2 cuts the actual hashing short.
-            alive.clear();
-            for (i, s) in states.iter().enumerate() {
-                if algorithm.prunes_sections() && s.dead {
-                    if let Some(m) = meter {
-                        m.record_rows_pruned(1);
-                    }
-                    continue;
-                }
-                if algorithm.prunes_rows()
-                    && max_plausible_weight(
-                        s.universe,
-                        s.query_totals,
-                        local_total,
-                        local_total,
-                        slack,
-                    )
-                    .is_none()
-                {
-                    if let Some(m) = meter {
-                        m.record_rows_pruned(1);
-                    }
-                    continue;
-                }
+    for &(user, pattern) in shard {
+        let local_total = sample_keys_into(pattern, config, &mut keys)?;
+        let slack = config.eps.saturating_mul(pattern.len() as u64);
+        // Stage 1: the exact prune picks the candidate sections. The meter
+        // charges each candidate its full probe cost here, so the recorded
+        // cost depends on the row and the section alone, however early
+        // stage 2 cuts the actual hashing short.
+        alive.clear();
+        for (i, &(_, filter, query_totals)) in sections.iter().enumerate() {
+            if select_weight(filter.weight_universe(), query_totals, local_total, slack).is_none() {
                 if let Some(m) = meter {
-                    m.record_hash_ops(s.filter.probe_cost(keys.len()));
+                    m.record_rows_pruned(1);
                 }
-                alive.push(i);
-            }
-            if alive.is_empty() {
                 continue;
             }
-            // Stage 2 (shared geometry): hash each sampled key once and
-            // test it against every still-alive section as one SIMD batch,
-            // dropping sections the moment a key misses. Hashing stops as
-            // soon as no candidate survives — in a miss-dominated store
-            // most rows die on the first key or two.
-            if let Some(fam) = &family {
-                pre.clear();
-                let bit_len = states[alive[0]].filter.bit_len();
-                for (key_ordinal, &key) in keys.iter().enumerate() {
-                    pre.push_key(fam, bit_len, key);
-                    let (words, masks) = pre.key_masks(key_ordinal);
-                    alive.retain(|&i| states[i].filter.passes_masks(words, masks));
-                    if alive.is_empty() {
-                        break;
-                    }
-                }
+            if let Some(m) = meter {
+                m.record_hash_ops(filter.probe_cost(keys.len()));
             }
-            // Stage 3: survivors fold their weight sets. Under a shared
-            // geometry membership is already proven, so only the weight
-            // intersection remains; otherwise each section runs the full
-            // per-section sequence query.
-            for &i in &alive {
-                let s = &states[i];
-                let set = if family.is_some() {
-                    s.filter.fold_weights_precomputed(&pre, &mut scratch)
-                } else {
-                    s.filter.query_sequence_scratch(&keys, &mut scratch)
-                };
-                if let Some(set) = set {
-                    if let Some(m) = meter {
-                        m.record_comparisons(set.len() as u64 + 1);
-                    }
-                    if let Some(weight) = select_weight(set, s.query_totals, local_total, slack) {
-                        reports.push((s.query, user, weight));
-                    }
+            alive.push(i);
+        }
+        if alive.is_empty() {
+            continue;
+        }
+        // Stage 2 (shared geometry): hash each sampled key once and test it
+        // against every still-alive section as one SIMD batch, dropping
+        // sections the moment a key misses. Hashing stops as soon as no
+        // candidate survives — in a miss-dominated store most rows die on
+        // the first key or two.
+        if let Some(fam) = &family {
+            pre.clear();
+            let bit_len = sections[alive[0]].1.bit_len();
+            for (key_ordinal, &key) in keys.iter().enumerate() {
+                pre.push_key(fam, bit_len, key);
+                let (words, masks) = pre.key_masks(key_ordinal);
+                alive.retain(|&i| sections[i].1.passes_masks(words, masks));
+                if alive.is_empty() {
+                    break;
                 }
             }
         }
-    }
-    Ok(reports)
-}
-
-/// An entry of a per-section top-k heap, ordered so the **worst-ranked**
-/// entry is the heap maximum (rank order: weight descending, then user
-/// ascending — [`aggregate_and_rank`](crate::aggregate_and_rank)'s final
-/// tiebreak). `peek()` is therefore the k-th score threshold θ.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Worst(Weight, UserId);
-
-impl Ord for Worst {
-    fn cmp(&self, other: &Worst) -> std::cmp::Ordering {
-        other.0.cmp(&self.0).then_with(|| self.1.cmp(&other.1))
-    }
-}
-
-impl PartialOrd for Worst {
-    fn partial_cmp(&self, other: &Worst) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// Top-k variant of [`scan_shard_wbf`]: keeps only each section's k
-/// best-ranked reports (weight descending, user ascending) in a local
-/// threshold heap, and — on the pruning rungs — skips rows and blocks whose
-/// score upper bound cannot beat the running k-th score θ.
-///
-/// The θ-skip is exact, not approximate: shard rows ascend by user and rank
-/// ties break toward the *smaller* user, so a later candidate whose bound is
-/// ≤ θ loses to every current heap entry and could never have entered the
-/// heap under [`ScanAlgorithm::Exhaustive`] either. All four rungs return
-/// bit-identical results; each local heap is merged at the center, never a
-/// shared mutable threshold across shards or modes.
-///
-/// Reports are grouped by section in input order, each group best-first.
-/// `k == 0` returns no reports without touching the shard (uniformly across
-/// rungs, so error behavior stays identical).
-///
-/// # Errors
-///
-/// Propagates pattern-transformation errors (overflow, zero samples).
-pub fn scan_shard_wbf_topk<F: WbfScanFilter>(
-    sections: &[WbfScanSection<'_, F>],
-    shard: &[(UserId, &Pattern)],
-    config: &DiMatchingConfig,
-    k: usize,
-    meter: Option<&CostMeter>,
-) -> Result<Vec<(u32, UserId, Weight)>> {
-    if k == 0 {
-        return Ok(Vec::new());
-    }
-    let algorithm = config.scan_algorithm;
-    let states = section_states(sections);
-    let family = shared_geometry(sections);
-    // Static per-section bound: the largest nonzero weight the section's
-    // universe can ever produce (None ⇔ dead).
-    let static_bounds: Vec<Option<Weight>> = states
-        .iter()
-        .map(|s| {
-            s.universe
-                .as_slice()
-                .iter()
-                .rev()
-                .copied()
-                .find(|w| !w.is_zero())
-        })
-        .collect();
-    let mut heaps: Vec<BinaryHeap<Worst>> = states
-        .iter()
-        .map(|_| BinaryHeap::with_capacity(k + 1))
-        .collect();
-    let mut keys: Vec<u64> = Vec::with_capacity(config.samples);
-    let mut scratch = QueryScratch::new();
-    let mut pre = PrecomputedProbes::new();
-    let mut alive: Vec<usize> = Vec::with_capacity(states.len());
-    if family.is_some() {
-        pre.reserve(
-            config
-                .samples
-                .saturating_mul(usize::from(sections[0].1.hashes())),
-        );
-    }
-    for block in shard.chunks(BLOCK_ROWS) {
-        if algorithm.prunes_blocks() && !states.is_empty() {
-            if let Some((vmin, vmax, smax)) = block_stats(block, config) {
-                let skippable = states.iter().enumerate().all(|(i, s)| {
-                    if s.dead {
-                        return true;
-                    }
-                    match max_plausible_weight(s.universe, s.query_totals, vmin, vmax, smax) {
-                        None => true,
-                        Some(bound) => {
-                            heaps[i].len() == k
-                                && heaps[i].peek().is_some_and(|worst| bound <= worst.0)
-                        }
-                    }
-                });
-                if skippable {
-                    if let Some(m) = meter {
-                        m.record_blocks_skipped(1);
-                    }
-                    continue;
-                }
-            }
-        }
-        for &(user, pattern) in block {
-            let local_total = sample_keys_into(pattern, config, &mut keys)?;
-            let slack = config.eps.saturating_mul(pattern.len() as u64);
-            // Stage 1: θ-pruning picks candidates. Each heap belongs to one
-            // section and only mutates in stage 3 of the same row, after
-            // every candidate was chosen — so splitting selection from
-            // probing cannot change which rows each threshold sees, and
-            // results stay bit-identical to the interleaved form. The
-            // meter charges full probe cost per candidate (see
-            // [`scan_shard_wbf`]).
-            alive.clear();
-            for (i, s) in states.iter().enumerate() {
-                let threshold = (heaps[i].len() == k)
-                    .then(|| heaps[i].peek().map(|w| w.0))
-                    .flatten();
-                if algorithm.prunes_sections() {
-                    if s.dead {
-                        if let Some(m) = meter {
-                            m.record_rows_pruned(1);
-                        }
-                        continue;
-                    }
-                    if let (Some(theta), Some(bound)) = (threshold, static_bounds[i]) {
-                        if bound <= theta {
-                            if let Some(m) = meter {
-                                m.record_rows_pruned(1);
-                            }
-                            continue;
-                        }
-                    }
-                }
-                if algorithm.prunes_rows() {
-                    let row_bound = max_plausible_weight(
-                        s.universe,
-                        s.query_totals,
-                        local_total,
-                        local_total,
-                        slack,
-                    );
-                    let beatable = match row_bound {
-                        None => false,
-                        Some(bound) => !threshold.is_some_and(|theta| bound <= theta),
-                    };
-                    if !beatable {
-                        if let Some(m) = meter {
-                            m.record_rows_pruned(1);
-                        }
-                        continue;
-                    }
-                }
+        // Stage 3: survivors fold their weight sets. Under a shared geometry
+        // membership is already proven, so only the weight intersection
+        // remains; otherwise each section runs the full per-section
+        // sequence query.
+        for &i in &alive {
+            let (query, filter, query_totals) = sections[i];
+            let set = if family.is_some() {
+                filter.fold_weights_precomputed(&pre, &mut scratch)
+            } else {
+                filter.query_sequence_scratch(&keys, &mut scratch)
+            };
+            if let Some(set) = set {
                 if let Some(m) = meter {
-                    m.record_hash_ops(s.filter.probe_cost(keys.len()));
+                    m.record_comparisons(set.len() as u64 + 1);
                 }
-                alive.push(i);
-            }
-            if alive.is_empty() {
-                continue;
-            }
-            // Stage 2 (shared geometry): incremental hash-and-test, exactly
-            // as in [`scan_shard_wbf`].
-            if let Some(fam) = &family {
-                pre.clear();
-                let bit_len = states[alive[0]].filter.bit_len();
-                for (key_ordinal, &key) in keys.iter().enumerate() {
-                    pre.push_key(fam, bit_len, key);
-                    let (words, masks) = pre.key_masks(key_ordinal);
-                    alive.retain(|&i| states[i].filter.passes_masks(words, masks));
-                    if alive.is_empty() {
-                        break;
-                    }
-                }
-            }
-            // Stage 3: survivors fold weights and feed their section heap.
-            for &i in &alive {
-                let s = &states[i];
-                let set = if family.is_some() {
-                    s.filter.fold_weights_precomputed(&pre, &mut scratch)
-                } else {
-                    s.filter.query_sequence_scratch(&keys, &mut scratch)
-                };
-                if let Some(set) = set {
-                    if let Some(m) = meter {
-                        m.record_comparisons(set.len() as u64 + 1);
-                    }
-                    if let Some(weight) = select_weight(set, s.query_totals, local_total, slack) {
-                        let entry = Worst(weight, user);
-                        let heap = &mut heaps[i];
-                        if heap.len() < k {
-                            heap.push(entry);
-                        } else if heap.peek().is_some_and(|&worst| entry < worst) {
-                            heap.pop();
-                            heap.push(entry);
-                        }
-                    }
+                if let Some(weight) = select_weight(set, query_totals, local_total, slack) {
+                    reports.push((query, user, weight));
                 }
             }
         }
-    }
-    let mut reports = Vec::with_capacity(heaps.iter().map(BinaryHeap::len).sum());
-    for (s, heap) in states.iter().zip(heaps) {
-        let mut entries = heap.into_vec();
-        // Ascending `Worst` order is best-first.
-        entries.sort_unstable();
-        reports.extend(entries.into_iter().map(|Worst(w, u)| (s.query, u, w)));
     }
     Ok(reports)
 }
@@ -769,57 +435,10 @@ pub fn scan_shard_bloom(
     Ok(reports)
 }
 
-fn single_shard(patterns: &BTreeMap<UserId, Pattern>) -> Vec<(UserId, &Pattern)> {
-    patterns.iter().map(|(&u, p)| (u, p)).collect()
-}
-
-/// Algorithm 2 over one station's unsharded store with a single query
-/// filter: returns `(user, weight)` for every pattern the filter accepts
-/// with a consistent weight.
-///
-/// Thin wrapper over [`scan_shard_wbf`] — the shard-scan core the generic
-/// pipeline runs — presenting the store as one shard and one section.
-///
-/// `meter`, when given, records the hash and comparison work performed.
-///
-/// # Errors
-///
-/// Propagates pattern-transformation errors (overflow, zero samples).
-pub fn scan_station(
-    filter: &WeightedBloomFilter,
-    query_totals: &[u64],
-    patterns: &BTreeMap<UserId, Pattern>,
-    config: &DiMatchingConfig,
-    meter: Option<&CostMeter>,
-) -> Result<Vec<WeightReport>> {
-    let shard = single_shard(patterns);
-    let reports = scan_shard_wbf(&[(0, filter, query_totals)], &shard, config, meter)?;
-    Ok(reports.into_iter().map(|(_, u, w)| (u, w)).collect())
-}
-
-/// The Bloom-baseline analogue of [`scan_station`]: membership only, no
-/// weights — every user whose sampled points are all contained is reported.
-///
-/// Thin wrapper over [`scan_shard_bloom`].
-///
-/// # Errors
-///
-/// Propagates pattern-transformation errors.
-pub fn scan_station_bloom(
-    filter: &BloomFilter,
-    patterns: &BTreeMap<UserId, Pattern>,
-    config: &DiMatchingConfig,
-    meter: Option<&CostMeter>,
-) -> Result<Vec<UserId>> {
-    let shard = single_shard(patterns);
-    let reports = scan_shard_bloom(&[(0, filter)], &shard, config, meter)?;
-    Ok(reports.into_iter().map(|(_, u)| u).collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::datacenter::build_wbf;
+    use crate::datacenter::{build_wbf, BuiltFilter};
     use crate::query::PatternQuery;
     use dipm_core::FilterParams;
 
@@ -827,6 +446,27 @@ mod tests {
         patterns
             .into_iter()
             .map(|(id, p)| (UserId(id), p))
+            .collect()
+    }
+
+    /// The whole store as one shard, in ascending user order.
+    fn one_shard(patterns: &BTreeMap<UserId, Pattern>) -> Vec<(UserId, &Pattern)> {
+        patterns.iter().map(|(&u, p)| (u, p)).collect()
+    }
+
+    /// Algorithm 2 over one unsharded store with a single query filter:
+    /// the `(user, weight)` reports of a one-section scan.
+    fn scan_one(
+        built: &BuiltFilter,
+        patterns: &BTreeMap<UserId, Pattern>,
+        config: &DiMatchingConfig,
+        meter: Option<&CostMeter>,
+    ) -> Vec<(UserId, Weight)> {
+        let sections: [WbfScanSection<'_>; 1] = [(0, &built.filter, built.query_totals.as_slice())];
+        scan_shard_wbf(&sections, &one_shard(patterns), config, meter)
+            .unwrap()
+            .into_iter()
+            .map(|(_, u, w)| (u, w))
             .collect()
     }
 
@@ -900,8 +540,7 @@ mod tests {
         let config = DiMatchingConfig::default();
         let built = build_wbf(std::slice::from_ref(&query), &config).unwrap();
         let patterns = station(vec![(42, query.global().clone())]);
-        let reports =
-            scan_station(&built.filter, &built.query_totals, &patterns, &config, None).unwrap();
+        let reports = scan_one(&built, &patterns, &config, None);
         assert_eq!(reports.len(), 1);
         assert_eq!(reports[0].0, UserId(42));
         assert!(reports[0].1.is_one());
@@ -916,8 +555,7 @@ mod tests {
         let expect =
             Weight::ratio(local.total().unwrap(), query.global().total().unwrap()).unwrap();
         let patterns = station(vec![(7, local)]);
-        let reports =
-            scan_station(&built.filter, &built.query_totals, &patterns, &config, None).unwrap();
+        let reports = scan_one(&built, &patterns, &config, None);
         assert_eq!(reports, vec![(UserId(7), expect)]);
     }
 
@@ -940,8 +578,7 @@ mod tests {
             })
             .collect();
         let patterns = station(vec![(1, perturbed)]);
-        let reports =
-            scan_station(&built.filter, &built.query_totals, &patterns, &config, None).unwrap();
+        let reports = scan_one(&built, &patterns, &config, None);
         assert_eq!(reports.len(), 1, "ε-similar pattern must match");
     }
 
@@ -952,8 +589,7 @@ mod tests {
         let built = build_wbf(std::slice::from_ref(&query), &config).unwrap();
         let far: Pattern = query.global().iter().map(|v| v + 50).collect();
         let patterns = station(vec![(1, far)]);
-        let reports =
-            scan_station(&built.filter, &built.query_totals, &patterns, &config, None).unwrap();
+        let reports = scan_one(&built, &patterns, &config, None);
         assert!(reports.is_empty());
     }
 
@@ -965,7 +601,7 @@ mod tests {
         let config = DiMatchingConfig::default();
         let built = build_wbf(std::slice::from_ref(&query), &config).unwrap();
         let patterns = station(vec![(5, query.global().clone())]);
-        let shard = single_shard(&patterns);
+        let shard = one_shard(&patterns);
         let sections: Vec<WbfScanSection<'_>> = vec![
             (0, &built.filter, built.query_totals.as_slice()),
             (9, &built.filter, built.query_totals.as_slice()),
@@ -990,14 +626,7 @@ mod tests {
         let built = build_wbf(std::slice::from_ref(&query), &config).unwrap();
         let meter = CostMeter::new();
         let patterns = station(vec![(1, query.global().clone())]);
-        scan_station(
-            &built.filter,
-            &built.query_totals,
-            &patterns,
-            &config,
-            Some(&meter),
-        )
-        .unwrap();
+        scan_one(&built, &patterns, &config, Some(&meter));
         let report = meter.report();
         assert!(report.hash_ops > 0);
         assert!(report.comparisons > 0);
@@ -1019,8 +648,8 @@ mod tests {
             bf.insert(k);
         }
         let patterns = station(vec![(5, query.global().clone())]);
-        let ids = scan_station_bloom(&bf, &patterns, &config, None).unwrap();
-        assert_eq!(ids, vec![UserId(5)]);
+        let reports = scan_shard_bloom(&[(3, &bf)], &one_shard(&patterns), &config, None).unwrap();
+        assert_eq!(reports, vec![(3, UserId(5))]);
     }
 
     /// A store mixing the demo query's global (weight 1), its first local
@@ -1036,50 +665,52 @@ mod tests {
     }
 
     #[test]
-    fn every_algorithm_matches_exhaustive_reports() {
+    fn pruned_scan_matches_exhaustive_reports() {
         let query = demo_query();
         let config = DiMatchingConfig::default();
         let built = build_wbf(std::slice::from_ref(&query), &config).unwrap();
         let patterns = mixed_store(200);
-        let shard = single_shard(&patterns);
+        let shard = one_shard(&patterns);
         let sections: Vec<WbfScanSection<'_>> = vec![
             (0, &built.filter, built.query_totals.as_slice()),
             (1, &built.filter, built.query_totals.as_slice()),
         ];
-        let reference = scan_shard_wbf(&sections, &shard, &config, None).unwrap();
-        assert!(!reference.is_empty());
-        for algorithm in crate::config::ScanAlgorithm::ALL {
-            let pruned_config = DiMatchingConfig {
-                scan_algorithm: algorithm,
-                ..config.clone()
-            };
-            let meter = CostMeter::new();
-            let reports = scan_shard_wbf(&sections, &shard, &pruned_config, Some(&meter)).unwrap();
-            assert_eq!(reports, reference, "{algorithm:?} diverged");
-            if algorithm == crate::config::ScanAlgorithm::Exhaustive {
-                let report = meter.report();
-                assert_eq!(report.rows_pruned, 0);
-                assert_eq!(report.blocks_skipped, 0);
-            }
-        }
+        let local = &query.locals()[0];
+        let fraction =
+            Weight::ratio(local.total().unwrap(), query.global().total().unwrap()).unwrap();
+        let meter = CostMeter::new();
+        let reports = scan_shard_wbf(&sections, &shard, &config, Some(&meter)).unwrap();
+        assert_eq!(
+            reports,
+            vec![
+                (0, UserId(3), Weight::ONE),
+                (1, UserId(3), Weight::ONE),
+                (0, UserId(8), fraction),
+                (1, UserId(8), fraction),
+            ]
+        );
+        // Every far row's volume is implausible for every weight: all 400
+        // of its (row, section) pairs are skipped before any hashing.
+        let report = meter.report();
+        assert_eq!(report.rows_pruned, 2 * 200);
+        let probes = sample_keys(query.global(), &config).unwrap().0.len();
+        assert_eq!(report.hash_ops, 2 * 2 * built.filter.probe_cost(probes));
+        assert_eq!(report.blocks_skipped, 0);
     }
 
     #[test]
     fn dead_section_is_pruned_without_hashing() {
         // A filter with no insertions has an empty weight universe: the
-        // MaxScore rung must skip every row of it without hash work.
+        // scan must skip every row of it without hash work.
         let query = demo_query();
-        let config = DiMatchingConfig {
-            scan_algorithm: crate::config::ScanAlgorithm::MaxScore,
-            ..DiMatchingConfig::default()
-        };
+        let config = DiMatchingConfig::default();
         let built = build_wbf(std::slice::from_ref(&query), &config).unwrap();
         let empty = WeightedBloomFilter::new(
-            dipm_core::FilterParams::new(built.filter.bit_len(), built.filter.hashes()).unwrap(),
+            FilterParams::new(built.filter.bit_len(), built.filter.hashes()).unwrap(),
             config.seed,
         );
         let patterns = mixed_store(10);
-        let shard = single_shard(&patterns);
+        let shard = one_shard(&patterns);
         let sections: Vec<WbfScanSection<'_>> = vec![(0, &empty, &[])];
         let meter = CostMeter::new();
         let reports = scan_shard_wbf(&sections, &shard, &config, Some(&meter)).unwrap();
@@ -1090,94 +721,10 @@ mod tests {
     }
 
     #[test]
-    fn block_max_wand_skips_far_blocks() {
-        // Non-matching rows with totals far outside every plausible-weight
-        // window: whole blocks must be skipped, and results must not change.
-        let query = demo_query();
-        let exhaustive = DiMatchingConfig::default();
-        let built = build_wbf(std::slice::from_ref(&query), &exhaustive).unwrap();
-        let far = station(
-            (0..(4 * BLOCK_ROWS as u64))
-                .map(|i| {
-                    let p: Pattern = query.global().iter().map(|v| v * 100 + i).collect();
-                    (i, p)
-                })
-                .collect(),
-        );
-        let shard = single_shard(&far);
-        let sections: Vec<WbfScanSection<'_>> =
-            vec![(0, &built.filter, built.query_totals.as_slice())];
-        let reference = scan_shard_wbf(&sections, &shard, &exhaustive, None).unwrap();
-        let bmw = DiMatchingConfig {
-            scan_algorithm: crate::config::ScanAlgorithm::BlockMaxWand,
-            ..exhaustive
-        };
-        let meter = CostMeter::new();
-        let reports = scan_shard_wbf(&sections, &shard, &bmw, Some(&meter)).unwrap();
-        assert_eq!(reports, reference);
-        assert!(
-            meter.report().blocks_skipped > 0,
-            "far-off blocks must be skipped whole"
-        );
-    }
-
-    #[test]
-    fn topk_kernel_matches_exhaustive_for_every_algorithm_and_k() {
-        let query = demo_query();
-        let base = DiMatchingConfig::default();
-        let built = build_wbf(std::slice::from_ref(&query), &base).unwrap();
-        let patterns = mixed_store(150);
-        let shard = single_shard(&patterns);
-        let sections: Vec<WbfScanSection<'_>> = vec![
-            (0, &built.filter, built.query_totals.as_slice()),
-            (7, &built.filter, built.query_totals.as_slice()),
-        ];
-        for k in [0usize, 1, 2, 3, 1000] {
-            let reference = scan_shard_wbf_topk(&sections, &shard, &base, k, None).unwrap();
-            for algorithm in crate::config::ScanAlgorithm::ALL {
-                let config = DiMatchingConfig {
-                    scan_algorithm: algorithm,
-                    ..base.clone()
-                };
-                let reports = scan_shard_wbf_topk(&sections, &shard, &config, k, None).unwrap();
-                assert_eq!(reports, reference, "{algorithm:?} k={k} diverged");
-            }
-        }
-    }
-
-    #[test]
-    fn topk_kernel_keeps_the_best_ranked_entries() {
-        let query = demo_query();
-        let config = DiMatchingConfig::default();
-        let built = build_wbf(std::slice::from_ref(&query), &config).unwrap();
-        let patterns = mixed_store(0); // users 3 (weight 1) and 8 (fraction)
-        let shard = single_shard(&patterns);
-        let sections: Vec<WbfScanSection<'_>> =
-            vec![(0, &built.filter, built.query_totals.as_slice())];
-        let all = scan_shard_wbf_topk(&sections, &shard, &config, 10, None).unwrap();
-        assert_eq!(all.len(), 2);
-        assert_eq!(all[0].1, UserId(3), "weight-1 match ranks first");
-        assert!(all[0].2.is_one());
-        let top1 = scan_shard_wbf_topk(&sections, &shard, &config, 1, None).unwrap();
-        assert_eq!(top1, all[..1]);
-        assert!(scan_shard_wbf_topk(&sections, &shard, &config, 0, None)
-            .unwrap()
-            .is_empty());
-    }
-
-    #[test]
     fn empty_station_produces_no_reports() {
         let query = demo_query();
         let config = DiMatchingConfig::default();
         let built = build_wbf(&[query], &config).unwrap();
-        let reports = scan_station(
-            &built.filter,
-            &built.query_totals,
-            &BTreeMap::new(),
-            &config,
-            None,
-        )
-        .unwrap();
-        assert!(reports.is_empty());
+        assert!(scan_one(&built, &BTreeMap::new(), &config, None).is_empty());
     }
 }

@@ -30,63 +30,9 @@ impl HashScheme {
     }
 }
 
-/// How the station-side shard scan bounds and prunes its work.
-///
-/// The ladder mirrors the classic retrieval-algorithm family: every rung
-/// adds a tighter score upper bound and skips strictly more work, and every
-/// rung is **result-exact** — pruned rows are rows whose bound proves they
-/// cannot contribute, so reports, rankings and byte meters are bit-identical
-/// to [`ScanAlgorithm::Exhaustive`] under every execution mode.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub enum ScanAlgorithm {
-    /// Score every surviving row against every section (default; the PR 6
-    /// scan core unchanged).
-    #[default]
-    Exhaustive,
-    /// Static per-section score upper bounds: a section whose weight
-    /// universe cannot produce a reportable weight (or cannot beat a full
-    /// top-k heap's threshold) is switched off for the whole shard.
-    MaxScore,
-    /// MaxScore plus a per-row dynamic bound: the row's sampled volume is
-    /// tested against the plausible-weight window before any hashing.
-    Wand,
-    /// Wand plus per-block max metadata: fixed-size row blocks carry volume
-    /// ranges, and blocks whose bound cannot contribute are skipped whole.
-    BlockMaxWand,
-}
-
-impl ScanAlgorithm {
-    /// Every algorithm, from no pruning to the most aggressive.
-    pub const ALL: [ScanAlgorithm; 4] = [
-        ScanAlgorithm::Exhaustive,
-        ScanAlgorithm::MaxScore,
-        ScanAlgorithm::Wand,
-        ScanAlgorithm::BlockMaxWand,
-    ];
-
-    /// Whether statically dead sections are switched off shard-wide.
-    #[inline]
-    pub fn prunes_sections(self) -> bool {
-        self != ScanAlgorithm::Exhaustive
-    }
-
-    /// Whether individual rows are tested against a dynamic score bound.
-    #[inline]
-    pub fn prunes_rows(self) -> bool {
-        matches!(self, ScanAlgorithm::Wand | ScanAlgorithm::BlockMaxWand)
-    }
-
-    /// Whether whole row blocks can be skipped via block-max metadata.
-    #[inline]
-    pub fn prunes_blocks(self) -> bool {
-        self == ScanAlgorithm::BlockMaxWand
-    }
-}
-
 /// How the data center decides which stations receive a query broadcast.
 ///
-/// Orthogonal to `FilterStrategy` × `ExecutionMode` × [`ScanAlgorithm`]:
+/// Orthogonal to `FilterStrategy` × `ExecutionMode`:
 /// routing is a center-side decision made **before** any station work is
 /// scheduled, so it is mode-invariant by construction, and every policy is
 /// conformance-pinned to produce the same rankings as broadcasting to all.
@@ -199,9 +145,6 @@ pub struct DiMatchingConfig {
     pub hash_scheme: HashScheme,
     /// How ε expands into bands over accumulated samples.
     pub tolerance: ToleranceMode,
-    /// How the shard scan bounds and prunes its work (result-exact; the
-    /// default scores everything).
-    pub scan_algorithm: ScanAlgorithm,
     /// How the center decides which stations receive a query broadcast
     /// (result-exact; the default broadcasts to all).
     pub routing: RoutingPolicy,
@@ -219,7 +162,6 @@ impl Default for DiMatchingConfig {
             fixed_geometry: None,
             hash_scheme: HashScheme::ValueOnly,
             tolerance: ToleranceMode::Accumulated,
-            scan_algorithm: ScanAlgorithm::Exhaustive,
             routing: RoutingPolicy::BroadcastAll,
             seed: 0xD1_4A7C,
         }
@@ -320,31 +262,6 @@ mod tests {
             };
             assert!(c.validate().is_ok(), "{policy:?} must validate");
         }
-    }
-
-    #[test]
-    fn scan_algorithm_ladder_is_monotone() {
-        assert_eq!(ScanAlgorithm::default(), ScanAlgorithm::Exhaustive);
-        assert_eq!(
-            DiMatchingConfig::default().scan_algorithm,
-            ScanAlgorithm::Exhaustive
-        );
-        // Each rung prunes at least everything the previous rung prunes.
-        let mut prev = (false, false, false);
-        for algo in ScanAlgorithm::ALL {
-            let cur = (
-                algo.prunes_sections(),
-                algo.prunes_rows(),
-                algo.prunes_blocks(),
-            );
-            assert!(
-                prev.0 <= cur.0 && prev.1 <= cur.1 && prev.2 <= cur.2,
-                "{algo:?}"
-            );
-            prev = cur;
-        }
-        assert!(!ScanAlgorithm::Exhaustive.prunes_sections());
-        assert!(ScanAlgorithm::BlockMaxWand.prunes_blocks());
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //!    global volume, and hash every sampled value (with its ε-tolerance
 //!    band) into one [`WeightedBloomFilter`](dipm_core::WeightedBloomFilter)
 //!    that is broadcast to every base station.
-//! 2. **Base stations, [`scan_station`]** (Algorithm 2) — probe every local
-//!    pattern; report `(ID, weight)` only when all probed bits are set and
-//!    one weight is common to every sampled point.
+//! 2. **Base stations, [`scan_shard_wbf`]** (Algorithm 2) — probe every
+//!    local pattern; report `(ID, weight)` only when all probed bits are set
+//!    and one weight is common to every sampled point.
 //! 3. **Data center, [`aggregate_and_rank`]** (Algorithm 3) — sum weights
 //!    per ID, discard sums above 1, rank descending, return the top-K.
 //!
@@ -68,10 +68,9 @@ mod streaming;
 pub mod wire;
 
 pub use basestation::{
-    scan_shard_bloom, scan_shard_wbf, scan_shard_wbf_topk, scan_station, scan_station_bloom,
-    BaseStation, Shards, WbfScanFilter, WbfScanSection, WeightReport, BLOCK_ROWS,
+    scan_shard_bloom, scan_shard_wbf, BaseStation, Shards, WbfScanFilter, WbfScanSection,
 };
-pub use config::{AdmissionPolicy, DiMatchingConfig, HashScheme, RoutingPolicy, ScanAlgorithm};
+pub use config::{AdmissionPolicy, DiMatchingConfig, HashScheme, RoutingPolicy};
 pub use datacenter::{
     aggregate_and_rank, build_bloom, build_wbf, BuildStats, BuiltBloom, BuiltFilter, RankedUser,
 };

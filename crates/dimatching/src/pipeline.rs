@@ -12,12 +12,10 @@
 //! the same code in every [`ExecutionMode`]: the mode picks only the
 //! executor's worker count and whether the network models time.
 //!
-//! [`DiMatchingConfig::scan_algorithm`] threads through unchanged to the
-//! shard-scan cores: every station scans under the same dynamic-pruning
-//! rung (`Exhaustive`/`MaxScore`/`Wand`/`BlockMaxWand`), and because the
-//! pipeline-context scan prunes only provably reportless work, rankings
-//! and byte meters are bit-identical across all rungs in every execution
-//! mode.
+//! Every WBF station runs the one exact pruning scan
+//! ([`scan_shard_wbf`](crate::scan_shard_wbf)): it skips only
+//! `(row, section)` pairs that provably report nothing, so rankings and
+//! byte meters are those of an exhaustive scan in every execution mode.
 //!
 //! [`run_wbf`] and [`run_bloom`] are thin wrappers:
 //! `run_pipeline::<Wbf>` / `run_pipeline::<Bloom>` with an unsharded layout,

@@ -83,9 +83,13 @@ pub struct ServiceEpoch {
     pub deferred: Vec<TenantId>,
 }
 
-/// A long-lived multi-tenant standing-query service. See the
-/// [module docs](self) for the isolation, recovery and admission
-/// guarantees.
+/// A long-lived multi-tenant standing-query service.
+///
+/// Each tenant meters on a network of its own, so its mode-invariant costs
+/// do not depend on its neighbors. [`Service::checkpoint`] and
+/// [`Service::recover_tenant`] restart the center without re-broadcasting
+/// everything, and an [`AdmissionPolicy`] defers, never drops, tenants over
+/// its per-station byte budget.
 ///
 /// # Examples
 ///

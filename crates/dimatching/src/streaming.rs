@@ -34,11 +34,10 @@
 //! over the surviving query set at the same geometry — asserted across
 //! execution modes by the streaming conformance suite.
 //!
-//! Epoch scans honor [`DiMatchingConfig::scan_algorithm`] like the batch
-//! pipeline: the dynamic-pruning rungs skip only provably reportless work,
-//! and every applied delta admits and retires weights in the station
-//! filter's cached score-bound universe, so churn can never leave a stale
-//! bound behind.
+//! Epoch scans prune exactly like the batch pipeline: a station skips only
+//! the `(row, section)` pairs its filter's weight universe proves
+//! reportless, and every applied delta admits and retires weights in that
+//! cached universe, so churn can never leave a stale bound behind.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;

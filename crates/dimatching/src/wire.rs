@@ -290,7 +290,8 @@ impl ReportCollector {
 }
 
 /// Encodes query-tagged `(query, user, weight)` reports: `u32` count then
-/// `{query u32, id u64, num u64, den u64}` per entry (28 bytes/candidate).
+/// `{query u32, id u64, num u64, den u64}` per entry (28 bytes/candidate —
+/// the communication saving DI-matching claims over shipping patterns).
 ///
 /// # Errors
 ///
@@ -470,86 +471,6 @@ pub fn view_bloom_section(data: Bytes) -> Result<BloomSectionView> {
     Ok(BloomSectionView {
         filter: encode::decode_bloom(data)?,
     })
-}
-
-/// Encodes `(user, weight)` reports: `u32` count then
-/// `{id u64, num u64, den u64}` per entry (24 bytes/candidate — the
-/// communication saving DI-matching claims over shipping patterns).
-///
-/// # Errors
-///
-/// Returns [`ProtocolError::FrameTooLarge`] if the report count exceeds the
-/// `u32` prefix.
-pub fn encode_weight_reports(reports: &[(UserId, Weight)]) -> Result<Bytes> {
-    let mut buf = BytesMut::with_capacity(4 + reports.len() * 24);
-    buf.put_u32_le(frame_count(reports.len())?);
-    for (user, weight) in reports {
-        buf.put_u64_le(user.0);
-        buf.put_u64_le(weight.numerator());
-        buf.put_u64_le(weight.denominator());
-    }
-    Ok(buf.freeze())
-}
-
-/// Decodes a weight-report payload.
-///
-/// # Errors
-///
-/// Returns [`ProtocolError::MalformedReport`] on truncation or a zero
-/// denominator.
-pub fn decode_weight_reports(mut data: Bytes) -> Result<Vec<(UserId, Weight)>> {
-    if data.remaining() < 4 {
-        return Err(ProtocolError::malformed_report("truncated report count"));
-    }
-    let count = data.get_u32_le() as usize;
-    if data.remaining() < count.saturating_mul(24) {
-        return Err(ProtocolError::malformed_report("truncated report entries"));
-    }
-    let mut out = Vec::with_capacity(count);
-    for _ in 0..count {
-        let user = UserId(data.get_u64_le());
-        let num = data.get_u64_le();
-        let den = data.get_u64_le();
-        let weight = Weight::new(num, den)
-            .map_err(|_| ProtocolError::malformed_report("zero weight denominator"))?;
-        out.push((user, weight));
-    }
-    expect_consumed(&data, "weight reports")?;
-    Ok(out)
-}
-
-/// Encodes bare candidate IDs (the Bloom baseline's reports): `u32` count
-/// then `u64` per id.
-///
-/// # Errors
-///
-/// Returns [`ProtocolError::FrameTooLarge`] if the id count exceeds the
-/// `u32` prefix.
-pub fn encode_id_reports(ids: &[UserId]) -> Result<Bytes> {
-    let mut buf = BytesMut::with_capacity(4 + ids.len() * 8);
-    buf.put_u32_le(frame_count(ids.len())?);
-    for id in ids {
-        buf.put_u64_le(id.0);
-    }
-    Ok(buf.freeze())
-}
-
-/// Decodes a bare-ID payload.
-///
-/// # Errors
-///
-/// Returns [`ProtocolError::MalformedReport`] on truncation.
-pub fn decode_id_reports(mut data: Bytes) -> Result<Vec<UserId>> {
-    if data.remaining() < 4 {
-        return Err(ProtocolError::malformed_report("truncated id count"));
-    }
-    let count = data.get_u32_le() as usize;
-    if data.remaining() < count.saturating_mul(8) {
-        return Err(ProtocolError::malformed_report("truncated id entries"));
-    }
-    let out = (0..count).map(|_| UserId(data.get_u64_le())).collect();
-    expect_consumed(&data, "id reports")?;
-    Ok(out)
 }
 
 /// Encodes a station's full local data (the naive method's shipment):
@@ -1784,33 +1705,17 @@ mod tests {
     }
 
     #[test]
-    fn weight_reports_roundtrip() {
-        let reports = vec![
-            (UserId(1), w(1, 3)),
-            (UserId(999), Weight::ONE),
-            (UserId(42), w(7, 9)),
-        ];
-        let encoded = encode_weight_reports(&reports).unwrap();
-        assert_eq!(encoded.len(), 4 + 3 * 24);
-        assert_eq!(decode_weight_reports(encoded).unwrap(), reports);
-    }
-
-    #[test]
     fn empty_reports_roundtrip() {
-        assert!(decode_weight_reports(encode_weight_reports(&[]).unwrap())
-            .unwrap()
-            .is_empty());
-        assert!(decode_id_reports(encode_id_reports(&[]).unwrap())
-            .unwrap()
-            .is_empty());
-    }
-
-    #[test]
-    fn id_reports_roundtrip() {
-        let ids = vec![UserId(3), UserId(1), UserId(4)];
-        let encoded = encode_id_reports(&ids).unwrap();
-        assert_eq!(encoded.len(), 4 + 3 * 8);
-        assert_eq!(decode_id_reports(encoded).unwrap(), ids);
+        assert!(
+            decode_tagged_weight_reports(encode_tagged_weight_reports(&[]).unwrap())
+                .unwrap()
+                .is_empty()
+        );
+        assert!(
+            decode_tagged_id_reports(encode_tagged_id_reports(&[]).unwrap())
+                .unwrap()
+                .is_empty()
+        );
     }
 
     #[test]
@@ -1824,27 +1729,11 @@ mod tests {
 
     #[test]
     fn truncation_rejected_everywhere() {
-        let reports = vec![(UserId(1), w(1, 2))];
-        let encoded = encode_weight_reports(&reports).unwrap();
-        for cut in [0, 3, 10, encoded.len() - 1] {
-            assert!(decode_weight_reports(encoded.slice(0..cut)).is_err());
-        }
         let p = Pattern::from([1u64, 2]);
         let data = encode_station_data(vec![(UserId(1), &p)]).unwrap();
         for cut in [0, 3, 10, data.len() - 1] {
             assert!(decode_station_data(data.slice(0..cut)).is_err());
         }
-    }
-
-    #[test]
-    fn zero_denominator_rejected() {
-        let mut raw = encode_weight_reports(&[(UserId(1), w(1, 2))])
-            .unwrap()
-            .to_vec();
-        // Denominator is the last 8 bytes; zero it.
-        let n = raw.len();
-        raw[n - 8..].fill(0);
-        assert!(decode_weight_reports(Bytes::from(raw)).is_err());
     }
 
     #[test]
@@ -1961,6 +1850,7 @@ mod tests {
         for cut in [0, 3, 10, encoded.len() - 1] {
             assert!(decode_tagged_weight_reports(encoded.slice(0..cut)).is_err());
         }
+        // The denominator is the last 8 bytes; zero it.
         let mut raw = encoded.to_vec();
         let n = raw.len();
         raw[n - 8..].fill(0);
@@ -1990,10 +1880,10 @@ mod tests {
 
     #[test]
     fn trailing_garbage_rejected_on_report_frames() {
-        let valid = encode_weight_reports(&[(UserId(1), w(1, 2))]).unwrap();
+        let valid = encode_tagged_weight_reports(&[(0, UserId(1), w(1, 2))]).unwrap();
         let mut raw = valid.to_vec();
         raw.push(0xEE);
-        assert!(decode_weight_reports(Bytes::from(raw)).is_err());
+        assert!(decode_tagged_weight_reports(Bytes::from(raw)).is_err());
         let valid = encode_tagged_id_reports(&[(0, UserId(9))]).unwrap();
         let mut raw = valid.to_vec();
         raw.extend_from_slice(&[1, 2, 3]);
@@ -2216,11 +2106,11 @@ mod tests {
 
     #[test]
     fn weight_report_is_much_smaller_than_pattern_shipment() {
-        // The core communication claim: 24 bytes per candidate vs a full
-        // pattern (8 bytes × intervals) per user.
+        // The core communication claim: 28 bytes per candidate (query tag,
+        // id, weight) vs a full pattern (8 bytes × intervals) per user.
         let long = Pattern::from(vec![5u64; 336]); // one week at 30-min slots
         let shipment = encode_station_data(vec![(UserId(1), &long)]).unwrap();
-        let report = encode_weight_reports(&[(UserId(1), Weight::ONE)]).unwrap();
+        let report = encode_tagged_weight_reports(&[(0, UserId(1), Weight::ONE)]).unwrap();
         assert!(report.len() * 50 < shipment.len());
     }
 

@@ -15,6 +15,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use dipm_core::{WbfFrameView, Weight, WeightDiff, WeightSet};
+use dipm_distsim::CostMeter;
 use dipm_mobilenet::UserId;
 use dipm_protocol::{
     build_wbf, scan_shard_wbf, wire, DiMatchingConfig, PatternQuery, WbfScanFilter, WbfScanSection,
@@ -60,7 +61,10 @@ fn allocations() -> u64 {
 }
 
 /// A deterministic pattern per row, far from the inserted query's values so
-/// rows are (overwhelmingly) membership misses.
+/// rows are (overwhelmingly) membership misses. Their volumes are far from
+/// the query's too, so the sections below are scanned without broadcast
+/// volumes: otherwise the scan's exact prune would skip every row before
+/// the probe path this contract is about.
 fn miss_pattern(row: u64) -> Pattern {
     (0..16u64).map(|i| 10_000 + row * 97 + i * 13).collect()
 }
@@ -83,8 +87,11 @@ fn measure_scan<F: WbfScanFilter>(
         .collect();
     let shard: Vec<(UserId, &Pattern)> = patterns.iter().map(|(u, p)| (*u, p)).collect();
     // Warm-up: first call sizes any lazily grown buffer inside the call's
-    // own scratch; the measured call then shows the steady-state cost.
-    scan_shard_wbf(sections, &shard, config, None).expect("scan runs");
+    // own scratch; the measured call then shows the steady-state cost. Its
+    // meter proves every (row × section) pair reached the probe path.
+    let meter = CostMeter::new();
+    scan_shard_wbf(sections, &shard, config, Some(&meter)).expect("scan runs");
+    assert_eq!(meter.report().rows_pruned, 0, "every pair must be probed");
     let before = allocations();
     let reports = scan_shard_wbf(sections, &shard, config, None).expect("scan runs");
     let after = allocations();
@@ -96,11 +103,9 @@ fn measure_scan<F: WbfScanFilter>(
 fn scan_allocations_do_not_grow_with_rows_or_sections() {
     let config = DiMatchingConfig::default();
     let built = build_wbf(&[query()], &config).expect("filter builds");
-    let one_section: Vec<WbfScanSection<'_>> =
-        vec![(0, &built.filter, built.query_totals.as_slice())];
-    let four_sections: Vec<WbfScanSection<'_>> = (0..4)
-        .map(|i| (i as u32, &built.filter, built.query_totals.as_slice()))
-        .collect();
+    let one_section: Vec<WbfScanSection<'_>> = vec![(0, &built.filter, &[])];
+    let four_sections: Vec<WbfScanSection<'_>> =
+        (0..4).map(|i| (i as u32, &built.filter, &[][..])).collect();
 
     let small = measure_scan(&one_section, 64, &config);
     let wide = measure_scan(&four_sections, 64, &config);
@@ -145,12 +150,11 @@ fn zero_copy_wire_view_scan_holds_the_same_allocation_contract() {
     let views: Vec<wire::WbfSectionView> = (0..4)
         .map(|_| wire::view_filter_broadcast(frame.clone()).expect("broadcast views"))
         .collect();
-    let one_section: Vec<WbfScanSection<'_, WbfFrameView>> =
-        vec![(0, &views[0].filter, views[0].query_totals.as_slice())];
+    let one_section: Vec<WbfScanSection<'_, WbfFrameView>> = vec![(0, &views[0].filter, &[])];
     let four_sections: Vec<WbfScanSection<'_, WbfFrameView>> = views
         .iter()
         .enumerate()
-        .map(|(i, v)| (i as u32, &v.filter, v.query_totals.as_slice()))
+        .map(|(i, v)| (i as u32, &v.filter, &[][..]))
         .collect();
 
     let small = measure_scan(&one_section, 64, &config);

@@ -1,15 +1,31 @@
 //! Property-based tests for the DI-matching protocol.
 
 use dipm_core::Weight;
-use dipm_mobilenet::UserId;
+use dipm_mobilenet::{StationId, UserId};
 use dipm_protocol::{
-    aggregate_and_rank, build_wbf, scan_station, wire, DiMatchingConfig, HashScheme, PatternQuery,
-    Shards,
+    aggregate_and_rank, build_wbf, scan_shard_wbf, wire, BaseStation, BuiltFilter,
+    DiMatchingConfig, HashScheme, PatternQuery, Shards,
 };
 use dipm_timeseries::{eps_match, Pattern};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
+
+/// Algorithm 2 over one station's unsharded store with a single query
+/// filter: the `(user, weight)` reports of a one-section, one-shard scan.
+fn scan_store(
+    built: &BuiltFilter,
+    store: &BTreeMap<UserId, Pattern>,
+    config: &DiMatchingConfig,
+) -> Vec<(UserId, Weight)> {
+    let station = BaseStation::from_locals(StationId(0), store, Shards::new(1));
+    let sections = [(0, &built.filter, built.query_totals.as_slice())];
+    scan_shard_wbf(&sections, station.shard(0), config, None)
+        .unwrap()
+        .into_iter()
+        .map(|(_, user, weight)| (user, weight))
+        .collect()
+}
 
 fn arb_locals() -> impl Strategy<Value = Vec<Pattern>> {
     vec(vec(0u64..60, 6usize..7), 1..4).prop_map(|vs| vs.into_iter().map(Pattern::new).collect())
@@ -58,7 +74,7 @@ proptest! {
 
         let station: BTreeMap<UserId, Pattern> =
             [(UserId(1), candidate)].into_iter().collect();
-        let reports = scan_station(&built.filter, &built.query_totals, &station, &config, None).unwrap();
+        let reports = scan_store(&built, &station, &config);
         prop_assert_eq!(reports.len(), 1, "ε-similar candidate must be reported");
     }
 
@@ -101,14 +117,15 @@ proptest! {
 
     // Wire formats round-trip arbitrary payloads.
     #[test]
-    fn weight_report_wire_roundtrip(raw in vec((any::<u64>(), 1u64..1000, 1u64..1000), 0..50)) {
-        let reports: Vec<(UserId, Weight)> = raw
+    fn weight_report_wire_roundtrip(
+        raw in vec((any::<u32>(), any::<u64>(), 1u64..1000, 1u64..1000), 0..50),
+    ) {
+        let reports: Vec<(u32, UserId, Weight)> = raw
             .iter()
-            .map(|&(id, a, b)| (UserId(id), Weight::new(a, b).unwrap()))
+            .map(|&(query, id, a, b)| (query, UserId(id), Weight::new(a, b).unwrap()))
             .collect();
-        let decoded =
-            wire::decode_weight_reports(wire::encode_weight_reports(&reports).unwrap()).unwrap();
-        prop_assert_eq!(decoded, reports);
+        let encoded = wire::encode_tagged_weight_reports(&reports).unwrap();
+        prop_assert_eq!(wire::decode_tagged_weight_reports(encoded).unwrap(), reports);
     }
 
     #[test]
@@ -141,8 +158,7 @@ proptest! {
             .into_iter()
             .map(|(id, vs)| (UserId(id), Pattern::new(vs)))
             .collect();
-        let unsharded =
-            scan_station(&built.filter, &built.query_totals, &store, &config, None).unwrap();
+        let unsharded = scan_store(&built, &store, &config);
 
         for shard_count in 1..=8usize {
             let layout = Shards::new(shard_count);
@@ -153,10 +169,7 @@ proptest! {
             }
             let mut merged = Vec::new();
             for partition in &partitions {
-                merged.extend(
-                    scan_station(&built.filter, &built.query_totals, partition, &config, None)
-                        .unwrap(),
-                );
+                merged.extend(scan_store(&built, partition, &config));
             }
             merged.sort();
             let mut expect = unsharded.clone();

@@ -44,8 +44,6 @@ proptest! {
     #[test]
     fn random_bytes_never_panic_any_decoder(raw in vec(any::<u8>(), 0..400)) {
         let bytes = Bytes::from(raw);
-        let _ = wire::decode_weight_reports(bytes.clone());
-        let _ = wire::decode_id_reports(bytes.clone());
         let _ = wire::decode_station_data(bytes.clone());
         let _ = wire::decode_filter_broadcast(bytes.clone());
         let _ = wire::view_filter_broadcast(bytes.clone());
@@ -65,8 +63,6 @@ proptest! {
         let mut raw = count.to_le_bytes().to_vec();
         raw.extend_from_slice(&[0u8; 16]);
         let bytes = Bytes::from(raw);
-        prop_assert!(wire::decode_weight_reports(bytes.clone()).is_err());
-        prop_assert!(wire::decode_id_reports(bytes.clone()).is_err());
         prop_assert!(wire::decode_tagged_weight_reports(bytes.clone()).is_err());
         prop_assert!(wire::decode_tagged_id_reports(bytes.clone()).is_err());
         // Station data and batch frames validate per-entry, so they error
@@ -134,10 +130,6 @@ proptest! {
             .iter()
             .map(|&(q, u)| dipm_mobilenet::UserId(u ^ u64::from(q)))
             .collect();
-        let weighted: Vec<(dipm_mobilenet::UserId, Weight)> = users
-            .iter()
-            .map(|&u| (u, Weight::new(u.0 % 5 + 1, 7).unwrap()))
-            .collect();
         let tagged_ids: Vec<(u32, dipm_mobilenet::UserId)> =
             entries.iter().map(|&(q, u)| (q, dipm_mobilenet::UserId(u))).collect();
         let tagged_weights: Vec<(u32, dipm_mobilenet::UserId, Weight)> = entries
@@ -154,8 +146,6 @@ proptest! {
             .collect();
         let delta = delta_from(&entries);
         let frames: Vec<Bytes> = vec![
-            wire::encode_weight_reports(&weighted).unwrap(),
-            wire::encode_id_reports(&users).unwrap(),
             wire::encode_tagged_weight_reports(&tagged_weights).unwrap(),
             wire::encode_tagged_id_reports(&tagged_ids).unwrap(),
             wire::encode_station_data(station_data).unwrap(),
@@ -168,8 +158,6 @@ proptest! {
             .unwrap(),
         ];
         let decoders: Vec<fn(Bytes) -> bool> = vec![
-            |b| wire::decode_weight_reports(b).is_err(),
-            |b| wire::decode_id_reports(b).is_err(),
             |b| wire::decode_tagged_weight_reports(b).is_err(),
             |b| wire::decode_tagged_id_reports(b).is_err(),
             |b| wire::decode_station_data(b).is_err(),

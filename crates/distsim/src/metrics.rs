@@ -50,7 +50,6 @@ pub struct CostMeter {
     comparisons: AtomicU64,
     scan_passes: AtomicU64,
     rows_pruned: AtomicU64,
-    blocks_skipped: AtomicU64,
     stations_pruned: AtomicU64,
     routing_bytes: AtomicU64,
     deferred_epochs: AtomicU64,
@@ -94,23 +93,15 @@ impl CostMeter {
         self.scan_passes.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records `count` candidate `(row × section)` evaluations skipped by a
-    /// dynamic-pruning scan's score bound before any hashing or weight fold.
+    /// Records `count` candidate `(row × section)` pairs the station scan
+    /// skipped before any hashing or weight fold, because no weight in the
+    /// section's weight universe is plausible for the row's volume.
     ///
-    /// Pruning decisions are pure functions of the row, the section and the
-    /// scan algorithm, so within one algorithm this counter is as
-    /// mode-invariant as `hash_ops`; it stays zero under exhaustive scans.
+    /// Each decision depends on the row and the section alone, so the
+    /// counter is as mode-invariant as `hash_ops` and does not depend on
+    /// the shard layout either.
     pub fn record_rows_pruned(&self, count: u64) {
         self.rows_pruned.fetch_add(count, Ordering::Relaxed);
-    }
-
-    /// Records `count` whole row blocks skipped by block-max metadata.
-    ///
-    /// Only `ScanAlgorithm::BlockMaxWand` produces these. The block
-    /// partition follows the shard layout, so the count is comparable across
-    /// execution modes but not across different shard counts.
-    pub fn record_blocks_skipped(&self, count: u64) {
-        self.blocks_skipped.fetch_add(count, Ordering::Relaxed);
     }
 
     /// Records `count` stations a routing tree excluded from a query
@@ -164,8 +155,6 @@ impl CostMeter {
             .fetch_add(report.scan_passes, Ordering::Relaxed);
         self.rows_pruned
             .fetch_add(report.rows_pruned, Ordering::Relaxed);
-        self.blocks_skipped
-            .fetch_add(report.blocks_skipped, Ordering::Relaxed);
         self.stations_pruned
             .fetch_add(report.stations_pruned, Ordering::Relaxed);
         self.routing_bytes
@@ -200,7 +189,7 @@ impl CostMeter {
             comparisons: self.comparisons.load(Ordering::Relaxed),
             scan_passes: self.scan_passes.load(Ordering::Relaxed),
             rows_pruned: self.rows_pruned.load(Ordering::Relaxed),
-            blocks_skipped: self.blocks_skipped.load(Ordering::Relaxed),
+            blocks_skipped: 0,
             stations_pruned: self.stations_pruned.load(Ordering::Relaxed),
             routing_bytes: self.routing_bytes.load(Ordering::Relaxed),
             deferred_epochs: self.deferred_epochs.load(Ordering::Relaxed),
@@ -219,7 +208,6 @@ impl CostMeter {
         self.comparisons.store(0, Ordering::Relaxed);
         self.scan_passes.store(0, Ordering::Relaxed);
         self.rows_pruned.store(0, Ordering::Relaxed);
-        self.blocks_skipped.store(0, Ordering::Relaxed);
         self.stations_pruned.store(0, Ordering::Relaxed);
         self.routing_bytes.store(0, Ordering::Relaxed);
         self.deferred_epochs.store(0, Ordering::Relaxed);
@@ -242,18 +230,24 @@ pub struct CostReport {
     pub control_bytes: u64,
     /// Bytes stored across nodes.
     pub storage_bytes: u64,
-    /// Hash function evaluations.
+    /// Hash function evaluations. The WBF station scan charges the full
+    /// probe cost of every `(row × section)` pair it did not prune; the
+    /// Bloom scan, which carries no weights to prune with, charges every
+    /// pair.
     pub hash_ops: u64,
     /// Pattern/value comparisons.
     pub comparisons: u64,
     /// Full passes over a station's local store (one per station per batch
     /// in the batch-aware pipeline).
     pub scan_passes: u64,
-    /// Candidate `(row × section)` evaluations a dynamic-pruning scan
-    /// skipped via score bounds (zero under `ScanAlgorithm::Exhaustive`).
+    /// Candidate `(row × section)` pairs the station scan skipped before
+    /// hashing, because the section's weight universe holds no weight
+    /// plausible for the row's volume. Depends on the row and the section
+    /// alone, so it is mode- and shard-layout-invariant.
     pub rows_pruned: u64,
-    /// Whole row blocks skipped via block-max metadata (nonzero only under
-    /// `ScanAlgorithm::BlockMaxWand`).
+    /// Always zero: the station scan skips `(row × section)` pairs, never
+    /// whole row blocks. The field stays so existing readers of a report
+    /// keep working.
     pub blocks_skipped: u64,
     /// Stations a routing tree excluded from a query broadcast (zero under
     /// `RoutingPolicy::BroadcastAll`). Decided center-side before any
@@ -378,10 +372,9 @@ mod tests {
         let meter = CostMeter::new();
         meter.record_rows_pruned(64);
         meter.record_rows_pruned(3);
-        meter.record_blocks_skipped(2);
         let report = meter.report();
         assert_eq!(report.rows_pruned, 67);
-        assert_eq!(report.blocks_skipped, 2);
+        assert_eq!(report.blocks_skipped, 0);
         assert_eq!(report.mode_invariant().rows_pruned, 67);
         meter.reset();
         assert_eq!(meter.report(), CostReport::default());

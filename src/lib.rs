@@ -69,9 +69,9 @@ pub mod prelude {
         aggregate_and_rank, build_wbf, evaluate, run_bloom, run_naive, run_pipeline, run_streaming,
         run_wbf, AdmissionPolicy, BatchOutcome, Bloom, DiMatchingConfig, EpochBroadcast,
         EpochOutcome, FilterStrategy, HashScheme, Method, Naive, PatternQuery, PipelineOptions,
-        QueryOutcome, QueryVerdict, RoutingPolicy, RoutingTree, ScanAlgorithm, SectionGrouping,
-        Service, ServiceEpoch, Shards, StationMemory, StreamQueryId, StreamingSession,
-        StreamingUpdate, TenantId, Wbf,
+        QueryOutcome, QueryVerdict, RoutingPolicy, RoutingTree, SectionGrouping, Service,
+        ServiceEpoch, Shards, StationMemory, StreamQueryId, StreamingSession, StreamingUpdate,
+        TenantId, Wbf,
     };
     pub use dipm_timeseries::{
         eps_match, AccumulatedPattern, Pattern, SampledPattern, ToleranceMode,

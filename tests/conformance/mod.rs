@@ -11,12 +11,15 @@
 //! 3. **Stitched rejection** — a candidate whose probed bits were set by
 //!    *different* patterns carries no common weight and is rejected, even
 //!    though a classic Bloom filter accepts it.
+//!
+//! It also holds the exhaustive station scan ([`reference_scan`]), the
+//! oracle the exact pruning scan is pinned against.
 
 use std::collections::BTreeSet;
 
 use dipm::mobilenet::ground_truth;
 use dipm::prelude::*;
-use dipm::protocol::ProtocolError;
+use dipm::protocol::{ProtocolError, WbfScanSection};
 
 /// The fixed dataset seeds every conformance test sweeps. Three distinct
 /// cities plus the quickstart seed; all invariants must hold on each.
@@ -111,4 +114,65 @@ pub fn assert_precision_dominance(
         wbf >= bloom - 1e-9,
         "seed {seed} probe {probe}: WBF precision {wbf} below Bloom {bloom}"
     );
+}
+
+/// The documented plausibility rule of the station's weight selection: the
+/// smallest surviving non-zero weight whose implied combination volume lies
+/// within `slack` of the observed volume (every weight when no totals were
+/// broadcast).
+fn reference_select(
+    set: &WeightSet,
+    query_totals: &[u64],
+    local_total: u64,
+    slack: u64,
+) -> Option<Weight> {
+    set.iter().find(|&w| {
+        if w.is_zero() {
+            return false;
+        }
+        if query_totals.is_empty() {
+            return true;
+        }
+        query_totals.iter().any(|&t| {
+            let implied = w.numerator() as u128 * t as u128;
+            let observed = local_total as u128 * w.denominator() as u128;
+            implied.abs_diff(observed) <= slack as u128 * w.denominator() as u128
+        })
+    })
+}
+
+/// The exhaustive, allocation-heavy station scan: fresh buffers for every
+/// row, every `(row, section)` pair probed with the owned
+/// `query_sequence`, no pruning, same `(row, section)` visit order. Each row
+/// is re-derived independently through the public two-step pipeline
+/// (`AccumulatedPattern` → `SampledPattern`).
+// Only the scan suites call the oracle; `end_to_end.rs` includes this
+// module for the invariants alone.
+#[allow(dead_code)]
+pub fn reference_scan(
+    sections: &[WbfScanSection<'_>],
+    shard: &[(UserId, &Pattern)],
+    config: &DiMatchingConfig,
+) -> Vec<(u32, UserId, Weight)> {
+    let mut reports = Vec::new();
+    for &(user, pattern) in shard {
+        let acc = AccumulatedPattern::from_pattern(pattern).expect("pattern accumulates");
+        let sampled = SampledPattern::from_accumulated(&acc, config.samples).expect("samples");
+        let keys: Vec<u64> = sampled
+            .points()
+            .iter()
+            .enumerate()
+            .map(|(i, p)| config.hash_scheme.key(i, p.value))
+            .collect();
+        let local_total = sampled.max_value();
+        let slack = config.eps.saturating_mul(pattern.len() as u64);
+        for &(query, filter, query_totals) in sections {
+            if let Some(set) = filter.query_sequence(keys.iter().copied()) {
+                if let Some(weight) = reference_select(&set, query_totals, local_total, slack) {
+                    reports.push((query, user, weight));
+                }
+            }
+        }
+    }
+    reports
 }

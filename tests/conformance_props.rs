@@ -133,15 +133,14 @@ proptest! {
 
     #[test]
     fn weight_reports_roundtrip(
-        raw in vec((any::<u64>(), 1u64..1000, 1u64..1000), 0..50),
+        raw in vec((any::<u32>(), any::<u64>(), 1u64..1000, 1u64..1000), 0..50),
     ) {
-        let reports: Vec<(UserId, Weight)> = raw
+        let reports: Vec<(u32, UserId, Weight)> = raw
             .iter()
-            .map(|&(id, a, b)| (UserId(id), Weight::new(a, b).unwrap()))
+            .map(|&(query, id, a, b)| (query, UserId(id), Weight::new(a, b).unwrap()))
             .collect();
-        let decoded =
-            wire::decode_weight_reports(wire::encode_weight_reports(&reports).unwrap()).unwrap();
-        prop_assert_eq!(decoded, reports);
+        let encoded = wire::encode_tagged_weight_reports(&reports).unwrap();
+        prop_assert_eq!(wire::decode_tagged_weight_reports(encoded).unwrap(), reports);
     }
 
     #[test]
@@ -171,8 +170,8 @@ proptest! {
     #[test]
     fn corrupt_broadcasts_never_panic(raw in vec(any::<u8>(), 0..300)) {
         let bytes = Bytes::from(raw);
-        let _ = wire::decode_weight_reports(bytes.clone());
-        let _ = wire::decode_id_reports(bytes.clone());
+        let _ = wire::decode_tagged_weight_reports(bytes.clone());
+        let _ = wire::decode_tagged_id_reports(bytes.clone());
         let _ = wire::decode_station_data(bytes.clone());
         let _ = wire::decode_filter_broadcast(bytes.clone());
         let _ = encode::decode_bloom(bytes.clone());

@@ -1,81 +1,23 @@
-//! Scan-core conformance: the scratch-based, allocation-free shard scan
-//! must be **bit-for-bit** identical to a straightforward allocating
-//! reference scan on every seeded conformance dataset.
+//! Scan-core conformance: the scratch-based, allocation-free pruning shard
+//! scan must be **bit-for-bit** identical to the exhaustive, allocating
+//! reference scan (`conformance::reference_scan`) on every seeded
+//! conformance dataset.
 //!
-//! The reference re-derives each row independently through the public
-//! two-step pipeline (`AccumulatedPattern` → `SampledPattern`), probes with
-//! the owned `query_sequence`, and applies the documented weight-selection
-//! rule. Comparing the *encoded report frames* pins report content **and**
-//! order down to the wire bytes, so neither the reused key buffer, the
-//! probe scratch, nor the word-level membership fast path can shift a
-//! single report.
+//! Comparing the *encoded report frames* pins report content **and** order
+//! down to the wire bytes, so neither the exact prune, the reused key
+//! buffer, the probe scratch, nor the word-level membership fast path can
+//! shift a single report. The pruning meter must fire on every seed, so the
+//! comparison cannot pass with the prune idle.
 
-// Only the dataset/query helpers are used here; the oracle assertions
-// belong to the end-to-end conformance binaries.
+// Only the dataset/query helpers and the reference scan are used here; the
+// oracle assertions belong to the end-to-end conformance binaries.
 #[allow(dead_code)]
 mod conformance;
 
-use dipm::core::{Weight, WeightSet};
-use dipm::mobilenet::UserId;
+use dipm::distsim::CostMeter;
 use dipm::prelude::*;
 use dipm::protocol::wire;
-use dipm::protocol::{build_wbf, scan_shard_wbf, BaseStation, BuiltFilter, Shards, WbfScanSection};
-use dipm::timeseries::{AccumulatedPattern, Pattern, SampledPattern};
-
-/// The documented plausibility rule of the station's weight selection: the
-/// smallest surviving non-zero weight whose implied combination volume lies
-/// within `slack` of the observed volume (every weight when no totals were
-/// broadcast).
-fn reference_select(
-    set: &WeightSet,
-    query_totals: &[u64],
-    local_total: u64,
-    slack: u64,
-) -> Option<Weight> {
-    set.iter().find(|&w| {
-        if w.is_zero() {
-            return false;
-        }
-        if query_totals.is_empty() {
-            return true;
-        }
-        query_totals.iter().any(|&t| {
-            let implied = w.numerator() as u128 * t as u128;
-            let observed = local_total as u128 * w.denominator() as u128;
-            implied.abs_diff(observed) <= slack as u128 * w.denominator() as u128
-        })
-    })
-}
-
-/// Allocation-heavy reference scan: fresh buffers for every row, owned
-/// query results, same `(row, section)` visit order.
-fn reference_scan(
-    sections: &[WbfScanSection<'_>],
-    shard: &[(UserId, &Pattern)],
-    config: &DiMatchingConfig,
-) -> Vec<(u32, UserId, Weight)> {
-    let mut reports = Vec::new();
-    for &(user, pattern) in shard {
-        let acc = AccumulatedPattern::from_pattern(pattern).expect("pattern accumulates");
-        let sampled = SampledPattern::from_accumulated(&acc, config.samples).expect("samples");
-        let keys: Vec<u64> = sampled
-            .points()
-            .iter()
-            .enumerate()
-            .map(|(i, p)| config.hash_scheme.key(i, p.value))
-            .collect();
-        let local_total = sampled.max_value();
-        let slack = config.eps.saturating_mul(pattern.len() as u64);
-        for &(query, filter, query_totals) in sections {
-            if let Some(set) = filter.query_sequence(keys.iter().copied()) {
-                if let Some(weight) = reference_select(&set, query_totals, local_total, slack) {
-                    reports.push((query, user, weight));
-                }
-            }
-        }
-    }
-    reports
-}
+use dipm::protocol::{build_wbf, scan_shard_wbf, BaseStation, BuiltFilter, WbfScanSection};
 
 #[test]
 fn scan_shard_wbf_is_bit_for_bit_identical_to_reference() {
@@ -95,13 +37,15 @@ fn scan_shard_wbf_is_bit_for_bit_identical_to_reference() {
             .map(|(i, b)| (i as u32, &b.filter, b.query_totals.as_slice()))
             .collect();
         let mut hits = 0usize;
+        let meter = CostMeter::new();
         for &station in dataset.stations() {
             let locals = dataset.station_locals(station).expect("station has users");
             let base = BaseStation::from_locals(station, locals, Shards::new(2));
             for shard_index in 0..base.shard_count() {
                 let shard = base.shard(shard_index);
-                let fast = scan_shard_wbf(&sections, shard, &config, None).expect("scan runs");
-                let reference = reference_scan(&sections, shard, &config);
+                let fast =
+                    scan_shard_wbf(&sections, shard, &config, Some(&meter)).expect("scan runs");
+                let reference = conformance::reference_scan(&sections, shard, &config);
                 assert_eq!(
                     fast, reference,
                     "seed {seed}, station {station:?}, shard {shard_index}"
@@ -117,6 +61,10 @@ fn scan_shard_wbf_is_bit_for_bit_identical_to_reference() {
             }
         }
         assert!(hits > 0, "seed {seed} produced no reports — vacuous pass");
+        assert!(
+            meter.report().rows_pruned > 0,
+            "seed {seed} pruned nothing — the prune went untested"
+        );
     }
 }
 
