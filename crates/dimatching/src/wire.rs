@@ -1705,6 +1705,20 @@ mod tests {
     }
 
     #[test]
+    fn weight_reports_roundtrip() {
+        // One query's reports, as a single-section scan emits them: every
+        // tag is 0, and ids and weights use their full 64-bit range.
+        let reports = vec![
+            (0u32, UserId(1), w(1, 3)),
+            (0u32, UserId(u64::MAX), Weight::ONE),
+            (0u32, UserId(42), w(u64::MAX - 1, u64::MAX)),
+        ];
+        let encoded = encode_tagged_weight_reports(&reports).unwrap();
+        assert_eq!(encoded.len(), 4 + 3 * 28);
+        assert_eq!(decode_tagged_weight_reports(encoded).unwrap(), reports);
+    }
+
+    #[test]
     fn empty_reports_roundtrip() {
         assert!(
             decode_tagged_weight_reports(encode_tagged_weight_reports(&[]).unwrap())
@@ -1716,6 +1730,20 @@ mod tests {
                 .unwrap()
                 .is_empty()
         );
+    }
+
+    #[test]
+    fn id_reports_roundtrip() {
+        // Ids come back in the order sent, not sorted, with the tag and the
+        // id at their full range.
+        let reports = vec![
+            (0u32, UserId(3)),
+            (0u32, UserId(1)),
+            (u32::MAX, UserId(u64::MAX)),
+        ];
+        let encoded = encode_tagged_id_reports(&reports).unwrap();
+        assert_eq!(encoded.len(), 4 + 3 * 12);
+        assert_eq!(decode_tagged_id_reports(encoded).unwrap(), reports);
     }
 
     #[test]
@@ -1733,6 +1761,28 @@ mod tests {
         let data = encode_station_data(vec![(UserId(1), &p)]).unwrap();
         for cut in [0, 3, 10, data.len() - 1] {
             assert!(decode_station_data(data.slice(0..cut)).is_err());
+        }
+    }
+
+    #[test]
+    fn zero_denominator_rejected() {
+        // A zero denominator in any entry, not only the last, fails the
+        // whole frame. Entries are 28 bytes after the 4-byte count; the
+        // denominator is each entry's last 8 bytes.
+        let reports = [
+            (0, UserId(1), w(1, 2)),
+            (1, UserId(2), w(2, 3)),
+            (1, UserId(3), Weight::ONE),
+        ];
+        let encoded = encode_tagged_weight_reports(&reports).unwrap();
+        for entry in 0..reports.len() {
+            let mut raw = encoded.to_vec();
+            let den = 4 + entry * 28 + 20;
+            raw[den..den + 8].fill(0);
+            assert!(
+                decode_tagged_weight_reports(Bytes::from(raw)).is_err(),
+                "entry {entry}"
+            );
         }
     }
 

@@ -69,6 +69,69 @@ fn scan_shard_wbf_is_bit_for_bit_identical_to_reference() {
 }
 
 #[test]
+fn scan_core_is_bit_identical_to_reference_on_every_shard_layout() {
+    // The exact prune decides per (row, section), never per shard, so every
+    // shard of every layout must match the oracle down to the wire bytes,
+    // and a station's reports and scan meters must not depend on how its
+    // rows are split.
+    let config = DiMatchingConfig::default();
+    for seed in conformance::SEEDS {
+        let dataset = conformance::dataset(seed);
+        let builds: Vec<BuiltFilter> = conformance::PROBES
+            .iter()
+            .map(|&probe| {
+                let query = conformance::probe_query(&dataset, probe);
+                build_wbf(std::slice::from_ref(&query), &config).expect("filter builds")
+            })
+            .collect();
+        let sections: Vec<WbfScanSection<'_>> = builds
+            .iter()
+            .enumerate()
+            .map(|(i, b)| (i as u32, &b.filter, b.query_totals.as_slice()))
+            .collect();
+        let mut unsharded = None;
+        for count in [1, 2, 3, 5] {
+            let meter = CostMeter::new();
+            let mut reports = Vec::new();
+            for &station in dataset.stations() {
+                let locals = dataset.station_locals(station).expect("station has users");
+                let base = BaseStation::from_locals(station, locals, Shards::new(count));
+                for shard_index in 0..base.shard_count() {
+                    let shard = base.shard(shard_index);
+                    let fast =
+                        scan_shard_wbf(&sections, shard, &config, Some(&meter)).expect("scan runs");
+                    let reference = conformance::reference_scan(&sections, shard, &config);
+                    assert_eq!(
+                        wire::encode_tagged_weight_reports(&fast).expect("encodes"),
+                        wire::encode_tagged_weight_reports(&reference).expect("encodes"),
+                        "seed {seed}, {count} shards, station {station:?}, shard {shard_index}"
+                    );
+                    reports.extend(fast);
+                }
+            }
+            reports.sort_unstable();
+            let observed = (reports, meter.report());
+            match &unsharded {
+                None => unsharded = Some(observed),
+                Some(expected) => assert_eq!(
+                    &observed, expected,
+                    "seed {seed}: {count} shards moved the reports or the scan meters"
+                ),
+            }
+        }
+        let (reports, report) = unsharded.expect("the unsharded layout ran");
+        assert!(
+            !reports.is_empty(),
+            "seed {seed} produced no reports — vacuous pass"
+        );
+        assert!(
+            report.rows_pruned > 0,
+            "seed {seed} pruned nothing — the prune went untested"
+        );
+    }
+}
+
+#[test]
 fn zero_copy_wire_views_scan_bit_for_bit_identical_to_owned_sections() {
     // A station scanning straight out of received broadcast bytes (the
     // zero-copy WbfFrameView path) must produce byte-identical report
