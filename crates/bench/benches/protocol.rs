@@ -69,11 +69,11 @@ fn bench_protocol(c: &mut Criterion) {
         b.iter(|| run_pipeline::<Wbf>(&dataset, &batch, &config, &options).expect("pipeline runs"));
     });
 
-    // The scaled-out deployment shape: sharded stations over a fixed
-    // executor pool.
-    group.bench_function("batch_pipeline_q8_sharded_pool", |b| {
+    // The scaled-out deployment shape: sharded stations on the modeled
+    // network.
+    group.bench_function("batch_pipeline_q8_sharded", |b| {
         let options = PipelineOptions {
-            mode: ExecutionMode::Async { workers: 6 },
+            mode: ExecutionMode::Async { workers: 1 },
             shards: Shards::new(4),
             top_k: Some(10),
             ..PipelineOptions::default()
@@ -81,8 +81,8 @@ fn bench_protocol(c: &mut Criterion) {
         b.iter(|| run_pipeline::<Wbf>(&dataset, &batch, &config, &options).expect("pipeline runs"));
     });
 
-    // One multiplexed service epoch: three standing tenants interleaved
-    // over the shared executor and station links (epoch 0 full broadcasts
+    // One multiplexed service epoch: three standing tenants over the
+    // shared station links (epoch 0 full broadcasts
     // run once in setup, so the measured epoch is the steady-state delta
     // path).
     group.bench_function("service_epoch_3_tenants", |b| {

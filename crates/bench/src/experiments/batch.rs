@@ -7,9 +7,8 @@
 //!   vs Q single-query runs: scan passes (N vs Q·N), broadcast bytes and
 //!   wall time. The claim: station work is flat in Q because every local
 //!   pattern is sampled once per batch.
-//! * **Shard scaling** — the same workload across shard layouts, run
-//!   sequentially and on an executor pool of half a worker per station:
-//!   identical bytes (rebalance safety), only wall time moves.
+//! * **Shard scaling** — the same workload across shard layouts: identical
+//!   bytes (rebalance safety), only wall time moves.
 
 use std::time::Duration;
 
@@ -101,7 +100,7 @@ pub fn batch_scaling(scale: &Scale) -> Report {
     report
 }
 
-/// Shard/worker-pool scaling table over one fixed batch.
+/// Shard scaling table over one fixed batch.
 pub fn shard_scaling(scale: &Scale) -> Report {
     let dataset =
         Dataset::city_slice(scale.users, scale.stations, scale.seed).expect("valid preset");
@@ -109,33 +108,24 @@ pub fn shard_scaling(scale: &Scale) -> Report {
     let qs = queries(&dataset, 8);
     let mut report = Report::new(
         "Shard scaling",
-        "one batch across shard layouts and execution modes (WBF)",
+        "one batch across shard layouts (WBF)",
         "bytes are identical in every layout; only wall time moves",
     );
-    report.columns(["shards", "mode", "total KB", "scan passes", "seconds"]);
+    report.columns(["shards", "total KB", "scan passes", "seconds"]);
     let reference = run_batch(&dataset, &qs, &config, ExecutionMode::Sequential, 1);
-    let workers = (scale.stations as usize / 2).max(1);
     for &shards in &[1usize, 2, 4, 8] {
-        for (label, mode) in [
-            ("seq", ExecutionMode::Sequential),
-            ("async", ExecutionMode::Async { workers }),
-        ] {
-            let outcome = run_batch(&dataset, &qs, &config, mode, shards);
-            assert_eq!(
-                outcome.cost.mode_invariant(),
-                reference.cost.mode_invariant(),
-                "shard layout or mode leaked into the metered bytes"
-            );
-            report.row_cells([
-                Cell::int(shards as u64),
-                Cell::text(label),
-                Cell::int(outcome.cost.total_bytes() / 1024),
-                Cell::int(outcome.cost.scan_passes),
-                Cell::float(outcome.elapsed.as_secs_f64(), 3),
-            ]);
-        }
+        let outcome = run_batch(&dataset, &qs, &config, ExecutionMode::Sequential, shards);
+        assert_eq!(
+            outcome.cost, reference.cost,
+            "shard layout leaked into the metered bytes"
+        );
+        report.row_cells([
+            Cell::int(shards as u64),
+            Cell::int(outcome.cost.total_bytes() / 1024),
+            Cell::int(outcome.cost.scan_passes),
+            Cell::float(outcome.elapsed.as_secs_f64(), 3),
+        ]);
     }
-    report.note("the async rows run at half a worker per station — the shape a city-scale deployment multiplexes at");
     report
 }
 
@@ -166,6 +156,6 @@ mod tests {
         scale.users = 200;
         // The table itself asserts byte equality across layouts.
         let report = shard_scaling(&scale);
-        assert_eq!(report.rows.len(), 8, "4 shard layouts × 2 modes");
+        assert_eq!(report.rows.len(), 4, "one row per shard layout");
     }
 }

@@ -1,22 +1,23 @@
-//! Latency sweep — the post-paper experiment for the async runtime.
+//! Latency sweep — the post-paper experiment for the modeled network.
 //!
 //! The paper's Fig. 4 axes (precision, time, communication, storage) say
 //! nothing about *latency*: its prototype runs every station as a local
 //! thread, so reports arrive as fast as the machine computes. At city scale
 //! the dominant cost is flight time, not compute — so this experiment sweeps
 //! the modeled round-trip budget × station count under
-//! `ExecutionMode::Async` and reports the deterministic virtual-clock
-//! makespan (broadcast flight → station scan → report flight, the
-//! slowest-station critical path).
+//! `ExecutionMode::Async` and reports the deterministic modeled makespan
+//! (broadcast flight → station scan → report flight, the slowest-station
+//! critical path).
 //!
 //! Two claims the table backs:
 //!
 //! * byte meters are identical to the sequential run at every sweep point —
 //!   modeling time moves no bytes, so Fig. 4c comparisons stay valid;
 //! * makespan grows with the link budget but *not* with station count per
-//!   se (stations run concurrently — only the slowest link and the largest
-//!   per-station store matter), which is exactly the behaviour a
-//!   thread-per-station wall clock cannot exhibit honestly.
+//!   se (each station's timeline is its own, so stations are modeled as
+//!   concurrent — only the slowest link and the largest per-station store
+//!   matter), which is exactly the behaviour a thread-per-station wall
+//!   clock cannot exhibit honestly.
 
 use dipm_distsim::{ExecutionMode, LatencyModel};
 use dipm_mobilenet::Dataset;
@@ -53,7 +54,7 @@ fn run(
     run_pipeline::<Wbf>(dataset, queries, config, &options).expect("pipeline runs")
 }
 
-/// Modeled RTT × station count sweep under the async runtime.
+/// Modeled RTT × station count sweep under `ExecutionMode::Async`.
 pub fn latency(scale: &Scale) -> Report {
     let config = DiMatchingConfig::default();
     let mut report = Report::new(
@@ -96,7 +97,7 @@ pub fn latency(scale: &Scale) -> Report {
                 &dataset,
                 &qs,
                 &config,
-                ExecutionMode::Async { workers: 8 },
+                ExecutionMode::Async { workers: 1 },
                 model,
             );
             assert_eq!(
@@ -142,7 +143,7 @@ mod tests {
         let second = latency(&scale);
         assert_eq!(
             first.rows, second.rows,
-            "virtual-clock readings must reproduce exactly"
+            "modeled ticks must reproduce exactly"
         );
         // Within each station count, makespan grows with the link budget.
         // Typed cells carry the unrounded reading — no string re-parsing.

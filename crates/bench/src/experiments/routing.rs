@@ -94,7 +94,7 @@ pub fn routing_sweep(scale: &Scale) -> Vec<RoutingPoint> {
         ..DiMatchingConfig::default()
     };
     let options = PipelineOptions {
-        mode: ExecutionMode::Async { workers: 4 },
+        mode: ExecutionMode::Async { workers: 1 },
         top_k: Some(TOP_K),
         ..PipelineOptions::default()
     };

@@ -462,12 +462,6 @@ impl CountingWbf {
                 .collect()
         })
     }
-
-    /// The largest live weight — the static score upper bound. `None` for
-    /// an empty filter.
-    pub fn max_weight(&self) -> Option<Weight> {
-        self.weight_universe().max()
-    }
 }
 
 impl ProbeTable for CountingWbf {
@@ -753,16 +747,16 @@ mod tests {
     fn weight_universe_follows_inserts_and_removes() {
         let mut filter = CountingWbf::new(params(), 1);
         assert!(filter.weight_universe().is_empty());
-        assert_eq!(filter.max_weight(), None);
+        assert_eq!(filter.weight_universe().max(), None);
         filter.insert(1, w(1, 3)).unwrap();
         filter.insert(2, w(2, 3)).unwrap();
         assert_eq!(filter.weight_universe().as_slice(), &[w(1, 3), w(2, 3)]);
-        assert_eq!(filter.max_weight(), Some(w(2, 3)));
+        assert_eq!(filter.weight_universe().max(), Some(w(2, 3)));
         // Removing the last carrier of a weight retires it from the
         // universe; the cached set must not go stale.
         filter.remove(2, w(2, 3)).unwrap();
         assert_eq!(filter.weight_universe().as_slice(), &[w(1, 3)]);
-        assert_eq!(filter.max_weight(), Some(w(1, 3)));
+        assert_eq!(filter.weight_universe().max(), Some(w(1, 3)));
         // The universe matches the snapshot's.
         assert_eq!(
             filter.weight_universe(),

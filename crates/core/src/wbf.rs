@@ -474,13 +474,6 @@ impl WeightedBloomFilter {
         &self.fold_state().universe
     }
 
-    /// The largest weight any candidate could report — the static
-    /// per-section score upper bound. `None` for a filter with no attached
-    /// weights.
-    pub fn max_weight(&self) -> Option<Weight> {
-        self.weight_universe().max()
-    }
-
     /// Theoretical false-positive probability of the *membership* layer at
     /// the current fill; weight consistency only lowers the real rate.
     pub fn estimated_membership_fpp(&self) -> f64 {
@@ -751,12 +744,12 @@ mod tests {
     fn weight_universe_tracks_every_mutation_path() {
         let mut wbf = WeightedBloomFilter::new(params(), 1);
         assert!(wbf.weight_universe().is_empty());
-        assert_eq!(wbf.max_weight(), None);
+        assert_eq!(wbf.weight_universe().max(), None);
 
         // Insert invalidates the cached (empty) universe.
         wbf.insert(1, w(1, 3));
         assert_eq!(wbf.weight_universe().as_slice(), &[w(1, 3)]);
-        assert_eq!(wbf.max_weight(), Some(w(1, 3)));
+        assert_eq!(wbf.weight_universe().max(), Some(w(1, 3)));
 
         // Union invalidates it again.
         let mut other = WeightedBloomFilter::new(params(), 1);
@@ -770,7 +763,7 @@ mod tests {
         let mut counting = crate::counting::CountingWbf::new(params(), 1);
         counting.insert(5, Weight::ONE).unwrap();
         let mut replayed = counting.snapshot();
-        assert_eq!(replayed.max_weight(), Some(Weight::ONE));
+        assert_eq!(replayed.weight_universe().max(), Some(Weight::ONE));
         counting.drain_dirty();
         counting.insert(6, w(1, 3)).unwrap();
         replay(&mut replayed, counting.drain_dirty()).unwrap();

@@ -1,9 +1,9 @@
 //! Base-station-side matching (Algorithm 2) over hash-sharded local stores.
 //!
 //! A station's local store is split into [`Shards`] by a pure
-//! `UserId → shard` mapping, so a station task scans in shard-sized steps
-//! and yields its executor worker between them; the layout never changes
-//! the results. Each scan is
+//! `UserId → shard` mapping, so a station scans in shard-sized steps, each
+//! charged its own modeled scan ticks; the layout never changes the results
+//! or the report bytes. Each scan is
 //! *batch-first*: every locally stored pattern is accumulated, sampled and
 //! hashed **once**, then probed against every query section of the batch —
 //! one pass over the store per batch, however many queries it carries. Only

@@ -239,15 +239,15 @@ mod tests {
             None,
         )
         .unwrap();
-        let pool = run_naive(
+        let modeled = run_naive(
             &dataset,
             &[query],
             3,
-            ExecutionMode::Async { workers: 3 },
+            ExecutionMode::Async { workers: 1 },
             None,
         )
         .unwrap();
-        assert_eq!(seq.ranked, pool.ranked);
+        assert_eq!(seq.ranked, modeled.ranked);
     }
 
     #[test]

@@ -5,12 +5,11 @@
 //! parameterized by a [`FilterStrategy`]: the data center builds one filter
 //! section per query (Algorithm 1), broadcasts the batch frame, every
 //! station decodes it once and scans its hash-sharded local store in **one
-//! pass per batch** (Algorithm 2 — one task per station on the executor,
-//! yielding its worker between shards), ships canonical-ordered reports
-//! back, and the center aggregates one ranking per query (Algorithm 3) —
-//! metering every byte and operation along the way. The station side is
-//! the same code in every [`ExecutionMode`]: the mode picks only the
-//! executor's worker count and whether the network models time.
+//! pass per batch** (Algorithm 2 — one plain call per station, in station
+//! order), ships canonical-ordered reports back, and the center aggregates
+//! one ranking per query (Algorithm 3) — metering every byte and operation
+//! along the way. The station side is the same code in every
+//! [`ExecutionMode`]: the mode picks only whether the network models time.
 //!
 //! Every WBF station runs the one exact pruning scan
 //! ([`scan_shard_wbf`](crate::scan_shard_wbf)): it skips only
@@ -24,12 +23,11 @@
 //! strategy).
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 use std::time::Instant;
 
 use dipm_distsim::{
-    block_on_all, ExecutionMode, LatencyModel, LatencyReport, Network, NodeId, StationLatency,
-    TrafficClass, VirtualClock, DATA_CENTER,
+    ExecutionMode, LatencyModel, LatencyReport, Network, NodeId, StationLatency, TrafficClass,
+    DATA_CENTER,
 };
 use dipm_mobilenet::{Dataset, StationId, UserId};
 use dipm_timeseries::Pattern;
@@ -64,11 +62,11 @@ pub enum SectionGrouping {
 ///
 /// A multi-tenant [`Service`](crate::Service) holds exactly one of these
 /// for all its tenants: mode, shard layout and latency model describe the
-/// shared deployment (one executor, one simulated network), while each
-/// tenant's `DiMatchingConfig` stays per-session.
+/// shared deployment (one station layout, one modeled timeline), while
+/// each tenant's `DiMatchingConfig` stays per-session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PipelineOptions {
-    /// How station tasks are scheduled.
+    /// Whether the run models time.
     pub mode: ExecutionMode,
     /// The per-station shard layout (pure `UserId → shard`; identical
     /// results for every count).
@@ -87,13 +85,14 @@ pub struct PipelineOptions {
 }
 
 impl PipelineOptions {
-    /// The simulated network one run executes on: stamped against `clock`
-    /// under [`ExecutionMode::Async`], unmodeled (every stamp zero) under
-    /// [`ExecutionMode::Sequential`]. Everything downstream asks the
-    /// network, never the mode, whether time is modeled.
-    pub(crate) fn network(&self, clock: &Arc<VirtualClock>) -> Network {
+    /// The simulated network one run executes on: stamped with
+    /// `self.latency` under [`ExecutionMode::Async`], unmodeled (every
+    /// stamp zero) under [`ExecutionMode::Sequential`]. Everything
+    /// downstream asks the network, never the mode, whether time is
+    /// modeled.
+    pub(crate) fn network(&self) -> Network {
         match self.mode {
-            ExecutionMode::Async { .. } => Network::with_latency(self.latency, Arc::clone(clock)),
+            ExecutionMode::Async { .. } => Network::with_latency(self.latency),
             ExecutionMode::Sequential => Network::new(),
         }
     }
@@ -135,9 +134,8 @@ pub(crate) struct CollectedReports {
 }
 
 /// The shared Algorithm 3 intake: drains the center's mailbox, works
-/// through the frames in modeled delivery order (the executor's *physical*
-/// completion order may differ run to run under work stealing; virtual
-/// delivery times never do) and admits them one by one — duplicate
+/// through the frames in modeled delivery order (never in the order the
+/// simulation ran the stations) and admits them one by one — duplicate
 /// stations, unknown ids, time-traveling stamps and delivery regressions
 /// all error, never double-count. The returned frames are in canonical
 /// station order so downstream aggregation input is identical whatever
@@ -195,15 +193,13 @@ pub(crate) fn collect_station_reports(
 /// report bytes are identical whatever the shard layout) and sends the
 /// stamped report frame to the center.
 ///
-/// `station_now` is the station's own virtual timeline, starting at its
-/// broadcast copy's delivery tick. Deadlines are interleaving-free; global
-/// `clock.now()` reads are not (the pool may advance the clock while this
-/// station's poll sits in a queue), so every stamp derives from
-/// `station_now`, never from the global reading. On an unmodeled network
-/// every tick stays zero.
-pub(crate) async fn scan_and_report<S: FilterStrategy>(
+/// `station_now` is the station's own modeled timeline, starting at its
+/// broadcast copy's delivery tick; each shard's modeled scan time is
+/// charged to it, and the report is stamped from it. No stamp depends on
+/// when the simulation runs the station. On an unmodeled network every
+/// tick stays zero.
+pub(crate) fn scan_and_report<S: FilterStrategy>(
     network: &Network,
-    clock: &Arc<VirtualClock>,
     station: usize,
     layout: &BaseStation<'_>,
     mut station_now: u64,
@@ -212,17 +208,11 @@ pub(crate) async fn scan_and_report<S: FilterStrategy>(
     let mut merged: Vec<S::StationReport> = Vec::new();
     for shard_index in 0..layout.shard_count() {
         let shard = layout.shard(shard_index);
-        // Charge the modeled scan time to the station's own timeline…
         let scan_ticks = network
             .latency_model()
             .map_or(0, |model| model.scan_ticks(shard.len()));
         station_now = station_now.saturating_add(scan_ticks);
-        clock.sleep_until(station_now).await;
         merged.extend(scan(shard)?);
-        // …and yield unconditionally after each shard (an already-elapsed
-        // sleep resolves without suspending), so one large station cannot
-        // monopolize a worker even under a zero-tick latency model.
-        dipm_distsim::yield_now().await;
     }
     merged.sort_by_key(S::report_key);
     network.meter().record_scan_pass();
@@ -274,7 +264,7 @@ pub(crate) async fn scan_and_report<S: FilterStrategy>(
 ///     })
 ///     .collect::<Result<_, _>>()?;
 /// let options = PipelineOptions {
-///     mode: ExecutionMode::Async { workers: 4 },
+///     mode: ExecutionMode::Async { workers: 1 },
 ///     shards: Shards::new(2),
 ///     top_k: Some(10),
 ///     ..PipelineOptions::default()
@@ -295,8 +285,7 @@ pub fn run_pipeline<S: FilterStrategy>(
 ) -> Result<BatchOutcome> {
     let start = Instant::now();
     config.validate()?;
-    let clock = Arc::new(VirtualClock::new());
-    let network = options.network(&clock);
+    let network = options.network();
     let center = network.register(DATA_CENTER)?;
     let stations = station_nodes(dataset);
     let mailboxes = stations
@@ -365,11 +354,12 @@ pub fn run_pipeline<S: FilterStrategy>(
             .record_storage(frame.len() as u64 * recipients.len() as u64);
     }
 
-    // Station side, Algorithm 2: one task per targeted station. It waits
-    // for its broadcast copy's modeled delivery tick, decodes the frame once
-    // and scans its shards; stations complete in virtual-time order, not
-    // station order. Pruned stations received nothing, so their mailboxes
-    // are never polled.
+    // Station side, Algorithm 2: one call per targeted station, in station
+    // order. It receives its broadcast copy, starts its timeline at the
+    // copy's modeled delivery tick, decodes the frame once and scans its
+    // shards. Every station runs even if an earlier one failed; the first
+    // error in station order is returned. Pruned stations received nothing,
+    // so their mailboxes are never read.
     let empty = BTreeMap::new();
     let layouts: Vec<BaseStation<'_>> = stations
         .iter()
@@ -378,31 +368,25 @@ pub fn run_pipeline<S: FilterStrategy>(
             BaseStation::from_locals(station, locals, options.shards)
         })
         .collect();
-    let tasks: Vec<_> = mailboxes
-        .into_iter()
+    let results: Vec<Result<()>> = mailboxes
+        .iter()
         .enumerate()
         .filter(|&(i, _)| active(i))
         .map(|(i, mailbox)| {
-            let (network, clock, layout) = (&network, &clock, &layouts[i]);
-            async move {
-                let mut station_now = 0;
-                let mut sections: Vec<(u32, S::Decoded)> = Vec::new();
-                if S::BROADCASTS {
-                    let envelope = mailbox.recv()?;
-                    station_now = envelope.deliver_at;
-                    clock.sleep_until(station_now).await;
-                    for (query, bytes) in wire::decode_batch_broadcast(envelope.payload)? {
-                        sections.push((query, S::decode_filter(bytes)?));
-                    }
+            let mut station_now = 0;
+            let mut sections: Vec<(u32, S::Decoded)> = Vec::new();
+            if S::BROADCASTS {
+                let envelope = mailbox.recv()?;
+                station_now = envelope.deliver_at;
+                for (query, bytes) in wire::decode_batch_broadcast(envelope.payload)? {
+                    sections.push((query, S::decode_filter(bytes)?));
                 }
-                scan_and_report::<S>(network, clock, i, layout, station_now, |shard| {
-                    S::scan_shard(&sections, shard, config, Some(network.meter()))
-                })
-                .await
             }
+            scan_and_report::<S>(&network, i, &layouts[i], station_now, |shard| {
+                S::scan_shard(&sections, shard, config, Some(network.meter()))
+            })
         })
         .collect();
-    let (results, _run) = block_on_all(options.mode.workers(), &clock, tasks);
     results.into_iter().collect::<Result<()>>()?;
 
     // Algorithm 3 at the data center: admit, order and decode the report
@@ -583,17 +567,17 @@ mod tests {
             None,
         )
         .unwrap();
-        let pool = run_wbf(
+        let modeled = run_wbf(
             &dataset,
             &[query],
             &config,
-            ExecutionMode::Async { workers: 3 },
+            ExecutionMode::Async { workers: 1 },
             None,
         )
         .unwrap();
-        assert_eq!(seq.ranked, pool.ranked);
+        assert_eq!(seq.ranked, modeled.ranked);
         // Communication costs are identical; only modeled time may differ.
-        assert_eq!(seq.cost, pool.cost.mode_invariant());
+        assert_eq!(seq.cost, modeled.cost.mode_invariant());
     }
 
     #[test]
@@ -640,55 +624,76 @@ mod tests {
 
     #[test]
     fn async_mode_agrees_and_reports_latency() {
-        use dipm_distsim::LatencyModel;
         let dataset = Dataset::small(37);
         let queries: Vec<PatternQuery> = (0..3).map(|i| probe_query(&dataset, i * 2)).collect();
         let config = DiMatchingConfig::default();
-        let reference =
-            run_pipeline::<Wbf>(&dataset, &queries, &config, &PipelineOptions::default()).unwrap();
-        assert!(reference.latency.is_none(), "sync modes do not model time");
-        assert_eq!(reference.cost.makespan_ticks, 0);
-        let options = PipelineOptions {
-            mode: ExecutionMode::Async { workers: 3 },
-            shards: Shards::new(2),
-            latency: LatencyModel {
-                base_ticks: 50,
-                ticks_per_byte: 1,
-                ticks_per_row: 2,
-                jitter_ticks: 7,
-                seed: 11,
-            },
-            ..PipelineOptions::default()
+        let model = LatencyModel {
+            base_ticks: 50,
+            ticks_per_byte: 1,
+            ticks_per_row: 2,
+            jitter_ticks: 7,
+            seed: 11,
         };
-        let run = |options: &PipelineOptions| {
-            run_pipeline::<Wbf>(&dataset, &queries, &config, options).unwrap()
-        };
-        let first = run(&options);
-        // Answers and mode-invariant meters are identical to Sequential…
-        for (a, b) in reference.queries.iter().zip(&first.queries) {
-            assert_eq!(a.ranked, b.ranked);
+        let stations = dataset.stations();
+        let empty = BTreeMap::new();
+        for shards in [1, 3] {
+            for grouping in [SectionGrouping::PerQuery, SectionGrouping::Merged] {
+                let sequential = PipelineOptions {
+                    shards: Shards::new(shards),
+                    grouping,
+                    ..PipelineOptions::default()
+                };
+                let reference =
+                    run_pipeline::<Wbf>(&dataset, &queries, &config, &sequential).unwrap();
+                assert!(reference.latency.is_none(), "sync modes do not model time");
+                assert_eq!(reference.cost.makespan_ticks, 0);
+                let options = PipelineOptions {
+                    mode: ExecutionMode::Async { workers: 1 },
+                    latency: model,
+                    ..sequential
+                };
+                let run = || run_pipeline::<Wbf>(&dataset, &queries, &config, &options).unwrap();
+                let first = run();
+                // Answers and mode-invariant meters are identical to
+                // Sequential…
+                for (a, b) in reference.queries.iter().zip(&first.queries) {
+                    assert_eq!(a.ranked, b.ranked);
+                }
+                assert_eq!(reference.cost, first.cost.mode_invariant());
+                // …and every stamp is the modeled timeline's arithmetic: a
+                // station reports once its broadcast copy has flown and
+                // each of its shards has been charged its scan ticks.
+                let latency = first.latency.as_ref().expect("async models time");
+                assert_eq!(latency.stations.len(), stations.len());
+                assert_eq!(first.cost.query_bytes % stations.len() as u64, 0);
+                let copy_len = (first.cost.query_bytes / stations.len() as u64) as usize;
+                for stamp in &latency.stations {
+                    let station = stations[stamp.station as usize];
+                    let locals = dataset.station_locals(station).unwrap_or(&empty);
+                    let layout = BaseStation::from_locals(station, locals, options.shards);
+                    let scan: u64 = (0..layout.shard_count())
+                        .map(|shard| model.scan_ticks(layout.shard(shard).len()))
+                        .sum();
+                    let flight = model.flight_ticks(
+                        DATA_CENTER,
+                        NodeId::base_station(stamp.station),
+                        copy_len,
+                    );
+                    assert_eq!(
+                        stamp.report_sent,
+                        flight + scan,
+                        "station {} ({shards} shards, {grouping:?})",
+                        stamp.station
+                    );
+                }
+                let latest = latency.stations.iter().map(|s| s.report_delivered).max();
+                assert_eq!(Some(latency.makespan_ticks), latest);
+                assert_eq!(first.cost.makespan_ticks, latency.makespan_ticks);
+                let again = run();
+                assert_eq!(first.cost, again.cost, "async cost must be deterministic");
+                assert_eq!(first.latency, again.latency);
+            }
         }
-        assert_eq!(reference.cost, first.cost.mode_invariant());
-        // …and the latency dimension is present, plausible and
-        // deterministic under the seeded virtual clock.
-        let latency = first.latency.as_ref().expect("async models time");
-        assert!(latency.makespan_ticks > 0);
-        assert_eq!(latency.stations.len(), dataset.stations().len());
-        assert_eq!(latency.critical_path_ticks(), latency.makespan_ticks);
-        assert_eq!(first.cost.makespan_ticks, latency.makespan_ticks);
-        for station in &latency.stations {
-            assert!(station.report_sent >= 50, "broadcast flight charged");
-            assert!(station.report_delivered > station.report_sent);
-        }
-        let again = run(&options);
-        assert_eq!(first.cost, again.cost, "async cost must be deterministic");
-        assert_eq!(first.latency, again.latency);
-        // A single deterministic worker models the very same virtual times.
-        let single = run(&PipelineOptions {
-            mode: ExecutionMode::Async { workers: 1 },
-            ..options
-        });
-        assert_eq!(single.latency, first.latency);
     }
 
     #[test]
@@ -698,10 +703,10 @@ mod tests {
         let config = DiMatchingConfig::default();
         let makespan = |base_ticks: u64| {
             let options = PipelineOptions {
-                mode: ExecutionMode::Async { workers: 2 },
-                latency: dipm_distsim::LatencyModel {
+                mode: ExecutionMode::Async { workers: 1 },
+                latency: LatencyModel {
                     base_ticks,
-                    ..dipm_distsim::LatencyModel::default()
+                    ..LatencyModel::default()
                 },
                 ..PipelineOptions::default()
             };

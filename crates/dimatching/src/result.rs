@@ -103,7 +103,7 @@ pub struct BatchOutcome {
     /// Metered communication/storage/operation costs of the whole batch.
     pub cost: CostReport,
     /// The latency dimension — modeled per-station critical paths and the
-    /// run's makespan on the virtual clock. `Some` only under
+    /// run's modeled makespan. `Some` only under
     /// `ExecutionMode::Async`; `ExecutionMode::Sequential` does not model
     /// time.
     pub latency: Option<LatencyReport>,

@@ -1,13 +1,13 @@
 //! The multi-tenant standing-query service: many concurrent
-//! [`StreamingSession`]s multiplexed over one executor and one simulated
-//! station deployment.
+//! [`StreamingSession`]s multiplexed over one simulated station
+//! deployment.
 //!
 //! A [`Service`] is the long-lived shape of the streaming layer: each
 //! tenant registers its own standing-query session (own filter geometry,
 //! own counting filter, own epoch counter), and every service epoch runs
-//! all admitted tenants *interleaved* — one shared executor, one shared
-//! virtual clock, shared per-station downlinks — instead of one session at
-//! a time.
+//! all admitted tenants together — one shared station layout, one modeled
+//! timeline, shared per-station downlinks — instead of one session at a
+//! time.
 //!
 //! Three properties make the multiplexing safe to reason about:
 //!
@@ -143,7 +143,7 @@ impl Service {
     }
 
     /// The service's shared execution options. Every tenant session runs
-    /// under these — a shared executor needs one mode, one latency model
+    /// under these — one shared deployment has one mode, one latency model
     /// and one shard layout.
     pub fn options(&self) -> &PipelineOptions {
         &self.options
@@ -239,8 +239,8 @@ impl Service {
     }
 
     /// Runs one service epoch over `dataset`: admission first (center-side,
-    /// before any frame flies), then every admitted tenant's epoch
-    /// interleaved over the shared executor and station links.
+    /// before any frame flies), then every admitted tenant's epoch over the
+    /// shared station links.
     ///
     /// Admission considers tenants longest-deferred first (ties in id
     /// order). Deferred tenants' sessions are untouched — no drain, no

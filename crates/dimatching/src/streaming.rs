@@ -40,14 +40,11 @@
 //! cached universe, so churn can never leave a stale bound behind.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 use std::time::Instant;
 
 use bytes::Bytes;
 use dipm_core::{encode, CountingWbf, FilterParams, Weight, WeightSet, WeightedBloomFilter};
-use dipm_distsim::{
-    block_on_all, CostMeter, Mailbox, Network, NodeId, TrafficClass, VirtualClock, DATA_CENTER,
-};
+use dipm_distsim::{CostMeter, Mailbox, Network, NodeId, TrafficClass, DATA_CENTER};
 use dipm_mobilenet::{Dataset, UserId};
 
 use crate::basestation::{scan_shard_wbf, BaseStation};
@@ -152,8 +149,8 @@ impl StationState {
 /// One tenant's epoch, planned but not yet executed: the encoded update
 /// frames, who gets which, and the bookkeeping the finish phase needs.
 /// Produced by `plan_epoch`, consumed by `finish_epoch`; between the two,
-/// the interleaved engine broadcasts and executes any number of tenants'
-/// plans over shared station links.
+/// the epoch engine broadcasts and executes any number of tenants' plans
+/// over shared station links.
 #[derive(Debug)]
 struct EpochPlan {
     epoch: u64,
@@ -943,8 +940,7 @@ struct TenantEpoch {
     plan: EpochPlan,
 }
 
-/// Runs one epoch for every session, interleaved over the shared executor
-/// and the shared per-station links.
+/// Runs one epoch for every session over the shared per-station links.
 ///
 /// This is *the* epoch engine: a solo [`StreamingSession::run_epoch`] is
 /// the one-session call of the same code, which is what makes tenant
@@ -952,12 +948,11 @@ struct TenantEpoch {
 /// existence — each tenant runs on its own [`Network`] (own meter, own
 /// mailboxes), so its byte and operation accounting cannot observe its
 /// neighbors. Only modeled *time* couples tenants: under
-/// [`ExecutionMode::Async`](dipm_distsim::ExecutionMode::Async) the shared
-/// [`VirtualClock`] advances and the `links` vector serializes each
-/// station's downlink across tenants.
+/// [`ExecutionMode::Async`](dipm_distsim::ExecutionMode::Async) the `links`
+/// vector serializes each station's downlink across tenants.
 ///
 /// All sessions must share the same [`PipelineOptions`] (the service
-/// guarantees this); the first session's options drive the executor.
+/// guarantees this); the first session's shard layout is used for all.
 ///
 /// On error every session is marked for a full resync — the failure may
 /// have struck mid-protocol for any of them.
@@ -986,24 +981,19 @@ fn interleaved_epochs_inner(
     if sessions.is_empty() {
         return Ok(Vec::new());
     }
-    let workers = sessions[0].options.mode.workers();
     let shards = sessions[0].options.shards;
     let station_count = dataset.stations().len();
     if links.len() < station_count {
         links.resize(station_count, 0);
     }
 
-    // One shared clock timeline across all tenants; each tenant still gets
-    // a fresh network per epoch so nodes re-register and meters stay
-    // private.
-    let clock = Arc::new(VirtualClock::new());
-
     // Phases 1+2 per tenant, in registration order: plan, then claim the
     // shared downlinks. The first tenant's frames are stamped exactly as a
-    // solo run's; later tenants queue behind it.
+    // solo run's; later tenants queue behind it. Each tenant gets a fresh
+    // network per epoch so nodes re-register and meters stay private.
     let mut tenants: Vec<TenantEpoch> = Vec::with_capacity(sessions.len());
     for session in sessions.iter_mut() {
-        let network = session.options.network(&clock);
+        let network = session.options.network();
         let center = network.register(DATA_CENTER)?;
         let mailboxes = (0..station_count)
             .map(|i| network.register(NodeId::base_station(i as u32)))
@@ -1030,35 +1020,31 @@ fn interleaved_epochs_inner(
             BaseStation::from_locals(station, locals, shards)
         })
         .collect();
-    // One task per (tenant, active station), all on one executor and one
-    // virtual clock — tenants' epochs genuinely interleave. The update is
-    // applied to the station's *retained* filter before the scan, on the
-    // station's own virtual timeline.
-    let mut tasks = Vec::new();
-    for (session, tenant) in sessions.iter_mut().zip(tenants.iter_mut()) {
+    // One call per (tenant, active station), tenant by tenant in station
+    // order. The update is applied to the station's *retained* filter
+    // before the scan, and the report is stamped from the station's own
+    // modeled timeline, so tenants' stamps are those of concurrent epochs.
+    // Every call runs even if an earlier one failed; the first error in
+    // that order is returned.
+    let mut results: Vec<Result<()>> = Vec::new();
+    for (session, tenant) in sessions.iter_mut().zip(&tenants) {
         let epoch = tenant.plan.epoch;
-        let mailboxes = std::mem::take(&mut tenant.mailboxes);
         let (network, active) = (&tenant.network, &tenant.plan.active);
         let (stations, config) = session.exec_parts();
-        for (i, (mailbox, state)) in mailboxes.into_iter().zip(stations.iter_mut()).enumerate() {
-            if !active[i] {
-                continue;
-            }
-            let (clock, layout) = (&clock, &layouts[i]);
-            tasks.push(async move {
-                let envelope = mailbox.recv()?;
-                let station_now = envelope.deliver_at;
-                clock.sleep_until(station_now).await;
-                state.apply(wire::decode_station_update(envelope.payload)?, epoch)?;
-                let (filter, totals) = state.view()?;
-                scan_and_report::<Wbf>(network, clock, i, layout, station_now, |shard| {
-                    scan_shard_wbf(&[(0, filter, totals)], shard, config, Some(network.meter()))
-                })
-                .await
-            });
-        }
+        let steps = tenant.mailboxes.iter().zip(stations.iter_mut()).enumerate();
+        results.extend(
+            steps
+                .filter(|&(i, _)| active[i])
+                .map(|(i, (mailbox, state))| {
+                    let envelope = mailbox.recv()?;
+                    state.apply(wire::decode_station_update(envelope.payload)?, epoch)?;
+                    let (filter, totals) = state.view()?;
+                    scan_and_report::<Wbf>(network, i, &layouts[i], envelope.deliver_at, |shard| {
+                        scan_shard_wbf(&[(0, filter, totals)], shard, config, Some(network.meter()))
+                    })
+                }),
+        );
     }
-    let (results, _run) = block_on_all(workers, &clock, tasks);
     results.into_iter().collect::<Result<()>>()?;
 
     // Phase 4 per tenant.
@@ -1246,22 +1232,18 @@ mod tests {
             .unwrap()
         };
         let reference = run(ExecutionMode::Sequential);
-        for mode in [
-            ExecutionMode::Async { workers: 1 },
-            ExecutionMode::Async { workers: 3 },
-        ] {
-            let outcomes = run(mode);
-            assert_eq!(outcomes.len(), reference.len());
-            for (a, b) in reference.iter().zip(&outcomes) {
-                assert_eq!(a.outcome.ranked, b.outcome.ranked, "{mode:?} diverged");
-                assert_eq!(
-                    a.outcome.cost,
-                    b.outcome.cost.mode_invariant(),
-                    "{mode:?} moved different bytes"
-                );
-                assert_eq!(a.broadcast, b.broadcast);
-                assert_eq!(a.broadcast_bytes, b.broadcast_bytes);
-            }
+        let mode = ExecutionMode::Async { workers: 1 };
+        let outcomes = run(mode);
+        assert_eq!(outcomes.len(), reference.len());
+        for (a, b) in reference.iter().zip(&outcomes) {
+            assert_eq!(a.outcome.ranked, b.outcome.ranked, "{mode:?} diverged");
+            assert_eq!(
+                a.outcome.cost,
+                b.outcome.cost.mode_invariant(),
+                "{mode:?} moved different bytes"
+            );
+            assert_eq!(a.broadcast, b.broadcast);
+            assert_eq!(a.broadcast_bytes, b.broadcast_bytes);
         }
     }
 
@@ -1271,7 +1253,7 @@ mod tests {
         let day1 = Dataset::small(46);
         let query = probe_query(&day0, 0);
         let options = PipelineOptions {
-            mode: ExecutionMode::Async { workers: 2 },
+            mode: ExecutionMode::Async { workers: 1 },
             latency: LatencyModel::default(),
             ..PipelineOptions::default()
         };

@@ -125,8 +125,8 @@ pub fn decode_batch_broadcast(mut data: Bytes) -> Result<Vec<(u32, Bytes)>> {
 pub struct ReportFrame {
     /// The reporting station's index, as declared on the wire.
     pub station: u32,
-    /// Virtual tick at which the station sent the report (`0` outside the
-    /// latency-modeled async runtime).
+    /// Modeled tick at which the station sent the report (`0` on a network
+    /// without a latency model).
     pub sent_tick: u64,
     /// The strategy-encoded report payload.
     pub payload: Bytes,

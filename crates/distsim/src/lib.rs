@@ -12,47 +12,36 @@
 //! * [`CostMeter`] / [`CostReport`] — lock-free accounting of bytes moved,
 //!   bytes stored and operations executed (Fig. 4b/4d machine-independent
 //!   cost).
-//! * [`ExecutionMode`] — how station tasks run: `Sequential` on the
-//!   calling thread over an unmodeled network, or `Async` on any number of
-//!   workers with modeled time. The results are identical in every mode.
-//! * [`block_on_all`] / [`VirtualClock`] — the vendored mini-executor every
-//!   mode runs station tasks on: a deterministic single-worker task queue,
-//!   a work-stealing pool, and a discrete-event clock that the
-//!   [`LatencyModel`] stamps broadcast/report envelopes against, producing
-//!   the [`CostReport::makespan_ticks`] latency meter.
+//! * [`ExecutionMode`] — whether time is modeled. Station steps are plain
+//!   calls on the calling thread, in station order, in every mode:
+//!   `Sequential` runs them over an unmodeled network, `Async` over one
+//!   that stamps every envelope with its [`LatencyModel`] flight time. Each
+//!   station's stamps come from its own timeline (broadcast delivery plus
+//!   modeled scan ticks), which yields the [`CostReport::makespan_ticks`]
+//!   latency meter. Rankings and byte meters are identical in every mode.
 //!
 //! # Example
 //!
 //! ```
-//! use std::sync::Arc;
-//!
 //! use bytes::Bytes;
-//! use dipm_distsim::{
-//!     block_on_all, ExecutionMode, Network, NodeId, TrafficClass, VirtualClock, DATA_CENTER,
-//! };
+//! use dipm_distsim::{LatencyModel, Network, NodeId, TrafficClass, DATA_CENTER};
 //!
 //! # fn main() -> Result<(), dipm_distsim::DistSimError> {
-//! let network = Network::new();
+//! let network = Network::with_latency(LatencyModel::default());
 //! let center = network.register(DATA_CENTER)?;
 //! let stations: Vec<NodeId> = (0..4).map(NodeId::base_station).collect();
 //! for s in &stations {
 //!     network.register(*s)?;
 //! }
 //!
-//! // Every station reports 8 bytes to the center, one task per station.
-//! let tasks: Vec<_> = stations
-//!     .iter()
-//!     .map(|&s| {
-//!         let network = &network;
-//!         async move {
-//!             network.send(s, DATA_CENTER, TrafficClass::Report, Bytes::from_static(b"id+wght!"))
-//!         }
-//!     })
-//!     .collect();
-//! let mode = ExecutionMode::Async { workers: 2 };
-//! let (sent, _run) = block_on_all(mode.workers(), &Arc::new(VirtualClock::new()), tasks);
-//! assert!(sent.iter().all(Result::is_ok));
-//! assert_eq!(center.drain().len(), 4);
+//! // Every station reports 8 bytes to the center, sent at the tick its own
+//! // timeline reached; the envelope carries the modeled delivery tick.
+//! for (i, &s) in stations.iter().enumerate() {
+//!     let payload = Bytes::from_static(b"id+wght!");
+//!     network.send_at(s, DATA_CENTER, TrafficClass::Report, payload, 10 * i as u64)?;
+//! }
+//! let delivered: Vec<u64> = center.drain().iter().map(|env| env.deliver_at).collect();
+//! assert_eq!(delivered, [108, 118, 128, 138]); // 100 ticks base + 1 per byte
 //! assert_eq!(network.meter().report().report_bytes, 32);
 //! # Ok(())
 //! # }
@@ -62,17 +51,13 @@
 #![warn(missing_debug_implementations)]
 #![forbid(unsafe_code)]
 
-mod clock;
 mod error;
-mod executor;
 mod metrics;
 mod network;
 mod node;
 mod runtime;
 
-pub use clock::{yield_now, Sleep, VirtualClock, YieldNow};
 pub use error::{DistSimError, Result};
-pub use executor::{block_on_all, AsyncRunReport};
 pub use metrics::{CostMeter, CostReport, LatencyReport, StationLatency, TrafficClass};
 pub use network::{Envelope, LatencyModel, Mailbox, Network};
 pub use node::{NodeId, DATA_CENTER};

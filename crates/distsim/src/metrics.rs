@@ -3,8 +3,8 @@
 //! The evaluation compares methods on four axes — precision, time,
 //! communication and storage. [`CostMeter`] collects the machine-independent
 //! ones (bytes moved per traffic class, bytes stored, operation counts) with
-//! lock-free atomics so the executor's worker pool can record
-//! concurrently; wall time is measured by the harness around the run.
+//! lock-free atomics, so a meter can be shared and recorded into from any
+//! thread; wall time is measured by the harness around the run.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -165,12 +165,12 @@ impl CostMeter {
             .fetch_max(report.makespan_ticks, Ordering::Relaxed);
     }
 
-    /// Records a completion time on the virtual clock; the report keeps the
-    /// maximum seen (the run's makespan).
+    /// Records a modeled completion tick; the report keeps the maximum seen
+    /// (the run's makespan).
     ///
-    /// Only the async runtime models time, so this stays zero in every
-    /// synchronous mode — it is the one [`CostReport`] dimension excluded
-    /// from [`CostReport::mode_invariant`].
+    /// Only `ExecutionMode::Async` models time, so this stays zero under
+    /// `ExecutionMode::Sequential` — it is the one [`CostReport`] dimension
+    /// excluded from [`CostReport::mode_invariant`].
     pub fn record_makespan(&self, ticks: u64) {
         self.makespan_ticks.fetch_max(ticks, Ordering::Relaxed);
     }
@@ -263,7 +263,7 @@ pub struct CostReport {
     /// budget). Decided center-side from planned frame sizes, hence
     /// mode-invariant.
     pub deferred_epochs: u64,
-    /// Virtual-clock makespan of the run: the latest modeled report
+    /// Modeled makespan of the run, in ticks: the latest modeled report
     /// delivery tick. Zero outside `ExecutionMode::Async` (wall time is not
     /// modeled there); deterministic under a fixed latency model and seed.
     pub makespan_ticks: u64,
@@ -285,7 +285,7 @@ impl CostReport {
     ///
     /// The protocol promises these meters are **byte-identical across all
     /// execution modes** (the Fig. 4 comparisons depend on it); makespan is
-    /// the one dimension only the async runtime produces, so agreement
+    /// the one dimension only the modeled network produces, so agreement
     /// suites compare this projection and pin makespan determinism
     /// separately.
     pub fn mode_invariant(&self) -> CostReport {
@@ -296,12 +296,12 @@ impl CostReport {
     }
 }
 
-/// The latency dimension of one async pipeline run, in virtual ticks.
+/// The latency dimension of one async pipeline run, in modeled ticks.
 ///
 /// Produced only under `ExecutionMode::Async`, where broadcast and report
 /// frames carry modeled delivery times. `stations` is in **modeled delivery
-/// order** — the order the center hears from stations on the virtual clock
-/// (fast stations first), not station order.
+/// order** — the order the center hears from stations on the modeled
+/// timeline (fast stations first), not station order.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LatencyReport {
     /// The latest modeled report delivery tick — when the data center has

@@ -5,12 +5,11 @@
 //! messages whose payload sizes are metered — the numbers behind the
 //! communication-cost comparison in Figure 4(c).
 //!
-//! A network can additionally carry a [`LatencyModel`] bound to a
-//! [`VirtualClock`]: every envelope is then stamped with its modeled send
-//! and delivery ticks, which is what the async runtime's `makespan_ticks`
-//! meter is computed from. The stamps are simulation metadata — they ride
-//! outside the payload, so byte accounting is identical with and without a
-//! model.
+//! A network can additionally carry a [`LatencyModel`]: every envelope is
+//! then stamped with its modeled send and delivery ticks, which is what the
+//! async mode's `makespan_ticks` meter is computed from. The stamps are
+//! simulation metadata — they ride outside the payload, so byte accounting
+//! is identical with and without a model.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -19,7 +18,6 @@ use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 
-use crate::clock::VirtualClock;
 use crate::error::{DistSimError, Result};
 use crate::metrics::{CostMeter, TrafficClass};
 use crate::node::NodeId;
@@ -124,7 +122,7 @@ pub struct Envelope {
 struct NetworkInner {
     meter: CostMeter,
     mailboxes: Mutex<HashMap<NodeId, Sender<Envelope>>>,
-    timing: Option<(LatencyModel, Arc<VirtualClock>)>,
+    latency: Option<LatencyModel>,
 }
 
 /// A shared in-memory network with per-message byte accounting.
@@ -166,26 +164,26 @@ impl Network {
             inner: Arc::new(NetworkInner {
                 meter: CostMeter::new(),
                 mailboxes: Mutex::new(HashMap::new()),
-                timing: None,
+                latency: None,
             }),
         }
     }
 
     /// Creates an empty network that stamps every envelope with modeled
-    /// send/delivery ticks read from `clock`.
-    pub fn with_latency(model: LatencyModel, clock: Arc<VirtualClock>) -> Network {
+    /// send/delivery ticks.
+    pub fn with_latency(model: LatencyModel) -> Network {
         Network {
             inner: Arc::new(NetworkInner {
                 meter: CostMeter::new(),
                 mailboxes: Mutex::new(HashMap::new()),
-                timing: Some((model, clock)),
+                latency: Some(model),
             }),
         }
     }
 
     /// The latency model, if this network stamps delivery times.
     pub fn latency_model(&self) -> Option<&LatencyModel> {
-        self.inner.timing.as_ref().map(|(model, _)| model)
+        self.inner.latency.as_ref()
     }
 
     /// The shared cost meter.
@@ -208,7 +206,8 @@ impl Network {
         Ok(Mailbox { node, rx })
     }
 
-    /// Sends one metered message.
+    /// Sends one metered message, stamped as sent at tick zero (the start
+    /// of a modeled run; use [`Network::send_at`] for any later tick).
     ///
     /// # Errors
     ///
@@ -221,29 +220,17 @@ impl Network {
         class: TrafficClass,
         payload: Bytes,
     ) -> Result<()> {
-        let sender = {
-            let boxes = self.inner.mailboxes.lock();
-            boxes
-                .get(&to)
-                .cloned()
-                .ok_or(DistSimError::UnknownNode(to))?
-        };
-        let sent_at = match &self.inner.timing {
-            Some((_, clock)) => clock.now(),
-            None => 0,
-        };
-        self.deliver(from, to, class, payload, sent_at, sender)
+        self.send_at(from, to, class, payload, 0)
     }
 
     /// Sends one metered message stamped as sent at the given virtual tick.
     ///
-    /// Asynchronous stations use this instead of [`Network::send`]: a
-    /// station's send time is a fact of *its own* virtual timeline (its
-    /// broadcast arrival plus its modeled scan time), not of the global
-    /// clock — which may already have advanced past it while the station's
-    /// final poll sat in an executor queue. Stamping explicitly keeps
-    /// delivery times (and therefore `makespan_ticks`) identical whatever
-    /// the worker interleaving.
+    /// Stations report with this instead of [`Network::send`]: a station's
+    /// send time is a fact of *its own* modeled timeline (its broadcast
+    /// copy's delivery tick plus its modeled scan time), not of when the
+    /// simulation happened to run it. Stamping from that timeline keeps
+    /// delivery times (and therefore `makespan_ticks`) independent of the
+    /// order stations run in.
     ///
     /// # Errors
     ///
@@ -264,21 +251,9 @@ impl Network {
                 .cloned()
                 .ok_or(DistSimError::UnknownNode(to))?
         };
-        self.deliver(from, to, class, payload, sent_at, sender)
-    }
-
-    fn deliver(
-        &self,
-        from: NodeId,
-        to: NodeId,
-        class: TrafficClass,
-        payload: Bytes,
-        sent_at: u64,
-        sender: Sender<Envelope>,
-    ) -> Result<()> {
         self.inner.meter.record_message(class, payload.len() as u64);
-        let deliver_at = match &self.inner.timing {
-            Some((model, _)) => sent_at.saturating_add(model.flight_ticks(from, to, payload.len())),
+        let deliver_at = match &self.inner.latency {
+            Some(model) => sent_at.saturating_add(model.flight_ticks(from, to, payload.len())),
             None => sent_at,
         };
         sender
@@ -320,11 +295,10 @@ impl Network {
     /// Broadcasts the same payload to every given node, stamping every copy
     /// as sent at the given virtual tick.
     ///
-    /// Streaming epochs use this for delta broadcasts: the data center's
-    /// send time is a fact of the *session's* timeline (the previous
-    /// epoch's makespan), not of whatever the current epoch's fresh clock
-    /// happens to read, so each delta envelope is stamped from the tick the
-    /// center actually reached — and per-epoch makespans accumulate
+    /// The data center's send time can be a fact of a longer timeline than
+    /// one run's: a streaming session's next epoch starts at the previous
+    /// epoch's makespan, so each copy is stamped from the tick the center
+    /// actually reached — and per-epoch makespans accumulate
     /// deterministically.
     ///
     /// # Errors
@@ -507,8 +481,7 @@ mod tests {
             jitter_ticks: 0,
             seed: 0,
         };
-        let clock = Arc::new(VirtualClock::new());
-        let net = Network::with_latency(model, Arc::clone(&clock));
+        let net = Network::with_latency(model);
         let mailbox = net.register(NodeId(1)).unwrap();
         net.broadcast_at(
             DATA_CENTER,
@@ -533,8 +506,7 @@ mod tests {
             jitter_ticks: 0,
             seed: 0,
         };
-        let clock = Arc::new(VirtualClock::new());
-        let net = Network::with_latency(model, Arc::clone(&clock));
+        let net = Network::with_latency(model);
         let a = net.register(NodeId(1)).unwrap();
         let b = net.register(NodeId(2)).unwrap();
         let payload = Bytes::from_static(b"frame");
@@ -577,8 +549,7 @@ mod tests {
             jitter_ticks: 5,
             seed: 99,
         };
-        let clock = Arc::new(VirtualClock::new());
-        let net = Network::with_latency(model, Arc::clone(&clock));
+        let net = Network::with_latency(model);
         let mailbox = net.register(NodeId(1)).unwrap();
         net.send(
             DATA_CENTER,

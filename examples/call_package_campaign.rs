@@ -52,10 +52,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ));
     }
 
-    // The deployment shape: four shards per station, multiplexed over an
-    // executor pool half the station count.
+    // The deployment shape: four shards per station on the modeled network.
     let options = PipelineOptions {
-        mode: ExecutionMode::Async { workers: 10 },
+        mode: ExecutionMode::Async { workers: 1 },
         shards: Shards::new(4),
         top_k: Some(relevant.len()),
         ..PipelineOptions::default()

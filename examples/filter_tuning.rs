@@ -7,7 +7,7 @@
 //! filter).
 //!
 //! Run with: `cargo run --example filter_tuning`
-//! (set `DIPM_MODE=seq|async|async:N` to switch runtimes)
+//! (set `DIPM_MODE=seq|async` to switch runtimes)
 
 use dipm::mobilenet::ground_truth;
 use dipm::prelude::*;
@@ -42,7 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             PatternQuery::from_fragments(dataset.fragments(probe.id).unwrap())
         })
         .collect::<Result<_, _>>()?;
-    let mode = ExecutionMode::from_env(ExecutionMode::Async { workers: 4 })?;
+    let mode = ExecutionMode::from_env(ExecutionMode::Async { workers: 1 })?;
 
     println!("\nsweeping target fpp through the deployed pipeline (batch of 2):");
     println!(

@@ -33,12 +33,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let query = PatternQuery::from_fragments(fragments)?;
 
     // Run DI-matching: the query is encoded into one weighted Bloom filter,
-    // broadcast to all stations (one executor worker each, the paper's
-    // one-thread-per-station setup), and only (ID, weight) pairs come back.
+    // broadcast to all stations (each on its own modeled timeline, the
+    // paper's one-thread-per-station setup), and only (ID, weight) pairs
+    // come back.
     let config = DiMatchingConfig::default(); // b = 12, ε = 2, 1% target fpp
-    let mode = ExecutionMode::Async {
-        workers: dataset.stations().len(),
-    };
+    let mode = ExecutionMode::Async { workers: 1 };
     let outcome = run_wbf(
         &dataset,
         std::slice::from_ref(&query),

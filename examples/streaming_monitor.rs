@@ -9,7 +9,7 @@
 //! the standing set.
 //!
 //! Run with: `cargo run --example streaming_monitor`
-//! (set `DIPM_MODE=seq|async|async:N` to switch runtimes)
+//! (set `DIPM_MODE=seq|async` to switch runtimes)
 
 use std::collections::BTreeSet;
 
@@ -57,11 +57,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         fixed_geometry: Some(FilterParams::new(1 << 17, 5)?),
         ..DiMatchingConfig::default()
     };
-    // Async by default: thousands of monitored stations would not get one OS
-    // thread each. A 25 ms metro round trip at gigabit-ish throughput,
-    // 1 µs-tick flavour; every run models the same deadlines, and the
-    // virtual clock keeps ticking across days.
-    let mode = ExecutionMode::from_env(ExecutionMode::Async { workers: 4 })?;
+    // Async by default: the network models time. A 25 ms metro round trip
+    // at gigabit-ish throughput, 1 µs-tick flavour; every run models the
+    // same ticks, and the modeled timeline keeps going across days.
+    let mode = ExecutionMode::from_env(ExecutionMode::Async { workers: 1 })?;
     let options = PipelineOptions {
         mode,
         shards: Shards::new(2),

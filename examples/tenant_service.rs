@@ -1,11 +1,11 @@
 //! Multi-tenant standing queries as a **service**: several departments
-//! share one [`Service`] — one executor, one station deployment, one
-//! virtual clock — while each keeps its own filter, its own meters and its
-//! own epoch counter. The example walks the three guarantees the service
+//! share one [`Service`] — one station deployment, one modeled timeline —
+//! while each keeps its own filter, its own meters and its own epoch
+//! counter. The example walks the three guarantees the service
 //! layer adds over a solo [`StreamingSession`]:
 //!
 //! 1. **Multiplexed epochs** — every registered tenant's delta rides the
-//!    same service epoch, interleaved over shared station links.
+//!    same service epoch, over shared station links.
 //! 2. **Checkpoint / recovery** — the center crashes mid-run; a fresh
 //!    service recovers every tenant from one checkpoint frame plus the
 //!    filters the stations retained, and resyncs via deltas instead of
@@ -15,7 +15,7 @@
 //!    first.
 //!
 //! Run with: `cargo run --example tenant_service`
-//! (set `DIPM_MODE=seq|async|async:N` to switch runtimes)
+//! (set `DIPM_MODE=seq|async` to switch runtimes)
 
 use std::collections::BTreeMap;
 

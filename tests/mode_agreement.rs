@@ -1,26 +1,25 @@
 //! Pipeline-level execution-mode agreement.
 //!
-//! Every [`ExecutionMode`] runs the same station tasks on the executor and
-//! must produce identical results. This suite asserts that through the
-//! full generic pipeline, where the worker pool interleaves metered sends,
-//! shared-meter updates, shard merging and (under `Async`) virtual-clock
-//! scheduling — by requiring **byte-identical mode-invariant
+//! Every [`ExecutionMode`] runs the same station calls and must produce
+//! identical results; the mode decides only whether the network models
+//! time. This suite asserts that through the full generic pipeline —
+//! metered sends, shared-meter updates, shard merging and (under `Async`)
+//! modeled stamps — by requiring **byte-identical mode-invariant
 //! `CostReport`s** (every byte, storage and operation meter including
-//! `scan_passes`; not just equal rankings) across `Sequential`, one async
-//! worker and an async pool, for every strategy, shard layout and section
-//! grouping. Async runs must additionally produce the *same
-//! deterministic* `makespan_ticks` on every run and worker count under a
-//! fixed seeded latency model — the property that keeps the new latency
-//! dimension publishable next to the Fig. 4 meters.
+//! `scan_passes`; not just equal rankings) across `Sequential` and `Async`,
+//! for every strategy, shard layout and section grouping. Async runs must
+//! additionally reproduce the *same deterministic* `makespan_ticks` and
+//! latency report on a repeat run under a fixed seeded latency model — the
+//! property that keeps the latency dimension publishable next to the
+//! Fig. 4 meters.
 
 use dipm::prelude::*;
 use proptest::prelude::*;
 
-fn modes() -> [ExecutionMode; 3] {
+fn modes() -> [ExecutionMode; 2] {
     [
         ExecutionMode::Sequential,
         ExecutionMode::Async { workers: 1 },
-        ExecutionMode::Async { workers: 3 },
     ]
 }
 
@@ -28,7 +27,7 @@ fn groupings() -> [SectionGrouping; 2] {
     [SectionGrouping::PerQuery, SectionGrouping::Merged]
 }
 
-/// A deliberately lumpy latency model so async scheduling has real spread:
+/// A deliberately lumpy latency model so modeled stamps have real spread:
 /// per-link jitter on, scan time per row on.
 fn test_latency(seed: u64) -> LatencyModel {
     LatencyModel {
@@ -87,7 +86,6 @@ fn assert_mode_agreement<S: FilterStrategy>(seed: u64, shards: usize, batch: usi
             seed,
         );
         assert_eq!(reference.cost.makespan_ticks, 0, "sync modes model no time");
-        let mut async_makespan: Option<u64> = None;
         for mode in modes() {
             let outcome = run_batch::<S>(&dataset, &queries, &config, mode, shards, grouping, seed);
             assert_eq!(
@@ -104,18 +102,9 @@ fn assert_mode_agreement<S: FilterStrategy>(seed: u64, shards: usize, batch: usi
             }
             match mode {
                 ExecutionMode::Async { .. } => {
-                    // Every async run — whatever the worker count — must
-                    // model the very same virtual times under this seed.
                     let latency = outcome.latency.as_ref().expect("async models time");
                     assert_eq!(latency.makespan_ticks, outcome.cost.makespan_ticks);
                     assert_eq!(latency.stations.len(), dataset.stations().len());
-                    match async_makespan {
-                        None => async_makespan = Some(outcome.cost.makespan_ticks),
-                        Some(expected) => assert_eq!(
-                            outcome.cost.makespan_ticks, expected,
-                            "seed {seed} shards {shards} {grouping:?}: {mode:?} makespan drifted"
-                        ),
-                    }
                 }
                 ExecutionMode::Sequential => {
                     assert!(outcome.latency.is_none());
@@ -124,7 +113,7 @@ fn assert_mode_agreement<S: FilterStrategy>(seed: u64, shards: usize, batch: usi
             }
         }
         // Repeat one async run: same seed ⇒ identical latency report.
-        let mode = ExecutionMode::Async { workers: 2 };
+        let mode = ExecutionMode::Async { workers: 1 };
         let a = run_batch::<S>(&dataset, &queries, &config, mode, shards, grouping, seed);
         let b = run_batch::<S>(&dataset, &queries, &config, mode, shards, grouping, seed);
         assert_eq!(a.cost, b.cost, "async cost report must be reproducible");
@@ -142,7 +131,7 @@ fn assert_mode_agreement<S: FilterStrategy>(seed: u64, shards: usize, batch: usi
 proptest! {
     // Full pipeline runs are comparatively expensive; a handful of random
     // (seed, shard, batch) points per strategy is plenty to catch a
-    // scheduling-dependent meter or merge bug.
+    // mode-dependent meter or merge bug.
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     #[test]

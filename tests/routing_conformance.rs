@@ -32,7 +32,7 @@ const FANOUTS: [usize; 2] = [2, 4];
 fn modes() -> [ExecutionMode; 2] {
     [
         ExecutionMode::Sequential,
-        ExecutionMode::Async { workers: 3 },
+        ExecutionMode::Async { workers: 1 },
     ]
 }
 

@@ -1,4 +1,4 @@
-//! Service conformance: multiplexing many tenants over one executor must
+//! Service conformance: multiplexing many tenants over one deployment must
 //! never change what any single tenant computes or ships.
 //!
 //! Three invariant families, swept over the shared conformance seeds:
@@ -25,7 +25,7 @@ use dipm::protocol::{ProtocolError, StreamingSession};
 
 const MODES: [ExecutionMode; 2] = [
     ExecutionMode::Sequential,
-    ExecutionMode::Async { workers: 3 },
+    ExecutionMode::Async { workers: 1 },
 ];
 
 fn options(mode: ExecutionMode) -> PipelineOptions {

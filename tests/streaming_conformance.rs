@@ -247,7 +247,7 @@ fn streaming_epochs_match_rebuilds_across_all_modes_and_seeds() {
         };
         let modes = [
             ExecutionMode::Sequential,
-            ExecutionMode::Async { workers: 3 },
+            ExecutionMode::Async { workers: 1 },
         ];
         let mut per_mode = Vec::new();
         for mode in modes {
