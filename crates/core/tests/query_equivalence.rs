@@ -6,13 +6,16 @@
 //! model — plain `BTreeSet` bookkeeping over the same `HashFamily` probes
 //! with membership-first semantics — and pin the weighted and counting
 //! filters to each other, so neither the scratch reuse nor the word-level
-//! membership fast path can drift the accepted sets.
+//! membership fast path can drift the accepted sets. One more property pins
+//! the counting filter to the query registry it is derived from: rebuilt
+//! from the registry split at the last delta drain, it carries the same
+//! state and the same pending delta.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use dipm_core::{
     encode, CountingWbf, FilterParams, HashFamily, Kernel, PrecomputedProbes, QueryScratch, Weight,
-    WeightedBloomFilter,
+    WeightDiff, WeightedBloomFilter,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -104,6 +107,103 @@ fn arb_geometry() -> impl Strategy<Value = (FilterParams, u64)> {
 
 fn sorted(set: &dipm_core::WeightSet) -> Vec<Weight> {
     set.iter().collect()
+}
+
+/// The pairs standing query `id` registers: one to four pairs over a small
+/// key and weight space, so queries share pairs and alias positions.
+fn query_pairs(id: u64) -> Vec<(u64, Weight)> {
+    let h = id.wrapping_add(1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    (0..h % 4 + 1)
+        .map(|j| {
+            let key = (h >> (8 + 6 * j)) % 40;
+            (key, Weight::new((h >> (32 + 4 * j)) % 5 + 1, 6).unwrap())
+        })
+        .collect()
+}
+
+/// A streaming center reduced to its query registry and counting filter.
+/// The registry is split at the last delta drain: `drained_next_id` is the
+/// next id at that drain, so live ids at or above it were registered
+/// since, and `retired` holds the queries removed since that were live at
+/// it.
+#[derive(Clone)]
+struct Center {
+    filter: CountingWbf,
+    live: BTreeMap<u64, Vec<(u64, Weight)>>,
+    next_id: u64,
+    drained_next_id: u64,
+    retired: BTreeMap<u64, Vec<(u64, Weight)>>,
+}
+
+impl Center {
+    fn new(params: FilterParams, seed: u64) -> Center {
+        Center {
+            filter: CountingWbf::new(params, seed),
+            live: BTreeMap::new(),
+            next_id: 0,
+            drained_next_id: 0,
+            retired: BTreeMap::new(),
+        }
+    }
+
+    /// Registers a new query, or retires the `pick`-th live one.
+    fn write(&mut self, (insert, pick): (bool, u64)) {
+        if insert || self.live.is_empty() {
+            let pairs = query_pairs(self.next_id);
+            for &(key, w) in &pairs {
+                self.filter.insert(key, w).unwrap();
+            }
+            self.live.insert(self.next_id, pairs);
+            self.next_id += 1;
+        } else {
+            let id = *self
+                .live
+                .keys()
+                .nth(pick as usize % self.live.len())
+                .unwrap();
+            let pairs = self.live.remove(&id).unwrap();
+            for &(key, w) in &pairs {
+                self.filter.remove(key, w).unwrap();
+            }
+            if id < self.drained_next_id {
+                self.retired.insert(id, pairs);
+            }
+        }
+    }
+
+    fn drain(&mut self) -> Vec<(u32, WeightDiff)> {
+        self.drained_next_id = self.next_id;
+        self.retired.clear();
+        self.filter.drain_dirty()
+    }
+
+    /// Recovery from the registry alone: build the filter the last drain
+    /// left (the live queries below the mark plus the retired ones), drain
+    /// it, then replay the churn since.
+    fn rebuild(&self, params: FilterParams, seed: u64) -> Center {
+        let mut filter = CountingWbf::new(params, seed);
+        let at_drain = self.live.range(..self.drained_next_id).chain(&self.retired);
+        for (_, pairs) in at_drain {
+            for &(key, w) in pairs {
+                filter.insert(key, w).unwrap();
+            }
+        }
+        filter.drain_dirty();
+        for pairs in self.retired.values() {
+            for &(key, w) in pairs {
+                filter.remove(key, w).unwrap();
+            }
+        }
+        for pairs in self.live.range(self.drained_next_id..).map(|(_, p)| p) {
+            for &(key, w) in pairs {
+                filter.insert(key, w).unwrap();
+            }
+        }
+        Center {
+            filter,
+            ..self.clone()
+        }
+    }
 }
 
 proptest! {
@@ -313,5 +413,44 @@ proptest! {
                 );
             }
         }
+    }
+
+    // A checkpoint that keeps only the split registry is enough to resume
+    // a center: the rebuilt filter equals the original, its pending delta
+    // is the one the original would broadcast, and both drain the same
+    // deltas under further churn. The history runs drains and churn before
+    // the split, and the churn since the last drain registers and retires
+    // queries on both sides of the mark, some of them within it.
+    #[test]
+    fn rebuilding_from_the_drained_registry_reproduces_the_pending_delta(
+        seed in any::<u64>(),
+        initial in 0u64..6,
+        before in vec((any::<bool>(), any::<u64>()), 0..10),
+        since in vec((any::<bool>(), any::<u64>()), 0..10),
+        after in vec((any::<bool>(), any::<u64>()), 0..10),
+    ) {
+        let params = FilterParams::new(1 << 8, 3).unwrap();
+        let mut center = Center::new(params, seed);
+        for _ in 0..initial {
+            center.write((true, 0));
+        }
+        center.drain();
+        for &op in &before {
+            center.write(op);
+        }
+        center.drain();
+        for &op in &since {
+            center.write(op);
+        }
+
+        let mut rebuilt = center.rebuild(params, seed);
+        prop_assert!(rebuilt.filter == center.filter, "rebuilt filter state differs");
+        prop_assert_eq!(rebuilt.filter.pending_dirty(), center.filter.pending_dirty());
+        for &op in &after {
+            center.write(op);
+            rebuilt.write(op);
+        }
+        prop_assert_eq!(rebuilt.drain(), center.drain());
+        prop_assert!(rebuilt.filter == center.filter);
     }
 }

@@ -118,73 +118,184 @@ fn tenant_meters_are_isolated_from_noisy_neighbors_across_modes() {
     }
 }
 
+/// The queries and days one crash-and-recover run draws on.
+struct Fixture {
+    day0: Dataset,
+    day1: Dataset,
+    queries: [PatternQuery; 3],
+}
+
+/// One churn shape: the history a session goes through before the center
+/// crashes. Every shape leaves a different split between the registry at
+/// the last delta drain and the writes since.
+struct Shape {
+    name: &'static str,
+    /// Opens the session and runs it up to the crash.
+    run: fn(&Fixture, ExecutionMode) -> StreamingSession,
+    /// Whether the stations hold filters at the crash and the resumed
+    /// epoch resyncs them with a delta.
+    resumes_on_delta: bool,
+}
+
+fn open(fixture: &Fixture, initial: &[usize], mode: ExecutionMode) -> StreamingSession {
+    let queries: Vec<PatternQuery> = initial
+        .iter()
+        .map(|&i| fixture.queries[i].clone())
+        .collect();
+    StreamingSession::new(&queries, config(), options(mode)).unwrap()
+}
+
+const SHAPES: [Shape; 6] = [
+    Shape {
+        name: "insert since the drain",
+        run: |f, mode| {
+            let mut s = open(f, &[0], mode);
+            s.run_epoch(&f.day0).unwrap();
+            s.insert_query(&f.queries[1]).unwrap();
+            s
+        },
+        resumes_on_delta: true,
+    },
+    Shape {
+        name: "remove a drained query",
+        run: |f, mode| {
+            let mut s = open(f, &[0, 1], mode);
+            s.run_epoch(&f.day0).unwrap();
+            s.remove_query(s.live_queries()[0]).unwrap();
+            s
+        },
+        resumes_on_delta: true,
+    },
+    Shape {
+        name: "insert then remove a new query between drains",
+        run: |f, mode| {
+            let mut s = open(f, &[0], mode);
+            s.run_epoch(&f.day0).unwrap();
+            let id = s.insert_query(&f.queries[1]).unwrap();
+            s.remove_query(id).unwrap();
+            s
+        },
+        resumes_on_delta: true,
+    },
+    Shape {
+        // What a tenant deferred by admission holds: its churn keeps
+        // accumulating with no drain in between.
+        name: "two write batches with no epoch between them",
+        run: |f, mode| {
+            let mut s = open(f, &[0, 1], mode);
+            s.run_epoch(&f.day0).unwrap();
+            let drained = s.live_queries();
+            s.remove_query(drained[0]).unwrap();
+            let id = s.insert_query(&f.queries[2]).unwrap();
+            s.remove_query(drained[1]).unwrap();
+            s.insert_query(&f.queries[0]).unwrap();
+            s.remove_query(id).unwrap();
+            s
+        },
+        resumes_on_delta: true,
+    },
+    Shape {
+        name: "a failed epoch",
+        run: |f, mode| {
+            let mut s = open(f, &[0], mode);
+            s.run_epoch(&f.day0).unwrap();
+            s.insert_query(&f.queries[1]).unwrap();
+            let other = Dataset::city_slice(60, 3, 1).unwrap();
+            assert!(s.run_epoch(&other).is_err());
+            s
+        },
+        resumes_on_delta: false,
+    },
+    Shape {
+        name: "before the first epoch",
+        run: |f, mode| {
+            let mut s = open(f, &[0], mode);
+            s.insert_query(&f.queries[1]).unwrap();
+            s
+        },
+        resumes_on_delta: false,
+    },
+];
+
 /// Invariant 2 — the acceptance criterion: checkpoint mid-session, rebuild
 /// a fresh center from the frame plus the stations' retained memories, and
 /// every resumed epoch matches an uninterrupted twin byte for byte —
-/// across every mode and all four conformance seeds.
+/// across every churn shape, every mode and all four conformance seeds.
+/// The resumed run churns again between its epochs, so the recovered
+/// registry must also keep the query ids the twin hands out.
 #[test]
 fn crash_and_recover_is_byte_equivalent_to_an_uninterrupted_run() {
     for seed in conformance::SEEDS {
         let day0 = conformance::dataset(seed);
-        let day1 = conformance::dataset(seed + 1000);
-        let q0 = conformance::probe_query(&day0, conformance::PROBES[0]);
-        let q1 = conformance::probe_query(&day0, conformance::PROBES[1]);
-        for mode in MODES {
-            // The uninterrupted twin: full epoch, churn, then two more
-            // epochs (a delta epoch and a pure CDR-churn epoch).
-            let mut twin =
-                StreamingSession::new(std::slice::from_ref(&q0), config(), options(mode)).unwrap();
-            twin.run_epoch(&day0).unwrap();
-            twin.insert_query(&q1).unwrap();
-            let twin_second = twin.run_epoch(&day1).unwrap();
-            let twin_third = twin.run_epoch(&day0).unwrap();
+        let fixture = Fixture {
+            day1: conformance::dataset(seed + 1000),
+            queries: conformance::PROBES.map(|probe| conformance::probe_query(&day0, probe)),
+            day0,
+        };
+        for shape in &SHAPES {
+            for mode in MODES {
+                let context = format!("seed {seed} {mode:?} {}", shape.name);
+                let mut twin = (shape.run)(&fixture, mode);
+                let crashed = (shape.run)(&fixture, mode);
+                let epoch = crashed.epoch();
+                let frame = crashed.checkpoint().unwrap();
+                let memories = crashed.release_stations();
+                let mut recovered =
+                    StreamingSession::recover(frame, memories, config(), options(mode)).unwrap();
+                assert_eq!(recovered.epoch(), epoch, "{context}: recovery must resume");
 
-            // The crashing center: same start, same churn — then the
-            // center dies with pending (undrained) churn, leaving only
-            // its persisted checkpoint and the stations' own memories.
-            let mut crashed =
-                StreamingSession::new(std::slice::from_ref(&q0), config(), options(mode)).unwrap();
-            crashed.run_epoch(&day0).unwrap();
-            crashed.insert_query(&q1).unwrap();
-            let frame = crashed.checkpoint().unwrap();
-            let memories = crashed.release_stations();
-            assert!(memories.iter().all(|m| m.has_filter()));
-
-            let mut recovered =
-                StreamingSession::recover(frame, memories, config(), options(mode)).unwrap();
-            assert_eq!(recovered.epoch(), 1, "recovery must resume, not restart");
-            let recovered_second = recovered.run_epoch(&day1).unwrap();
-            let recovered_third = recovered.run_epoch(&day0).unwrap();
-
-            for (epoch, (twin_outcome, recovered_outcome)) in [
-                (&twin_second, &recovered_second),
-                (&twin_third, &recovered_third),
-            ]
-            .into_iter()
-            .enumerate()
-            {
-                assert_eq!(
-                    twin_outcome.outcome.ranked, recovered_outcome.outcome.ranked,
-                    "seed {seed} {mode:?} resumed epoch {epoch}: rankings diverged"
-                );
-                assert_eq!(
-                    twin_outcome.outcome.cost, recovered_outcome.outcome.cost,
-                    "seed {seed} {mode:?} resumed epoch {epoch}: cost reports diverged"
-                );
-                assert_eq!(twin_outcome.epoch, recovered_outcome.epoch);
-                assert_eq!(twin_outcome.broadcast, recovered_outcome.broadcast);
-                assert_eq!(
-                    twin_outcome.broadcast_bytes, recovered_outcome.broadcast_bytes,
-                    "seed {seed} {mode:?} resumed epoch {epoch}: wire bytes diverged"
-                );
-                assert_eq!(twin_outcome.rebuild_bytes, recovered_outcome.rebuild_bytes);
+                let mut resumed = Vec::new();
+                for session in [&mut twin, &mut recovered] {
+                    let first = session.run_epoch(&fixture.day1).unwrap();
+                    let live = session.live_queries();
+                    session.remove_query(live[0]).unwrap();
+                    session.insert_query(&fixture.queries[2]).unwrap();
+                    let second = session.run_epoch(&fixture.day0).unwrap();
+                    resumed.push((first, second, live, session.live_queries()));
+                }
+                let (twin_run, recovered_run) = (&resumed[0], &resumed[1]);
+                assert_eq!(twin_run.2, recovered_run.2, "{context}: live ids diverged");
+                assert_eq!(twin_run.3, recovered_run.3, "{context}: new ids diverged");
+                for (i, (twin_outcome, recovered_outcome)) in [
+                    (&twin_run.0, &recovered_run.0),
+                    (&twin_run.1, &recovered_run.1),
+                ]
+                .into_iter()
+                .enumerate()
+                {
+                    assert_eq!(
+                        twin_outcome.outcome.ranked, recovered_outcome.outcome.ranked,
+                        "{context} resumed epoch {i}: rankings diverged"
+                    );
+                    assert_eq!(
+                        twin_outcome.outcome.cost, recovered_outcome.outcome.cost,
+                        "{context} resumed epoch {i}: cost reports diverged"
+                    );
+                    assert_eq!(twin_outcome.epoch, recovered_outcome.epoch);
+                    assert_eq!(
+                        twin_outcome.broadcast, recovered_outcome.broadcast,
+                        "{context} resumed epoch {i}: broadcast kinds diverged"
+                    );
+                    assert_eq!(
+                        twin_outcome.broadcast_bytes, recovered_outcome.broadcast_bytes,
+                        "{context} resumed epoch {i}: wire bytes diverged"
+                    );
+                    assert_eq!(twin_outcome.rebuild_bytes, recovered_outcome.rebuild_bytes);
+                }
+                // The resumed session resynced via a delta, not a
+                // re-broadcast, wherever the stations kept their filters.
+                let first = &recovered_run.0;
+                if shape.resumes_on_delta {
+                    assert!(
+                        matches!(first.broadcast, EpochBroadcast::Delta { .. }),
+                        "{context}: resumed with {:?}",
+                        first.broadcast
+                    );
+                    assert!(first.broadcast_bytes < first.rebuild_bytes);
+                } else {
+                    assert_eq!(first.broadcast, EpochBroadcast::Full, "{context}");
+                }
             }
-            // The resumed session resynced via a delta, not a re-broadcast.
-            assert!(matches!(
-                recovered_second.broadcast,
-                EpochBroadcast::Delta { entries } if entries > 0
-            ));
-            assert!(recovered_second.broadcast_bytes < recovered_second.rebuild_bytes);
         }
     }
 }
