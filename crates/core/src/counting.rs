@@ -368,52 +368,6 @@ impl CountingWbf {
             .collect()
     }
 
-    /// The pending per-position baselines — each dirtied position mapped to
-    /// its visible weight set as of the last drain. This is the epoch
-    /// bookkeeping a session checkpoint must carry: a recovered center that
-    /// restores these baselines emits exactly the delta the crashed one
-    /// would have.
-    pub fn dirty_baselines(&self) -> &BTreeMap<u32, WeightSet> {
-        &self.dirty
-    }
-
-    /// Replaces the pending dirty baselines wholesale — the checkpoint
-    /// *recovery* counterpart of [`CountingWbf::dirty_baselines`]. Every
-    /// restored position must lie inside the filter's geometry.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidParams`] if any position is out of
-    /// range; the filter is left untouched.
-    pub fn restore_dirty(&mut self, baselines: BTreeMap<u32, WeightSet>) -> Result<()> {
-        if let Some((&idx, _)) = baselines.iter().next_back() {
-            if idx as usize >= self.bit_len {
-                return Err(CoreError::invalid_params(format!(
-                    "restored dirty position {idx} outside filter of {} positions",
-                    self.bit_len
-                )));
-            }
-        }
-        self.dirty = baselines;
-        Ok(())
-    }
-
-    /// The full refcounted state, position-ascending: each occupied
-    /// position with its `(weight, count)` entries in weight order. This is
-    /// what a session checkpoint serializes (counts never cross the wire
-    /// otherwise) and what recovery verifies a replayed registry against.
-    pub fn counts_snapshot(&self) -> Vec<(u32, Vec<(Weight, u32)>)> {
-        self.counts
-            .iter()
-            .map(|(&idx, position)| {
-                (
-                    idx,
-                    position.iter().map(|(&w, &count)| (w, count)).collect(),
-                )
-            })
-            .collect()
-    }
-
     /// How many positions currently await a delta broadcast.
     pub fn dirty_len(&self) -> usize {
         self.dirty.len()
@@ -674,60 +628,6 @@ mod tests {
         assert_eq!(preview, filter.drain_dirty());
         // …and the preview itself consumed nothing.
         assert!(filter.pending_dirty().is_empty());
-    }
-
-    #[test]
-    fn checkpointed_baselines_reproduce_the_same_delta() {
-        let mut filter = CountingWbf::new(params(), 3);
-        filter.insert(10, w(1, 2)).unwrap();
-        filter.drain_dirty();
-        filter.insert(11, w(1, 3)).unwrap();
-        // Checkpoint: counts + baselines, mid-epoch with a pending delta.
-        let counts = filter.counts_snapshot();
-        let baselines = filter.dirty_baselines().clone();
-        assert!(!baselines.is_empty());
-        // Recover into a fresh filter by replaying the live pairs, then
-        // restoring the baselines: the next drain is byte-identical.
-        let mut recovered = CountingWbf::new(params(), 3);
-        recovered.insert(10, w(1, 2)).unwrap();
-        recovered.insert(11, w(1, 3)).unwrap();
-        assert_eq!(recovered.counts_snapshot(), counts);
-        recovered.restore_dirty(baselines).unwrap();
-        assert_eq!(recovered.drain_dirty(), filter.drain_dirty());
-    }
-
-    #[test]
-    fn restore_dirty_rejects_out_of_range_positions() {
-        let mut filter = CountingWbf::new(params(), 3);
-        filter.insert(10, w(1, 2)).unwrap();
-        let kept = filter.dirty_baselines().clone();
-        let mut bad = BTreeMap::new();
-        bad.insert((1u32 << 12) + 1, WeightSet::new());
-        assert!(matches!(
-            filter.restore_dirty(bad),
-            Err(CoreError::InvalidParams { .. })
-        ));
-        // Rejected restore leaves the pending set untouched.
-        assert_eq!(filter.dirty_baselines(), &kept);
-    }
-
-    #[test]
-    fn counts_snapshot_orders_positions_and_weights() {
-        let mut filter = CountingWbf::new(params(), 9);
-        for i in 0..20u64 {
-            filter.insert(i * 31, w(i % 4 + 1, 8)).unwrap();
-        }
-        filter.insert(0, w(1, 8)).unwrap();
-        let snapshot = filter.counts_snapshot();
-        assert!(snapshot.windows(2).all(|e| e[0].0 < e[1].0));
-        let mut total = 0u64;
-        for (_, weights) in &snapshot {
-            assert!(!weights.is_empty());
-            assert!(weights.windows(2).all(|e| e[0].0 < e[1].0));
-            assert!(weights.iter().all(|&(_, count)| count > 0));
-            total += weights.iter().map(|&(_, count)| count as u64).sum::<u64>();
-        }
-        assert_eq!(total, 21 * filter.hashes() as u64, "k counts per insert");
     }
 
     #[test]

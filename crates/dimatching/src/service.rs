@@ -142,18 +142,6 @@ impl Service {
         }
     }
 
-    /// The service's shared execution options. Every tenant session runs
-    /// under these — one shared deployment has one mode, one latency model
-    /// and one shard layout.
-    pub fn options(&self) -> &PipelineOptions {
-        &self.options
-    }
-
-    /// The service's admission policy.
-    pub fn admission(&self) -> AdmissionPolicy {
-        self.admission
-    }
-
     /// The registered tenants, in id order.
     pub fn tenants(&self) -> Vec<TenantId> {
         self.tenants.keys().copied().collect()
@@ -336,16 +324,6 @@ impl Service {
         wire::encode_service_checkpoint(&frames)
     }
 
-    /// Serializes one tenant's session checkpoint.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProtocolError::UnknownTenant`] for an unregistered id and
-    /// propagates wire-encoding errors.
-    pub fn checkpoint_tenant(&self, id: TenantId) -> Result<Bytes> {
-        self.tenant(id)?.session.checkpoint()
-    }
-
     /// Registers a tenant recovered from a checkpoint frame plus the
     /// station memories that survived the crash — the restarted-center
     /// path: the recovered session resyncs stations via its next delta
@@ -443,7 +421,7 @@ mod tests {
             ProtocolError::UnknownTenant { id: 3 }
         ));
         assert!(matches!(
-            service.checkpoint_tenant(missing).unwrap_err(),
+            service.session(missing).unwrap_err(),
             ProtocolError::UnknownTenant { id: 3 }
         ));
     }
@@ -488,7 +466,7 @@ mod tests {
         service
             .register(TenantId(0), &[query(&day, 0)], config.clone())
             .unwrap();
-        let frame = service.checkpoint_tenant(TenantId(0)).unwrap();
+        let frame = service.session(TenantId(0)).unwrap().checkpoint().unwrap();
         let err = service
             .recover_tenant(TenantId(0), frame, Vec::new(), config)
             .unwrap_err();

@@ -43,7 +43,7 @@ use std::collections::BTreeMap;
 use std::time::Instant;
 
 use bytes::Bytes;
-use dipm_core::{encode, CountingWbf, FilterParams, Weight, WeightSet, WeightedBloomFilter};
+use dipm_core::{encode, CountingWbf, FilterParams, Weight, WeightedBloomFilter};
 use dipm_distsim::{CostMeter, Mailbox, Network, NodeId, TrafficClass, DATA_CENTER};
 use dipm_mobilenet::{Dataset, UserId};
 
@@ -71,6 +71,22 @@ struct LiveQuery {
     pairs: Vec<(u64, Weight)>,
     total: u64,
     combinations: usize,
+}
+
+impl LiveQuery {
+    fn insert_into(&self, center: &mut CountingWbf) -> Result<()> {
+        for &(key, weight) in &self.pairs {
+            center.insert(key, weight)?;
+        }
+        Ok(())
+    }
+
+    fn remove_from(&self, center: &mut CountingWbf) -> Result<()> {
+        for &(key, weight) in &self.pairs {
+            center.remove(key, weight)?;
+        }
+        Ok(())
+    }
 }
 
 /// The session's standing routing state under a tree policy: the hot
@@ -243,6 +259,13 @@ pub struct StreamingSession {
     center: CountingWbf,
     live: BTreeMap<StreamQueryId, LiveQuery>,
     next_id: u64,
+    /// `next_id` at the last delta drain: live queries at or above it were
+    /// registered since. With `retired` it splits the registry into the
+    /// queries live at that drain and the churn since, which is all a
+    /// checkpoint needs to rebuild `center` and its pending delta.
+    drained_next_id: u64,
+    /// The queries removed since the last drain that were live at it.
+    retired: BTreeMap<StreamQueryId, LiveQuery>,
     /// The next epoch to run; station states trail it by one once running.
     epoch: u64,
     stations: Vec<StationState>,
@@ -304,6 +327,8 @@ impl StreamingSession {
             params,
             live: BTreeMap::new(),
             next_id: 0,
+            drained_next_id: 0,
+            retired: BTreeMap::new(),
             epoch: 0,
             stations: Vec::new(),
             needs_full: true,
@@ -333,26 +358,23 @@ impl StreamingSession {
         build: crate::datacenter::PreparedBuild,
     ) -> Result<StreamQueryId> {
         self.cached_full_len = None;
-        let pairs: Vec<(u64, Weight)> = build.pairs.into_iter().collect();
-        for &(key, weight) in &pairs {
-            self.center.insert(key, weight)?;
-        }
+        let query = LiveQuery {
+            pairs: build.pairs.into_iter().collect(),
+            total: build.query_totals[0],
+            combinations: build.combinations,
+        };
+        query.insert_into(&mut self.center)?;
         let id = StreamQueryId(self.next_id);
         self.next_id += 1;
-        self.live.insert(
-            id,
-            LiveQuery {
-                pairs,
-                total: build.query_totals[0],
-                combinations: build.combinations,
-            },
-        );
+        self.live.insert(id, query);
         Ok(id)
     }
 
     /// Retires a standing query: its pairs are removed from the counting
     /// filter (reference-counted, so pairs shared with other live queries
-    /// survive) and the retired positions go out as the next delta.
+    /// survive) and the retired positions go out as the next delta. A
+    /// query that was live at the last delta drain is kept until the next
+    /// one, because a checkpoint rebuilds that drain's filter from it.
     ///
     /// # Errors
     ///
@@ -363,10 +385,9 @@ impl StreamingSession {
             .live
             .remove(&id)
             .ok_or(ProtocolError::UnknownStreamQuery { id: id.0 })?;
-        for &(key, weight) in &query.pairs {
-            self.center
-                .remove(key, weight)
-                .map_err(ProtocolError::Core)?;
+        query.remove_from(&mut self.center)?;
+        if id.0 < self.drained_next_id {
+            self.retired.insert(id, query);
         }
         Ok(())
     }
@@ -530,6 +551,8 @@ impl StreamingSession {
         // earlier epoch's routing pruned and this one re-targets — gets
         // this epoch's full snapshot instead.
         let delta = FilterDelta::intern(self.center.drain_dirty());
+        self.drained_next_id = self.next_id;
+        self.retired.clear();
         let delta_entries = delta.entries.len();
         let mut full_stations: Vec<usize> = Vec::new();
         let mut delta_stations: Vec<usize> = Vec::new();
@@ -700,19 +723,33 @@ impl StreamingSession {
         self.clock_base
     }
 
-    /// Serializes the center's entire session state into one versioned
+    /// Serializes the center's session state into one versioned
     /// [`SessionCheckpoint`](crate::wire::SessionCheckpoint) frame: the
-    /// live-query registry, the counting filter's refcounts, the pending
-    /// delta baselines and the per-station protocol positions.
+    /// live-query registry split at the last delta drain, the configuration
+    /// the queries' keys were derived under, and the per-station protocol
+    /// positions.
     ///
-    /// Station filters are deliberately absent — stations retain their own
-    /// state across a center crash, and [`StreamingSession::recover`]
+    /// Two things are absent. The counting filter is a function of the
+    /// registry. Station filters stay on the stations: they retain their
+    /// own state across a center crash, and [`StreamingSession::recover`]
     /// resyncs them via the next delta instead of a full re-broadcast.
     ///
     /// # Errors
     ///
     /// Propagates wire-encoding errors.
     pub fn checkpoint(&self) -> Result<Bytes> {
+        let registry =
+            |queries: &BTreeMap<StreamQueryId, LiveQuery>| -> Vec<wire::CheckpointQuery> {
+                queries
+                    .iter()
+                    .map(|(id, query)| wire::CheckpointQuery {
+                        id: id.0,
+                        total: query.total,
+                        combinations: query.combinations as u64,
+                        pairs: query.pairs.clone(),
+                    })
+                    .collect()
+            };
         wire::encode_session_checkpoint(&wire::SessionCheckpoint {
             epoch: self.epoch,
             clock_base: self.clock_base,
@@ -720,24 +757,14 @@ impl StreamingSession {
             bits: self.params.bits() as u64,
             hashes: self.params.hashes(),
             seed: self.config.seed,
+            samples: self.config.samples as u64,
+            eps: self.config.eps,
+            tolerance: self.config.tolerance,
+            hash_scheme: self.config.hash_scheme,
             next_id: self.next_id,
-            queries: self
-                .live
-                .iter()
-                .map(|(id, query)| wire::CheckpointQuery {
-                    id: id.0,
-                    total: query.total,
-                    combinations: query.combinations as u64,
-                    pairs: query.pairs.clone(),
-                })
-                .collect(),
-            counts: self.center.counts_snapshot(),
-            baselines: self
-                .center
-                .dirty_baselines()
-                .iter()
-                .map(|(&pos, set)| (pos, set.clone()))
-                .collect(),
+            drained_next_id: self.drained_next_id,
+            queries: registry(&self.live),
+            retired: registry(&self.retired),
             stations: self
                 .stations
                 .iter()
@@ -764,9 +791,13 @@ impl StreamingSession {
     /// crashed center would have, so the resumed run's station results and
     /// wire bytes are identical to an uninterrupted one.
     ///
-    /// The counting filter is rebuilt by replaying the recorded queries and
-    /// verified against the checkpoint's recorded refcounts, so a frame
-    /// whose registry and counts disagree is rejected whole. Under
+    /// The counting filter is rebuilt from the registry as it stood at the
+    /// last delta drain (the live queries below the drain mark plus the
+    /// retired ones) and drained; then the churn since is replayed: the
+    /// retired queries are removed and the live queries at or above the
+    /// mark inserted. A drain emits exactly the positions whose visible
+    /// weight set differs between the drain and now, so the pending delta
+    /// matches the crashed center's byte for byte. Under
     /// [`RoutingPolicy::Tree`] the standing Bloofi tree is *not* part of
     /// the checkpoint — the first recovered epoch rebuilds it from the
     /// epoch's dataset and re-uploads station summaries (routing bytes are
@@ -775,10 +806,12 @@ impl StreamingSession {
     /// # Errors
     ///
     /// Returns [`ProtocolError::MalformedReport`] for a frame that fails
-    /// wire validation and [`ProtocolError::CheckpointMismatch`] when the
-    /// frame disagrees with `config` (seed, pinned geometry) or with the
-    /// offered station memories (count, filter presence or geometry,
-    /// applied epochs). Nothing is rebuilt on rejection.
+    /// wire validation (including a frame of another checkpoint version),
+    /// [`ProtocolError::CheckpointMismatch`] when the frame disagrees with
+    /// `config` (seed, samples, eps, tolerance, hash scheme, pinned
+    /// geometry) or with the offered station memories (count, filter
+    /// presence or geometry, applied epochs), and a core error if a
+    /// replayed insert overflows a count. Nothing is rebuilt on rejection.
     pub fn recover(
         frame: Bytes,
         stations: Vec<StationMemory>,
@@ -787,12 +820,13 @@ impl StreamingSession {
     ) -> Result<StreamingSession> {
         let checkpoint = wire::decode_session_checkpoint(frame)?;
         config.validate()?;
-        if checkpoint.seed != config.seed {
-            return Err(ProtocolError::checkpoint_mismatch(format!(
-                "checkpoint hashed with seed {}, config hashes with {}",
-                checkpoint.seed, config.seed
-            )));
-        }
+        // The recorded pairs were derived under these settings; under any
+        // others the stations would scan for keys no query registered.
+        same_as_config("seed", checkpoint.seed, config.seed)?;
+        same_as_config("samples", checkpoint.samples, config.samples as u64)?;
+        same_as_config("eps", checkpoint.eps, config.eps)?;
+        same_as_config("tolerance", checkpoint.tolerance, config.tolerance)?;
+        same_as_config("hash_scheme", checkpoint.hash_scheme, config.hash_scheme)?;
         let params = FilterParams::new(checkpoint.bits as usize, checkpoint.hashes)?;
         if let Some(fixed) = config.fixed_geometry {
             if fixed != params {
@@ -834,30 +868,33 @@ impl StreamingSession {
                 }
             }
         }
+        let registry = |queries: Vec<wire::CheckpointQuery>| -> BTreeMap<StreamQueryId, LiveQuery> {
+            queries
+                .into_iter()
+                .map(|query| {
+                    let live = LiveQuery {
+                        pairs: query.pairs,
+                        total: query.total,
+                        combinations: query.combinations as usize,
+                    };
+                    (StreamQueryId(query.id), live)
+                })
+                .collect()
+        };
+        let live = registry(checkpoint.queries);
+        let retired = registry(checkpoint.retired);
+        let mark = StreamQueryId(checkpoint.drained_next_id);
         let mut center = CountingWbf::new(params, config.seed);
-        let mut live = BTreeMap::new();
-        for query in &checkpoint.queries {
-            for &(key, weight) in &query.pairs {
-                center.insert(key, weight)?;
-            }
-            live.insert(
-                StreamQueryId(query.id),
-                LiveQuery {
-                    pairs: query.pairs.clone(),
-                    total: query.total,
-                    combinations: query.combinations as usize,
-                },
-            );
+        for (_, query) in live.range(..mark).chain(&retired) {
+            query.insert_into(&mut center)?;
         }
-        if center.counts_snapshot() != checkpoint.counts {
-            return Err(ProtocolError::checkpoint_mismatch(
-                "replaying the recorded queries does not reproduce the recorded filter state",
-            ));
+        center.drain_dirty();
+        for query in retired.values() {
+            query.remove_from(&mut center)?;
         }
-        let baselines: BTreeMap<u32, WeightSet> = checkpoint.baselines.into_iter().collect();
-        center
-            .restore_dirty(baselines)
-            .map_err(ProtocolError::Core)?;
+        for (_, query) in live.range(mark..) {
+            query.insert_into(&mut center)?;
+        }
         Ok(StreamingSession {
             config,
             options,
@@ -865,6 +902,8 @@ impl StreamingSession {
             center,
             live,
             next_id: checkpoint.next_id,
+            drained_next_id: checkpoint.drained_next_id,
+            retired,
             epoch: checkpoint.epoch,
             stations: stations.into_iter().map(|memory| memory.0).collect(),
             needs_full: checkpoint.needs_full,
@@ -873,6 +912,21 @@ impl StreamingSession {
             clock_base: checkpoint.clock_base,
         })
     }
+}
+
+/// Rejects a recovery whose config disagrees with the checkpoint on
+/// `field`.
+fn same_as_config<T: PartialEq + std::fmt::Debug>(
+    field: &str,
+    recorded: T,
+    config: T,
+) -> Result<()> {
+    if recorded == config {
+        return Ok(());
+    }
+    Err(ProtocolError::checkpoint_mismatch(format!(
+        "checkpoint recorded {field} {recorded:?}, config has {config:?}"
+    )))
 }
 
 /// One base station's state as it survives a center crash: its decoded

@@ -20,8 +20,9 @@
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use dipm_core::{encode, BloomFilter, WbfFrameView, Weight, WeightDiff, WeightSet};
 use dipm_mobilenet::UserId;
-use dipm_timeseries::Pattern;
+use dipm_timeseries::{Pattern, ToleranceMode};
 
+use crate::config::HashScheme;
 use crate::error::{ProtocolError, Result};
 
 /// Bounds an element count to the wire format's `u32` length prefix.
@@ -1125,10 +1126,12 @@ impl RoutingPlan {
 const CHECKPOINT_MAGIC: u32 = 0x4449_5043;
 /// Magic prefix of a service checkpoint frame (`DIPS`).
 const SERVICE_MAGIC: u32 = 0x4449_5053;
-/// Version byte both checkpoint frame families currently carry.
-const CHECKPOINT_VERSION: u8 = 1;
+/// Version byte both checkpoint frame families currently carry. Version 2
+/// keeps only the query registry, split at the last delta drain, and
+/// records the configuration the queries' keys were derived under.
+const CHECKPOINT_VERSION: u8 = 2;
 
-/// One live query as a checkpoint records it: the exact pairs the center
+/// One query as a checkpoint records it: the exact pairs the center
 /// inserted, so recovery can replay them and removal keeps working.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckpointQuery {
@@ -1159,13 +1162,14 @@ pub struct CheckpointStation {
 }
 
 /// A versioned serialization of one streaming session's center state: the
-/// counting filter (refcounts never cross the wire otherwise), the pending
-/// per-position delta baselines, the live-query registry and the epoch
-/// bookkeeping.
+/// query registry split at the last delta drain, the configuration its
+/// keys were derived under, and the epoch bookkeeping.
 ///
-/// A center rebuilt from this frame plus the stations' retained memories
-/// continues the session exactly where it stopped: the next epoch drains
-/// the same delta the crashed center would have (see
+/// The counting filter is not in the frame, because it is a function of the
+/// registry. Recovery rebuilds it from the queries live at the last drain,
+/// drains it, then replays the churn since: it removes `retired` and
+/// inserts the live queries at or above `drained_next_id`. The next epoch
+/// then drains the same delta the crashed center would have (see
 /// [`StreamingSession::recover`](crate::StreamingSession::recover)).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SessionCheckpoint {
@@ -1181,19 +1185,24 @@ pub struct SessionCheckpoint {
     pub hashes: u16,
     /// Hash seed shared between center and stations.
     pub seed: u64,
+    /// Sampled points per pattern the queries were prepared with.
+    pub samples: u64,
+    /// Per-interval tolerance the queries were prepared with.
+    pub eps: u64,
+    /// How `eps` expanded into bands.
+    pub tolerance: ToleranceMode,
+    /// What the hash functions saw per sampled point.
+    pub hash_scheme: HashScheme,
     /// The next [`StreamQueryId`](crate::StreamQueryId) to assign.
     pub next_id: u64,
+    /// The next id as of the last delta drain: live queries at or above it
+    /// were registered since.
+    pub drained_next_id: u64,
     /// The live queries, in ascending id order.
     pub queries: Vec<CheckpointQuery>,
-    /// The counting filter's refcounted state: each occupied position with
-    /// its `(weight, count)` entries, positions and weights strictly
-    /// ascending.
-    pub counts: Vec<(u32, Vec<(Weight, u32)>)>,
-    /// The pending dirty baselines: each dirtied position mapped to its
-    /// visible weight set as of the last drain, positions strictly
-    /// ascending. Restoring these makes the recovered center's next delta
-    /// byte-identical to the crashed one's.
-    pub baselines: Vec<(u32, WeightSet)>,
+    /// The queries removed since the last drain that were live at it, in
+    /// ascending id order.
+    pub retired: Vec<CheckpointQuery>,
     /// Per-station protocol positions (empty before the first epoch
     /// initializes stations).
     pub stations: Vec<CheckpointStation>,
@@ -1208,6 +1217,43 @@ fn take_checkpoint_weight(data: &mut Bytes) -> Result<Weight> {
     let num = data.get_u64_le();
     let den = data.get_u64_le();
     Weight::new(num, den).map_err(|_| ProtocolError::malformed_report("zero weight denominator"))
+}
+
+/// The rules one query list of a checkpoint obeys: ids strictly ascending
+/// and below `limit` (named `limit_name`), every query with a volume and
+/// pairs.
+fn validate_checkpoint_queries(
+    queries: &[CheckpointQuery],
+    what: &str,
+    limit: u64,
+    limit_name: &str,
+) -> Result<()> {
+    let mut previous: Option<u64> = None;
+    for query in queries {
+        if previous.is_some_and(|p| p >= query.id) {
+            return Err(ProtocolError::malformed_report(format!(
+                "checkpoint {what} ids must be strictly ascending"
+            )));
+        }
+        previous = Some(query.id);
+        if query.id >= limit {
+            return Err(ProtocolError::malformed_report(format!(
+                "checkpoint {what} id {} not below {limit_name} {limit}",
+                query.id
+            )));
+        }
+        if query.total == 0 {
+            return Err(ProtocolError::malformed_report(format!(
+                "checkpoint {what} with zero global volume"
+            )));
+        }
+        if query.pairs.is_empty() {
+            return Err(ProtocolError::malformed_report(format!(
+                "checkpoint {what} with no pairs"
+            )));
+        }
+    }
+    Ok(())
 }
 
 /// The structural rules shared by the checkpoint encoder and decoder, so a
@@ -1226,79 +1272,38 @@ fn validate_session_checkpoint(checkpoint: &SessionCheckpoint) -> Result<()> {
             dipm_core::MAX_HASHES
         )));
     }
-    let mut previous: Option<u64> = None;
-    for query in &checkpoint.queries {
-        if previous.is_some_and(|p| p >= query.id) {
-            return Err(ProtocolError::malformed_report(
-                "checkpoint query ids must be strictly ascending",
-            ));
-        }
-        previous = Some(query.id);
-        if query.id >= checkpoint.next_id {
-            return Err(ProtocolError::malformed_report(format!(
-                "checkpoint query id {} not below next id {}",
-                query.id, checkpoint.next_id
-            )));
-        }
-        if query.total == 0 {
-            return Err(ProtocolError::malformed_report(
-                "checkpoint query with zero global volume",
-            ));
-        }
-        if query.pairs.is_empty() {
-            return Err(ProtocolError::malformed_report(
-                "checkpoint query with no pairs",
-            ));
-        }
+    // A session increments both counters, so it never reaches their
+    // maximum: a frame holding it would overflow the next epoch or insert.
+    if checkpoint.epoch == u64::MAX || checkpoint.next_id == u64::MAX {
+        return Err(ProtocolError::malformed_report(format!(
+            "checkpoint epoch {} or next id {} is u64::MAX",
+            checkpoint.epoch, checkpoint.next_id
+        )));
     }
-    let mut previous: Option<u32> = None;
-    for (pos, entries) in &checkpoint.counts {
-        if previous.is_some_and(|p| p >= *pos) {
-            return Err(ProtocolError::malformed_report(
-                "checkpoint count positions must be strictly ascending",
-            ));
-        }
-        previous = Some(*pos);
-        if u64::from(*pos) >= checkpoint.bits {
-            return Err(ProtocolError::malformed_report(format!(
-                "checkpoint count position {pos} outside filter of {} positions",
-                checkpoint.bits
-            )));
-        }
-        if entries.is_empty() {
-            return Err(ProtocolError::malformed_report(
-                "checkpoint position with no weight entries",
-            ));
-        }
-        let mut prev_weight: Option<Weight> = None;
-        for &(weight, count) in entries {
-            if prev_weight.is_some_and(|p| p >= weight) {
-                return Err(ProtocolError::malformed_report(
-                    "checkpoint position weights must be strictly ascending",
-                ));
-            }
-            prev_weight = Some(weight);
-            if count == 0 {
-                return Err(ProtocolError::malformed_report(
-                    "checkpoint weight with zero count",
-                ));
-            }
-        }
+    if checkpoint.drained_next_id > checkpoint.next_id {
+        return Err(ProtocolError::malformed_report(format!(
+            "checkpoint drain mark {} beyond next id {}",
+            checkpoint.drained_next_id, checkpoint.next_id
+        )));
     }
-    let mut previous: Option<u32> = None;
-    for (pos, _) in &checkpoint.baselines {
-        if previous.is_some_and(|p| p >= *pos) {
-            return Err(ProtocolError::malformed_report(
-                "checkpoint baseline positions must be strictly ascending",
-            ));
-        }
-        previous = Some(*pos);
-        if u64::from(*pos) >= checkpoint.bits {
-            return Err(ProtocolError::malformed_report(format!(
-                "checkpoint baseline position {pos} outside filter of {} positions",
-                checkpoint.bits
-            )));
-        }
+    validate_checkpoint_queries(&checkpoint.queries, "query", checkpoint.next_id, "next id")?;
+    validate_checkpoint_queries(
+        &checkpoint.retired,
+        "retired query",
+        checkpoint.drained_next_id,
+        "drain mark",
+    )?;
+    let live = |id: u64| {
+        checkpoint
+            .queries
+            .binary_search_by_key(&id, |query| query.id)
+            .is_ok()
+    };
+    if let Some(query) = checkpoint.retired.iter().find(|query| live(query.id)) {
+        return Err(ProtocolError::malformed_report(format!(
+            "checkpoint query {} is both live and retired",
+            query.id
+        )));
     }
     for (station, state) in checkpoint.stations.iter().enumerate() {
         // An epoch regression: the center can never trail a station it
@@ -1321,19 +1326,80 @@ fn validate_session_checkpoint(checkpoint: &SessionCheckpoint) -> Result<()> {
     Ok(())
 }
 
+fn put_checkpoint_queries(buf: &mut BytesMut, queries: &[CheckpointQuery]) -> Result<()> {
+    buf.put_u32_le(frame_count(queries.len())?);
+    for query in queries {
+        buf.put_u64_le(query.id);
+        buf.put_u64_le(query.total);
+        buf.put_u64_le(query.combinations);
+        buf.put_u32_le(frame_count(query.pairs.len())?);
+        for &(key, weight) in &query.pairs {
+            buf.put_u64_le(key);
+            put_checkpoint_weight(buf, weight);
+        }
+    }
+    Ok(())
+}
+
+fn take_checkpoint_queries(data: &mut Bytes, what: &str) -> Result<Vec<CheckpointQuery>> {
+    if data.remaining() < 4 {
+        return Err(ProtocolError::malformed_report(format!(
+            "truncated checkpoint {what} count"
+        )));
+    }
+    let count = data.get_u32_le() as usize;
+    // Every query takes at least 28 header bytes; bound before allocating.
+    if data.remaining() < count.saturating_mul(28) {
+        return Err(ProtocolError::malformed_report(format!(
+            "truncated checkpoint {what} list"
+        )));
+    }
+    let mut queries = Vec::with_capacity(count);
+    for _ in 0..count {
+        if data.remaining() < 28 {
+            return Err(ProtocolError::malformed_report(format!(
+                "truncated checkpoint {what} header"
+            )));
+        }
+        let id = data.get_u64_le();
+        let total = data.get_u64_le();
+        let combinations = data.get_u64_le();
+        let pair_count = data.get_u32_le() as usize;
+        if data.remaining() < pair_count.saturating_mul(24) {
+            return Err(ProtocolError::malformed_report(format!(
+                "truncated checkpoint {what} pairs"
+            )));
+        }
+        let mut pairs = Vec::with_capacity(pair_count);
+        for _ in 0..pair_count {
+            let key = data.get_u64_le();
+            let weight = take_checkpoint_weight(data)?;
+            pairs.push((key, weight));
+        }
+        queries.push(CheckpointQuery {
+            id,
+            total,
+            combinations,
+            pairs,
+        });
+    }
+    Ok(queries)
+}
+
 /// Frames one streaming session's checkpoint.
 ///
 /// Layout: `magic u32` (`DIPC`), `version u8`, `epoch u64`,
 /// `clock_base u64`, `needs_full u8`, `bits u64`, `hashes u16`, `seed u64`,
-/// `next_id u64`, then the query registry, the refcounted counts, the
-/// pending baselines and the per-station protocol positions, each behind a
-/// `u32` count.
+/// `samples u64`, `eps u64`, `tolerance u8` (0 accumulated, 1 uniform),
+/// `hash_scheme u8` (0 value-only, 1 position-tagged), `next_id u64`,
+/// `drained_next_id u64`, then the live queries, the retired queries and
+/// the per-station protocol positions, each behind a `u32` count.
 ///
 /// # Errors
 ///
 /// Returns [`ProtocolError::MalformedReport`] if the checkpoint violates
-/// the structural rules the decoder enforces (disorder, zero counts,
-/// out-of-range positions, station epoch regressions) and
+/// the structural rules the decoder enforces (disorder, ids outside their
+/// range, unreachable counters, station epoch regressions) and
 /// [`ProtocolError::FrameTooLarge`] if any count exceeds its wire prefix.
 pub fn encode_session_checkpoint(checkpoint: &SessionCheckpoint) -> Result<Bytes> {
     validate_session_checkpoint(checkpoint)?;
@@ -1346,45 +1412,20 @@ pub fn encode_session_checkpoint(checkpoint: &SessionCheckpoint) -> Result<Bytes
     buf.put_u64_le(checkpoint.bits);
     buf.put_u16_le(checkpoint.hashes);
     buf.put_u64_le(checkpoint.seed);
+    buf.put_u64_le(checkpoint.samples);
+    buf.put_u64_le(checkpoint.eps);
+    buf.put_u8(match checkpoint.tolerance {
+        ToleranceMode::Accumulated => 0,
+        ToleranceMode::Uniform => 1,
+    });
+    buf.put_u8(match checkpoint.hash_scheme {
+        HashScheme::ValueOnly => 0,
+        HashScheme::PositionTagged => 1,
+    });
     buf.put_u64_le(checkpoint.next_id);
-    buf.put_u32_le(frame_count(checkpoint.queries.len())?);
-    for query in &checkpoint.queries {
-        buf.put_u64_le(query.id);
-        buf.put_u64_le(query.total);
-        buf.put_u64_le(query.combinations);
-        buf.put_u32_le(frame_count(query.pairs.len())?);
-        for &(key, weight) in &query.pairs {
-            buf.put_u64_le(key);
-            put_checkpoint_weight(&mut buf, weight);
-        }
-    }
-    buf.put_u32_le(frame_count(checkpoint.counts.len())?);
-    for (pos, entries) in &checkpoint.counts {
-        if entries.len() > u16::MAX as usize {
-            return Err(ProtocolError::frame_too_large(
-                "more weights at one position than the checkpoint format's u16 count",
-            ));
-        }
-        buf.put_u32_le(*pos);
-        buf.put_u16_le(entries.len() as u16);
-        for &(weight, count) in entries {
-            put_checkpoint_weight(&mut buf, weight);
-            buf.put_u32_le(count);
-        }
-    }
-    buf.put_u32_le(frame_count(checkpoint.baselines.len())?);
-    for (pos, baseline) in &checkpoint.baselines {
-        if baseline.len() > u16::MAX as usize {
-            return Err(ProtocolError::frame_too_large(
-                "more baseline weights than the checkpoint format's u16 count",
-            ));
-        }
-        buf.put_u32_le(*pos);
-        buf.put_u16_le(baseline.len() as u16);
-        for weight in baseline.iter() {
-            put_checkpoint_weight(&mut buf, weight);
-        }
-    }
+    buf.put_u64_le(checkpoint.drained_next_id);
+    put_checkpoint_queries(&mut buf, &checkpoint.queries)?;
+    put_checkpoint_queries(&mut buf, &checkpoint.retired)?;
     buf.put_u32_le(frame_count(checkpoint.stations.len())?);
     for state in &checkpoint.stations {
         buf.put_u8(u8::from(state.has_filter));
@@ -1395,17 +1436,16 @@ pub fn encode_session_checkpoint(checkpoint: &SessionCheckpoint) -> Result<Bytes
 
 /// Decodes one streaming session's checkpoint, enforcing every structural
 /// rule the encoder promises: counts bounded against the remaining buffer
-/// before allocation, strictly ascending positions/ids/weights, positions
-/// inside the declared geometry, station epochs never beyond the session
-/// epoch, and no trailing bytes.
+/// before allocation, known configuration bytes, strictly ascending ids in
+/// range, retired queries never live, station epochs never beyond the
+/// session epoch, and no trailing bytes.
 ///
 /// # Errors
 ///
-/// Returns [`ProtocolError::MalformedReport`] on any malformed input.
+/// Returns [`ProtocolError::MalformedReport`] on any malformed input,
+/// including a frame of another checkpoint version.
 pub fn decode_session_checkpoint(mut data: Bytes) -> Result<SessionCheckpoint> {
-    // magic + version + epoch + clock + needs_full + bits + hashes + seed
-    // + next_id.
-    if data.remaining() < 4 + 1 + 8 + 8 + 1 + 8 + 2 + 8 + 8 {
+    if data.remaining() < 4 + 1 {
         return Err(ProtocolError::malformed_report(
             "truncated checkpoint header",
         ));
@@ -1422,6 +1462,13 @@ pub fn decode_session_checkpoint(mut data: Bytes) -> Result<SessionCheckpoint> {
             "unsupported checkpoint version {version}"
         )));
     }
+    // epoch + clock + needs_full + bits + hashes + seed + samples + eps +
+    // tolerance + hash scheme + next_id + drained_next_id.
+    if data.remaining() < 8 + 8 + 1 + 8 + 2 + 8 + 8 + 8 + 1 + 1 + 8 + 8 {
+        return Err(ProtocolError::malformed_report(
+            "truncated checkpoint header",
+        ));
+    }
     let epoch = data.get_u64_le();
     let clock_base = data.get_u64_le();
     let needs_full = match data.get_u8() {
@@ -1436,126 +1483,30 @@ pub fn decode_session_checkpoint(mut data: Bytes) -> Result<SessionCheckpoint> {
     let bits = data.get_u64_le();
     let hashes = data.get_u16_le();
     let seed = data.get_u64_le();
+    let samples = data.get_u64_le();
+    let eps = data.get_u64_le();
+    let tolerance = match data.get_u8() {
+        0 => ToleranceMode::Accumulated,
+        1 => ToleranceMode::Uniform,
+        other => {
+            return Err(ProtocolError::malformed_report(format!(
+                "checkpoint tolerance byte {other} is unknown"
+            )))
+        }
+    };
+    let hash_scheme = match data.get_u8() {
+        0 => HashScheme::ValueOnly,
+        1 => HashScheme::PositionTagged,
+        other => {
+            return Err(ProtocolError::malformed_report(format!(
+                "checkpoint hash-scheme byte {other} is unknown"
+            )))
+        }
+    };
     let next_id = data.get_u64_le();
-
-    if data.remaining() < 4 {
-        return Err(ProtocolError::malformed_report(
-            "truncated checkpoint query count",
-        ));
-    }
-    let query_count = data.get_u32_le() as usize;
-    // Every query takes at least 28 header bytes; bound before allocating.
-    if data.remaining() < query_count.saturating_mul(28) {
-        return Err(ProtocolError::malformed_report(
-            "truncated checkpoint queries",
-        ));
-    }
-    let mut queries = Vec::with_capacity(query_count);
-    for _ in 0..query_count {
-        if data.remaining() < 28 {
-            return Err(ProtocolError::malformed_report(
-                "truncated checkpoint query header",
-            ));
-        }
-        let id = data.get_u64_le();
-        let total = data.get_u64_le();
-        let combinations = data.get_u64_le();
-        let pair_count = data.get_u32_le() as usize;
-        if data.remaining() < pair_count.saturating_mul(24) {
-            return Err(ProtocolError::malformed_report(
-                "truncated checkpoint query pairs",
-            ));
-        }
-        let mut pairs = Vec::with_capacity(pair_count);
-        for _ in 0..pair_count {
-            let key = data.get_u64_le();
-            let weight = take_checkpoint_weight(&mut data)?;
-            pairs.push((key, weight));
-        }
-        queries.push(CheckpointQuery {
-            id,
-            total,
-            combinations,
-            pairs,
-        });
-    }
-
-    if data.remaining() < 4 {
-        return Err(ProtocolError::malformed_report(
-            "truncated checkpoint count table",
-        ));
-    }
-    let position_count = data.get_u32_le() as usize;
-    // Every position takes at least 4 + 2 + 20 bytes.
-    if data.remaining() < position_count.saturating_mul(26) {
-        return Err(ProtocolError::malformed_report(
-            "truncated checkpoint counts",
-        ));
-    }
-    let mut counts = Vec::with_capacity(position_count);
-    for _ in 0..position_count {
-        if data.remaining() < 6 {
-            return Err(ProtocolError::malformed_report(
-                "truncated checkpoint position header",
-            ));
-        }
-        let pos = data.get_u32_le();
-        let entry_count = data.get_u16_le() as usize;
-        if data.remaining() < entry_count.saturating_mul(20) {
-            return Err(ProtocolError::malformed_report(
-                "truncated checkpoint position entries",
-            ));
-        }
-        let mut entries = Vec::with_capacity(entry_count);
-        for _ in 0..entry_count {
-            let weight = take_checkpoint_weight(&mut data)?;
-            let count = data.get_u32_le();
-            entries.push((weight, count));
-        }
-        counts.push((pos, entries));
-    }
-
-    if data.remaining() < 4 {
-        return Err(ProtocolError::malformed_report(
-            "truncated checkpoint baseline table",
-        ));
-    }
-    let baseline_count = data.get_u32_le() as usize;
-    // Every baseline takes at least 4 + 2 bytes (the set may be empty: a
-    // position unoccupied at the last drain).
-    if data.remaining() < baseline_count.saturating_mul(6) {
-        return Err(ProtocolError::malformed_report(
-            "truncated checkpoint baselines",
-        ));
-    }
-    let mut baselines = Vec::with_capacity(baseline_count);
-    for _ in 0..baseline_count {
-        if data.remaining() < 6 {
-            return Err(ProtocolError::malformed_report(
-                "truncated checkpoint baseline header",
-            ));
-        }
-        let pos = data.get_u32_le();
-        let weight_count = data.get_u16_le() as usize;
-        if data.remaining() < weight_count.saturating_mul(16) {
-            return Err(ProtocolError::malformed_report(
-                "truncated checkpoint baseline weights",
-            ));
-        }
-        let mut baseline = WeightSet::new();
-        let mut prev_weight: Option<Weight> = None;
-        for _ in 0..weight_count {
-            let weight = take_checkpoint_weight(&mut data)?;
-            if prev_weight.is_some_and(|p| p >= weight) {
-                return Err(ProtocolError::malformed_report(
-                    "checkpoint baseline weights must be strictly ascending",
-                ));
-            }
-            prev_weight = Some(weight);
-            baseline.insert(weight);
-        }
-        baselines.push((pos, baseline));
-    }
+    let drained_next_id = data.get_u64_le();
+    let queries = take_checkpoint_queries(&mut data, "query")?;
+    let retired = take_checkpoint_queries(&mut data, "retired query")?;
 
     if data.remaining() < 4 {
         return Err(ProtocolError::malformed_report(
@@ -1594,10 +1545,14 @@ pub fn decode_session_checkpoint(mut data: Bytes) -> Result<SessionCheckpoint> {
         bits,
         hashes,
         seed,
+        samples,
+        eps,
+        tolerance,
+        hash_scheme,
         next_id,
+        drained_next_id,
         queries,
-        counts,
-        baselines,
+        retired,
         stations,
     };
     validate_session_checkpoint(&checkpoint)?;
@@ -2295,9 +2250,6 @@ mod tests {
     }
 
     fn sample_checkpoint() -> SessionCheckpoint {
-        let mut baseline = WeightSet::new();
-        baseline.insert(w(1, 4));
-        baseline.insert(w(3, 4));
         SessionCheckpoint {
             epoch: 5,
             clock_base: 940,
@@ -2305,7 +2257,12 @@ mod tests {
             bits: 1 << 12,
             hashes: 4,
             seed: 0xfeed,
+            samples: 12,
+            eps: 2,
+            tolerance: ToleranceMode::Uniform,
+            hash_scheme: HashScheme::PositionTagged,
             next_id: 3,
+            drained_next_id: 2,
             queries: vec![
                 CheckpointQuery {
                     id: 0,
@@ -2320,11 +2277,12 @@ mod tests {
                     pairs: vec![(99, w(9, 9))],
                 },
             ],
-            counts: vec![
-                (3, vec![(w(1, 4), 2), (w(3, 4), 1)]),
-                (700, vec![(w(9, 9), 4)]),
-            ],
-            baselines: vec![(3, baseline), (701, WeightSet::new())],
+            retired: vec![CheckpointQuery {
+                id: 1,
+                total: 3,
+                combinations: 2,
+                pairs: vec![(5, w(1, 2))],
+            }],
             stations: vec![
                 CheckpointStation {
                     has_filter: true,
@@ -2371,52 +2329,64 @@ mod tests {
     fn session_checkpoint_rejects_structural_violations() {
         // The decoder re-runs the same validation, so rejecting these on
         // encode proves both directions.
+        let rejects = |c: &SessionCheckpoint, needle: &str| {
+            let err = encode_session_checkpoint(c).unwrap_err();
+            assert!(err.to_string().contains(needle), "{needle}: {err}");
+        };
         let mut c = sample_checkpoint();
         c.stations[1].applied_epoch = 9;
         c.stations[1].has_filter = true;
-        let err = encode_session_checkpoint(&c).unwrap_err();
-        assert!(err.to_string().contains("beyond checkpoint epoch"), "{err}");
+        rejects(&c, "beyond checkpoint epoch");
 
         let mut c = sample_checkpoint();
         c.stations[1].applied_epoch = 2;
-        let err = encode_session_checkpoint(&c).unwrap_err();
-        assert!(
-            err.to_string().contains("without holding a filter"),
-            "{err}"
-        );
+        rejects(&c, "without holding a filter");
 
         let mut c = sample_checkpoint();
         c.queries[1].id = 0;
-        assert!(encode_session_checkpoint(&c).is_err());
+        rejects(&c, "strictly ascending");
 
         let mut c = sample_checkpoint();
         c.queries[1].id = 77;
-        let err = encode_session_checkpoint(&c).unwrap_err();
-        assert!(err.to_string().contains("not below next id"), "{err}");
+        rejects(&c, "not below next id");
+
+        // Counters a session can never reach: the next epoch or insert
+        // would overflow.
+        let mut c = sample_checkpoint();
+        c.epoch = u64::MAX;
+        rejects(&c, "u64::MAX");
 
         let mut c = sample_checkpoint();
-        c.counts[1].0 = 1 << 12;
-        let err = encode_session_checkpoint(&c).unwrap_err();
-        assert!(err.to_string().contains("outside filter"), "{err}");
+        c.next_id = u64::MAX;
+        rejects(&c, "u64::MAX");
+
+        // The drain split: the mark never passes the next id, and retired
+        // queries were live at the drain and are live no more.
+        let mut c = sample_checkpoint();
+        c.drained_next_id = 4;
+        rejects(&c, "beyond next id");
 
         let mut c = sample_checkpoint();
-        c.counts[0].1[1].1 = 0;
-        let err = encode_session_checkpoint(&c).unwrap_err();
-        assert!(err.to_string().contains("zero count"), "{err}");
+        c.retired[0].id = 2;
+        rejects(&c, "not below drain mark");
 
         let mut c = sample_checkpoint();
-        c.baselines[0].0 = 701;
-        let err = encode_session_checkpoint(&c).unwrap_err();
-        assert!(err.to_string().contains("strictly ascending"), "{err}");
+        c.drained_next_id = 3;
+        c.retired[0].id = 2;
+        rejects(&c, "both live and retired");
+
+        let mut c = sample_checkpoint();
+        c.retired.insert(0, c.retired[0].clone());
+        rejects(&c, "strictly ascending");
     }
 
     #[test]
     fn session_checkpoint_rejects_huge_declared_counts() {
         let frame = encode_session_checkpoint(&sample_checkpoint()).unwrap();
-        // The query count lives right after the 48-byte fixed header;
+        // The query count lives right after the 74-byte fixed header;
         // inflate it far beyond the remaining bytes.
         let mut bytes = frame.to_vec();
-        bytes[48..52].copy_from_slice(&u32::MAX.to_le_bytes());
+        bytes[74..78].copy_from_slice(&u32::MAX.to_le_bytes());
         let err = decode_session_checkpoint(Bytes::from(bytes)).unwrap_err();
         assert!(err.to_string().contains("truncated"), "{err}");
     }
@@ -2428,9 +2398,47 @@ mod tests {
         bytes[0] ^= 0xff;
         assert!(decode_session_checkpoint(Bytes::from(bytes.clone())).is_err());
         bytes[0] ^= 0xff;
-        bytes[4] = 2;
-        let err = decode_session_checkpoint(Bytes::from(bytes)).unwrap_err();
-        assert!(err.to_string().contains("version"), "{err}");
+        // Version 1 frames carried refcounts and baselines; version 3 does
+        // not exist yet. Both are refused on the version byte alone.
+        for version in [1, 3] {
+            bytes[4] = version;
+            let err = decode_session_checkpoint(Bytes::from(bytes.clone())).unwrap_err();
+            assert!(
+                matches!(err, ProtocolError::MalformedReport { .. }),
+                "{err}"
+            );
+            assert!(
+                err.to_string()
+                    .contains(&format!("unsupported checkpoint version {version}")),
+                "{err}"
+            );
+        }
+        // Even a version-1 frame too short for this header names its
+        // version.
+        let err = decode_session_checkpoint(Bytes::from(bytes[..5].to_vec())).unwrap_err();
+        assert!(err.to_string().contains("version 3"), "{err}");
+        let mut service = encode_service_checkpoint(&[]).unwrap().to_vec();
+        service[4] = 1;
+        let err = decode_service_checkpoint(Bytes::from(service)).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("unsupported service checkpoint version 1"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn session_checkpoint_rejects_unknown_config_bytes() {
+        let frame = encode_session_checkpoint(&sample_checkpoint()).unwrap();
+        // tolerance and hash scheme sit after magic, version, epoch, clock,
+        // needs_full, bits, hashes, seed, samples and eps.
+        let at = 4 + 1 + 8 + 8 + 1 + 8 + 2 + 8 + 8 + 8;
+        for (offset, needle) in [(at, "tolerance byte 2"), (at + 1, "hash-scheme byte 2")] {
+            let mut bytes = frame.to_vec();
+            bytes[offset] = 2;
+            let err = decode_session_checkpoint(Bytes::from(bytes)).unwrap_err();
+            assert!(err.to_string().contains(needle), "{err}");
+        }
     }
 
     #[test]

@@ -5,7 +5,8 @@
 
 use bytes::Bytes;
 use dipm_core::{Weight, WeightDiff, WeightSet};
-use dipm_protocol::wire;
+use dipm_protocol::{wire, HashScheme};
+use dipm_timeseries::ToleranceMode;
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -583,50 +584,44 @@ proptest! {
     }
 }
 
+/// The drain mark [`checkpoint_from`] splits its registry at.
+const DRAIN_MARK: u64 = 250;
+
+/// Byte offsets of the v2 session checkpoint's fixed header fields.
+const EPOCH_AT: usize = 4 + 1;
+const NEXT_ID_AT: usize = EPOCH_AT + 8 + 8 + 1 + 8 + 2 + 8 + 8 + 8 + 1 + 1;
+const DRAIN_MARK_AT: usize = NEXT_ID_AT + 8;
+/// Where the live-query count sits: right after the 74-byte fixed header.
+const QUERIES_AT: usize = DRAIN_MARK_AT + 8;
+
+fn checkpoint_query(id: u64) -> wire::CheckpointQuery {
+    wire::CheckpointQuery {
+        id,
+        total: id + 1,
+        combinations: id % 7,
+        pairs: vec![(id * 31, Weight::new(id % 5 + 1, 9).unwrap())],
+    }
+}
+
 /// A structurally valid session checkpoint derived from arbitrary seeds:
-/// ascending ids/positions, nonzero counts, stations consistent with the
-/// epoch.
+/// ascending live ids on both sides of the drain mark, ascending retired
+/// ids below it and never live, stations consistent with the epoch.
 fn checkpoint_from(
     epoch: u64,
     query_seeds: &[u64],
-    position_seeds: &[u32],
+    retired_seeds: &[u64],
     station_count: usize,
 ) -> wire::SessionCheckpoint {
-    let bits = 1u64 << 12;
     let mut ids: Vec<u64> = query_seeds.iter().map(|&s| s % 500).collect();
     ids.sort_unstable();
     ids.dedup();
-    let queries: Vec<wire::CheckpointQuery> = ids
+    let mut retired: Vec<u64> = retired_seeds
         .iter()
-        .map(|&id| wire::CheckpointQuery {
-            id,
-            total: id + 1,
-            combinations: id % 7,
-            pairs: vec![(id * 31, Weight::new(id % 5 + 1, 9).unwrap())],
-        })
+        .map(|&s| s % DRAIN_MARK)
+        .filter(|id| !ids.contains(id))
         .collect();
-    let mut positions: Vec<u32> = position_seeds.iter().map(|&p| p % (bits as u32)).collect();
-    positions.sort_unstable();
-    positions.dedup();
-    let counts: Vec<(u32, Vec<(Weight, u32)>)> = positions
-        .iter()
-        .map(|&pos| {
-            (
-                pos,
-                vec![(Weight::new(pos as u64 % 6 + 1, 11).unwrap(), pos + 1)],
-            )
-        })
-        .collect();
-    let baselines: Vec<(u32, WeightSet)> = positions
-        .iter()
-        .map(|&pos| {
-            let mut set = WeightSet::new();
-            if pos % 2 == 0 {
-                set.insert(Weight::new(pos as u64 % 6 + 1, 11).unwrap());
-            }
-            (pos, set)
-        })
-        .collect();
+    retired.sort_unstable();
+    retired.dedup();
     let stations: Vec<wire::CheckpointStation> = (0..station_count)
         .map(|i| {
             let has_filter = epoch > 0 && i % 3 != 2;
@@ -644,15 +639,38 @@ fn checkpoint_from(
         epoch,
         clock_base: epoch * 100,
         needs_full: epoch == 0,
-        bits,
+        bits: 1 << 12,
         hashes: 4,
         seed: 0xFEED,
+        samples: 12,
+        eps: epoch % 4,
+        tolerance: if epoch % 2 == 0 {
+            ToleranceMode::Accumulated
+        } else {
+            ToleranceMode::Uniform
+        },
+        hash_scheme: if epoch % 3 == 0 {
+            HashScheme::ValueOnly
+        } else {
+            HashScheme::PositionTagged
+        },
         next_id: 500,
-        queries,
-        counts,
-        baselines,
+        drained_next_id: DRAIN_MARK,
+        queries: ids.into_iter().map(checkpoint_query).collect(),
+        retired: retired.into_iter().map(checkpoint_query).collect(),
         stations,
     }
+}
+
+/// The byte offset of the first retired query's id in `checkpoint`'s
+/// frame: past the header, the live list and the retired count.
+fn first_retired_id_at(checkpoint: &wire::SessionCheckpoint) -> usize {
+    let live: usize = checkpoint
+        .queries
+        .iter()
+        .map(|query| 28 + 24 * query.pairs.len())
+        .sum();
+    QUERIES_AT + 4 + live + 4
 }
 
 proptest! {
@@ -669,10 +687,10 @@ proptest! {
     fn session_checkpoints_roundtrip(
         epoch in 0u64..50,
         query_seeds in vec(any::<u64>(), 0..12),
-        position_seeds in vec(any::<u32>(), 0..16),
+        retired_seeds in vec(any::<u64>(), 0..16),
         station_count in 0usize..12,
     ) {
-        let checkpoint = checkpoint_from(epoch, &query_seeds, &position_seeds, station_count);
+        let checkpoint = checkpoint_from(epoch, &query_seeds, &retired_seeds, station_count);
         let framed = wire::encode_session_checkpoint(&checkpoint).unwrap();
         prop_assert_eq!(wire::decode_session_checkpoint(framed).unwrap(), checkpoint);
     }
@@ -681,12 +699,12 @@ proptest! {
     fn truncated_checkpoints_error_never_panic(
         epoch in 0u64..50,
         query_seeds in vec(any::<u64>(), 1..8),
-        position_seeds in vec(any::<u32>(), 1..8),
+        retired_seeds in vec(any::<u64>(), 1..8),
         cut_permille in 0usize..1000,
     ) {
-        // Any strict prefix — cuts inside the 48-byte fixed header
+        // Any strict prefix — cuts inside the 74-byte fixed header
         // included — must error cleanly, never panic or mis-decode.
-        let checkpoint = checkpoint_from(epoch, &query_seeds, &position_seeds, 4);
+        let checkpoint = checkpoint_from(epoch, &query_seeds, &retired_seeds, 4);
         let framed = wire::encode_session_checkpoint(&checkpoint).unwrap();
         let cut = framed.len() * cut_permille / 1000;
         prop_assume!(cut < framed.len());
@@ -728,15 +746,78 @@ proptest! {
     }
 
     #[test]
+    fn unreachable_counters_are_rejected(
+        epoch in 0u64..50,
+        query_seeds in vec(any::<u64>(), 0..8),
+        patch_next_id in any::<bool>(),
+    ) {
+        // A session increments its epoch and next id, so a frame holding
+        // u64::MAX in either was never written by one; recovering it would
+        // overflow the next epoch or insert.
+        let checkpoint = checkpoint_from(epoch, &query_seeds, &[7], 3);
+        let mut raw = wire::encode_session_checkpoint(&checkpoint).unwrap().to_vec();
+        let at = if patch_next_id { NEXT_ID_AT } else { EPOCH_AT };
+        raw[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        let err = wire::decode_session_checkpoint(Bytes::from(raw)).unwrap_err();
+        prop_assert!(err.to_string().contains("u64::MAX"), "{}", err);
+    }
+
+    #[test]
+    fn retired_lists_that_break_the_drain_split_are_rejected(
+        epoch in 0u64..50,
+        query_seeds in vec(any::<u64>(), 0..8),
+        retired_seeds in vec(any::<u64>(), 1..8),
+        above in 0u64..1000,
+    ) {
+        // A live query below the mark, and one retired query, so patching
+        // its id cannot break the order.
+        let live = above % DRAIN_MARK;
+        let mut query_seeds = query_seeds;
+        query_seeds.push(live);
+        let mut valid = checkpoint_from(epoch, &query_seeds, &retired_seeds, 3);
+        prop_assume!(!valid.retired.is_empty());
+        valid.retired.truncate(1);
+        let framed = wire::encode_session_checkpoint(&valid).unwrap().to_vec();
+        let at = first_retired_id_at(&valid);
+        prop_assert_eq!(&framed[at..at + 8], &valid.retired[0].id.to_le_bytes()[..]);
+        let cases: [(u64, &str); 2] = [
+            // A retired id at or above the drain mark was never live at
+            // the drain.
+            (DRAIN_MARK + above % (500 - DRAIN_MARK), "not below drain mark"),
+            // A retired query cannot also be live.
+            (live, "both live and retired"),
+        ];
+        for (id, needle) in cases {
+            let mut checkpoint = valid.clone();
+            checkpoint.retired[0].id = id;
+            let err = wire::encode_session_checkpoint(&checkpoint).unwrap_err();
+            prop_assert!(err.to_string().contains(needle), "encoder: {}", err);
+            let mut raw = framed.clone();
+            raw[at..at + 8].copy_from_slice(&id.to_le_bytes());
+            let err = wire::decode_session_checkpoint(Bytes::from(raw)).unwrap_err();
+            prop_assert!(err.to_string().contains(needle), "decoder: {}", err);
+        }
+        // The drain mark never passes the next id.
+        let past = valid.next_id + 1 + above;
+        let mut checkpoint = valid.clone();
+        checkpoint.drained_next_id = past;
+        let err = wire::encode_session_checkpoint(&checkpoint).unwrap_err();
+        prop_assert!(err.to_string().contains("beyond next id"), "encoder: {}", err);
+        let mut raw = framed;
+        raw[DRAIN_MARK_AT..DRAIN_MARK_AT + 8].copy_from_slice(&past.to_le_bytes());
+        let err = wire::decode_session_checkpoint(Bytes::from(raw)).unwrap_err();
+        prop_assert!(err.to_string().contains("beyond next id"), "decoder: {}", err);
+    }
+
+    #[test]
     fn huge_declared_checkpoint_counts_are_rejected_not_allocated(count in 1_000u32..u32::MAX) {
-        // A frame declaring `count` queries/positions/tenants with a tiny
-        // body must be rejected on length before any allocation.
+        // A frame declaring `count` queries/tenants with a tiny body must be
+        // rejected on length before any allocation.
         let checkpoint = checkpoint_from(1, &[1], &[2], 2);
         let framed = wire::encode_session_checkpoint(&checkpoint).unwrap();
-        // The query count sits right after the 48-byte fixed header.
         let mut raw = framed.to_vec();
-        raw[48..52].copy_from_slice(&count.to_le_bytes());
-        raw.truncate(60);
+        raw[QUERIES_AT..QUERIES_AT + 4].copy_from_slice(&count.to_le_bytes());
+        raw.truncate(QUERIES_AT + 12);
         prop_assert!(wire::decode_session_checkpoint(Bytes::from(raw)).is_err());
 
         // Service wrapper: magic + version + count, then nothing.

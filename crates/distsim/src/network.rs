@@ -292,47 +292,18 @@ impl Network {
         Ok(delivered)
     }
 
-    /// Broadcasts the same payload to every given node, stamping every copy
-    /// as sent at the given virtual tick.
-    ///
-    /// The data center's send time can be a fact of a longer timeline than
-    /// one run's: a streaming session's next epoch starts at the previous
-    /// epoch's makespan, so each copy is stamped from the tick the center
-    /// actually reached — and per-epoch makespans accumulate
-    /// deterministically.
-    ///
-    /// # Errors
-    ///
-    /// Fails on the first unknown or disconnected target.
-    pub fn broadcast_at<I>(
-        &self,
-        from: NodeId,
-        targets: I,
-        class: TrafficClass,
-        payload: &Bytes,
-        sent_at: u64,
-    ) -> Result<usize>
-    where
-        I: IntoIterator<Item = NodeId>,
-    {
-        let mut delivered = 0;
-        for node in targets {
-            self.send_at(from, node, class, payload.clone(), sent_at)?;
-            delivered += 1;
-        }
-        Ok(delivered)
-    }
-
     /// Broadcasts the same payload with a *per-recipient* send tick,
     /// metering each copy separately.
     ///
-    /// This is the dissemination primitive of a multi-tenant service
-    /// epoch: concurrent tenants share each station's downlink, so the
-    /// second tenant's frame cannot start its flight until the link
-    /// finished serializing the first — its copy is stamped from a later
-    /// tick than a lone tenant's would be. The stagger is pure simulation
-    /// metadata, exactly like [`Network::broadcast_at`]'s single stamp:
-    /// byte accounting is identical whatever ticks the copies carry.
+    /// This is the dissemination primitive of a streaming epoch. The data
+    /// center's send time is a fact of a longer timeline than one run's: a
+    /// session's next epoch starts at the previous epoch's makespan, and
+    /// concurrent tenants share each station's downlink, so the second
+    /// tenant's frame cannot start its flight until the link finished
+    /// serializing the first — its copy is stamped from a later tick than
+    /// a lone tenant's would be. The stamps are pure simulation metadata,
+    /// exactly like [`Network::send_at`]'s: byte accounting is identical
+    /// whatever ticks the copies carry.
     ///
     /// # Errors
     ///
@@ -483,12 +454,11 @@ mod tests {
         };
         let net = Network::with_latency(model);
         let mailbox = net.register(NodeId(1)).unwrap();
-        net.broadcast_at(
+        net.broadcast_each_at(
             DATA_CENTER,
-            [NodeId(1)],
+            [(NodeId(1), 500)],
             TrafficClass::Query,
             &Bytes::from_static(b"delta"),
-            500,
         )
         .unwrap();
         let env = mailbox.recv().unwrap();

@@ -90,12 +90,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     print_epoch(1, &service.run_epoch(&day_snapshot(1)?)?);
 
     // ── 2. The center crashes; the stations do not ─────────────────────
-    // One frame persists every tenant's center state. The stations keep
-    // their filters; recovery resyncs them with deltas, not re-broadcasts.
+    // Tenant 1 edits its list again right before the crash, so that edit
+    // has not been broadcast yet. One frame persists every tenant's query
+    // registry, split at its last delta drain; recovery rebuilds each
+    // counting filter from it and replays the pending edit. The stations
+    // keep their filters and are resynced with deltas, not re-broadcasts.
+    let retired = service.session(TenantId(1))?.live_queries()[0];
+    service.remove_query(TenantId(1), retired)?;
+    service.insert_query(TenantId(1), &query_for(160)?)?;
     let frame = service.checkpoint()?;
+    let checkpoint_bytes = frame.len() as u64;
     println!(
         "\ncenter crash: {:.1} KB checkpoint persisted",
-        frame.len() as f64 / 1024.0
+        checkpoint_bytes as f64 / 1024.0
     );
     let mut memories = BTreeMap::new();
     for tenant in service.tenants() {
@@ -125,6 +132,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "recovery must resync via deltas, not re-broadcast"
         );
     }
+    assert!(
+        matches!(
+            resumed.outcomes[&TenantId(1)].broadcast,
+            EpochBroadcast::Delta { entries } if entries > 0
+        ),
+        "tenant 1's pending edit must resync through the replayed registry"
+    );
+    let rebuild_bytes: u64 = resumed.outcomes.values().map(|o| o.rebuild_bytes).sum();
+    println!(
+        "\nthe {:.1} KB checkpoint saved a {:.1} KB re-broadcast",
+        checkpoint_bytes as f64 / 1024.0,
+        rebuild_bytes as f64 / 1024.0
+    );
+    assert!(
+        checkpoint_bytes < rebuild_bytes,
+        "the checkpoint must cost less than the re-broadcast it saves"
+    );
 
     // ── 3. Admission backpressure defers, never drops ──────────────────
     // A deliberately tiny budget: only the first tenant on the idle links

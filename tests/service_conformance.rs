@@ -301,8 +301,9 @@ fn crash_and_recover_is_byte_equivalent_to_an_uninterrupted_run() {
 }
 
 /// A checkpoint only restores into a compatible world: a center restarted
-/// with a different hash seed (or mismatched station memories) must reject
-/// the frame whole instead of silently diverging.
+/// with a different hash seed, sampling, tolerance or hash scheme (or
+/// mismatched station memories) must reject the frame whole instead of
+/// silently diverging.
 #[test]
 fn recovery_rejects_incompatible_configs_and_memories() {
     let day = conformance::dataset(conformance::SEEDS[0]);
@@ -313,14 +314,55 @@ fn recovery_rejects_incompatible_configs_and_memories() {
     let frame = session.checkpoint().unwrap();
     let memories = session.release_stations();
 
-    let reseeded = DiMatchingConfig {
-        seed: 0xBAD_5EED,
-        ..config()
-    };
-    assert!(matches!(
-        StreamingSession::recover(frame.clone(), Vec::new(), reseeded, options(MODES[0])),
-        Err(ProtocolError::CheckpointMismatch { .. })
-    ));
+    // Every setting the recorded pairs were derived under: a drift in any
+    // of them would scan for keys no query registered.
+    let drifts = [
+        (
+            "seed",
+            DiMatchingConfig {
+                seed: 0xBAD_5EED,
+                ..config()
+            },
+        ),
+        (
+            "samples",
+            DiMatchingConfig {
+                samples: config().samples + 1,
+                ..config()
+            },
+        ),
+        (
+            "eps",
+            DiMatchingConfig {
+                eps: config().eps + 3,
+                ..config()
+            },
+        ),
+        (
+            "tolerance",
+            DiMatchingConfig {
+                tolerance: ToleranceMode::Uniform,
+                ..config()
+            },
+        ),
+        (
+            "hash_scheme",
+            DiMatchingConfig {
+                hash_scheme: HashScheme::PositionTagged,
+                ..config()
+            },
+        ),
+    ];
+    for (field, drifted) in drifts {
+        assert_ne!(drifted, config(), "{field} must drift");
+        let memories = Vec::new();
+        match StreamingSession::recover(frame.clone(), memories, drifted, options(MODES[0])) {
+            Err(ProtocolError::CheckpointMismatch { reason }) => {
+                assert!(reason.contains(field), "{field}: {reason}");
+            }
+            other => panic!("{field} drift recovered: {other:?}"),
+        }
+    }
     assert!(matches!(
         StreamingSession::recover(frame.clone(), Vec::new(), config(), options(MODES[0])),
         Err(ProtocolError::CheckpointMismatch { .. })
