@@ -21,10 +21,11 @@
 //!   only modeled *latency* couples tenants, because concurrent frames
 //!   genuinely queue on the shared station links.
 //! * **Checkpoint / recovery.** [`Service::checkpoint`] serializes every
-//!   tenant's center state into one versioned frame family; a restarted
-//!   center ([`Service::recover_tenant`]) resyncs stations via deltas
-//!   against the filters they retained, instead of re-broadcasting
-//!   everything — the economics `repro service` measures.
+//!   tenant's query registry into one versioned frame family; a restarted
+//!   center ([`Service::recover_tenant`]) rebuilds each counting filter
+//!   from it and resyncs stations via deltas against the filters they
+//!   retained, instead of re-broadcasting everything — the economics
+//!   `repro service` measures.
 //! * **Admission backpressure.** An [`AdmissionPolicy`] bounds each
 //!   station's per-epoch update bytes; over-budget tenants are deferred to
 //!   the next epoch with their [`deferred_epochs`] meter ticked, never

@@ -1213,6 +1213,16 @@ fn put_checkpoint_weight(buf: &mut BytesMut, weight: Weight) {
     buf.put_u64_le(weight.denominator());
 }
 
+/// Reads one byte as an index into `choices`, rejecting any other value.
+/// Encoders write a fieldless enum's discriminant (`as u8`), so `choices`
+/// lists its variants in declaration order.
+fn take_checkpoint_choice<T: Copy>(data: &mut Bytes, choices: &[T], what: &str) -> Result<T> {
+    let byte = data.get_u8();
+    choices.get(usize::from(byte)).copied().ok_or_else(|| {
+        ProtocolError::malformed_report(format!("checkpoint {what} byte {byte} is unknown"))
+    })
+}
+
 fn take_checkpoint_weight(data: &mut Bytes) -> Result<Weight> {
     let num = data.get_u64_le();
     let den = data.get_u64_le();
@@ -1414,14 +1424,8 @@ pub fn encode_session_checkpoint(checkpoint: &SessionCheckpoint) -> Result<Bytes
     buf.put_u64_le(checkpoint.seed);
     buf.put_u64_le(checkpoint.samples);
     buf.put_u64_le(checkpoint.eps);
-    buf.put_u8(match checkpoint.tolerance {
-        ToleranceMode::Accumulated => 0,
-        ToleranceMode::Uniform => 1,
-    });
-    buf.put_u8(match checkpoint.hash_scheme {
-        HashScheme::ValueOnly => 0,
-        HashScheme::PositionTagged => 1,
-    });
+    buf.put_u8(checkpoint.tolerance as u8);
+    buf.put_u8(checkpoint.hash_scheme as u8);
     buf.put_u64_le(checkpoint.next_id);
     buf.put_u64_le(checkpoint.drained_next_id);
     put_checkpoint_queries(&mut buf, &checkpoint.queries)?;
@@ -1471,38 +1475,16 @@ pub fn decode_session_checkpoint(mut data: Bytes) -> Result<SessionCheckpoint> {
     }
     let epoch = data.get_u64_le();
     let clock_base = data.get_u64_le();
-    let needs_full = match data.get_u8() {
-        0 => false,
-        1 => true,
-        other => {
-            return Err(ProtocolError::malformed_report(format!(
-                "checkpoint needs-full byte {other} is not a boolean"
-            )))
-        }
-    };
+    let needs_full = take_checkpoint_choice(&mut data, &[false, true], "needs-full")?;
     let bits = data.get_u64_le();
     let hashes = data.get_u16_le();
     let seed = data.get_u64_le();
     let samples = data.get_u64_le();
     let eps = data.get_u64_le();
-    let tolerance = match data.get_u8() {
-        0 => ToleranceMode::Accumulated,
-        1 => ToleranceMode::Uniform,
-        other => {
-            return Err(ProtocolError::malformed_report(format!(
-                "checkpoint tolerance byte {other} is unknown"
-            )))
-        }
-    };
-    let hash_scheme = match data.get_u8() {
-        0 => HashScheme::ValueOnly,
-        1 => HashScheme::PositionTagged,
-        other => {
-            return Err(ProtocolError::malformed_report(format!(
-                "checkpoint hash-scheme byte {other} is unknown"
-            )))
-        }
-    };
+    let tolerances = [ToleranceMode::Accumulated, ToleranceMode::Uniform];
+    let tolerance = take_checkpoint_choice(&mut data, &tolerances, "tolerance")?;
+    let schemes = [HashScheme::ValueOnly, HashScheme::PositionTagged];
+    let hash_scheme = take_checkpoint_choice(&mut data, &schemes, "hash-scheme")?;
     let next_id = data.get_u64_le();
     let drained_next_id = data.get_u64_le();
     let queries = take_checkpoint_queries(&mut data, "query")?;
@@ -1520,16 +1502,8 @@ pub fn decode_session_checkpoint(mut data: Bytes) -> Result<SessionCheckpoint> {
         ));
     }
     let mut stations = Vec::with_capacity(station_count);
-    for station in 0..station_count {
-        let has_filter = match data.get_u8() {
-            0 => false,
-            1 => true,
-            other => {
-                return Err(ProtocolError::malformed_report(format!(
-                    "station {station} has-filter byte {other} is not a boolean"
-                )))
-            }
-        };
+    for _ in 0..station_count {
+        let has_filter = take_checkpoint_choice(&mut data, &[false, true], "station has-filter")?;
         let applied_epoch = data.get_u64_le();
         stations.push(CheckpointStation {
             has_filter,
@@ -2398,25 +2372,21 @@ mod tests {
         bytes[0] ^= 0xff;
         assert!(decode_session_checkpoint(Bytes::from(bytes.clone())).is_err());
         bytes[0] ^= 0xff;
-        // Version 1 frames carried refcounts and baselines; version 3 does
-        // not exist yet. Both are refused on the version byte alone.
+        // Any other version is refused on the version byte alone, however
+        // short the rest of the frame.
         for version in [1, 3] {
             bytes[4] = version;
-            let err = decode_session_checkpoint(Bytes::from(bytes.clone())).unwrap_err();
-            assert!(
-                matches!(err, ProtocolError::MalformedReport { .. }),
-                "{err}"
-            );
-            assert!(
-                err.to_string()
-                    .contains(&format!("unsupported checkpoint version {version}")),
-                "{err}"
-            );
+            for len in [5, bytes.len()] {
+                let err =
+                    decode_session_checkpoint(Bytes::from(bytes[..len].to_vec())).unwrap_err();
+                assert!(
+                    matches!(err, ProtocolError::MalformedReport { .. }),
+                    "{err}"
+                );
+                let needle = format!("unsupported checkpoint version {version}");
+                assert!(err.to_string().contains(&needle), "{err}");
+            }
         }
-        // Even a version-1 frame too short for this header names its
-        // version.
-        let err = decode_session_checkpoint(Bytes::from(bytes[..5].to_vec())).unwrap_err();
-        assert!(err.to_string().contains("version 3"), "{err}");
         let mut service = encode_service_checkpoint(&[]).unwrap().to_vec();
         service[4] = 1;
         let err = decode_service_checkpoint(Bytes::from(service)).unwrap_err();
