@@ -10,7 +10,8 @@
 //! 2. **Crash-and-recover equivalence** — checkpoint a session mid-stream,
 //!    dissolve the center, recover against the stations' retained
 //!    memories: every subsequent epoch's results and wire bytes match an
-//!    uninterrupted twin, mode by mode, seed by seed.
+//!    uninterrupted twin, churn shape by churn shape, mode by mode, seed
+//!    by seed.
 //! 3. **Admission backpressure** — over-budget tenants are deferred with
 //!    their meter ticked, never dropped, and deferral cannot starve.
 
