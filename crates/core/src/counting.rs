@@ -368,11 +368,6 @@ impl CountingWbf {
             .collect()
     }
 
-    /// How many positions currently await a delta broadcast.
-    pub fn dirty_len(&self) -> usize {
-        self.dirty.len()
-    }
-
     /// Live insertions (inserts minus removes).
     pub fn live(&self) -> u64 {
         self.live
@@ -575,7 +570,7 @@ mod tests {
         assert!(delta.windows(2).all(|e| e[0].0 < e[1].0), "ascending order");
         // Nothing changed since: the next drain is empty.
         assert!(filter.drain_dirty().is_empty());
-        assert_eq!(filter.dirty_len(), 0);
+        assert!(filter.dirty.is_empty());
         // Removing the key retires its positions: the weight leaves.
         filter.remove(10, w(1, 2)).unwrap();
         let delta = filter.drain_dirty();
@@ -593,10 +588,13 @@ mod tests {
         filter.drain_dirty();
         // Same key, same weight: counts move but visible state does not.
         filter.insert(10, w(1, 2)).unwrap();
-        assert_eq!(filter.dirty_len(), 0, "invisible count changes stay local");
+        assert!(
+            filter.dirty.is_empty(),
+            "invisible count changes stay local"
+        );
         // A new weight on the same positions is visible.
         filter.insert(10, w(1, 3)).unwrap();
-        assert!(filter.dirty_len() > 0);
+        assert!(!filter.dirty.is_empty());
     }
 
     #[test]
@@ -607,7 +605,7 @@ mod tests {
         // Insert-then-remove within one epoch: back to the baseline.
         filter.insert(10, w(1, 3)).unwrap();
         filter.remove(10, w(1, 3)).unwrap();
-        assert!(filter.dirty_len() > 0, "positions were touched…");
+        assert!(!filter.dirty.is_empty(), "positions were touched…");
         assert!(
             filter.drain_dirty().is_empty(),
             "…but the diff against the baseline is empty"

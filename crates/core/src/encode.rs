@@ -9,7 +9,7 @@
 //!
 //! ```text
 //! magic  u32  = 0x4449_504d ("DIPM")
-//! version u8  = 1
+//! version u8  = 2
 //! kind   u8   = 0 (Bloom) | 1 (Weighted Bloom)
 //! hashes u16
 //! seed   u64
@@ -21,9 +21,14 @@
 //! dict*    { num u64, den u64 }   (distinct weights, ascending)
 //! sets_len u32
 //! set*     { len u16, ids u16×len }   (distinct weight SETS, first-seen order)
+//! id_width u8                     (1 if sets_len ≤ 256, 2 if ≤ 65,536, else 4)
 //! per set bit, in ascending bit order:
-//!   set_id u32                    (index into the set table)
+//!   set_id  u8 | u16 | u32        (index into the set table, id_width bytes)
 //! ```
+//!
+//! The id width is the narrowest that indexes the frame's own set table. The
+//! decoder rejects any other width byte, a valid wider one included, so the
+//! width never gives one filter a second encoding.
 //!
 //! Two levels of interning keep broadcasts small: distinct weights are few
 //! (one per combination pattern), and neighbouring band keys carry *identical*
@@ -42,7 +47,7 @@ use crate::weight::Weight;
 use crate::weight_set::WeightSet;
 
 const MAGIC: u32 = 0x4449_504d;
-const VERSION: u8 = 1;
+const VERSION: u8 = 2;
 const KIND_BLOOM: u8 = 0;
 const KIND_WEIGHTED: u8 = 1;
 
@@ -176,6 +181,32 @@ struct Interned {
     per_bit: Vec<u32>,
 }
 
+impl Interned {
+    /// The exact length of the weighted frame this interning encodes to.
+    fn encoded_len(&self, filter: &WeightedBloomFilter) -> usize {
+        let set_bytes: usize = self.sets.iter().map(|s| 2 + 2 * s.len()).sum();
+        32 + filter.bits().byte_len()
+            + 4
+            + self.dict.len() * 16
+            + 4
+            + set_bytes
+            + 1
+            + self.per_bit.len() * id_width(self.sets.len())
+    }
+}
+
+/// The per-bit set-id width, in bytes, for a set table of `sets` entries:
+/// the narrowest of 1, 2 or 4 that indexes every entry.
+fn id_width(sets: usize) -> usize {
+    if sets <= 1 << 8 {
+        1
+    } else if sets <= 1 << 16 {
+        2
+    } else {
+        4
+    }
+}
+
 fn intern(filter: &WeightedBloomFilter) -> Result<Interned> {
     let dict = weight_dictionary(filter);
     if dict.len() > u16::MAX as usize {
@@ -186,25 +217,24 @@ fn intern(filter: &WeightedBloomFilter) -> Result<Interned> {
     let mut sets: Vec<Vec<u16>> = Vec::new();
     let mut index: std::collections::HashMap<Vec<u16>, u32> = std::collections::HashMap::new();
     let mut per_bit = Vec::with_capacity(filter.bits().count_ones());
+    let mut ids: Vec<u16> = Vec::new();
     for (_, set) in filter.weight_positions() {
         if set.len() > u16::MAX as usize {
             return Err(CoreError::invalid_params(
                 "more weights on one bit than the wire format supports",
             ));
         }
-        let ids: Vec<u16> = set
-            .iter()
-            .map(|w| {
-                dict.binary_search(&w)
-                    .expect("dictionary contains every attached weight") as u16
-            })
-            .collect();
-        let id = match index.get(&ids) {
+        ids.clear();
+        ids.extend(set.iter().map(|w| {
+            dict.binary_search(&w)
+                .expect("dictionary contains every attached weight") as u16
+        }));
+        let id = match index.get(ids.as_slice()) {
             Some(&id) => id,
             None => {
                 let id = sets.len() as u32;
                 index.insert(ids.clone(), id);
-                sets.push(ids);
+                sets.push(ids.clone());
                 id
             }
         };
@@ -220,8 +250,9 @@ fn intern(filter: &WeightedBloomFilter) -> Result<Interned> {
 /// Encodes a weighted Bloom filter.
 ///
 /// Per-bit weight sets are interned: the payload carries each distinct set
-/// once plus a 4-byte set id per set bit (emitted in set-bit order — the
-/// decoder already knows which bits are set from the bit array).
+/// once plus one set id per set bit (emitted in set-bit order — the decoder
+/// already knows which bits are set from the bit array). Each id takes 1, 2
+/// or 4 bytes, the narrowest width that indexes the frame's set table.
 ///
 /// # Errors
 ///
@@ -230,7 +261,7 @@ fn intern(filter: &WeightedBloomFilter) -> Result<Interned> {
 /// weights (beyond the wire format's index width).
 pub fn encode_wbf(filter: &WeightedBloomFilter) -> Result<Bytes> {
     let interned = intern(filter)?;
-    let mut buf = BytesMut::with_capacity(encoded_wbf_len(filter));
+    let mut buf = BytesMut::with_capacity(interned.encoded_len(filter));
     put_header(
         &mut buf,
         KIND_WEIGHTED,
@@ -252,26 +283,27 @@ pub fn encode_wbf(filter: &WeightedBloomFilter) -> Result<Bytes> {
             buf.put_u16_le(id);
         }
     }
-    for &set_id in &interned.per_bit {
-        buf.put_u32_le(set_id);
+    let width = id_width(interned.sets.len());
+    buf.put_u8(width as u8);
+    match width {
+        1 => interned.per_bit.iter().for_each(|&id| buf.put_u8(id as u8)),
+        2 => interned
+            .per_bit
+            .iter()
+            .for_each(|&id| buf.put_u16_le(id as u16)),
+        _ => interned.per_bit.iter().for_each(|&id| buf.put_u32_le(id)),
     }
     Ok(buf.freeze())
 }
 
-/// The exact byte length [`encode_wbf`] will produce (for a filter the
-/// format can represent).
-pub fn encoded_wbf_len(filter: &WeightedBloomFilter) -> usize {
-    let interned = match intern(filter) {
-        Ok(i) => i,
-        Err(_) => return 0,
-    };
-    let set_bytes: usize = interned.sets.iter().map(|s| 2 + 2 * s.len()).sum();
-    32 + filter.bits().byte_len()
-        + 4
-        + interned.dict.len() * 16
-        + 4
-        + set_bytes
-        + interned.per_bit.len() * 4
+/// The exact byte length [`encode_wbf`] will produce.
+///
+/// # Errors
+///
+/// Returns the same [`CoreError::InvalidParams`] as [`encode_wbf`] for a
+/// filter the format cannot represent.
+pub fn encoded_wbf_len(filter: &WeightedBloomFilter) -> Result<usize> {
+    Ok(intern(filter)?.encoded_len(filter))
 }
 
 /// Everything of a weighted wire frame up to (but not including) the
@@ -281,10 +313,13 @@ pub(crate) struct WbfWireBody {
     pub(crate) family: HashFamily,
     pub(crate) inserted: u64,
     pub(crate) sets: Vec<WeightSet>,
+    /// Bytes per set id in the region that follows: 1, 2 or 4, the
+    /// narrowest that indexes `sets`.
+    pub(crate) id_width: usize,
 }
 
-/// Parses header, bit array, weight dictionary and set table, leaving
-/// `data` positioned at the per-bit set-id region.
+/// Parses header, bit array, weight dictionary, set table and id width,
+/// leaving `data` positioned at the per-bit set-id region.
 pub(crate) fn take_wbf_body(data: &mut Bytes) -> Result<WbfWireBody> {
     let header = take_header(data)?;
     if header.kind != KIND_WEIGHTED {
@@ -341,11 +376,22 @@ pub(crate) fn take_wbf_body(data: &mut Bytes) -> Result<WbfWireBody> {
         }
         sets.push(set);
     }
+    if data.remaining() < 1 {
+        return Err(CoreError::decode("truncated set id width"));
+    }
+    let width = data.get_u8() as usize;
+    if width != id_width(sets.len()) {
+        return Err(CoreError::decode(format!(
+            "set id width {width} does not fit a {}-entry set table",
+            sets.len()
+        )));
+    }
     Ok(WbfWireBody {
         bits,
         family: HashFamily::new(header.hashes, header.seed),
         inserted: header.inserted,
         sets,
+        id_width: width,
     })
 }
 
@@ -404,7 +450,7 @@ mod tests {
     fn wbf_roundtrip() {
         let wbf = sample_wbf();
         let encoded = encode_wbf(&wbf).unwrap();
-        assert_eq!(encoded.len(), encoded_wbf_len(&wbf));
+        assert_eq!(encoded_wbf_len(&wbf), Ok(encoded.len()));
         let decoded = decode_wbf(encoded).unwrap();
         assert_eq!(decoded, wbf);
     }
@@ -464,6 +510,64 @@ mod tests {
         assert!(decode_wbf(Bytes::from(raw)).is_err());
     }
 
+    /// A filter whose set table holds exactly `sets` entries: one hash
+    /// function over a wide bit array, and the `n`-th key to land on a
+    /// fresh bit (counting from 1) carries the weights named by `n`'s
+    /// binary digits, so every set bit holds a distinct weight set.
+    fn filter_with_sets(sets: usize) -> WeightedBloomFilter {
+        let params = FilterParams::new(1 << 20, 1).unwrap();
+        let mut wbf = WeightedBloomFilter::new(params, 5);
+        let digits: Vec<Weight> = (0..usize::BITS - sets.leading_zeros())
+            .map(|d| Weight::new(1, u64::from(d) + 2).unwrap())
+            .collect();
+        let (mut n, mut key) = (0usize, 0u64);
+        while n < sets {
+            if !wbf.contains(key) {
+                n += 1;
+                for (d, &weight) in digits.iter().enumerate() {
+                    if n >> d & 1 == 1 {
+                        wbf.insert(key, weight);
+                    }
+                }
+            }
+            key += 1;
+        }
+        wbf
+    }
+
+    #[test]
+    fn set_ids_take_the_narrowest_width_that_indexes_the_set_table() {
+        for (sets, width) in [(1, 1), (256, 1), (257, 2), (65_536, 2), (65_537, 4)] {
+            let wbf = filter_with_sets(sets);
+            assert_eq!(intern(&wbf).unwrap().sets.len(), sets);
+            let frame = encode_wbf(&wbf).unwrap();
+            // The width byte sits right before the id region.
+            let region = wbf.bits().count_ones() * width;
+            assert_eq!(usize::from(frame[frame.len() - region - 1]), width);
+            assert_eq!(encoded_wbf_len(&wbf), Ok(frame.len()), "{sets} sets");
+            assert_eq!(view_wbf(frame.clone()).unwrap(), wbf, "{sets} sets");
+            assert_eq!(decode_wbf(frame.clone()).unwrap(), wbf, "{sets} sets");
+            let mut v1 = frame.to_vec();
+            v1[4] = 1;
+            let v1 = Bytes::from(v1);
+            let unsupported = CoreError::decode("unsupported version 1");
+            assert_eq!(decode_wbf(v1.clone()).unwrap_err(), unsupported);
+            assert_eq!(view_wbf(v1).unwrap_err(), unsupported);
+        }
+    }
+
+    #[test]
+    fn unencodable_filters_fail_alike_in_encode_and_len() {
+        let params = FilterParams::new(1 << 20, 1).unwrap();
+        let mut wbf = WeightedBloomFilter::new(params, 5);
+        for key in 0..=u64::from(u16::MAX) {
+            wbf.insert(key, Weight::new(1, key + 1).unwrap());
+        }
+        let err = encoded_wbf_len(&wbf).unwrap_err();
+        assert!(matches!(err, CoreError::InvalidParams { .. }), "{err}");
+        assert_eq!(encode_wbf(&wbf).unwrap_err(), err);
+    }
+
     #[test]
     fn wbf_is_larger_than_bloom_of_same_geometry() {
         // Fig. 4d: the weight table is the storage premium WBF pays.
@@ -473,7 +577,7 @@ mod tests {
         for v in [10u64, 20, 30, 40, 50] {
             bf.insert(v);
         }
-        assert!(encoded_wbf_len(&wbf) > encoded_bloom_len(&bf));
+        assert!(encoded_wbf_len(&wbf).unwrap() > encoded_bloom_len(&bf));
     }
 
     #[test]

@@ -18,7 +18,7 @@
 
 use std::sync::OnceLock;
 
-use bytes::{Buf, Bytes};
+use bytes::Bytes;
 
 use crate::bitset::BitSet;
 use crate::error::{CoreError, Result};
@@ -47,9 +47,12 @@ pub struct WbfFrameView {
     /// table load plus one masked popcount.
     rank: Vec<u32>,
     sets: Vec<WeightSet>,
-    /// The frame's per-bit set-id region: 4 little-endian bytes per set
-    /// bit, in ascending bit order, borrowed from the receive buffer.
+    /// The frame's per-bit set-id region: one little-endian id of
+    /// `id_width` bytes per set bit, in ascending bit order, borrowed from
+    /// the receive buffer.
     ids: Bytes,
+    /// Bytes per set id: 1, 2 or 4, the narrowest that indexes `sets`.
+    id_width: usize,
     family: HashFamily,
     inserted: u64,
     universe: OnceLock<WeightSet>,
@@ -60,17 +63,17 @@ pub struct WbfFrameView {
 pub(crate) fn parse_frame(mut data: Bytes) -> Result<WbfFrameView> {
     let body = crate::encode::take_wbf_body(&mut data)?;
     let ones = body.bits.count_ones();
-    let mut cursor = data.clone();
-    for _ in 0..ones {
-        if cursor.remaining() < 4 {
-            return Err(CoreError::decode("truncated per-bit set id"));
-        }
-        if cursor.get_u32_le() as usize >= body.sets.len() {
-            return Err(CoreError::decode("set id outside set table"));
-        }
+    let region = ones * body.id_width;
+    if data.len() < region {
+        return Err(CoreError::decode("truncated per-bit set id"));
     }
-    if cursor.remaining() > 0 {
+    if data.len() > region {
         return Err(CoreError::decode("trailing bytes after filter payload"));
+    }
+    let (table, mut in_table) = (body.sets.len(), true);
+    for_each_id(&data, body.id_width, |id| in_table &= id < table);
+    if !in_table {
+        return Err(CoreError::decode("set id outside set table"));
     }
     let words = body.bits.as_words();
     let mut rank = Vec::with_capacity(words.len());
@@ -80,7 +83,8 @@ pub(crate) fn parse_frame(mut data: Bytes) -> Result<WbfFrameView> {
         before += word.count_ones();
     }
     Ok(WbfFrameView {
-        ids: data.slice(0..ones * 4),
+        ids: data,
+        id_width: body.id_width,
         bits: body.bits,
         rank,
         sets: body.sets,
@@ -88,6 +92,22 @@ pub(crate) fn parse_frame(mut data: Bytes) -> Result<WbfFrameView> {
         inserted: body.inserted,
         universe: OnceLock::new(),
     })
+}
+
+/// Calls `f` on every id of a set-id region of `width`-byte ids, in order.
+/// The width is matched once per pass, not once per id, so each arm is a
+/// plain fixed-stride loop.
+#[inline]
+fn for_each_id(ids: &[u8], width: usize, mut f: impl FnMut(usize)) {
+    match width {
+        1 => ids.iter().for_each(|&id| f(usize::from(id))),
+        2 => ids
+            .chunks_exact(2)
+            .for_each(|id| f(usize::from(u16::from_le_bytes([id[0], id[1]])))),
+        _ => ids
+            .chunks_exact(4)
+            .for_each(|id| f(u32::from_le_bytes([id[0], id[1], id[2], id[3]]) as usize)),
+    }
 }
 
 impl WbfFrameView {
@@ -99,12 +119,13 @@ impl WbfFrameView {
             return None;
         }
         let ord = self.rank[bit / 64] as usize + (word & (mask - 1)).count_ones() as usize;
-        let id = u32::from_le_bytes(
-            self.ids[ord * 4..ord * 4 + 4]
-                .try_into()
-                .expect("id region holds 4 bytes per set bit"),
-        );
-        Some(&self.sets[id as usize])
+        let (ids, at) = (&self.ids[..], ord * self.id_width);
+        let id = match self.id_width {
+            1 => usize::from(ids[at]),
+            2 => usize::from(u16::from_le_bytes([ids[at], ids[at + 1]])),
+            _ => u32::from_le_bytes([ids[at], ids[at + 1], ids[at + 2], ids[at + 3]]) as usize,
+        };
+        Some(&self.sets[id])
     }
 
     /// The filter length in bits.
@@ -209,10 +230,7 @@ impl WbfFrameView {
     pub fn weight_universe(&self) -> &WeightSet {
         self.universe.get_or_init(|| {
             let mut seen = vec![false; self.sets.len()];
-            for chunk in self.ids.chunks_exact(4) {
-                let id = u32::from_le_bytes(chunk.try_into().expect("4-byte chunks"));
-                seen[id as usize] = true;
-            }
+            for_each_id(&self.ids, self.id_width, |id| seen[id] = true);
             let mut all = WeightSet::new();
             for (set, used) in self.sets.iter().zip(&seen) {
                 if *used {
@@ -248,14 +266,10 @@ impl ProbeTable for WbfFrameView {
 /// deltas to: each set bit takes its own copy of its interned weight set.
 impl From<WbfFrameView> for WeightedBloomFilter {
     fn from(view: WbfFrameView) -> WeightedBloomFilter {
-        let sets = view
-            .ids
-            .chunks_exact(4)
-            .map(|id| {
-                let id = u32::from_le_bytes(id.try_into().expect("4-byte chunks"));
-                view.sets[id as usize].clone()
-            })
-            .collect();
+        let mut sets = Vec::with_capacity(view.ids.len() / view.id_width);
+        for_each_id(&view.ids, view.id_width, |id| {
+            sets.push(view.sets[id].clone())
+        });
         WeightedBloomFilter::from_parts(view.bits, view.family, view.inserted, sets)
     }
 }

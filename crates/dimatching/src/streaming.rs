@@ -541,7 +541,7 @@ impl StreamingSession {
         // weigh this epoch. Computed without serializing the frame, and
         // cached until query churn invalidates it — a pure CDR-churn epoch
         // pays neither the snapshot nor the interning pass.
-        let full_frame_len = self.full_frame_len(&totals);
+        let full_frame_len = self.full_frame_len(&totals)?;
 
         // Drain the pending diff exactly once per epoch. Stations on the
         // delta path are exactly those synced to the previous drain point
@@ -611,16 +611,15 @@ impl StreamingSession {
     }
 
     /// The cached full-broadcast frame length (see `cached_full_len`).
-    fn full_frame_len(&mut self, totals: &[u64]) -> usize {
-        match self.cached_full_len {
-            Some(len) => len,
-            None => {
-                let len =
-                    1 + 8 + 4 + totals.len() * 8 + encode::encoded_wbf_len(&self.center.snapshot());
-                self.cached_full_len = Some(len);
-                len
-            }
+    /// Fails, caching nothing, when the filter outgrows the wire format, as
+    /// the full broadcast itself would.
+    fn full_frame_len(&mut self, totals: &[u64]) -> Result<usize> {
+        if let Some(len) = self.cached_full_len {
+            return Ok(len);
         }
+        let len = 1 + 8 + 4 + totals.len() * 8 + encode::encoded_wbf_len(&self.center.snapshot())?;
+        self.cached_full_len = Some(len);
+        Ok(len)
     }
 
     /// What the *next* epoch would send each of `station_count` stations,
@@ -632,7 +631,7 @@ impl StreamingSession {
     /// worst case where every station is targeted.
     pub(crate) fn planned_station_bytes(&mut self, station_count: usize) -> Result<Vec<u64>> {
         let totals = self.totals();
-        let full_len = self.full_frame_len(&totals) as u64;
+        let full_len = self.full_frame_len(&totals)? as u64;
         let delta_len = wire::encode_station_update(&StationUpdate::Delta {
             epoch: self.epoch,
             query_totals: totals,

@@ -427,6 +427,152 @@ proptest! {
     }
 }
 
+/// The per-bit set-id width a set table of `entries` entries takes.
+fn id_width(entries: usize) -> usize {
+    if entries <= 1 << 8 {
+        1
+    } else if entries <= 1 << 16 {
+        2
+    } else {
+        4
+    }
+}
+
+/// Locates the set table of a `bit_len`-bit filter's weighted frame: the
+/// offset of its entry count, the count, and the offset of the id-width
+/// byte that follows its last entry.
+fn set_table(frame: &[u8], bit_len: usize) -> (usize, usize, usize) {
+    let u32_at = |at: usize| u32::from_le_bytes(frame[at..at + 4].try_into().unwrap()) as usize;
+    let dict_at = 32 + bit_len.div_ceil(64) * 8;
+    let count_at = dict_at + 4 + 16 * u32_at(dict_at);
+    let entries = u32_at(count_at);
+    let mut end = count_at + 4;
+    for _ in 0..entries {
+        end += 2 + 2 * usize::from(u16::from_le_bytes([frame[end], frame[end + 1]]));
+    }
+    (count_at, entries, end)
+}
+
+/// Rewrites the weighted frame of a `bit_len`-bit filter with its set table
+/// padded to `table` entries by unreferenced one-weight entries, and its
+/// per-bit ids re-encoded at the width a table that size takes. The
+/// encoder only writes referenced sets, so a 4-byte id width would
+/// otherwise need more than 65,536 set bits; padded, the id region stays a
+/// few dozen ids long and every byte of it can be fuzzed.
+fn pad_set_table(frame: &[u8], bit_len: usize, table: usize) -> Vec<u8> {
+    let (count_at, entries, end) = set_table(frame, bit_len);
+    let (old_width, width) = (usize::from(frame[end]), id_width(table));
+    let mut out = frame[..count_at].to_vec();
+    out.extend_from_slice(&(table as u32).to_le_bytes());
+    out.extend_from_slice(&frame[count_at + 4..end]);
+    for _ in entries..table {
+        // { len 1, dictionary index 0 }
+        out.extend_from_slice(&[1, 0, 0, 0]);
+    }
+    out.push(width as u8);
+    for id in frame[end + 1..].chunks_exact(old_width) {
+        let mut le = [0u8; 4];
+        le[..old_width].copy_from_slice(id);
+        out.extend_from_slice(&le[..width]);
+    }
+    out
+}
+
+/// A filter broadcast at one set-id width.
+struct WidthCase {
+    frame: Vec<u8>,
+    width: usize,
+    /// Entries in the frame's set table.
+    table: usize,
+    /// Offset of the per-bit id region; the width byte sits just before.
+    region: usize,
+}
+
+/// One filter broadcast per set-id width: a small filter's frame as
+/// encoded (width 1), and padded to 257 (width 2) and 65,537 (width 4)
+/// set-table entries.
+fn broadcasts_at_every_width() -> Vec<WidthCase> {
+    let params = dipm_core::FilterParams::new(1 << 10, 2).unwrap();
+    let mut wbf = dipm_core::WeightedBloomFilter::new(params, 7);
+    for key in 0..8u64 {
+        wbf.insert(key * 7919, Weight::new(1, key % 3 + 1).unwrap());
+        wbf.insert(key * 7919, Weight::new(2, key % 5 + 3).unwrap());
+    }
+    let frame = dipm_core::encode::encode_wbf(&wbf).unwrap();
+    let (_, own_table, _) = set_table(&frame, wbf.bit_len());
+    let ones = wbf.bits().count_ones();
+    [own_table, 257, 65_537]
+        .into_iter()
+        .map(|table| {
+            let filter = pad_set_table(&frame, wbf.bit_len(), table);
+            let broadcast = wire::encode_filter_broadcast(&[5, 9], Bytes::from(filter)).unwrap();
+            let width = id_width(table);
+            WidthCase {
+                region: broadcast.len() - ones * width,
+                frame: broadcast.to_vec(),
+                width,
+                table,
+            }
+        })
+        .collect()
+}
+
+/// Both WBF broadcast decoders on one frame: the owned path must reject
+/// it, and the view path with the same message.
+fn assert_rejected_alike(raw: &[u8], what: &str) -> String {
+    let owned = owned_wbf_decode(Bytes::from(raw.to_vec()));
+    let view = view_wbf_decode(Bytes::from(raw.to_vec()));
+    let err = owned.clone().expect_err(what);
+    assert_eq!(view, owned, "{what}");
+    err
+}
+
+// The id width byte is fixed by the set table's size: a frame carries
+// exactly one encoding, so any other byte — a wider valid width included —
+// is a decode error on both paths.
+#[test]
+fn every_other_id_width_byte_is_rejected_alike_at_every_width() {
+    for case in broadcasts_at_every_width() {
+        let mut raw = case.frame.clone();
+        assert_eq!(usize::from(raw[case.region - 1]), case.width);
+        for byte in (0..=u8::MAX).filter(|&b| usize::from(b) != case.width) {
+            raw[case.region - 1] = byte;
+            let err = assert_rejected_alike(&raw, &format!("width byte {byte}"));
+            assert!(err.contains("set id width"), "{err}");
+        }
+    }
+}
+
+#[test]
+fn ids_at_or_past_the_set_table_are_rejected_alike_at_every_width() {
+    for case in broadcasts_at_every_width() {
+        let ids = (case.frame.len() - case.region) / case.width;
+        let widest = u64::MAX >> (64 - 8 * case.width);
+        for ord in [0, ids / 2, ids - 1] {
+            for id in [case.table as u64, widest] {
+                let mut raw = case.frame.clone();
+                let at = case.region + ord * case.width;
+                raw[at..at + case.width].copy_from_slice(&id.to_le_bytes()[..case.width]);
+                let what = format!("id {id} at ordinal {ord}, width {}", case.width);
+                let err = assert_rejected_alike(&raw, &what);
+                assert!(err.contains("set id outside set table"), "{err}");
+            }
+        }
+    }
+}
+
+#[test]
+fn truncation_in_the_id_region_is_rejected_alike_at_every_width() {
+    for case in broadcasts_at_every_width() {
+        assert_eq!(owned_wbf_decode(Bytes::from(case.frame.clone())), Ok(()));
+        assert_eq!(view_wbf_decode(Bytes::from(case.frame.clone())), Ok(()));
+        for cut in case.region - 1..case.frame.len() {
+            let what = format!("cut at {cut}, width {}", case.width);
+            assert_rejected_alike(&case.frame[..cut], &what);
+        }
+    }
+}
+
 /// A populated summary filter for routing-frame fuzzing.
 fn summary_filter(keys: &[u64], seed: u64) -> dipm_core::BloomFilter {
     let params = dipm_core::FilterParams::new(1 << 10, 3).unwrap();
