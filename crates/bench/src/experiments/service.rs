@@ -5,9 +5,9 @@
 //! Fig. 4c dissemination cost all over again. The service instead persists
 //! a [`checkpoint`](dipm_protocol::Service::checkpoint) (each tenant's
 //! query registry, split at its last delta drain — center state only,
-//! station filters stay on the stations), rebuilds each counting filter
-//! from it on recovery, and resyncs each station with exactly the delta
-//! the crashed center would have sent.
+//! station filters stay on the stations), restores each registry on
+//! recovery, and resyncs each station with exactly the delta the crashed
+//! center would have sent, derived from that registry like every epoch's.
 //!
 //! This experiment sweeps tenants × per-tenant query churn × station count
 //! and, at each point, crashes the whole service between two epochs: every

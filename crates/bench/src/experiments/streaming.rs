@@ -3,10 +3,10 @@
 //! The paper's WBF is build-once: any change to the standing query set (or
 //! a deliberate refresh over churned CDRs) re-broadcasts every filter
 //! section — exactly the Fig. 4c dissemination cost, paid again every
-//! epoch. The streaming session replaces that with a counting filter at the
-//! center and per-epoch [`FilterDelta`](dipm_protocol::wire::FilterDelta)
-//! broadcasts: only the positions whose visible state changed cross the
-//! network.
+//! epoch. The streaming session replaces that with per-epoch
+//! [`FilterDelta`](dipm_protocol::wire::FilterDelta) broadcasts, the diff
+//! between this epoch's build of the query registry and the last one's:
+//! only the positions whose weight set changed cross the network.
 //!
 //! This experiment sweeps the per-epoch churn rate (the fraction of
 //! standing queries replaced each epoch) and meters the actual delta

@@ -118,8 +118,8 @@ impl BitSet {
 
     /// Clears the bit at `index`, returning `true` if it was previously one.
     ///
-    /// Counting-filter deltas use this to retire positions whose last
-    /// contributing pattern was removed; plain build paths never unset bits.
+    /// Applied deltas use this to retire positions whose last weight
+    /// left; plain build paths never unset bits.
     ///
     /// # Panics
     ///
@@ -239,26 +239,6 @@ impl BitSet {
     /// slice indexing).
     pub fn contains_probes_simd(&self, words: &[u32], masks: &[u64]) -> bool {
         Kernel::active().all_set(self.words.as_slice(), words, masks)
-    }
-
-    /// Tests whether every probed bit behind a precomputed `(word, mask)`
-    /// group is set — the pair-slice form of
-    /// [`BitSet::contains_probes_simd`], kept for callers holding
-    /// interleaved groups. Short-circuits on the first group with a cleared
-    /// bit.
-    ///
-    /// Word indices must be in range for this set's backing words
-    /// (`debug_assert`ed); masks computed against an equal bit length
-    /// always are.
-    pub fn contains_masks(&self, masks: &[(u32, u64)]) -> bool {
-        let words = self.words.as_slice();
-        masks.iter().all(|&(word, mask)| {
-            debug_assert!(
-                (word as usize) < words.len(),
-                "mask word {word} out of range"
-            );
-            words[word as usize] & mask == mask
-        })
     }
 
     /// Iterates over the indices of set bits in ascending order.
@@ -419,46 +399,6 @@ mod tests {
             assert_eq!(
                 bits.contains_probes(probes.iter().copied()),
                 expected,
-                "probes {probes:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn contains_masks_matches_contains_probes() {
-        let mut bits = BitSet::new(300);
-        for i in [0usize, 5, 63, 64, 70, 128, 299] {
-            bits.set(i);
-        }
-        let to_masks = |probes: &[usize]| -> Vec<(u32, u64)> {
-            // Merge consecutive same-word probes, as a probe precomputation
-            // pass does.
-            let mut masks: Vec<(u32, u64)> = Vec::new();
-            for &i in probes {
-                let (word, mask) = ((i / 64) as u32, 1u64 << (i % 64));
-                match masks.last_mut() {
-                    Some(last) if last.0 == word => last.1 |= mask,
-                    _ => masks.push((word, mask)),
-                }
-            }
-            masks
-        };
-        let cases: Vec<Vec<usize>> = vec![
-            vec![],
-            vec![0],
-            vec![1],
-            vec![0, 5],
-            vec![0, 1],
-            vec![63, 64],
-            vec![0, 64, 128],
-            vec![0, 0, 5, 5],
-            vec![299, 0, 70],
-            vec![299, 298],
-        ];
-        for probes in cases {
-            assert_eq!(
-                bits.contains_masks(&to_masks(&probes)),
-                bits.contains_probes(probes.iter().copied()),
                 "probes {probes:?}"
             );
         }

@@ -104,13 +104,6 @@ impl BloomFilter {
         self.bits.fill_ratio()
     }
 
-    /// The theoretical false-positive probability at the current load.
-    pub fn estimated_fpp(&self) -> f64 {
-        // Use the observed fill ratio, which is exact, rather than the
-        // expected ratio from the insert count.
-        self.bits.fill_ratio().powi(self.family.hashes() as i32)
-    }
-
     /// Merges another filter built with identical geometry and seed.
     ///
     /// # Errors

@@ -20,7 +20,8 @@
 //! dict_len u32
 //! dict*    { num u64, den u64 }   (distinct weights, ascending)
 //! sets_len u32
-//! set*     { len u16, ids u16×len }   (distinct weight SETS, first-seen order)
+//! set*     { len u16, ids u16×len }   (distinct weight SETS, first-seen
+//!                                      order; ids strictly ascending)
 //! id_width u8                     (1 if sets_len ≤ 256, 2 if ≤ 65,536, else 4)
 //! per set bit, in ascending bit order:
 //!   set_id  u8 | u16 | u32        (index into the set table, id_width bytes)
@@ -337,12 +338,17 @@ pub(crate) fn take_wbf_body(data: &mut Bytes) -> Result<WbfWireBody> {
     if data.remaining() < dict_len * 16 {
         return Err(CoreError::decode("truncated weight dictionary"));
     }
-    let mut dict = Vec::with_capacity(dict_len);
+    let mut dict: Vec<Weight> = Vec::with_capacity(dict_len);
     for _ in 0..dict_len {
         let num = data.get_u64_le();
         let den = data.get_u64_le();
         let weight =
             Weight::new(num, den).map_err(|_| CoreError::decode("zero weight denominator"))?;
+        if dict.last().is_some_and(|&last| weight <= last) {
+            return Err(CoreError::decode(
+                "weight dictionary must be strictly ascending",
+            ));
+        }
         dict.push(weight);
     }
     if data.remaining() < 4 {
@@ -365,9 +371,18 @@ pub(crate) fn take_wbf_body(data: &mut Bytes) -> Result<WbfWireBody> {
         if data.remaining() < len * 2 {
             return Err(CoreError::decode("truncated weight set indices"));
         }
+        // Ids ascend strictly, as the encoder writes them; over the
+        // ascending dictionary every insert then appends.
         let mut set = WeightSet::new();
+        let mut previous = None;
         for _ in 0..len {
             let idx = data.get_u16_le() as usize;
+            if previous.is_some_and(|p| idx <= p) {
+                return Err(CoreError::decode(
+                    "weight set ids must be strictly ascending",
+                ));
+            }
+            previous = Some(idx);
             let weight = dict
                 .get(idx)
                 .copied()

@@ -6,7 +6,7 @@ use std::fmt;
 /// A convenient result alias used throughout [`dipm-core`](crate).
 pub type Result<T, E = CoreError> = std::result::Result<T, E>;
 
-/// Errors produced by filter construction, weight arithmetic and decoding.
+/// Errors produced by filter construction, weight construction and decoding.
 ///
 /// # Examples
 ///
@@ -21,9 +21,6 @@ pub type Result<T, E = CoreError> = std::result::Result<T, E>;
 pub enum CoreError {
     /// A [`Weight`](crate::Weight) was constructed with a zero denominator.
     ZeroDenominator,
-    /// Exact rational arithmetic overflowed the 64-bit numerator or
-    /// denominator after reduction.
-    WeightOverflow,
     /// Filter parameters were rejected (zero size, zero hash count, too many
     /// bits for the wire format, or an out-of-range target false-positive
     /// probability).
@@ -39,11 +36,6 @@ pub enum CoreError {
     /// Two filters with incompatible geometry (length, hash count or seed)
     /// were combined.
     IncompatibleFilters,
-    /// A counting-filter removal named a `(key, weight)` pair that was never
-    /// inserted (or was already removed). The filter is left untouched:
-    /// honoring such a removal would corrupt counters and break the
-    /// rebuild-equivalence guarantee streaming updates rely on.
-    AbsentRemoval,
 }
 
 impl CoreError {
@@ -64,16 +56,12 @@ impl fmt::Display for CoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CoreError::ZeroDenominator => write!(f, "weight denominator must be non-zero"),
-            CoreError::WeightOverflow => write!(f, "weight arithmetic overflowed 64 bits"),
             CoreError::InvalidParams { reason } => {
                 write!(f, "invalid filter parameters: {reason}")
             }
             CoreError::Decode { reason } => write!(f, "malformed filter encoding: {reason}"),
             CoreError::IncompatibleFilters => {
                 write!(f, "filters have incompatible geometry")
-            }
-            CoreError::AbsentRemoval => {
-                write!(f, "removal of a key/weight pair that was never inserted")
             }
         }
     }
@@ -89,7 +77,6 @@ mod tests {
     fn display_is_lowercase_without_trailing_punctuation() {
         let errors = [
             CoreError::ZeroDenominator,
-            CoreError::WeightOverflow,
             CoreError::invalid_params("bits must be non-zero"),
             CoreError::decode("truncated header"),
             CoreError::IncompatibleFilters,

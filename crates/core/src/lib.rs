@@ -10,10 +10,10 @@
 //!   global-pattern matches (weight 1) from local-pattern matches
 //!   (weight < 1) and rejects classic Bloom false positives stitched
 //!   together from different patterns.
-//! * [`CountingWbf`] — a counting variant of the weighted filter whose
-//!   positions hold per-weight reference counts, supporting pattern
-//!   insertion *and removal* without rebuilds — the primitive behind the
-//!   streaming delta broadcasts in `dipm-protocol`.
+//!   [`WeightedBloomFilter::diff_from`] compares two builds position by
+//!   position, and [`WeightedBloomFilter::apply_delta`] replays that
+//!   [`WeightDiff`] list onto a held copy — the streaming delta broadcasts
+//!   in `dipm-protocol`.
 //! * [`BloomFilter`] — the classic unweighted filter used as the paper's
 //!   `BF` comparison method.
 //! * [`Weight`] / [`WeightSet`] — exact rational weights with the paper's
@@ -55,7 +55,6 @@
 
 mod bitset;
 mod bloom;
-mod counting;
 pub mod encode;
 mod error;
 mod filter;
@@ -70,7 +69,6 @@ mod weight_set;
 
 pub use bitset::{BitSet, Ones};
 pub use bloom::BloomFilter;
-pub use counting::{CountingWbf, WeightDiff};
 pub use error::{CoreError, Result};
 pub use filter::FilterCore;
 pub use hash::{mix64, tagged_key, HashFamily, Probes};
@@ -78,6 +76,6 @@ pub use kernel::{AlignedWords, Kernel};
 pub use params::{FilterParams, MAX_BITS, MAX_HASHES};
 pub use probe::{PrecomputedProbes, QueryScratch};
 pub use view::WbfFrameView;
-pub use wbf::WeightedBloomFilter;
+pub use wbf::{WeightDiff, WeightedBloomFilter};
 pub use weight::{sum_weights, Weight};
 pub use weight_set::WeightSet;

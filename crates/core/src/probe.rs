@@ -1,7 +1,7 @@
 //! The shared weighted-probe core (Algorithm 2, lines 3–15).
 //!
 //! [`WeightedBloomFilter`](crate::WeightedBloomFilter) and
-//! [`CountingWbf`](crate::CountingWbf) answer queries with identical
+//! [`WbfFrameView`](crate::WbfFrameView) answer queries with identical
 //! semantics — reject unless every probed position is occupied and one
 //! weight is common to all of them — so the matching loop lives here once,
 //! generic over a [`ProbeTable`], instead of being maintained twice.
@@ -31,13 +31,11 @@
 //! exact same set.
 
 use crate::hash::{HashFamily, Probes};
-use crate::weight::Weight;
 use crate::weight_set::WeightSet;
 
 /// Reusable scratch for the `query_sequence_into` probes of
-/// [`WeightedBloomFilter`](crate::WeightedBloomFilter::query_sequence_into),
-/// [`CountingWbf`](crate::CountingWbf::query_sequence_into) and
-/// [`WbfFrameView`](crate::WbfFrameView::query_sequence_into) — owns the
+/// [`WeightedBloomFilter`](crate::WeightedBloomFilter::query_sequence_into)
+/// and [`WbfFrameView`](crate::WbfFrameView::query_sequence_into) — owns the
 /// running intersection so repeated queries share one heap buffer.
 ///
 /// Create it once per scan loop and pass it to every call; the buffer's
@@ -186,13 +184,8 @@ impl PrecomputedProbes {
 }
 
 /// A probe-addressable table of weight sets: the storage interface both
-/// filter variants expose to the shared query core.
+/// filter representations expose to the shared query core.
 pub(crate) trait ProbeTable {
-    /// Sorted iterator over the weights attached at one position.
-    type Weights<'a>: Iterator<Item = Weight>
-    where
-        Self: 'a;
-
     /// The hash family and table length defining probe sequences.
     fn geometry(&self) -> (&HashFamily, usize);
 
@@ -200,24 +193,39 @@ pub(crate) trait ProbeTable {
     /// make this the cheap path — it gates every weight-table access.
     fn occupied(&self, probes: Probes) -> bool;
 
-    /// The weights at `idx`, ascending; `None` if the position is empty.
-    fn weights_at(&self, idx: usize) -> Option<Self::Weights<'_>>;
-
-    /// A borrowable materialized weight set at `idx`, when the table stores
-    /// one (the plain filter does; the counting filter synthesizes sets from
-    /// refcounts and returns `None`).
-    fn set_at(&self, idx: usize) -> Option<&WeightSet> {
-        let _ = idx;
-        None
-    }
+    /// The weight set at `idx`; `None` if the position is empty.
+    fn set_at(&self, idx: usize) -> Option<&WeightSet>;
 }
 
 /// The running intersection state: borrowing from the table until a second
-/// distinct probe forces an owned copy in the scratch buffer.
+/// distinct set forces an owned copy in the scratch buffer.
 enum Acc<'a> {
     Start,
     Borrowed(&'a WeightSet),
     Owned,
+}
+
+impl<'a> Acc<'a> {
+    /// Folds one occupied position's set into the intersection, writing it
+    /// to `owned` once a second distinct set shows up. Returns `true` once
+    /// the intersection is empty: it can never grow back, so the caller
+    /// stops and reports the weight-inconsistent reject.
+    fn fold(&mut self, set: &'a WeightSet, owned: &mut WeightSet) -> bool {
+        match *self {
+            Acc::Start => *self = Acc::Borrowed(set),
+            Acc::Borrowed(first) if std::ptr::eq(first, set) => {}
+            Acc::Borrowed(first) => {
+                owned.assign_intersection(first, set);
+                *self = Acc::Owned;
+                return owned.is_empty();
+            }
+            Acc::Owned => {
+                owned.intersect_with(set);
+                return owned.is_empty();
+            }
+        }
+        false
+    }
 }
 
 /// Queries one key into `out` (cleared and overwritten). `None` if any
@@ -229,44 +237,16 @@ pub(crate) fn query_into<T: ProbeTable>(table: &T, key: u64, out: &mut WeightSet
     if !table.occupied(probes.clone()) {
         return None;
     }
-    // Defer reading the first probe's weights: until a second distinct
-    // position shows up, no intersection (and so no copy) is needed.
-    let mut deferred: Option<usize> = None;
-    let mut owned = false;
+    // Until a second distinct set shows up, no intersection (and so no
+    // copy) is needed.
+    let mut acc = Acc::Start;
     for idx in probes {
-        if owned {
-            out.intersect_with_sorted(table.weights_at(idx).expect("occupied position"));
-            if out.is_empty() {
-                return Some(());
-            }
-            continue;
-        }
-        match deferred {
-            None => deferred = Some(idx),
-            Some(first) if first == idx => {}
-            Some(first) => {
-                match table.set_at(first) {
-                    Some(set) => out.assign_intersection_sorted(
-                        set,
-                        table.weights_at(idx).expect("occupied position"),
-                    ),
-                    None => {
-                        out.assign_sorted(table.weights_at(first).expect("occupied position"));
-                        out.intersect_with_sorted(
-                            table.weights_at(idx).expect("occupied position"),
-                        );
-                    }
-                }
-                owned = true;
-                if out.is_empty() {
-                    return Some(());
-                }
-            }
+        if acc.fold(table.set_at(idx).expect("occupied position"), out) {
+            break;
         }
     }
-    if !owned {
-        let first = deferred.expect("hash families have at least one probe");
-        out.assign_sorted(table.weights_at(first).expect("occupied position"));
+    if let Acc::Borrowed(set) = acc {
+        out.assign_sorted(set.iter());
     }
     Some(())
 }
@@ -298,95 +278,33 @@ where
             return None;
         }
     }
-    let mut acc = Acc::Start;
-    for key in keys {
-        for idx in family.probes(key, len) {
-            match acc {
-                Acc::Start => match table.set_at(idx) {
-                    Some(set) => acc = Acc::Borrowed(set),
-                    None => {
-                        scratch
-                            .acc
-                            .assign_sorted(table.weights_at(idx).expect("occupied position"));
-                        acc = Acc::Owned;
-                    }
-                },
-                Acc::Borrowed(first) => {
-                    match table.set_at(idx) {
-                        Some(set) if std::ptr::eq(set, first) => continue,
-                        Some(set) => scratch.acc.assign_intersection(first, set),
-                        None => scratch.acc.assign_intersection_sorted(
-                            first,
-                            table.weights_at(idx).expect("occupied position"),
-                        ),
-                    }
-                    acc = Acc::Owned;
-                    if scratch.acc.is_empty() {
-                        return Some(&scratch.acc);
-                    }
-                }
-                Acc::Owned => {
-                    scratch
-                        .acc
-                        .intersect_with_sorted(table.weights_at(idx).expect("occupied position"));
-                    if scratch.acc.is_empty() {
-                        return Some(&scratch.acc);
-                    }
-                }
-            }
-        }
-    }
-    match acc {
-        Acc::Start => None,
-        Acc::Borrowed(set) => Some(set),
-        Acc::Owned => Some(&scratch.acc),
-    }
+    fold_sets(table, keys.flat_map(|key| family.probes(key, len)), scratch)
 }
 
 /// The weight fold of [`query_sequence_into`] over probe positions hashed
 /// ahead of time, all already known to be occupied (the caller ran the
 /// mask membership pre-test). Returns `None` for an empty probe set,
 /// mirroring the empty-sequence contract.
-pub(crate) fn fold_weights_at<'s, T: ProbeTable>(
+pub(crate) fn fold_positions<'s, T: ProbeTable>(
     table: &'s T,
     indices: &[u32],
     scratch: &'s mut QueryScratch,
 ) -> Option<&'s WeightSet> {
+    fold_sets(table, indices.iter().map(|&idx| idx as usize), scratch)
+}
+
+/// Intersects the weight sets at occupied positions `indices`, stopping at
+/// the first empty intersection; `None` if there are no positions.
+fn fold_sets<'s, T: ProbeTable>(
+    table: &'s T,
+    indices: impl Iterator<Item = usize>,
+    scratch: &'s mut QueryScratch,
+) -> Option<&'s WeightSet> {
     let mut acc = Acc::Start;
-    for &idx in indices {
-        let idx = idx as usize;
-        match acc {
-            Acc::Start => match table.set_at(idx) {
-                Some(set) => acc = Acc::Borrowed(set),
-                None => {
-                    scratch
-                        .acc
-                        .assign_sorted(table.weights_at(idx).expect("occupied position"));
-                    acc = Acc::Owned;
-                }
-            },
-            Acc::Borrowed(first) => {
-                match table.set_at(idx) {
-                    Some(set) if std::ptr::eq(set, first) => continue,
-                    Some(set) => scratch.acc.assign_intersection(first, set),
-                    None => scratch.acc.assign_intersection_sorted(
-                        first,
-                        table.weights_at(idx).expect("occupied position"),
-                    ),
-                }
-                acc = Acc::Owned;
-                if scratch.acc.is_empty() {
-                    return Some(&scratch.acc);
-                }
-            }
-            Acc::Owned => {
-                scratch
-                    .acc
-                    .intersect_with_sorted(table.weights_at(idx).expect("occupied position"));
-                if scratch.acc.is_empty() {
-                    return Some(&scratch.acc);
-                }
-            }
+    for idx in indices {
+        let set = table.set_at(idx).expect("occupied position");
+        if acc.fold(set, &mut scratch.acc) {
+            break;
         }
     }
     match acc {

@@ -25,7 +25,6 @@ use crate::error::{CoreError, Result};
 use crate::hash::{HashFamily, Probes};
 use crate::probe::{self, ProbeTable, QueryScratch};
 use crate::wbf::WeightedBloomFilter;
-use crate::weight::Weight;
 use crate::weight_set::WeightSet;
 
 /// A validated, read-only view of an encoded weighted Bloom filter frame.
@@ -201,7 +200,7 @@ impl WbfFrameView {
         if pre.is_empty() || !self.bits.contains_probes_simd(pre.words(), pre.mask_bits()) {
             return None;
         }
-        probe::fold_weights_at(self, pre.indices(), scratch)
+        probe::fold_positions(self, pre.indices(), scratch)
     }
 
     /// The weight fold alone, for probes already known occupied; see
@@ -216,7 +215,7 @@ impl WbfFrameView {
         pre: &probe::PrecomputedProbes,
         scratch: &'s mut QueryScratch,
     ) -> Option<&'s WeightSet> {
-        probe::fold_weights_at(self, pre.indices(), scratch)
+        probe::fold_positions(self, pre.indices(), scratch)
     }
 
     /// The sorted set of every distinct weight attached at some set bit —
@@ -243,18 +242,12 @@ impl WbfFrameView {
 }
 
 impl ProbeTable for WbfFrameView {
-    type Weights<'a> = std::iter::Copied<std::slice::Iter<'a, Weight>>;
-
     fn geometry(&self) -> (&HashFamily, usize) {
         (&self.family, self.bits.len())
     }
 
     fn occupied(&self, probes: Probes) -> bool {
         self.bits.contains_probes(probes)
-    }
-
-    fn weights_at(&self, idx: usize) -> Option<Self::Weights<'_>> {
-        self.set_at_bit(idx).map(WeightSet::iter)
     }
 
     fn set_at(&self, idx: usize) -> Option<&WeightSet> {
@@ -296,6 +289,7 @@ mod tests {
     use super::*;
     use crate::encode::{encode_wbf, view_wbf};
     use crate::params::FilterParams;
+    use crate::weight::Weight;
 
     fn sample() -> WeightedBloomFilter {
         let params = FilterParams::new(4096, 3).unwrap();

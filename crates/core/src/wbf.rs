@@ -14,13 +14,34 @@
 use std::sync::OnceLock;
 
 use crate::bitset::BitSet;
-use crate::counting::WeightDiff;
 use crate::error::{CoreError, Result};
 use crate::hash::{HashFamily, Probes};
 use crate::params::FilterParams;
 use crate::probe::{self, ProbeTable, QueryScratch};
 use crate::weight::Weight;
 use crate::weight_set::WeightSet;
+
+/// The visible change of one filter position between two broadcast epochs:
+/// the weights that left and the weights that arrived.
+///
+/// A diff is what streaming deltas ship instead of absolute weight sets —
+/// every position a churned pattern touches carries the *same* few-weight
+/// diff, so diffs intern massively on the wire where absolute sets (each
+/// grafted onto a different pre-existing set) would not.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
+pub struct WeightDiff {
+    /// Weights no longer attached to the position.
+    pub removed: WeightSet,
+    /// Weights newly attached to the position.
+    pub added: WeightSet,
+}
+
+impl WeightDiff {
+    /// Whether the diff changes nothing.
+    pub fn is_empty(&self) -> bool {
+        self.removed.is_empty() && self.added.is_empty()
+    }
+}
 
 /// A weighted Bloom filter over `u64` keys.
 ///
@@ -414,7 +435,7 @@ impl WeightedBloomFilter {
             scratch.acc.assign_mask(&state.universe, mask);
             return Some(&scratch.acc);
         }
-        probe::fold_weights_at(self, indices, scratch)
+        probe::fold_positions(self, indices, scratch)
     }
 
     /// The derived weight state, built from the sets on first use after a
@@ -454,11 +475,6 @@ impl WeightedBloomFilter {
         self.sets.iter().map(WeightSet::len).sum()
     }
 
-    /// The number of distinct weights across all bits.
-    pub fn distinct_weights(&self) -> usize {
-        self.weight_universe().len()
-    }
-
     /// The sorted set of every distinct weight attached anywhere in the
     /// filter — the score universe a pruning scan bounds candidates
     /// against. Any weight a query of this filter can ever report is drawn
@@ -472,12 +488,6 @@ impl WeightedBloomFilter {
     /// [`apply_delta`]: WeightedBloomFilter::apply_delta
     pub fn weight_universe(&self) -> &WeightSet {
         &self.fold_state().universe
-    }
-
-    /// Theoretical false-positive probability of the *membership* layer at
-    /// the current fill; weight consistency only lowers the real rate.
-    pub fn estimated_membership_fpp(&self) -> f64 {
-        self.bits.fill_ratio().powi(self.family.hashes() as i32)
     }
 
     /// Merges another WBF built with identical geometry and seed, unioning
@@ -500,10 +510,52 @@ impl WeightedBloomFilter {
         Ok(())
     }
 
+    /// The positions whose weight set differs between `base` and this
+    /// filter, ascending, each with the weights that left and the weights
+    /// that arrived: the delta that [`apply_delta`] turns a copy of `base`
+    /// into this filter with. Both filters' occupied positions are walked
+    /// once, side by side.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::IncompatibleFilters`] if geometry or seed differ.
+    ///
+    /// [`apply_delta`]: WeightedBloomFilter::apply_delta
+    pub fn diff_from(&self, base: &WeightedBloomFilter) -> Result<Vec<(u32, WeightDiff)>> {
+        if self.family != base.family || self.bits.len() != base.bits.len() {
+            return Err(CoreError::IncompatibleFilters);
+        }
+        let empty = WeightSet::new();
+        let mut was = base.weight_positions().peekable();
+        let mut now = self.weight_positions().peekable();
+        let mut diffs = Vec::new();
+        loop {
+            let bit = match (was.peek(), now.peek()) {
+                (None, None) => return Ok(diffs),
+                (Some(&(a, _)), Some(&(b, _))) => a.min(b),
+                (Some(&(a, _)), None) => a,
+                (None, Some(&(b, _))) => b,
+            };
+            let before = was
+                .next_if(|&(at, _)| at == bit)
+                .map_or(&empty, |(_, set)| set);
+            let after = now
+                .next_if(|&(at, _)| at == bit)
+                .map_or(&empty, |(_, set)| set);
+            if before != after {
+                let diff = WeightDiff {
+                    removed: before.difference(after),
+                    added: after.difference(before),
+                };
+                diffs.push((bit, diff));
+            }
+        }
+    }
+
     /// Applies a filter delta: `entries` pairs a position with an index
     /// into `diffs`, the [`WeightDiff`] of that position relative to this
-    /// filter's current state, as broadcast by a streaming data center
-    /// maintaining a [`CountingWbf`](crate::CountingWbf).
+    /// filter's current state, as a streaming data center broadcasts it
+    /// (see [`WeightedBloomFilter::diff_from`]).
     ///
     /// Each entry is checked against its position's own set: every removed
     /// weight must currently be attached and every added weight absent. A
@@ -596,8 +648,8 @@ impl WeightedBloomFilter {
 
 /// Equality is semantic — per-position weight sets in bit order — because
 /// the slot layout depends on attachment order: a filter built by inserts
-/// and the same filter decoded from the wire (or snapshotted from a
-/// counting filter) must compare equal.
+/// and the same filter decoded from the wire (or edited by deltas) must
+/// compare equal.
 impl PartialEq for WeightedBloomFilter {
     fn eq(&self, other: &WeightedBloomFilter) -> bool {
         self.inserted == other.inserted
@@ -610,18 +662,12 @@ impl PartialEq for WeightedBloomFilter {
 impl Eq for WeightedBloomFilter {}
 
 impl ProbeTable for WeightedBloomFilter {
-    type Weights<'a> = std::iter::Copied<std::slice::Iter<'a, Weight>>;
-
     fn geometry(&self) -> (&HashFamily, usize) {
         (&self.family, self.bits.len())
     }
 
     fn occupied(&self, probes: Probes) -> bool {
         self.bits.contains_probes(probes)
-    }
-
-    fn weights_at(&self, idx: usize) -> Option<Self::Weights<'_>> {
-        self.set_at(idx).map(WeightSet::iter)
     }
 
     fn set_at(&self, idx: usize) -> Option<&WeightSet> {
@@ -732,15 +778,6 @@ mod tests {
     }
 
     #[test]
-    fn distinct_weights_across_bits() {
-        let mut wbf = WeightedBloomFilter::new(params(), 1);
-        wbf.insert(1, w(1, 3));
-        wbf.insert(2, w(2, 3));
-        wbf.insert(3, w(1, 3));
-        assert_eq!(wbf.distinct_weights(), 2);
-    }
-
-    #[test]
     fn weight_universe_tracks_every_mutation_path() {
         let mut wbf = WeightedBloomFilter::new(params(), 1);
         assert!(wbf.weight_universe().is_empty());
@@ -757,23 +794,19 @@ mod tests {
         wbf.union_with(&other).unwrap();
         assert_eq!(wbf.weight_universe().as_slice(), &[w(1, 3), w(2, 3)]);
 
-        // Delta application keeps it in step — replay a counting filter's
-        // churn onto the cached universe: a new weight is admitted, and a
-        // weight whose last position drops it is retired.
-        let mut counting = crate::counting::CountingWbf::new(params(), 1);
-        counting.insert(5, Weight::ONE).unwrap();
-        let mut replayed = counting.snapshot();
+        // Delta application keeps it in step — replay the diffs between
+        // successive builds onto the cached universe: a new weight is
+        // admitted, and a weight whose last position drops it is retired.
+        let first = build(&[(5, Weight::ONE)]);
+        let mut replayed = first.clone();
         assert_eq!(replayed.weight_universe().max(), Some(Weight::ONE));
-        counting.drain_dirty();
-        counting.insert(6, w(1, 3)).unwrap();
-        replay(&mut replayed, counting.drain_dirty()).unwrap();
+        let second = build(&[(5, Weight::ONE), (6, w(1, 3))]);
+        replay(&mut replayed, second.diff_from(&first).unwrap()).unwrap();
         assert_eq!(
             replayed.weight_universe().as_slice(),
             &[w(1, 3), Weight::ONE]
         );
-        counting.remove(5, Weight::ONE).unwrap();
-        counting.remove(6, w(1, 3)).unwrap();
-        replay(&mut replayed, counting.drain_dirty()).unwrap();
+        replay(&mut replayed, build(&[]).diff_from(&second).unwrap()).unwrap();
         assert!(replayed.weight_universe().is_empty());
 
         // A clone carries an independent, consistent cache.
@@ -845,10 +878,19 @@ mod tests {
         assert!(!wbf.contains(11) || wbf.query(11).is_some());
     }
 
-    /// Applies drained `(position, diff)` pairs as one delta whose diff
-    /// table holds each entry's diff.
-    fn replay(wbf: &mut WeightedBloomFilter, drained: Vec<(u32, WeightDiff)>) -> Result<()> {
-        let (entries, diffs): (Vec<(u32, u32)>, Vec<WeightDiff>) = drained
+    /// A filter at the test geometry and seed 1 holding `pairs`.
+    fn build(pairs: &[(u64, Weight)]) -> WeightedBloomFilter {
+        let mut wbf = WeightedBloomFilter::new(params(), 1);
+        for &(key, weight) in pairs {
+            wbf.insert(key, weight);
+        }
+        wbf
+    }
+
+    /// Applies `(position, diff)` pairs as one delta whose diff table holds
+    /// each entry's diff.
+    fn replay(wbf: &mut WeightedBloomFilter, diff: Vec<(u32, WeightDiff)>) -> Result<()> {
+        let (entries, diffs): (Vec<(u32, u32)>, Vec<WeightDiff>) = diff
             .into_iter()
             .enumerate()
             .map(|(i, (bit, diff))| ((bit, i as u32), diff))
@@ -900,19 +942,50 @@ mod tests {
     }
 
     #[test]
-    fn apply_delta_mirrors_counting_updates() {
-        let mut wbf = WeightedBloomFilter::new(params(), 1);
-        wbf.insert(5, w(1, 2));
-        let mut counting = crate::counting::CountingWbf::new(params(), 1);
-        counting.insert(5, w(1, 2)).unwrap();
-        counting.drain_dirty();
+    fn apply_delta_replays_the_diff_between_two_builds() {
+        let mut wbf = build(&[(5, w(1, 2))]);
         warm(&wbf, 5);
-        // Churn the counting side, replay its diffs onto the plain filter.
-        counting.insert(9, w(1, 3)).unwrap();
-        counting.remove(5, w(1, 2)).unwrap();
-        replay(&mut wbf, counting.drain_dirty()).unwrap();
-        assert_eq!(wbf, counting.snapshot());
+        // Swap the pair for another, replay the diff onto the warm filter.
+        let next = build(&[(9, w(1, 3))]);
+        let diff = next.diff_from(&wbf).unwrap();
+        replay(&mut wbf, diff).unwrap();
+        assert_eq!(wbf, next);
         assert_derived_state_fresh(&wbf, &[5, 9]);
+    }
+
+    #[test]
+    fn diff_from_is_the_exact_delta_between_two_filters() {
+        // Equal insert counts on both sides, so a replayed copy compares
+        // equal to its target (deltas leave `inserted` alone).
+        let a = build(
+            &(0..40u64)
+                .map(|i| (i * 31, w(i % 3 + 1, 5)))
+                .collect::<Vec<_>>(),
+        );
+        let b = build(
+            &(20..60u64)
+                .map(|i| (i * 31, w(i % 4 + 1, 7)))
+                .collect::<Vec<_>>(),
+        );
+        assert!(a.diff_from(&a).unwrap().is_empty());
+        for (from, to) in [(&a, &b), (&b, &a)] {
+            let diff = to.diff_from(from).unwrap();
+            assert!(diff.windows(2).all(|e| e[0].0 < e[1].0), "ascending");
+            for (_, d) in &diff {
+                assert!(!d.is_empty());
+                assert!(d.removed.intersection(&d.added).is_empty());
+            }
+            let mut replayed = from.clone();
+            replay(&mut replayed, diff).unwrap();
+            assert_eq!(&replayed, to);
+        }
+        let other_seed = WeightedBloomFilter::new(params(), 2);
+        let other_geometry = WeightedBloomFilter::new(FilterParams::new(1 << 11, 4).unwrap(), 1);
+        let other_hashes = WeightedBloomFilter::new(FilterParams::new(1 << 12, 3).unwrap(), 1);
+        for other in [other_seed, other_geometry, other_hashes] {
+            assert_eq!(a.diff_from(&other), Err(CoreError::IncompatibleFilters));
+            assert_eq!(other.diff_from(&a), Err(CoreError::IncompatibleFilters));
+        }
     }
 
     #[test]

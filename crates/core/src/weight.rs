@@ -182,17 +182,12 @@ impl fmt::Display for Weight {
     }
 }
 
-/// Sums an iterator of weights exactly.
-///
-/// # Errors
-///
-/// Returns [`CoreError::WeightOverflow`] if any intermediate sum overflows.
-pub fn sum_weights<I: IntoIterator<Item = Weight>>(weights: I) -> Result<Weight> {
-    let mut acc = Weight::ZERO;
-    for w in weights {
-        acc = acc.checked_add(w).ok_or(CoreError::WeightOverflow)?;
-    }
-    Ok(acc)
+/// Sums an iterator of weights exactly, or `None` if any intermediate sum
+/// overflows (see [`Weight::checked_add`]).
+pub fn sum_weights<I: IntoIterator<Item = Weight>>(weights: I) -> Option<Weight> {
+    weights
+        .into_iter()
+        .try_fold(Weight::ZERO, Weight::checked_add)
 }
 
 #[cfg(test)]

@@ -144,13 +144,6 @@ impl WeightSet {
         self.sorted.clear();
     }
 
-    /// Replaces this set's contents with a copy of `other`, reusing the
-    /// existing capacity.
-    pub fn copy_from(&mut self, other: &WeightSet) {
-        self.sorted.clear();
-        self.sorted.extend_from_slice(&other.sorted);
-    }
-
     /// Replaces this set's contents with weights yielded in strictly
     /// ascending order, reusing the existing capacity.
     pub(crate) fn assign_sorted<I>(&mut self, weights: I)
@@ -191,17 +184,6 @@ impl WeightSet {
                 }
             }
         }
-    }
-
-    /// Replaces this set's contents with `a` intersected with the weights
-    /// yielded by `b` in strictly ascending order, reusing capacity.
-    pub(crate) fn assign_intersection_sorted<I>(&mut self, a: &WeightSet, b: I)
-    where
-        I: Iterator<Item = Weight>,
-    {
-        self.sorted.clear();
-        self.sorted.extend_from_slice(&a.sorted);
-        self.intersect_with_sorted(b);
     }
 
     /// The weights in `self` but not in `other`, as a new set — the
@@ -385,15 +367,9 @@ mod tests {
         assigned.assign_intersection(&a, &b);
         assert_eq!(assigned, expected);
 
-        let mut assigned_iter = WeightSet::singleton(w(9, 10));
-        assigned_iter.assign_intersection_sorted(&a, b.iter());
-        assert_eq!(assigned_iter, expected);
-
-        let mut copied = WeightSet::new();
-        copied.copy_from(&a);
-        assert_eq!(copied, a);
-        copied.clear();
-        assert!(copied.is_empty());
+        let mut cleared = a.clone();
+        cleared.clear();
+        assert!(cleared.is_empty());
 
         let mut from_sorted = WeightSet::singleton(w(9, 10));
         from_sorted.assign_sorted(a.iter());

@@ -4,18 +4,16 @@
 //! and the owned API (`query`, `query_sequence`) run through one shared
 //! core. These properties pin that core against an independent reference
 //! model — plain `BTreeSet` bookkeeping over the same `HashFamily` probes
-//! with membership-first semantics — and pin the weighted and counting
-//! filters to each other, so neither the scratch reuse nor the word-level
-//! membership fast path can drift the accepted sets. One more property pins
-//! the counting filter to the query registry it is derived from: rebuilt
-//! from the registry split at the last delta drain, it carries the same
-//! state and the same pending delta.
+//! with membership-first semantics — so neither the scratch reuse nor the
+//! word-level membership fast path can drift the accepted sets. One more
+//! property replays diffs between successive builds onto a filter whose
+//! derived fold state a scan already built.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use dipm_core::{
-    encode, CountingWbf, FilterParams, HashFamily, Kernel, PrecomputedProbes, QueryScratch, Weight,
-    WeightDiff, WeightedBloomFilter,
+    encode, FilterParams, HashFamily, Kernel, PrecomputedProbes, QueryScratch, Weight,
+    WeightedBloomFilter,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -109,103 +107,6 @@ fn sorted(set: &dipm_core::WeightSet) -> Vec<Weight> {
     set.iter().collect()
 }
 
-/// The pairs standing query `id` registers: one to four pairs over a small
-/// key and weight space, so queries share pairs and alias positions.
-fn query_pairs(id: u64) -> Vec<(u64, Weight)> {
-    let h = id.wrapping_add(1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    (0..h % 4 + 1)
-        .map(|j| {
-            let key = (h >> (8 + 6 * j)) % 40;
-            (key, Weight::new((h >> (32 + 4 * j)) % 5 + 1, 6).unwrap())
-        })
-        .collect()
-}
-
-/// A streaming center reduced to its query registry and counting filter.
-/// The registry is split at the last delta drain: `drained_next_id` is the
-/// next id at that drain, so live ids at or above it were registered
-/// since, and `retired` holds the queries removed since that were live at
-/// it.
-#[derive(Clone)]
-struct Center {
-    filter: CountingWbf,
-    live: BTreeMap<u64, Vec<(u64, Weight)>>,
-    next_id: u64,
-    drained_next_id: u64,
-    retired: BTreeMap<u64, Vec<(u64, Weight)>>,
-}
-
-impl Center {
-    fn new(params: FilterParams, seed: u64) -> Center {
-        Center {
-            filter: CountingWbf::new(params, seed),
-            live: BTreeMap::new(),
-            next_id: 0,
-            drained_next_id: 0,
-            retired: BTreeMap::new(),
-        }
-    }
-
-    /// Registers a new query, or retires the `pick`-th live one.
-    fn write(&mut self, (insert, pick): (bool, u64)) {
-        if insert || self.live.is_empty() {
-            let pairs = query_pairs(self.next_id);
-            for &(key, w) in &pairs {
-                self.filter.insert(key, w).unwrap();
-            }
-            self.live.insert(self.next_id, pairs);
-            self.next_id += 1;
-        } else {
-            let id = *self
-                .live
-                .keys()
-                .nth(pick as usize % self.live.len())
-                .unwrap();
-            let pairs = self.live.remove(&id).unwrap();
-            for &(key, w) in &pairs {
-                self.filter.remove(key, w).unwrap();
-            }
-            if id < self.drained_next_id {
-                self.retired.insert(id, pairs);
-            }
-        }
-    }
-
-    fn drain(&mut self) -> Vec<(u32, WeightDiff)> {
-        self.drained_next_id = self.next_id;
-        self.retired.clear();
-        self.filter.drain_dirty()
-    }
-
-    /// Recovery from the registry alone: build the filter the last drain
-    /// left (the live queries below the mark plus the retired ones), drain
-    /// it, then replay the churn since.
-    fn rebuild(&self, params: FilterParams, seed: u64) -> Center {
-        let mut filter = CountingWbf::new(params, seed);
-        let at_drain = self.live.range(..self.drained_next_id).chain(&self.retired);
-        for (_, pairs) in at_drain {
-            for &(key, w) in pairs {
-                filter.insert(key, w).unwrap();
-            }
-        }
-        filter.drain_dirty();
-        for pairs in self.retired.values() {
-            for &(key, w) in pairs {
-                filter.remove(key, w).unwrap();
-            }
-        }
-        for pairs in self.live.range(self.drained_next_id..).map(|(_, p)| p) {
-            for &(key, w) in pairs {
-                filter.insert(key, w).unwrap();
-            }
-        }
-        Center {
-            filter,
-            ..self.clone()
-        }
-    }
-}
-
 proptest! {
     // Single-key: owned query, in-place query and the model agree exactly,
     // including the None (missing bit) vs Some(empty) (weight clash) split.
@@ -237,7 +138,7 @@ proptest! {
     }
 
     // Sequences: the owned path, the scratch path (reused across calls) and
-    // the model agree, for both the weighted and the counting filter.
+    // the model agree.
     #[test]
     fn query_sequence_into_matches_owned_and_model(
         (params, seed) in arb_geometry(),
@@ -245,15 +146,12 @@ proptest! {
         sequences in vec(vec(0u64..64, 1..8), 1..12),
     ) {
         let mut wbf = WeightedBloomFilter::new(params, seed);
-        let mut counting = CountingWbf::new(params, seed);
         let mut model = ModelFilter::new(params, seed);
         for &(key, w) in &inserts {
             wbf.insert(key, w);
-            counting.insert(key, w).unwrap();
             model.insert(key, w);
         }
         let mut scratch = QueryScratch::new();
-        let mut counting_scratch = QueryScratch::new();
         for keys in &sequences {
             let expect = model
                 .query_sequence(keys)
@@ -265,10 +163,6 @@ proptest! {
                 .query_sequence_into(keys.iter().copied(), &mut scratch)
                 .map(sorted);
             prop_assert_eq!(&borrowed, &expect, "scratch vs model on {:?}", keys);
-            let counted = counting
-                .query_sequence_into(keys.iter().copied(), &mut counting_scratch)
-                .map(sorted);
-            prop_assert_eq!(&counted, &expect, "counting vs model on {:?}", keys);
         }
     }
 
@@ -319,8 +213,9 @@ proptest! {
         }
     }
 
-    // Delta application keeps the derived fold state in step. Two drains of
-    // counting-filter churn are concatenated into one delta, so positions
+    // Delta application keeps the derived fold state in step. The diffs of
+    // two rounds of churn (the first build to the middle one, the middle
+    // one to the last) are concatenated into one delta, so positions
     // repeat and a weight may arrive and leave within it; optionally one
     // entry is replayed right after itself, which must be rejected. The
     // delta lands on a filter whose universe and fold masks a scan already
@@ -345,15 +240,16 @@ proptest! {
             let key = i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
             (key, Weight::new((key >> 40) % pool + 1, pool).unwrap())
         };
-        let mut center = CountingWbf::new(params, seed);
-        let mut live: Vec<(u64, Weight)> = Vec::new();
-        for i in 0..initial {
-            let (key, w) = pair(i);
-            center.insert(key, w).unwrap();
-            live.push((key, w));
-        }
-        center.drain_dirty();
-        let station = center.snapshot();
+        let build = |live: &[(u64, Weight)]| {
+            let mut filter = WeightedBloomFilter::new(params, seed);
+            for &(key, w) in live {
+                filter.insert(key, w);
+            }
+            filter
+        };
+        let mut live: Vec<(u64, Weight)> = (0..initial).map(pair).collect();
+        let station = build(&live);
+        let mut previous = station.clone();
         let mut next = initial;
         let mut diffs = Vec::new();
         let mut entries: Vec<(u32, u32)> = Vec::new();
@@ -361,19 +257,18 @@ proptest! {
         for ops in [&churn[..cut], &churn[cut..]] {
             for &(is_insert, pick) in ops {
                 if is_insert || live.is_empty() {
-                    let (key, w) = pair(next);
+                    live.push(pair(next));
                     next += 1;
-                    center.insert(key, w).unwrap();
-                    live.push((key, w));
                 } else {
-                    let (key, w) = live.swap_remove(pick as usize % live.len());
-                    center.remove(key, w).unwrap();
+                    live.swap_remove(pick as usize % live.len());
                 }
             }
-            for (bit, diff) in center.drain_dirty() {
+            let current = build(&live);
+            for (bit, diff) in current.diff_from(&previous).unwrap() {
                 entries.push((bit, diffs.len() as u32));
                 diffs.push(diff);
             }
+            previous = current;
         }
         if replay.0 && !entries.is_empty() {
             let at = replay.1 as usize % entries.len();
@@ -398,7 +293,7 @@ proptest! {
         prop_assert_eq!(filter.apply_delta(&diffs, &entries), expected.clone());
         prop_assert_eq!(&filter, &reference);
         if expected.is_ok() {
-            prop_assert_eq!(filter.bits(), center.snapshot().bits());
+            prop_assert_eq!(filter.bits(), previous.bits());
         }
         let fresh = encode::decode_wbf(encode::encode_wbf(&filter).unwrap()).unwrap();
         prop_assert_eq!(filter.weight_universe(), fresh.weight_universe());
@@ -413,44 +308,5 @@ proptest! {
                 );
             }
         }
-    }
-
-    // A checkpoint that keeps only the split registry is enough to resume
-    // a center: the rebuilt filter equals the original, its pending delta
-    // is the one the original would broadcast, and both drain the same
-    // deltas under further churn. The history runs drains and churn before
-    // the split, and the churn since the last drain registers and retires
-    // queries on both sides of the mark, some of them within it.
-    #[test]
-    fn rebuilding_from_the_drained_registry_reproduces_the_pending_delta(
-        seed in any::<u64>(),
-        initial in 0u64..6,
-        before in vec((any::<bool>(), any::<u64>()), 0..10),
-        since in vec((any::<bool>(), any::<u64>()), 0..10),
-        after in vec((any::<bool>(), any::<u64>()), 0..10),
-    ) {
-        let params = FilterParams::new(1 << 8, 3).unwrap();
-        let mut center = Center::new(params, seed);
-        for _ in 0..initial {
-            center.write((true, 0));
-        }
-        center.drain();
-        for &op in &before {
-            center.write(op);
-        }
-        center.drain();
-        for &op in &since {
-            center.write(op);
-        }
-
-        let mut rebuilt = center.rebuild(params, seed);
-        prop_assert!(rebuilt.filter == center.filter, "rebuilt filter state differs");
-        prop_assert_eq!(rebuilt.filter.pending_dirty(), center.filter.pending_dirty());
-        for &op in &after {
-            center.write(op);
-            rebuilt.write(op);
-        }
-        prop_assert_eq!(rebuilt.drain(), center.drain());
-        prop_assert!(rebuilt.filter == center.filter);
     }
 }

@@ -76,8 +76,8 @@ struct PreparedPattern {
 /// Everything both builders need: the distinct `(key, weight)` pairs of the
 /// query set (tolerance bands expanded, duplicates collapsed), the per-query
 /// global volumes, and the combination count. The streaming session reuses
-/// this per query: a standing query's pair set is exactly what gets
-/// inserted into (and later removed from) the counting filter.
+/// this per query: a standing query's pair set is exactly what its
+/// registry entry keeps and every epoch's filter build inserts.
 pub(crate) struct PreparedBuild {
     pub(crate) pairs: BTreeSet<(u64, Weight)>,
     pub(crate) query_totals: Vec<u64>,

@@ -4,7 +4,7 @@
 //!
 //! A [`Service`] is the long-lived shape of the streaming layer: each
 //! tenant registers its own standing-query session (own filter geometry,
-//! own counting filter, own epoch counter), and every service epoch runs
+//! own query registry, own epoch counter), and every service epoch runs
 //! all admitted tenants together — one shared station layout, one modeled
 //! timeline, shared per-station downlinks — instead of one session at a
 //! time.
@@ -22,10 +22,10 @@
 //!   genuinely queue on the shared station links.
 //! * **Checkpoint / recovery.** [`Service::checkpoint`] serializes every
 //!   tenant's query registry into one versioned frame family; a restarted
-//!   center ([`Service::recover_tenant`]) rebuilds each counting filter
-//!   from it and resyncs stations via deltas against the filters they
-//!   retained, instead of re-broadcasting everything — the economics
-//!   `repro service` measures.
+//!   center ([`Service::recover_tenant`]) restores each registry, from
+//!   which every epoch derives its filters, and resyncs stations via
+//!   deltas against the filters they retained, instead of re-broadcasting
+//!   everything — the economics `repro service` measures.
 //! * **Admission backpressure.** An [`AdmissionPolicy`] bounds each
 //!   station's per-epoch update bytes; over-budget tenants are deferred to
 //!   the next epoch with their [`deferred_epochs`] meter ticked, never

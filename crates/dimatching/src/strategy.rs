@@ -9,9 +9,9 @@
 //! ([`Bloom`]) and the ship-everything oracle ([`Naive`]) are three
 //! implementations of one trait, and
 //! [`run_pipeline`](crate::run_pipeline) is the single generic
-//! pipeline they all run through. Adding a fourth method (a counting
-//! filter, a compressed filter, an async deployment of any of them) is one
-//! `impl`, not another fork of the pipeline.
+//! pipeline they all run through. Adding a fourth method (a compressed
+//! filter, an async deployment of any of them) is one `impl`, not another
+//! fork of the pipeline.
 
 use bytes::Bytes;
 use dipm_core::{encode, BloomFilter, Weight, WeightedBloomFilter};

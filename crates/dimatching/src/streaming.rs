@@ -7,14 +7,17 @@
 //! little between epochs. A [`StreamingSession`] keeps the query set
 //! standing:
 //!
-//! * the **data center** maintains one [`CountingWbf`] over every live
-//!   query's `(key, weight)` pairs — [`StreamingSession::insert_query`] and
-//!   [`StreamingSession::remove_query`] mutate it in place, no rebuilds;
-//! * each **epoch** ([`StreamingSession::run_epoch`]) broadcasts a
+//! * the **data center** keeps only its query registry: each live query's
+//!   `(key, weight)` pairs. [`StreamingSession::insert_query`] and
+//!   [`StreamingSession::remove_query`] edit the registry and nothing else;
+//! * each **epoch** ([`StreamingSession::run_epoch`]) builds two
+//!   [`WeightedBloomFilter`]s from the registry, the way the batch center
+//!   builds: the live queries' filter, and the filter of the registry as it
+//!   stood at the previous epoch's broadcast. It then broadcasts a
 //!   [`StationUpdate`](crate::wire::StationUpdate): the full filter once at
-//!   session start, then only the positions whose visible state changed —
-//!   the [`FilterDelta`](crate::wire::FilterDelta) the counting filter
-//!   tracked while queries churned;
+//!   session start, then only the positions whose weight set differs
+//!   between the two builds — the [`FilterDelta`](crate::wire::FilterDelta)
+//!   of [`WeightedBloomFilter::diff_from`];
 //! * **base stations** hold their decoded filter across epochs and apply
 //!   deltas shard-locally under any
 //!   [`ExecutionMode`](dipm_distsim::ExecutionMode) — a pure CDR-churn
@@ -26,13 +29,13 @@
 //!   fold state (weight universe and per-slot fold masks) in step instead
 //!   of re-deriving it from every occupied position.
 //!
-//! The session pins its filter geometry at creation (incremental updates
-//! cannot resize a hash table without rehashing everything, i.e. a
-//! rebuild), and the counting filter's rebuild-equivalence guarantee makes
-//! the whole path checkable: after any update sequence the station-side
-//! state byte-matches a from-scratch [`run_pipeline`](crate::run_pipeline)
-//! over the surviving query set at the same geometry — asserted across
-//! execution modes by the streaming conformance suite.
+//! The session pins its filter geometry at creation (deltas cannot resize
+//! a hash table without rehashing everything, i.e. a full broadcast), and
+//! because the center's filter *is* a fresh build the whole path is
+//! checkable: after any update sequence the station-side state byte-matches
+//! a from-scratch [`run_pipeline`](crate::run_pipeline) over the surviving
+//! query set at the same geometry — asserted across execution modes by the
+//! streaming conformance suite.
 //!
 //! Epoch scans prune exactly like the batch pipeline: a station skips only
 //! the `(row, section)` pairs its filter's weight universe proves
@@ -43,7 +46,7 @@ use std::collections::BTreeMap;
 use std::time::Instant;
 
 use bytes::Bytes;
-use dipm_core::{encode, CountingWbf, FilterParams, Weight, WeightedBloomFilter};
+use dipm_core::{encode, FilterParams, Weight, WeightedBloomFilter};
 use dipm_distsim::{CostMeter, Mailbox, Network, NodeId, TrafficClass, DATA_CENTER};
 use dipm_mobilenet::{Dataset, UserId};
 
@@ -64,29 +67,13 @@ use crate::wire::{self, FilterDelta, StationUpdate};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct StreamQueryId(pub u64);
 
-/// One live query as the center tracks it: exactly the pairs it inserted,
-/// so removal can undo them pair for pair.
+/// One registered query as the center tracks it: the pairs every filter
+/// build over the registry inserts for it.
 #[derive(Debug)]
 struct LiveQuery {
     pairs: Vec<(u64, Weight)>,
     total: u64,
     combinations: usize,
-}
-
-impl LiveQuery {
-    fn insert_into(&self, center: &mut CountingWbf) -> Result<()> {
-        for &(key, weight) in &self.pairs {
-            center.insert(key, weight)?;
-        }
-        Ok(())
-    }
-
-    fn remove_from(&self, center: &mut CountingWbf) -> Result<()> {
-        for &(key, weight) in &self.pairs {
-            center.remove(key, weight)?;
-        }
-        Ok(())
-    }
 }
 
 /// The session's standing routing state under a tree policy: the hot
@@ -256,13 +243,13 @@ pub struct StreamingSession {
     config: DiMatchingConfig,
     options: PipelineOptions,
     params: FilterParams,
-    center: CountingWbf,
     live: BTreeMap<StreamQueryId, LiveQuery>,
     next_id: u64,
-    /// `next_id` at the last delta drain: live queries at or above it were
-    /// registered since. With `retired` it splits the registry into the
-    /// queries live at that drain and the churn since, which is all a
-    /// checkpoint needs to rebuild `center` and its pending delta.
+    /// `next_id` at the last delta drain (the last planned epoch): live
+    /// queries at or above it were registered since. With `retired` it
+    /// splits the registry into the queries live at that drain and the
+    /// churn since, so the filter the delta-path stations hold can be
+    /// built again from the registry.
     drained_next_id: u64,
     /// The queries removed since the last drain that were live at it.
     retired: BTreeMap<StreamQueryId, LiveQuery>,
@@ -275,10 +262,6 @@ pub struct StreamingSession {
     /// drained), and a full broadcast is the resync that makes the next
     /// epoch correct regardless of where the failure struck.
     needs_full: bool,
-    /// Cached full-broadcast frame length (the rebuild-economics
-    /// yardstick). Invalidated on query churn, so idle CDR-churn epochs
-    /// skip the snapshot-and-intern pass entirely.
-    cached_full_len: Option<usize>,
     /// The standing routing tree under [`RoutingPolicy::Tree`]; built
     /// lazily on the first routed epoch (geometry pinned there, like the
     /// session filter) and kept hot by re-summarizing changed stations.
@@ -321,7 +304,6 @@ impl StreamingSession {
             .collect();
         let params = sized_params(distinct_keys.len().max(1), &config)?;
         let mut session = StreamingSession {
-            center: CountingWbf::new(params, config.seed),
             config,
             options,
             params,
@@ -332,60 +314,53 @@ impl StreamingSession {
             epoch: 0,
             stations: Vec::new(),
             needs_full: true,
-            cached_full_len: None,
             routing: None,
             clock_base: 0,
         };
         for build in prepared {
-            session.register_prepared(build)?;
+            session.register_prepared(build);
         }
         Ok(session)
     }
 
-    /// Registers a new standing query: its combination pairs are inserted
-    /// into the counting filter and broadcast as a delta at the next epoch.
+    /// Registers a new standing query: its combination pairs join the
+    /// registry, and the positions they change go out as the next epoch's
+    /// delta.
     ///
     /// # Errors
     ///
-    /// Propagates pattern and filter errors (including counter overflow).
+    /// Propagates pattern errors.
     pub fn insert_query(&mut self, query: &PatternQuery) -> Result<StreamQueryId> {
         let build = prepare_build(std::slice::from_ref(query), &self.config)?;
-        self.register_prepared(build)
+        Ok(self.register_prepared(build))
     }
 
-    fn register_prepared(
-        &mut self,
-        build: crate::datacenter::PreparedBuild,
-    ) -> Result<StreamQueryId> {
-        self.cached_full_len = None;
+    fn register_prepared(&mut self, build: crate::datacenter::PreparedBuild) -> StreamQueryId {
         let query = LiveQuery {
             pairs: build.pairs.into_iter().collect(),
             total: build.query_totals[0],
             combinations: build.combinations,
         };
-        query.insert_into(&mut self.center)?;
         let id = StreamQueryId(self.next_id);
         self.next_id += 1;
         self.live.insert(id, query);
-        Ok(id)
+        id
     }
 
-    /// Retires a standing query: its pairs are removed from the counting
-    /// filter (reference-counted, so pairs shared with other live queries
-    /// survive) and the retired positions go out as the next delta. A
-    /// query that was live at the last delta drain is kept until the next
-    /// one, because a checkpoint rebuilds that drain's filter from it.
+    /// Retires a standing query: it leaves the live registry, and the
+    /// positions only its pairs held go out as the next epoch's delta
+    /// (pairs shared with other live queries stay in every build). A query
+    /// that was live at the last delta drain is kept until the next one,
+    /// because that drain's filter is built from it.
     ///
     /// # Errors
     ///
     /// Returns [`ProtocolError::UnknownStreamQuery`] if `id` is not live.
     pub fn remove_query(&mut self, id: StreamQueryId) -> Result<()> {
-        self.cached_full_len = None;
         let query = self
             .live
             .remove(&id)
             .ok_or(ProtocolError::UnknownStreamQuery { id: id.0 })?;
-        query.remove_from(&mut self.center)?;
         if id.0 < self.drained_next_id {
             self.retired.insert(id, query);
         }
@@ -407,10 +382,10 @@ impl StreamingSession {
         self.epoch
     }
 
-    /// The center filter's occupancy — the signal for scheduling a
+    /// The live queries' filter occupancy — the signal for scheduling a
     /// deliberate rebuild at a larger geometry once churn degrades it.
     pub fn fill_ratio(&self) -> f64 {
-        self.center.fill_ratio()
+        self.build(self.live.values()).fill_ratio()
     }
 
     /// The live queries' global volumes, in id order.
@@ -421,10 +396,34 @@ impl StreamingSession {
     fn build_stats(&self) -> BuildStats {
         BuildStats {
             combinations: self.live.values().map(|q| q.combinations).sum(),
-            inserted_values: self.center.live(),
+            inserted_values: self.live.values().map(|q| q.pairs.len() as u64).sum(),
             bits: self.params.bits(),
             hashes: self.params.hashes(),
         }
+    }
+
+    /// Builds the filter of `queries` at the session's pinned geometry by
+    /// inserting their registered pairs, as the batch center builds.
+    fn build<'a>(&self, queries: impl Iterator<Item = &'a LiveQuery>) -> WeightedBloomFilter {
+        let mut filter = WeightedBloomFilter::new(self.params, self.config.seed);
+        for query in queries {
+            for &(key, weight) in &query.pairs {
+                filter.insert(key, weight);
+            }
+        }
+        filter
+    }
+
+    /// The live queries' filter, and the delta to it from the filter the
+    /// delta-path stations hold: the build of the registry as of the last
+    /// drain (the live queries below the drain mark plus the retired ones).
+    fn live_filter_and_delta(&self) -> Result<(WeightedBloomFilter, FilterDelta)> {
+        let live = self.build(self.live.values());
+        let mark = StreamQueryId(self.drained_next_id);
+        let drained = self.live.range(..mark).chain(&self.retired);
+        let drained = self.build(drained.map(|(_, query)| query));
+        let delta = FilterDelta::intern(live.diff_from(&drained)?);
+        Ok((live, delta))
     }
 
     /// Runs one epoch over `dataset`: broadcasts the pending filter state
@@ -508,9 +507,10 @@ impl StreamingSession {
     }
 
     /// Phase 1 of an epoch: everything the center decides *before* any
-    /// frame flies — guards, lazy station init, routing, the pending-diff
-    /// drain and the encoded update frames. Pure center-side work, so a
-    /// service can plan every tenant before any of them executes.
+    /// frame flies — guards, lazy station init, routing, the two filter
+    /// builds, the drain and the encoded update frames. Pure center-side
+    /// work, so a service can plan every tenant before any of them
+    /// executes.
     fn plan_epoch(&mut self, dataset: &Dataset, meter: &CostMeter) -> Result<EpochPlan> {
         let start = Instant::now();
         let station_count = dataset.stations().len();
@@ -537,20 +537,19 @@ impl StreamingSession {
             RoutingPolicy::BroadcastAll => vec![true; station_count],
         };
 
-        // The rebuild-economics yardstick: what a full broadcast would
-        // weigh this epoch. Computed without serializing the frame, and
-        // cached until query churn invalidates it — a pure CDR-churn epoch
-        // pays neither the snapshot nor the interning pass.
-        let full_frame_len = self.full_frame_len(&totals)?;
+        // This epoch's builds, its delta, and the rebuild-economics
+        // yardstick: what a full broadcast would weigh this epoch, computed
+        // without serializing the frame.
+        let (live, delta) = self.live_filter_and_delta()?;
+        let full_frame_len = full_frame_len(&totals, &live)?;
 
-        // Drain the pending diff exactly once per epoch. Stations on the
-        // delta path are exactly those synced to the previous drain point
-        // (they applied the last epoch, and every epoch before it, to a
-        // full base), so the drained entries extend their state; everyone
-        // else — session start, post-failure resync, or a station an
-        // earlier epoch's routing pruned and this one re-targets — gets
-        // this epoch's full snapshot instead.
-        let delta = FilterDelta::intern(self.center.drain_dirty());
+        // Drain exactly once per epoch: the live registry becomes the base
+        // of the next delta. Stations on the delta path are exactly those
+        // synced to the previous drain point (they applied the last epoch,
+        // and every epoch before it, to a full base), so the delta extends
+        // their state; everyone else — session start, post-failure resync,
+        // or a station an earlier epoch's routing pruned and this one
+        // re-targets — gets this epoch's full filter instead.
         self.drained_next_id = self.next_id;
         self.retired.clear();
         let delta_entries = delta.entries.len();
@@ -581,7 +580,7 @@ impl StreamingSession {
             let frame = wire::encode_station_update(&StationUpdate::Full {
                 epoch,
                 query_totals: totals.clone(),
-                filter: encode::encode_wbf(&self.center.snapshot())?,
+                filter: encode::encode_wbf(&live)?,
             })?;
             debug_assert_eq!(frame.len(), full_frame_len);
             Some(frame)
@@ -610,32 +609,20 @@ impl StreamingSession {
         })
     }
 
-    /// The cached full-broadcast frame length (see `cached_full_len`).
-    /// Fails, caching nothing, when the filter outgrows the wire format, as
-    /// the full broadcast itself would.
-    fn full_frame_len(&mut self, totals: &[u64]) -> Result<usize> {
-        if let Some(len) = self.cached_full_len {
-            return Ok(len);
-        }
-        let len = 1 + 8 + 4 + totals.len() * 8 + encode::encoded_wbf_len(&self.center.snapshot())?;
-        self.cached_full_len = Some(len);
-        Ok(len)
-    }
-
     /// What the *next* epoch would send each of `station_count` stations,
     /// in bytes — the admission currency of
-    /// [`Service`](crate::Service) backpressure. Previews the pending diff
-    /// without draining it and mutates nothing observable (only the
-    /// full-frame length cache), so a deferred tenant's session is exactly
-    /// as it was. Routing-blind on purpose: admission budgets against the
-    /// worst case where every station is targeted.
-    pub(crate) fn planned_station_bytes(&mut self, station_count: usize) -> Result<Vec<u64>> {
+    /// [`Service`](crate::Service) backpressure. Builds the epoch's filters
+    /// without draining, so a deferred tenant's session is exactly as it
+    /// was. Routing-blind on purpose: admission budgets against the worst
+    /// case where every station is targeted.
+    pub(crate) fn planned_station_bytes(&self, station_count: usize) -> Result<Vec<u64>> {
         let totals = self.totals();
-        let full_len = self.full_frame_len(&totals)? as u64;
+        let (live, delta) = self.live_filter_and_delta()?;
+        let full_len = full_frame_len(&totals, &live)? as u64;
         let delta_len = wire::encode_station_update(&StationUpdate::Delta {
             epoch: self.epoch,
             query_totals: totals,
-            delta: FilterDelta::intern(self.center.pending_dirty()),
+            delta,
         })?
         .len() as u64;
         let epoch = self.epoch;
@@ -728,7 +715,7 @@ impl StreamingSession {
     /// the queries' keys were derived under, and the per-station protocol
     /// positions.
     ///
-    /// Two things are absent. The counting filter is a function of the
+    /// Two things are absent. The center's filters are functions of the
     /// registry. Station filters stay on the stations: they retain their
     /// own state across a center crash, and [`StreamingSession::recover`]
     /// resyncs them via the next delta instead of a full re-broadcast.
@@ -784,19 +771,17 @@ impl StreamingSession {
         self.stations.into_iter().map(StationMemory).collect()
     }
 
-    /// Rebuilds a center from a [`checkpoint`](StreamingSession::checkpoint)
+    /// Restores a center from a [`checkpoint`](StreamingSession::checkpoint)
     /// frame and the stations' retained memories, resuming the session
-    /// exactly where it stopped: the next epoch drains the same delta the
+    /// exactly where it stopped: the next epoch sends the same delta the
     /// crashed center would have, so the resumed run's station results and
     /// wire bytes are identical to an uninterrupted one.
     ///
-    /// The counting filter is rebuilt from the registry as it stood at the
-    /// last delta drain (the live queries below the drain mark plus the
-    /// retired ones) and drained; then the churn since is replayed: the
-    /// retired queries are removed and the live queries at or above the
-    /// mark inserted. A drain emits exactly the positions whose visible
-    /// weight set differs between the drain and now, so the pending delta
-    /// matches the crashed center's byte for byte. Under
+    /// The checkpoint holds everything the center keeps: its query
+    /// registry split at the last drain, and its epoch bookkeeping.
+    /// Recovery decodes it, validates it against `config` and the station
+    /// memories, and restores it; every epoch derives its filters and delta
+    /// from the registry, so there is nothing to rebuild. Under
     /// [`RoutingPolicy::Tree`] the standing Bloofi tree is *not* part of
     /// the checkpoint — the first recovered epoch rebuilds it from the
     /// epoch's dataset and re-uploads station summaries (routing bytes are
@@ -809,8 +794,7 @@ impl StreamingSession {
     /// [`ProtocolError::CheckpointMismatch`] when the frame disagrees with
     /// `config` (seed, samples, eps, tolerance, hash scheme, pinned
     /// geometry) or with the offered station memories (count, filter
-    /// presence or geometry, applied epochs), and a core error if a
-    /// replayed insert overflows a count. Nothing is rebuilt on rejection.
+    /// presence or geometry, applied epochs).
     pub fn recover(
         frame: Bytes,
         stations: Vec<StationMemory>,
@@ -880,37 +864,28 @@ impl StreamingSession {
                 })
                 .collect()
         };
-        let live = registry(checkpoint.queries);
-        let retired = registry(checkpoint.retired);
-        let mark = StreamQueryId(checkpoint.drained_next_id);
-        let mut center = CountingWbf::new(params, config.seed);
-        for (_, query) in live.range(..mark).chain(&retired) {
-            query.insert_into(&mut center)?;
-        }
-        center.drain_dirty();
-        for query in retired.values() {
-            query.remove_from(&mut center)?;
-        }
-        for (_, query) in live.range(mark..) {
-            query.insert_into(&mut center)?;
-        }
         Ok(StreamingSession {
             config,
             options,
             params,
-            center,
-            live,
+            live: registry(checkpoint.queries),
             next_id: checkpoint.next_id,
             drained_next_id: checkpoint.drained_next_id,
-            retired,
+            retired: registry(checkpoint.retired),
             epoch: checkpoint.epoch,
             stations: stations.into_iter().map(|memory| memory.0).collect(),
             needs_full: checkpoint.needs_full,
-            cached_full_len: None,
             routing: None,
             clock_base: checkpoint.clock_base,
         })
     }
+}
+
+/// The length of a full update frame carrying `filter` to stations with
+/// `totals`, computed without serializing the frame. Fails when the filter
+/// outgrows the wire format, as the full broadcast itself would.
+fn full_frame_len(totals: &[u64], filter: &WeightedBloomFilter) -> Result<usize> {
+    Ok(1 + 8 + 4 + totals.len() * 8 + encode::encoded_wbf_len(filter)?)
 }
 
 /// Rejects a recovery whose config disagrees with the checkpoint on

@@ -57,7 +57,7 @@ fn expect_consumed(data: &Bytes, frame: &str) -> Result<()> {
 
 /// Frames a batch broadcast: one strategy-encoded filter section per query,
 /// each tagged with its query id (`u32` section count, then per section
-/// `{query id u32, len u32, bytes×len}`).
+/// `{query id u32, len u32, bytes×len}`), ids strictly ascending.
 ///
 /// The sections are opaque to the frame — WBF sections carry query volumes
 /// plus a weighted filter, Bloom sections a plain filter — so one frame
@@ -66,13 +66,17 @@ fn expect_consumed(data: &Bytes, frame: &str) -> Result<()> {
 ///
 /// # Errors
 ///
-/// Returns [`ProtocolError::FrameTooLarge`] if the section count or any
-/// section length exceeds the `u32` prefix.
+/// Returns [`ProtocolError::MalformedReport`] if the query ids are not
+/// strictly ascending (the decoder would reject the frame), and
+/// [`ProtocolError::FrameTooLarge`] if the section count or any section
+/// length exceeds the `u32` prefix.
 pub fn encode_batch_broadcast(sections: &[(u32, Bytes)]) -> Result<Bytes> {
     let body: usize = sections.iter().map(|(_, b)| 8 + b.len()).sum();
     let mut buf = BytesMut::with_capacity(4 + body);
     buf.put_u32_le(frame_count(sections.len())?);
+    let mut previous = None;
     for (query, bytes) in sections {
+        ascending_query_id(&mut previous, *query)?;
         buf.put_u32_le(*query);
         buf.put_u32_le(frame_count(bytes.len())?);
         buf.extend_from_slice(bytes);
@@ -86,10 +90,10 @@ pub fn encode_batch_broadcast(sections: &[(u32, Bytes)]) -> Result<Bytes> {
 /// # Errors
 ///
 /// Returns [`ProtocolError::MalformedReport`] on a truncated header or
-/// section, on duplicate query ids (a station must never scan the same
-/// query twice in one pass), and on trailing bytes after the last declared
-/// section. The declared section count is validated against the remaining
-/// bytes before any allocation.
+/// section, on query ids that are not strictly ascending (so a station
+/// never scans the same query twice in one pass), and on trailing bytes
+/// after the last declared section. The declared section count is
+/// validated against the remaining bytes before any allocation.
 pub fn decode_batch_broadcast(mut data: Bytes) -> Result<Vec<(u32, Bytes)>> {
     if data.remaining() < 4 {
         return Err(ProtocolError::malformed_report("truncated batch header"));
@@ -101,6 +105,7 @@ pub fn decode_batch_broadcast(mut data: Bytes) -> Result<Vec<(u32, Bytes)>> {
         return Err(ProtocolError::malformed_report("truncated batch sections"));
     }
     let mut out: Vec<(u32, Bytes)> = Vec::with_capacity(count);
+    let mut previous = None;
     for _ in 0..count {
         if data.remaining() < 8 {
             return Err(ProtocolError::malformed_report("truncated section header"));
@@ -110,15 +115,25 @@ pub fn decode_batch_broadcast(mut data: Bytes) -> Result<Vec<(u32, Bytes)>> {
         if data.remaining() < len {
             return Err(ProtocolError::malformed_report("truncated section body"));
         }
-        if out.iter().any(|(q, _)| *q == query) {
-            return Err(ProtocolError::malformed_report("duplicate query id"));
-        }
+        ascending_query_id(&mut previous, query)?;
         let section = data.slice(0..len);
         data.advance(len);
         out.push((query, section));
     }
     expect_consumed(&data, "batch broadcast sections")?;
     Ok(out)
+}
+
+/// Checks that a batch section's query id follows `previous` strictly, and
+/// records it: one comparison per section, whatever the section count.
+fn ascending_query_id(previous: &mut Option<u32>, query: u32) -> Result<()> {
+    if previous.is_some_and(|p| query <= p) {
+        return Err(ProtocolError::malformed_report(
+            "batch query ids must be strictly ascending",
+        ));
+    }
+    *previous = Some(query);
+    Ok(())
 }
 
 /// One decoded station batch-report frame.
@@ -542,7 +557,7 @@ const UPDATE_KIND_DELTA: u8 = 1;
 /// position plus an index into that diff table.
 ///
 /// Entries are in strictly ascending position order — the canonical form
-/// [`CountingWbf::drain_dirty`](dipm_core::CountingWbf::drain_dirty)
+/// [`WeightedBloomFilter::diff_from`](dipm_core::WeightedBloomFilter::diff_from)
 /// produces; the encoder rejects disorder and the wire format makes it
 /// unrepresentable (positions travel as varint gaps). Diffs rather than
 /// absolute sets for two reasons: every position a churned pattern touches
@@ -560,13 +575,13 @@ pub struct FilterDelta {
 }
 
 impl FilterDelta {
-    /// Interns drained `(position, diff)` entries: each distinct diff
-    /// enters the table once, in first-seen order.
-    pub fn intern(drained: Vec<(u32, WeightDiff)>) -> FilterDelta {
+    /// Interns `(position, diff)` entries: each distinct diff enters the
+    /// table once, in first-seen order.
+    pub fn intern(changes: Vec<(u32, WeightDiff)>) -> FilterDelta {
         let mut diffs: Vec<WeightDiff> = Vec::new();
         let mut index: std::collections::HashMap<WeightDiff, u32> =
             std::collections::HashMap::new();
-        let entries = drained
+        let entries = changes
             .into_iter()
             .map(|(pos, diff)| {
                 let id = match index.get(&diff) {
@@ -761,12 +776,17 @@ fn take_filter_delta(data: &mut Bytes) -> Result<FilterDelta> {
             "truncated delta dictionary",
         ));
     }
-    let mut dict = Vec::with_capacity(dict_len);
+    let mut dict: Vec<Weight> = Vec::with_capacity(dict_len);
     for _ in 0..dict_len {
         let num = data.get_u64_le();
         let den = data.get_u64_le();
         let weight = Weight::new(num, den)
             .map_err(|_| ProtocolError::malformed_report("zero weight denominator"))?;
+        if dict.last().is_some_and(|&last| weight <= last) {
+            return Err(ProtocolError::malformed_report(
+                "delta dictionary must be strictly ascending",
+            ));
+        }
         dict.push(weight);
     }
     if data.remaining() < 4 {
@@ -798,10 +818,19 @@ fn take_filter_delta(data: &mut Bytes) -> Result<FilterDelta> {
                 "truncated delta diff indices",
             ));
         }
+        // Ids ascend strictly, as the encoder writes them; over the
+        // ascending dictionary every insert then appends.
         let mut take_side = |len: usize| -> Result<WeightSet> {
             let mut side = WeightSet::new();
+            let mut previous = None;
             for _ in 0..len {
                 let idx = data.get_u16_le() as usize;
+                if previous.is_some_and(|p| idx <= p) {
+                    return Err(ProtocolError::malformed_report(
+                        "delta diff ids must be strictly ascending",
+                    ));
+                }
+                previous = Some(idx);
                 let weight = dict.get(idx).copied().ok_or_else(|| {
                     ProtocolError::malformed_report("delta weight index outside dictionary")
                 })?;
@@ -1165,11 +1194,11 @@ pub struct CheckpointStation {
 /// query registry split at the last delta drain, the configuration its
 /// keys were derived under, and the epoch bookkeeping.
 ///
-/// The counting filter is not in the frame, because it is a function of the
-/// registry. Recovery rebuilds it from the queries live at the last drain,
-/// drains it, then replays the churn since: it removes `retired` and
-/// inserts the live queries at or above `drained_next_id`. The next epoch
-/// then drains the same delta the crashed center would have (see
+/// No filter is in the frame, because the center's filters are functions
+/// of the registry: each epoch builds the live queries' filter and the one
+/// of the registry as of the last drain (the live queries below
+/// `drained_next_id` plus `retired`) and sends their diff. A recovered
+/// center therefore sends the same delta the crashed one would have (see
 /// [`StreamingSession::recover`](crate::StreamingSession::recover)).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SessionCheckpoint {
@@ -1742,10 +1771,19 @@ mod tests {
 
     #[test]
     fn batch_broadcast_rejects_duplicate_query_ids() {
-        let framed =
-            encode_batch_broadcast(&[(3, Bytes::from_static(b"x")), (3, Bytes::from_static(b"y"))])
-                .unwrap();
-        assert!(decode_batch_broadcast(framed).is_err());
+        for ids in [[3, 3], [4, 3]] {
+            let sections = ids.map(|id| (id, Bytes::from_static(b"x")));
+            assert!(encode_batch_broadcast(&sections).is_err(), "{ids:?}");
+            // The frame the encoder refuses, written by hand.
+            let mut buf = BytesMut::new();
+            buf.put_u32_le(2);
+            for id in ids {
+                buf.put_u32_le(id);
+                buf.put_u32_le(1);
+                buf.put_u8(b'x');
+            }
+            assert!(decode_batch_broadcast(buf.freeze()).is_err(), "{ids:?}");
+        }
     }
 
     #[test]

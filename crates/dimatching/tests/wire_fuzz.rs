@@ -107,11 +107,16 @@ proptest! {
         body_a in vec(any::<u8>(), 0..20),
         body_b in vec(any::<u8>(), 0..20),
     ) {
-        let framed = wire::encode_batch_broadcast(&[
-            (id, Bytes::from(body_a)),
-            (id, Bytes::from(body_b)),
-        ]).unwrap();
-        prop_assert!(wire::decode_batch_broadcast(framed).is_err());
+        let sections = [(id, Bytes::from(body_a)), (id, Bytes::from(body_b))];
+        prop_assert!(wire::encode_batch_broadcast(&sections).is_err());
+        // The same frame written by hand is rejected on arrival.
+        let mut raw = 2u32.to_le_bytes().to_vec();
+        for (query, body) in &sections {
+            raw.extend_from_slice(&query.to_le_bytes());
+            raw.extend_from_slice(&(body.len() as u32).to_le_bytes());
+            raw.extend_from_slice(body);
+        }
+        prop_assert!(wire::decode_batch_broadcast(Bytes::from(raw)).is_err());
     }
 
     #[test]
@@ -569,6 +574,160 @@ fn truncation_in_the_id_region_is_rejected_alike_at_every_width() {
         for cut in case.region - 1..case.frame.len() {
             let what = format!("cut at {cut}, width {}", case.width);
             assert_rejected_alike(&case.frame[..cut], &what);
+        }
+    }
+}
+
+// A 1 MiB frame of 131,072 empty sections decodes with one id comparison
+// per section; a repeated or regressing id in its last section is refused
+// by the encoder and, written by hand, by the decoder.
+#[test]
+fn long_batch_broadcasts_decode_and_reject_a_disordered_last_id() {
+    let count = 1u32 << 17;
+    let mut sections: Vec<(u32, Bytes)> = (0..count).map(|q| (q, Bytes::new())).collect();
+    let frame = wire::encode_batch_broadcast(&sections).unwrap();
+    assert_eq!(frame.len(), 4 + 8 * count as usize);
+    assert_eq!(
+        wire::decode_batch_broadcast(frame.clone()).unwrap(),
+        sections
+    );
+    // The last section's id follows `count - 2`: repeat it, then regress.
+    for last in [count - 2, count - 3] {
+        sections.last_mut().unwrap().0 = last;
+        let err = wire::encode_batch_broadcast(&sections).unwrap_err();
+        assert!(err.to_string().contains("strictly ascending"), "{err}");
+        let mut raw = frame.to_vec();
+        let at = raw.len() - 8;
+        raw[at..at + 4].copy_from_slice(&last.to_le_bytes());
+        let err = wire::decode_batch_broadcast(Bytes::from(raw)).unwrap_err();
+        assert!(err.to_string().contains("strictly ascending"), "{err}");
+    }
+}
+
+/// A weighted frame whose set table has an entry of two or more ids, with
+/// the offset of that entry's first id.
+fn frame_with_a_multi_id_set_entry() -> (Vec<u8>, usize) {
+    let params = dipm_core::FilterParams::new(1 << 10, 2).unwrap();
+    let mut wbf = dipm_core::WeightedBloomFilter::new(params, 7);
+    for key in 0..8u64 {
+        wbf.insert(key * 7919, Weight::new(1, key % 3 + 1).unwrap());
+        wbf.insert(key * 7919, Weight::new(2, key % 5 + 3).unwrap());
+    }
+    let frame = dipm_core::encode::encode_wbf(&wbf).unwrap().to_vec();
+    let (count_at, entries, _) = set_table(&frame, wbf.bit_len());
+    let mut at = count_at + 4;
+    for _ in 0..entries {
+        let len = usize::from(u16::from_le_bytes([frame[at], frame[at + 1]]));
+        if len >= 2 {
+            return (frame, at + 2);
+        }
+        at += 2 + 2 * len;
+    }
+    panic!("no set entry holds two weights");
+}
+
+/// `frame` with its `len`-byte field at `b` overwritten by the one at `a`.
+fn repeated(frame: &[u8], a: usize, b: usize, len: usize) -> Vec<u8> {
+    let mut out = frame.to_vec();
+    out.copy_within(a..a + len, b);
+    out
+}
+
+/// `frame` with its `len`-byte fields at `a` and `b` swapped.
+fn swapped(frame: &[u8], a: usize, b: usize, len: usize) -> Vec<u8> {
+    let mut out = repeated(frame, a, b, len);
+    out[a..a + len].copy_from_slice(&frame[b..b + len]);
+    out
+}
+
+// Set-table entries list their dictionary ids strictly ascending, as the
+// encoder writes them: a repeated or descending pair of ids is refused by
+// the owned and the view decoder alike.
+#[test]
+fn set_entries_with_repeated_or_descending_ids_are_rejected_alike() {
+    let (frame, first) = frame_with_a_multi_id_set_entry();
+    let cases = [
+        (repeated(&frame, first, first + 2, 2), "repeated"),
+        (swapped(&frame, first, first + 2, 2), "descending"),
+    ];
+    for (raw, what) in cases {
+        let broadcast = wire::encode_filter_broadcast(&[5, 9], Bytes::from(raw)).unwrap();
+        let err = assert_rejected_alike(&broadcast, what);
+        assert!(
+            err.contains("weight set ids must be strictly ascending"),
+            "{err}"
+        );
+    }
+}
+
+// The weight dictionary is strictly ascending, as the encoder writes it, so
+// ascending set ids name ascending weights: two swapped dictionary entries
+// are refused by both WBF decoders alike, and by the delta decoder.
+#[test]
+fn disordered_weight_dictionaries_are_rejected() {
+    let (frame, _) = frame_with_a_multi_id_set_entry();
+    let dict_at = 32 + (1usize << 10).div_ceil(64) * 8 + 4;
+    let raw = swapped(&frame, dict_at, dict_at + 16, 16);
+    let broadcast = wire::encode_filter_broadcast(&[5, 9], Bytes::from(raw)).unwrap();
+    let err = assert_rejected_alike(&broadcast, "swapped dictionary");
+    assert!(
+        err.contains("weight dictionary must be strictly ascending"),
+        "{err}"
+    );
+
+    let raw = swapped(
+        &two_sided_delta_frame(),
+        DELTA_DICT_AT,
+        DELTA_DICT_AT + 16,
+        16,
+    );
+    let err = wire::decode_station_update(Bytes::from(raw)).unwrap_err();
+    assert!(
+        err.to_string()
+            .contains("delta dictionary must be strictly ascending"),
+        "{err}"
+    );
+}
+
+/// Offset of a delta update's dictionary when it carries no query totals:
+/// kind byte, epoch, totals count, dictionary length.
+const DELTA_DICT_AT: usize = 1 + 8 + 4 + 4;
+
+/// A delta update with one diff that removes two weights and adds two, so
+/// its frame holds a four-weight dictionary, then each side's two ids.
+fn two_sided_delta_frame() -> Vec<u8> {
+    let w = |n| Weight::new(n, 9).unwrap();
+    let diff = WeightDiff {
+        removed: [w(1), w(2)].into_iter().collect(),
+        added: [w(3), w(4)].into_iter().collect(),
+    };
+    let update = wire::StationUpdate::Delta {
+        epoch: 0,
+        query_totals: vec![],
+        delta: wire::FilterDelta::intern(vec![(5, diff)]),
+    };
+    wire::encode_station_update(&update).unwrap().to_vec()
+}
+
+// Each side of a delta diff lists its ids strictly ascending, as the
+// encoder writes them: a repeated or descending pair is refused.
+#[test]
+fn diff_sides_with_repeated_or_descending_ids_are_rejected() {
+    let frame = two_sided_delta_frame();
+    assert!(wire::decode_station_update(Bytes::from(frame.clone())).is_ok());
+    // After the dictionary: the diff count, then the side lengths.
+    let ids_at = DELTA_DICT_AT + 4 * 16 + 4 + 4;
+    for side in [ids_at, ids_at + 4] {
+        for raw in [
+            repeated(&frame, side, side + 2, 2),
+            swapped(&frame, side, side + 2, 2),
+        ] {
+            let err = wire::decode_station_update(Bytes::from(raw)).unwrap_err();
+            assert!(
+                err.to_string()
+                    .contains("delta diff ids must be strictly ascending"),
+                "{err}"
+            );
         }
     }
 }

@@ -92,8 +92,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ── 2. The center crashes; the stations do not ─────────────────────
     // Tenant 1 edits its list again right before the crash, so that edit
     // has not been broadcast yet. One frame persists every tenant's query
-    // registry, split at its last delta drain; recovery rebuilds each
-    // counting filter from it and replays the pending edit. The stations
+    // registry, split at its last delta drain; recovery restores it, and
+    // the next epoch derives the pending edit's delta from it. The stations
     // keep their filters and are resynced with deltas, not re-broadcasts.
     let retired = service.session(TenantId(1))?.live_queries()[0];
     service.remove_query(TenantId(1), retired)?;

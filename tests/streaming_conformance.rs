@@ -1,18 +1,15 @@
 //! Streaming conformance: standing queries must survive streaming updates
 //! without ever diverging from the build-once pipeline they replace.
 //!
-//! Three invariant families, swept over the shared conformance seeds:
+//! Two invariant families, swept over the shared conformance seeds:
 //!
-//! 1. **Counting rebuild-equivalence** — a [`CountingWbf`] after any
-//!    interleaving of inserts and removes is query-equivalent (and
-//!    snapshot-identical) to a fresh build over the surviving multiset.
-//! 2. **Delta-path equivalence** — after any query-churn sequence, a
+//! 1. **Delta-path equivalence** — after any query-churn sequence, a
 //!    streaming session's epoch answers byte-match a from-scratch
 //!    `run_pipeline::<Wbf>` over the same final query set at the same
 //!    geometry, under every execution mode.
-//! 3. **Delta-frame fidelity** — the deltas a real session's counting
-//!    filter emits round-trip the wire exactly, and replaying them onto a
-//!    station-side filter reproduces the center's snapshot.
+//! 2. **Delta-frame fidelity** — the diffs between successive builds of a
+//!    churning pair set round-trip the wire exactly, and replaying them
+//!    onto a station-side filter reproduces the newest build.
 
 // The shared oracle is reused for its seeded datasets and probe queries;
 // the invariant helpers it also exports are exercised by `end_to_end.rs`.
@@ -20,8 +17,7 @@
 mod conformance;
 
 use dipm::core::{
-    encode, CountingWbf, FilterParams, HashFamily, PrecomputedProbes, QueryScratch, Weight,
-    WeightedBloomFilter,
+    encode, FilterParams, HashFamily, PrecomputedProbes, QueryScratch, Weight, WeightedBloomFilter,
 };
 use dipm::prelude::*;
 use dipm::protocol::{run_streaming, wire, EpochBroadcast, StreamingSession, StreamingUpdate};
@@ -44,47 +40,8 @@ fn pair(index: u64) -> (u64, Weight) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    // Invariant 1, driven by arbitrary interleavings: walk a random
-    // op-sequence where each step inserts a new pair or removes a random
-    // currently-live one; at the end the filter must equal a fresh build
-    // over exactly the survivors.
-    #[test]
-    fn counting_filter_is_rebuild_equivalent_under_any_interleaving(
-        ops in vec((any::<bool>(), any::<u64>()), 1..120),
-        seed_index in 0usize..conformance::SEEDS.len(),
-    ) {
-        let seed = conformance::SEEDS[seed_index];
-        let mut filter = CountingWbf::new(params(), seed);
-        let mut live: Vec<(u64, Weight)> = Vec::new();
-        let mut next = 0u64;
-        for (is_insert, pick) in ops {
-            if is_insert || live.is_empty() {
-                let (key, weight) = pair(next);
-                next += 1;
-                filter.insert(key, weight).unwrap();
-                live.push((key, weight));
-            } else {
-                let (key, weight) = live.swap_remove(pick as usize % live.len());
-                filter.remove(key, weight).unwrap();
-            }
-        }
-        let mut fresh = CountingWbf::new(params(), seed);
-        let mut reference = WeightedBloomFilter::new(params(), seed);
-        for &(key, weight) in &live {
-            fresh.insert(key, weight).unwrap();
-            reference.insert(key, weight);
-        }
-        prop_assert_eq!(&filter, &fresh, "counting state diverged from a fresh build");
-        prop_assert_eq!(filter.snapshot(), reference, "snapshot diverged from a fresh WBF");
-        // Query-equivalence on a probe sample, including sequences.
-        for probe in 0..next.max(8) {
-            let (key, _) = pair(probe);
-            prop_assert_eq!(filter.query(key), fresh.query(key));
-        }
-    }
-
-    // Invariant 3: a real churn sequence's deltas round-trip the wire and
-    // replay onto a station-held filter exactly.
+    // Invariant 2: a churn sequence's deltas round-trip the wire and replay
+    // onto a station-held filter exactly.
     #[test]
     fn session_deltas_roundtrip_and_replay_exactly(
         churn in vec((any::<bool>(), any::<u64>()), 1..40),
@@ -93,7 +50,7 @@ proptest! {
         replay_session_deltas(params(), &churn, pair, 5, conformance::SEEDS[seed_index])?;
     }
 
-    // Invariant 3 across the fold-mask width: weights from a 97-weight pool
+    // Invariant 2 across the fold-mask width: weights from a 97-weight pool
     // push the station's weight universe past the 64 weights a fold mask
     // indexes, then a remove-heavy tail brings it back under, so replayed
     // deltas cover the mask path, the generic path and both transitions. A
@@ -124,11 +81,12 @@ fn wide_pair(index: u64) -> (u64, Weight) {
 }
 
 /// Drives `ops` (insert the next pool pair, or remove the live pair at
-/// `pick`) through a center counting filter, `per_epoch` ops per epoch.
-/// Each epoch's delta is framed, decoded and replayed onto a station
+/// `pick`) through a center that builds a filter from its live pairs,
+/// `per_epoch` ops per epoch. Each epoch's delta, the diff from the
+/// previous epoch's build, is framed, decoded and replayed onto a station
 /// filter whose derived fold state a scan has warmed, and the station must
-/// then answer exactly like the center's fresh snapshot: bits, weight
-/// universe, and both the generic and the precomputed (mask-fold) queries.
+/// then answer exactly like the newest build: bits, weight universe, and
+/// both the generic and the precomputed (mask-fold) queries.
 fn replay_session_deltas(
     params: FilterParams,
     ops: &[(bool, u64)],
@@ -136,8 +94,15 @@ fn replay_session_deltas(
     per_epoch: usize,
     seed: u64,
 ) -> Result<(), TestCaseError> {
-    let mut center = CountingWbf::new(params, seed);
-    let mut station = WeightedBloomFilter::new(params, seed);
+    let build = |live: &[(u64, Weight)]| {
+        let mut filter = WeightedBloomFilter::new(params, seed);
+        for &(key, weight) in live {
+            filter.insert(key, weight);
+        }
+        filter
+    };
+    let mut center = build(&[]);
+    let mut station = center.clone();
     let family = HashFamily::new(station.hashes(), station.seed());
     let mut pre = PrecomputedProbes::new();
     let (mut scratch, mut reference_scratch) = (QueryScratch::new(), QueryScratch::new());
@@ -153,17 +118,16 @@ fn replay_session_deltas(
         }
         for &(is_insert, pick) in epoch_ops {
             if is_insert || live.is_empty() {
-                let (key, weight) = pool(next);
+                live.push(pool(next));
                 next += 1;
-                center.insert(key, weight).unwrap();
-                live.push((key, weight));
             } else {
-                let (key, weight) = live.swap_remove(pick as usize % live.len());
-                center.remove(key, weight).unwrap();
+                live.swap_remove(pick as usize % live.len());
             }
         }
-        // One "broadcast": drain, frame, decode, apply at the station.
-        let delta = wire::FilterDelta::intern(center.drain_dirty());
+        // One "broadcast": diff, frame, decode, apply at the station.
+        let newest = build(&live);
+        let delta = wire::FilterDelta::intern(newest.diff_from(&center).unwrap());
+        center = newest;
         let frame = wire::encode_station_update(&wire::StationUpdate::Delta {
             epoch: 0,
             query_totals: vec![],
@@ -184,11 +148,10 @@ fn replay_session_deltas(
         // Structural and behavioral equivalence. (The `inserted` statistic
         // is deliberately excluded: it refreshes on full broadcasts only
         // and never affects matching.)
-        let snapshot = center.snapshot();
-        prop_assert_eq!(station.bits(), snapshot.bits(), "bit state diverged");
+        prop_assert_eq!(station.bits(), center.bits(), "bit state diverged");
         prop_assert_eq!(
             station.weight_universe(),
-            snapshot.weight_universe(),
+            center.weight_universe(),
             "weight universe diverged after delta replay"
         );
         // Probe sets: every pool key alone, neighbouring keys together
@@ -199,7 +162,7 @@ fn replay_session_deltas(
             let (key, _) = pool(probe);
             prop_assert_eq!(
                 station.query(key),
-                snapshot.query(key),
+                center.query(key),
                 "query {} diverged after delta replay",
                 key
             );
@@ -218,7 +181,7 @@ fn replay_session_deltas(
             pre.compute(&family, station.bit_len(), keys);
             prop_assert_eq!(
                 station.query_precomputed(&pre, &mut scratch).cloned(),
-                snapshot
+                center
                     .query_precomputed(&pre, &mut reference_scratch)
                     .cloned(),
                 "precomputed query {:?} diverged after delta replay",
@@ -229,7 +192,7 @@ fn replay_session_deltas(
     Ok(())
 }
 
-/// Invariant 2 — the acceptance criterion: after a churn sequence, every
+/// Invariant 1 — the acceptance criterion: after a churn sequence, every
 /// execution mode's streaming answers byte-match a from-scratch merged
 /// pipeline over the surviving query set at the session's geometry.
 #[test]
@@ -310,7 +273,7 @@ fn streaming_epochs_match_rebuilds_across_all_modes_and_seeds() {
 }
 
 /// The streaming session's full broadcast is the ordinary encoded filter:
-/// a station that decodes it holds exactly the center's snapshot (so the
+/// a station that decodes it holds exactly the center's build (so the
 /// whole delta chain is anchored to a verified state).
 #[test]
 fn full_broadcast_carries_the_exact_snapshot() {
