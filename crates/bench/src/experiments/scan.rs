@@ -7,6 +7,12 @@
 //! cost — stored rows, broadcast sections and hash count — and reports
 //! throughput in rows/sec and probes/sec plus the byte volumes involved.
 //!
+//! It scans what a station scans. Each section is built at its own
+//! query's sized bit length, as the pipeline builds a batch's per-query
+//! sections, with only the hash count pinned to the axis value. Each is
+//! then encoded as a broadcast frame and scanned as the zero-copy
+//! [`WbfSectionView`](wire::WbfSectionView) a station decodes it into.
+//!
 //! The workload is deliberately miss-dominated: in a city-scale deployment
 //! almost every stored pattern fails the membership test for almost every
 //! query, so the hit-free path is what the rows/sec number measures. A row
@@ -22,7 +28,7 @@
 
 use std::time::Instant;
 
-use dipm_core::{mix64, FilterParams, Kernel};
+use dipm_core::{encode, mix64, FilterParams, Kernel, WbfFrameView};
 use dipm_mobilenet::UserId;
 use dipm_protocol::{
     build_wbf, scan_shard_wbf, wire, DiMatchingConfig, PatternQuery, WbfScanSection,
@@ -57,7 +63,8 @@ pub struct ScanPoint {
     pub reports: usize,
     /// Wire bytes of one station's encoded report payload.
     pub report_bytes: u64,
-    /// Wire bytes of the broadcast filter sections probed.
+    /// Wire bytes of the broadcast filter sections probed (query volumes
+    /// plus encoded filter).
     pub filter_bytes: u64,
 }
 
@@ -91,17 +98,13 @@ fn synthetic_shard(seed: u64, rows: usize, queries: &[PatternQuery]) -> Vec<(Use
         .collect()
 }
 
-/// Times one sweep point: builds `sections` filters at `hashes` hash
-/// functions, then scans `rows` synthetic rows until `min_seconds` of
-/// wall-clock time has accumulated.
-fn measure(seed: u64, rows: usize, sections: usize, hashes: u16, min_seconds: f64) -> ScanPoint {
+/// One query's broadcast section at the bit length the default build
+/// sizes for it and `hashes` hash functions, as a station views it, and
+/// the frame's byte length.
+fn station_section(query: &PatternQuery, hashes: u16) -> (wire::WbfSectionView, u64) {
     let config = DiMatchingConfig::default();
-    let queries: Vec<PatternQuery> = (0..sections)
-        .map(|i| synthetic_query(seed, i as u64))
-        .collect();
-    // Size the filter once from the default build, then pin the same bit
-    // count for every hash-count arm so only `k` varies along that axis.
-    let sized = build_wbf(&queries[..1], &config)
+    let one = std::slice::from_ref(query);
+    let sized = build_wbf(one, &config)
         .expect("synthetic query builds")
         .stats;
     let config = DiMatchingConfig {
@@ -110,23 +113,33 @@ fn measure(seed: u64, rows: usize, sections: usize, hashes: u16, min_seconds: f6
         ),
         ..config
     };
-    let built: Vec<_> = queries
-        .iter()
-        .map(|q| build_wbf(std::slice::from_ref(q), &config).expect("section builds"))
+    let built = build_wbf(one, &config).expect("section builds");
+    let filter = encode::encode_wbf(&built.filter).expect("filter encodes");
+    let frame =
+        wire::encode_filter_broadcast(&built.query_totals, filter).expect("broadcast frames");
+    let len = frame.len() as u64;
+    (
+        wire::view_filter_broadcast(frame).expect("broadcast views"),
+        len,
+    )
+}
+
+/// Times one sweep point: builds `sections` per-query broadcast sections at
+/// `hashes` hash functions, views them as a station does, then scans `rows`
+/// synthetic rows until `min_seconds` of wall-clock time has accumulated.
+fn measure(seed: u64, rows: usize, sections: usize, hashes: u16, min_seconds: f64) -> ScanPoint {
+    let config = DiMatchingConfig::default();
+    let queries: Vec<PatternQuery> = (0..sections)
+        .map(|i| synthetic_query(seed, i as u64))
         .collect();
-    let views: Vec<WbfScanSection<'_>> = built
+    let (received, frame_lens): (Vec<wire::WbfSectionView>, Vec<u64>) =
+        queries.iter().map(|q| station_section(q, hashes)).unzip();
+    let filter_bytes = frame_lens.iter().sum();
+    let views: Vec<WbfScanSection<'_, WbfFrameView>> = received
         .iter()
         .enumerate()
-        .map(|(i, b)| (i as u32, &b.filter, b.query_totals.as_slice()))
+        .map(|(i, v)| (i as u32, &v.filter, v.query_totals.as_slice()))
         .collect();
-    let filter_bytes: u64 = built
-        .iter()
-        .map(|b| {
-            dipm_core::encode::encode_wbf(&b.filter)
-                .expect("filter encodes")
-                .len() as u64
-        })
-        .sum();
 
     let owned = synthetic_shard(seed, rows, &queries);
     let shard: Vec<(UserId, &Pattern)> = owned.iter().map(|&(u, ref p)| (u, p)).collect();

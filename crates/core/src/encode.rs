@@ -18,18 +18,27 @@
 //! words  [u64]                    (bits.div_ceil(64) raw words)
 //! -- weighted only --
 //! dict_len u32
-//! dict*    { num u64, den u64 }   (distinct weights, ascending)
-//! sets_len u32
+//! dict*    { num u64, den u64 }   (distinct weights in lowest terms,
+//!                                  ascending)
+//! sets_len u32                    (at most 65,536)
 //! set*     { len u16, ids u16×len }   (distinct weight SETS, first-seen
 //!                                      order; ids strictly ascending)
-//! id_width u8                     (1 if sets_len ≤ 256, 2 if ≤ 65,536, else 4)
+//! id_width u8                     (1 if sets_len ≤ 256, else 2)
 //! per set bit, in ascending bit order:
-//!   set_id  u8 | u16 | u32        (index into the set table, id_width bytes)
+//!   set_id  u8 | u16              (index into the set table, id_width bytes)
 //! ```
 //!
-//! The id width is the narrowest that indexes the frame's own set table. The
-//! decoder rejects any other width byte, a valid wider one included, so the
-//! width never gives one filter a second encoding.
+//! Decoders accept exactly what the encoder writes, so each filter has one
+//! encoding:
+//!
+//! * every dictionary weight is held by some set-table entry;
+//! * set-table entries are distinct, and each is named by some set bit;
+//! * entries come in first-seen order: over the set bits, the ids' first
+//!   occurrences run 0, 1, 2, …;
+//! * the id width is the narrowest that indexes the set table; any other
+//!   width byte, a valid wider one included, is rejected.
+//!
+//! So the dictionary of an accepted frame *is* the filter's weight universe.
 //!
 //! Two levels of interning keep broadcasts small: distinct weights are few
 //! (one per combination pattern), and neighbouring band keys carry *identical*
@@ -43,6 +52,7 @@ use crate::bloom::BloomFilter;
 use crate::error::{CoreError, Result};
 use crate::hash::HashFamily;
 use crate::params::{FilterParams, MAX_HASHES};
+use crate::probe::MASK_WIDTH;
 use crate::wbf::WeightedBloomFilter;
 use crate::weight::Weight;
 use crate::weight_set::WeightSet;
@@ -51,6 +61,8 @@ const MAGIC: u32 = 0x4449_504d;
 const VERSION: u8 = 2;
 const KIND_BLOOM: u8 = 0;
 const KIND_WEIGHTED: u8 = 1;
+/// The most set-table entries a frame may hold: every id fits 2 bytes.
+const MAX_SETS: usize = 1 << 16;
 
 fn put_header(buf: &mut BytesMut, kind: u8, hashes: u16, seed: u64, bits: usize, inserted: u64) {
     buf.put_u32_le(MAGIC);
@@ -179,7 +191,7 @@ fn weight_dictionary(filter: &WeightedBloomFilter) -> Vec<Weight> {
 struct Interned {
     dict: Vec<Weight>,
     sets: Vec<Vec<u16>>,
-    per_bit: Vec<u32>,
+    per_bit: Vec<u16>,
 }
 
 impl Interned {
@@ -196,15 +208,13 @@ impl Interned {
     }
 }
 
-/// The per-bit set-id width, in bytes, for a set table of `sets` entries:
-/// the narrowest of 1, 2 or 4 that indexes every entry.
+/// The per-bit set-id width, in bytes, for a set table of at most
+/// [`MAX_SETS`] entries: the narrower of 1 or 2 that indexes every entry.
 fn id_width(sets: usize) -> usize {
     if sets <= 1 << 8 {
         1
-    } else if sets <= 1 << 16 {
-        2
     } else {
-        4
+        2
     }
 }
 
@@ -216,7 +226,7 @@ fn intern(filter: &WeightedBloomFilter) -> Result<Interned> {
         ));
     }
     let mut sets: Vec<Vec<u16>> = Vec::new();
-    let mut index: std::collections::HashMap<Vec<u16>, u32> = std::collections::HashMap::new();
+    let mut index: std::collections::HashMap<Vec<u16>, u16> = std::collections::HashMap::new();
     let mut per_bit = Vec::with_capacity(filter.bits().count_ones());
     let mut ids: Vec<u16> = Vec::new();
     for (_, set) in filter.weight_positions() {
@@ -233,7 +243,12 @@ fn intern(filter: &WeightedBloomFilter) -> Result<Interned> {
         let id = match index.get(ids.as_slice()) {
             Some(&id) => id,
             None => {
-                let id = sets.len() as u32;
+                if sets.len() == MAX_SETS {
+                    return Err(CoreError::invalid_params(
+                        "more distinct weight sets than the wire format supports",
+                    ));
+                }
+                let id = sets.len() as u16;
                 index.insert(ids.clone(), id);
                 sets.push(ids.clone());
                 id
@@ -252,14 +267,15 @@ fn intern(filter: &WeightedBloomFilter) -> Result<Interned> {
 ///
 /// Per-bit weight sets are interned: the payload carries each distinct set
 /// once plus one set id per set bit (emitted in set-bit order — the decoder
-/// already knows which bits are set from the bit array). Each id takes 1, 2
-/// or 4 bytes, the narrowest width that indexes the frame's set table.
+/// already knows which bits are set from the bit array). Each id takes 1 or
+/// 2 bytes, the narrower width that indexes the frame's set table.
 ///
 /// # Errors
 ///
 /// Returns [`CoreError::InvalidParams`] if the filter holds more than
-/// `u16::MAX` distinct weights or any bit carries more than `u16::MAX`
-/// weights (beyond the wire format's index width).
+/// `u16::MAX` distinct weights, more than 65,536 distinct weight sets, or
+/// any bit carries more than `u16::MAX` weights (beyond the wire format's
+/// index widths).
 pub fn encode_wbf(filter: &WeightedBloomFilter) -> Result<Bytes> {
     let interned = intern(filter)?;
     let mut buf = BytesMut::with_capacity(interned.encoded_len(filter));
@@ -286,13 +302,10 @@ pub fn encode_wbf(filter: &WeightedBloomFilter) -> Result<Bytes> {
     }
     let width = id_width(interned.sets.len());
     buf.put_u8(width as u8);
-    match width {
-        1 => interned.per_bit.iter().for_each(|&id| buf.put_u8(id as u8)),
-        2 => interned
-            .per_bit
-            .iter()
-            .for_each(|&id| buf.put_u16_le(id as u16)),
-        _ => interned.per_bit.iter().for_each(|&id| buf.put_u32_le(id)),
+    if width == 1 {
+        interned.per_bit.iter().for_each(|&id| buf.put_u8(id as u8));
+    } else {
+        interned.per_bit.iter().for_each(|&id| buf.put_u16_le(id));
     }
     Ok(buf.freeze())
 }
@@ -313,14 +326,24 @@ pub(crate) struct WbfWireBody {
     pub(crate) bits: BitSet,
     pub(crate) family: HashFamily,
     pub(crate) inserted: u64,
+    /// The weight dictionary. Every weight in it is held by some set-table
+    /// entry, so once the id region names every entry it is the filter's
+    /// weight universe.
+    pub(crate) universe: WeightSet,
     pub(crate) sets: Vec<WeightSet>,
-    /// Bytes per set id in the region that follows: 1, 2 or 4, the
-    /// narrowest that indexes `sets`.
+    /// Per set-table entry, the mask of the dictionary weights it holds;
+    /// `None` when the dictionary is wider than [`MASK_WIDTH`].
+    pub(crate) masks: Option<Vec<u64>>,
+    /// Bytes per set id in the region that follows: 1 or 2, the narrower
+    /// that indexes `sets`.
     pub(crate) id_width: usize,
 }
 
 /// Parses header, bit array, weight dictionary, set table and id width,
-/// leaving `data` positioned at the per-bit set-id region.
+/// leaving `data` positioned at the per-bit set-id region. Checks every
+/// canonical-form rule the set table carries alone: the dictionary is
+/// referenced in full, entries are distinct, and the width byte matches
+/// the table.
 pub(crate) fn take_wbf_body(data: &mut Bytes) -> Result<WbfWireBody> {
     let header = take_header(data)?;
     if header.kind != KIND_WEIGHTED {
@@ -344,6 +367,9 @@ pub(crate) fn take_wbf_body(data: &mut Bytes) -> Result<WbfWireBody> {
         let den = data.get_u64_le();
         let weight =
             Weight::new(num, den).map_err(|_| CoreError::decode("zero weight denominator"))?;
+        if (weight.numerator(), weight.denominator()) != (num, den) {
+            return Err(CoreError::decode("weight not in lowest terms"));
+        }
         if dict.last().is_some_and(|&last| weight <= last) {
             return Err(CoreError::decode(
                 "weight dictionary must be strictly ascending",
@@ -355,11 +381,18 @@ pub(crate) fn take_wbf_body(data: &mut Bytes) -> Result<WbfWireBody> {
         return Err(CoreError::decode("truncated weight set table length"));
     }
     let sets_len = data.get_u32_le() as usize;
+    if sets_len > MAX_SETS {
+        return Err(CoreError::decode("weight set table too large"));
+    }
     // The declared count is attacker-controlled; every encoded set costs at
     // least 4 bytes (u16 length + one u16 id), so clamp the up-front
     // reservation to what the remaining payload could possibly hold and let
     // the per-entry truncation checks reject the lie.
-    let mut sets: Vec<WeightSet> = Vec::with_capacity(sets_len.min(data.remaining() / 4));
+    let reserve = sets_len.min(data.remaining() / 4);
+    let mut sets: Vec<WeightSet> = Vec::with_capacity(reserve);
+    let fits = dict_len <= MASK_WIDTH;
+    let mut masks = Vec::with_capacity(if fits { reserve } else { 0 });
+    let mut referenced = vec![false; dict_len];
     for _ in 0..sets_len {
         if data.remaining() < 2 {
             return Err(CoreError::decode("truncated weight set header"));
@@ -374,7 +407,7 @@ pub(crate) fn take_wbf_body(data: &mut Bytes) -> Result<WbfWireBody> {
         // Ids ascend strictly, as the encoder writes them; over the
         // ascending dictionary every insert then appends.
         let mut set = WeightSet::new();
-        let mut previous = None;
+        let (mut previous, mut mask) = (None, 0u64);
         for _ in 0..len {
             let idx = data.get_u16_le() as usize;
             if previous.is_some_and(|p| idx <= p) {
@@ -388,8 +421,32 @@ pub(crate) fn take_wbf_body(data: &mut Bytes) -> Result<WbfWireBody> {
                 .copied()
                 .ok_or_else(|| CoreError::decode("weight index outside dictionary"))?;
             set.insert(weight);
+            referenced[idx] = true;
+            if fits {
+                mask |= 1 << idx;
+            }
         }
         sets.push(set);
+        if fits {
+            masks.push(mask);
+        }
+    }
+    if referenced.contains(&false) {
+        return Err(CoreError::decode(
+            "weight dictionary entry held by no weight set",
+        ));
+    }
+    // Over a dictionary narrow enough for masks an entry is its mask.
+    let duplicate = if fits {
+        let mut sorted = masks.clone();
+        sorted.sort_unstable();
+        sorted.windows(2).any(|pair| pair[0] == pair[1])
+    } else {
+        let mut distinct = std::collections::HashSet::with_capacity(sets.len());
+        !sets.iter().all(|set| distinct.insert(set))
+    };
+    if duplicate {
+        return Err(CoreError::decode("duplicate weight set table entry"));
     }
     if data.remaining() < 1 {
         return Err(CoreError::decode("truncated set id width"));
@@ -405,7 +462,9 @@ pub(crate) fn take_wbf_body(data: &mut Bytes) -> Result<WbfWireBody> {
         bits,
         family: HashFamily::new(header.hashes, header.seed),
         inserted: header.inserted,
+        universe: dict.into_iter().collect(),
         sets,
+        masks: fits.then_some(masks),
         id_width: width,
     })
 }
@@ -552,7 +611,7 @@ mod tests {
 
     #[test]
     fn set_ids_take_the_narrowest_width_that_indexes_the_set_table() {
-        for (sets, width) in [(1, 1), (256, 1), (257, 2), (65_536, 2), (65_537, 4)] {
+        for (sets, width) in [(1, 1), (256, 1), (257, 2), (65_536, 2)] {
             let wbf = filter_with_sets(sets);
             assert_eq!(intern(&wbf).unwrap().sets.len(), sets);
             let frame = encode_wbf(&wbf).unwrap();
@@ -569,6 +628,12 @@ mod tests {
             assert_eq!(decode_wbf(v1.clone()).unwrap_err(), unsupported);
             assert_eq!(view_wbf(v1).unwrap_err(), unsupported);
         }
+        // Past 65,536 sets an id would need a third byte: the set table is
+        // capped there, like the weight dictionary at 65,535 weights.
+        let wbf = filter_with_sets(65_537);
+        let err = encoded_wbf_len(&wbf).unwrap_err();
+        assert!(matches!(err, CoreError::InvalidParams { .. }), "{err}");
+        assert_eq!(encode_wbf(&wbf).unwrap_err(), err);
     }
 
     #[test]

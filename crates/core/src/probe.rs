@@ -3,10 +3,10 @@
 //! [`WeightedBloomFilter`](crate::WeightedBloomFilter) and
 //! [`WbfFrameView`](crate::WbfFrameView) answer queries with identical
 //! semantics — reject unless every probed position is occupied and one
-//! weight is common to all of them — so the matching loop lives here once,
+//! weight is common to all of them — so the weight fold lives here once,
 //! generic over a [`ProbeTable`], instead of being maintained twice.
 //!
-//! The loop is built for the station-side scan, where almost every candidate
+//! Probing is built for the station-side scan, where almost every candidate
 //! misses:
 //!
 //! 1. **Membership first.** The *entire sequence's* occupancy is tested —
@@ -30,13 +30,13 @@
 //! bit was seen) — both are rejects, and accepted candidates return the
 //! exact same set.
 
-use crate::hash::{HashFamily, Probes};
+use crate::hash::HashFamily;
 use crate::weight_set::WeightSet;
 
-/// Reusable scratch for the `query_sequence_into` probes of
+/// Reusable scratch for the weight folds of
 /// [`WeightedBloomFilter`](crate::WeightedBloomFilter::query_sequence_into)
-/// and [`WbfFrameView`](crate::WbfFrameView::query_sequence_into) — owns the
-/// running intersection so repeated queries share one heap buffer.
+/// and [`WbfFrameView`](crate::WbfFrameView::fold_weights_precomputed) —
+/// owns the running intersection so repeated queries share one heap buffer.
 ///
 /// Create it once per scan loop and pass it to every call; the buffer's
 /// capacity converges to the largest weight set encountered and the hot
@@ -183,23 +183,29 @@ impl PrecomputedProbes {
     }
 }
 
+/// Mask bits a weight universe may use: tables whose universe is wider
+/// than this fold by sorted-set merges instead of masks.
+pub(crate) const MASK_WIDTH: usize = 64;
+
 /// A probe-addressable table of weight sets: the storage interface both
-/// filter representations expose to the shared query core.
+/// filter representations expose to the shared weight fold.
 pub(crate) trait ProbeTable {
-    /// The hash family and table length defining probe sequences.
-    fn geometry(&self) -> (&HashFamily, usize);
-
-    /// Whether every probed position is occupied. Implementations should
-    /// make this the cheap path — it gates every weight-table access.
-    fn occupied(&self, probes: Probes) -> bool;
-
     /// The weight set at `idx`; `None` if the position is empty.
     fn set_at(&self, idx: usize) -> Option<&WeightSet>;
+
+    /// The mask fold's tables: the sorted weight universe and, per
+    /// weight-set entry, the mask of the universe weights it holds; `None`
+    /// while the universe is wider than [`MASK_WIDTH`].
+    fn fold_masks(&self) -> Option<(&WeightSet, &[u64])>;
+
+    /// The weight-set entry of the occupied position `idx`: its index into
+    /// the masks of [`ProbeTable::fold_masks`].
+    fn entry_at(&self, idx: usize) -> usize;
 }
 
 /// The running intersection state: borrowing from the table until a second
 /// distinct set forces an owned copy in the scratch buffer.
-enum Acc<'a> {
+pub(crate) enum Acc<'a> {
     Start,
     Borrowed(&'a WeightSet),
     Owned,
@@ -210,7 +216,7 @@ impl<'a> Acc<'a> {
     /// to `owned` once a second distinct set shows up. Returns `true` once
     /// the intersection is empty: it can never grow back, so the caller
     /// stops and reports the weight-inconsistent reject.
-    fn fold(&mut self, set: &'a WeightSet, owned: &mut WeightSet) -> bool {
+    pub(crate) fn fold(&mut self, set: &'a WeightSet, owned: &mut WeightSet) -> bool {
         match *self {
             Acc::Start => *self = Acc::Borrowed(set),
             Acc::Borrowed(first) if std::ptr::eq(first, set) => {}
@@ -228,74 +234,38 @@ impl<'a> Acc<'a> {
     }
 }
 
-/// Queries one key into `out` (cleared and overwritten). `None` if any
-/// probed position is unoccupied; otherwise `Some(())` with the probes'
-/// weight intersection in `out` (empty = weight-inconsistent reject).
-pub(crate) fn query_into<T: ProbeTable>(table: &T, key: u64, out: &mut WeightSet) -> Option<()> {
-    let (family, len) = table.geometry();
-    let probes = family.probes(key, len);
-    if !table.occupied(probes.clone()) {
-        return None;
-    }
-    // Until a second distinct set shows up, no intersection (and so no
-    // copy) is needed.
-    let mut acc = Acc::Start;
-    for idx in probes {
-        if acc.fold(table.set_at(idx).expect("occupied position"), out) {
-            break;
-        }
-    }
-    if let Acc::Borrowed(set) = acc {
-        out.assign_sorted(set.iter());
-    }
-    Some(())
-}
-
-/// Queries a key sequence (the `b` sampled points of one candidate) and
-/// returns the weights common to every point, or `None` if any point fails
-/// the membership test. The returned reference borrows from `scratch` — or
-/// directly from the table when no copy was ever forced.
+/// The weight fold over probe positions hashed ahead of time, all already
+/// known to be occupied (the caller ran the mask membership pre-test).
+/// Returns `None` for an empty probe set, as a sequence query of no keys.
 ///
-/// Membership of *every* key is tested before any weight set is read
-/// (`I::IntoIter: Clone` pays for the second pass), so the dominant case —
-/// a candidate with at least one unknown point — costs only word-level bit
-/// probes, and the weight fold runs exclusively on candidates whose whole
-/// sequence is present.
-pub(crate) fn query_sequence_into<'s, T, I>(
-    table: &'s T,
-    keys: I,
-    scratch: &'s mut QueryScratch,
-) -> Option<&'s WeightSet>
-where
-    T: ProbeTable,
-    I: IntoIterator<Item = u64>,
-    I::IntoIter: Clone,
-{
-    let (family, len) = table.geometry();
-    let keys = keys.into_iter();
-    for key in keys.clone() {
-        if !table.occupied(family.probes(key, len)) {
-            return None;
-        }
-    }
-    fold_sets(table, keys.flat_map(|key| family.probes(key, len)), scratch)
-}
-
-/// The weight fold of [`query_sequence_into`] over probe positions hashed
-/// ahead of time, all already known to be occupied (the caller ran the
-/// mask membership pre-test). Returns `None` for an empty probe set,
-/// mirroring the empty-sequence contract.
-pub(crate) fn fold_positions<'s, T: ProbeTable>(
+/// Over a universe of at most [`MASK_WIDTH`] weights each set is one mask,
+/// so the fold is a chain of `AND`s with a zero early exit; wider universes
+/// take the sorted-set merge.
+pub(crate) fn fold_precomputed<'s, T: ProbeTable>(
     table: &'s T,
     indices: &[u32],
     scratch: &'s mut QueryScratch,
 ) -> Option<&'s WeightSet> {
-    fold_sets(table, indices.iter().map(|&idx| idx as usize), scratch)
+    let Some((universe, masks)) = table.fold_masks() else {
+        return fold_sets(table, indices.iter().map(|&idx| idx as usize), scratch);
+    };
+    if indices.is_empty() {
+        return None;
+    }
+    let mut mask = u64::MAX;
+    for &idx in indices {
+        mask &= masks[table.entry_at(idx as usize)];
+        if mask == 0 {
+            break;
+        }
+    }
+    scratch.acc.assign_mask(universe, mask);
+    Some(&scratch.acc)
 }
 
 /// Intersects the weight sets at occupied positions `indices`, stopping at
 /// the first empty intersection; `None` if there are no positions.
-fn fold_sets<'s, T: ProbeTable>(
+pub(crate) fn fold_sets<'s, T: ProbeTable>(
     table: &'s T,
     indices: impl Iterator<Item = usize>,
     scratch: &'s mut QueryScratch,

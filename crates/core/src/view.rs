@@ -2,40 +2,41 @@
 //! the received bytes.
 //!
 //! The owned decoder ([`decode_wbf`](crate::encode::decode_wbf)) copies a
-//! weight set out to every set bit — the right shape for mutation (delta
-//! application, checkpoints), but pure overhead for a base station that
-//! only wants to *probe* the broadcast. [`WbfFrameView`] keeps the frame's
-//! per-bit set-id region as a borrowed slice of the receive buffer:
-//! validation runs once at parse time, then each occupied probe finds its
-//! weight set by rank — a prefix-popcount over the bit array gives the
-//! probe's ordinal among set bits, which indexes the id region directly.
-//! The owned decoder is this view converted (`WeightedBloomFilter::from`),
-//! so both accept and reject exactly the same frames.
+//! weight set out to every set bit — the right shape for mutation (a
+//! streaming station's delta application), but pure overhead for a base
+//! station that only wants to *probe* the broadcast. [`WbfFrameView`]
+//! keeps the frame's per-bit set-id region as a borrowed slice of the
+//! receive buffer: validation runs once at parse time, then each occupied
+//! probe finds its weight set by rank — a prefix-popcount over the bit
+//! array gives the probe's ordinal among set bits, which indexes the id
+//! region directly. The owned decoder is this view converted
+//! (`WeightedBloomFilter::from`), so both accept and reject exactly the
+//! same frames.
 //!
-//! Queries answer bit-identically to the owned filter decoded from the same
-//! frame; the scan conformance suite pins that equivalence across every
-//! execution mode.
-
-use std::sync::OnceLock;
+//! An accepted frame is canonical (see [`encode`](crate::encode)), so its
+//! weight dictionary is the filter's weight universe, and each set-table
+//! entry's fold mask over it comes out of the parse: the view folds by the
+//! same mask routine as the owned filter. Folds answer bit-identically to
+//! the owned filter decoded from the same frame; the scan conformance
+//! suite pins that equivalence.
 
 use bytes::Bytes;
 
 use crate::bitset::BitSet;
 use crate::error::{CoreError, Result};
-use crate::hash::{HashFamily, Probes};
+use crate::hash::HashFamily;
 use crate::probe::{self, ProbeTable, QueryScratch};
 use crate::wbf::WeightedBloomFilter;
 use crate::weight_set::WeightSet;
 
 /// A validated, read-only view of an encoded weighted Bloom filter frame.
 ///
-/// Holds the decoded bit array, hash family and interned weight-set table,
-/// but keeps the per-bit set-id region as a zero-copy slice of the received
-/// bytes (`Bytes` is reference-counted, so the view shares the receive
-/// buffer instead of re-materializing thousands of per-bit entries). All
-/// query entry points mirror
-/// [`WeightedBloomFilter`](crate::WeightedBloomFilter) and return the exact
-/// same answers the owned decode of the same frame would.
+/// Holds the decoded bit array, hash family, weight universe and interned
+/// weight-set table, but keeps the per-bit set-id region as a zero-copy
+/// slice of the received bytes (`Bytes` is reference-counted, so the view
+/// shares the receive buffer instead of re-materializing thousands of
+/// per-bit entries). Its weight folds return the exact same answers the
+/// owned decode of the same frame would.
 ///
 /// Created by [`encode::view_wbf`](crate::encode::view_wbf).
 #[derive(Debug, Clone)]
@@ -46,19 +47,24 @@ pub struct WbfFrameView {
     /// table load plus one masked popcount.
     rank: Vec<u32>,
     sets: Vec<WeightSet>,
+    /// The frame's weight dictionary, which is its weight universe.
+    universe: WeightSet,
+    /// Per set-table entry, its fold mask over `universe`; `None` for a
+    /// universe wider than a mask.
+    masks: Option<Vec<u64>>,
     /// The frame's per-bit set-id region: one little-endian id of
     /// `id_width` bytes per set bit, in ascending bit order, borrowed from
     /// the receive buffer.
     ids: Bytes,
-    /// Bytes per set id: 1, 2 or 4, the narrowest that indexes `sets`.
+    /// Bytes per set id: 1 or 2, the narrower that indexes `sets`.
     id_width: usize,
     family: HashFamily,
     inserted: u64,
-    universe: OnceLock<WeightSet>,
 }
 
 /// Parses and validates a weighted frame into a view: every set bit has a
-/// set id inside the set table, and nothing trails the id region.
+/// set id inside the set table, the ids name every entry in first-seen
+/// order, and nothing trails the id region.
 pub(crate) fn parse_frame(mut data: Bytes) -> Result<WbfFrameView> {
     let body = crate::encode::take_wbf_body(&mut data)?;
     let ones = body.bits.count_ones();
@@ -69,10 +75,25 @@ pub(crate) fn parse_frame(mut data: Bytes) -> Result<WbfFrameView> {
     if data.len() > region {
         return Err(CoreError::decode("trailing bytes after filter payload"));
     }
-    let (table, mut in_table) = (body.sets.len(), true);
-    for_each_id(&data, body.id_width, |id| in_table &= id < table);
-    if !in_table {
+    // First-seen order: no id exceeds the largest id before it by more
+    // than one. `top` ends one past the largest id, which must be the
+    // table's length: more means an id outside the table, less an entry
+    // no bit names.
+    let (mut top, mut ordered) = (0usize, true);
+    for_each_id(&data, body.id_width, |id| {
+        ordered &= id <= top;
+        top = top.max(id + 1);
+    });
+    if top > body.sets.len() {
         return Err(CoreError::decode("set id outside set table"));
+    }
+    if !ordered {
+        return Err(CoreError::decode(
+            "set table entries out of first-seen order",
+        ));
+    }
+    if top < body.sets.len() {
+        return Err(CoreError::decode("set table entry named by no set bit"));
     }
     let words = body.bits.as_words();
     let mut rank = Vec::with_capacity(words.len());
@@ -87,9 +108,10 @@ pub(crate) fn parse_frame(mut data: Bytes) -> Result<WbfFrameView> {
         bits: body.bits,
         rank,
         sets: body.sets,
+        universe: body.universe,
+        masks: body.masks,
         family: body.family,
         inserted: body.inserted,
-        universe: OnceLock::new(),
     })
 }
 
@@ -98,33 +120,26 @@ pub(crate) fn parse_frame(mut data: Bytes) -> Result<WbfFrameView> {
 /// plain fixed-stride loop.
 #[inline]
 fn for_each_id(ids: &[u8], width: usize, mut f: impl FnMut(usize)) {
-    match width {
-        1 => ids.iter().for_each(|&id| f(usize::from(id))),
-        2 => ids
-            .chunks_exact(2)
-            .for_each(|id| f(usize::from(u16::from_le_bytes([id[0], id[1]])))),
-        _ => ids
-            .chunks_exact(4)
-            .for_each(|id| f(u32::from_le_bytes([id[0], id[1], id[2], id[3]]) as usize)),
+    if width == 1 {
+        ids.iter().for_each(|&id| f(usize::from(id)));
+    } else {
+        ids.chunks_exact(2)
+            .for_each(|id| f(usize::from(u16::from_le_bytes([id[0], id[1]]))));
     }
 }
 
 impl WbfFrameView {
-    /// The weight set attached at `bit`, or `None` if the bit is clear.
-    fn set_at_bit(&self, bit: usize) -> Option<&WeightSet> {
+    /// The set-table id of the set bit `bit`.
+    #[inline]
+    fn id_at(&self, bit: usize) -> usize {
         let word = self.bits.as_words()[bit / 64];
-        let mask = 1u64 << (bit % 64);
-        if word & mask == 0 {
-            return None;
+        let below = word & ((1u64 << (bit % 64)) - 1);
+        let at = (self.rank[bit / 64] as usize + below.count_ones() as usize) * self.id_width;
+        if self.id_width == 1 {
+            usize::from(self.ids[at])
+        } else {
+            usize::from(u16::from_le_bytes([self.ids[at], self.ids[at + 1]]))
         }
-        let ord = self.rank[bit / 64] as usize + (word & (mask - 1)).count_ones() as usize;
-        let (ids, at) = (&self.ids[..], ord * self.id_width);
-        let id = match self.id_width {
-            1 => usize::from(ids[at]),
-            2 => usize::from(u16::from_le_bytes([ids[at], ids[at + 1]])),
-            _ => u32::from_le_bytes([ids[at], ids[at + 1], ids[at + 2], ids[at + 3]]) as usize,
-        };
-        Some(&self.sets[id])
     }
 
     /// The filter length in bits.
@@ -164,47 +179,9 @@ impl WbfFrameView {
         self.bits.contains_probes(self.family.probes(key, m))
     }
 
-    /// Queries a sequence of keys; see
-    /// [`WeightedBloomFilter::query_sequence`]. Allocates the result — the
-    /// scan hot path uses [`WbfFrameView::query_sequence_into`].
-    pub fn query_sequence<I>(&self, keys: I) -> Option<WeightSet>
-    where
-        I: IntoIterator<Item = u64>,
-        I::IntoIter: Clone,
-    {
-        let mut scratch = QueryScratch::new();
-        self.query_sequence_into(keys, &mut scratch).cloned()
-    }
-
-    /// Allocation-free sequence query; see
-    /// [`WeightedBloomFilter::query_sequence_into`].
-    pub fn query_sequence_into<'s, I>(
-        &'s self,
-        keys: I,
-        scratch: &'s mut QueryScratch,
-    ) -> Option<&'s WeightSet>
-    where
-        I: IntoIterator<Item = u64>,
-        I::IntoIter: Clone,
-    {
-        probe::query_sequence_into(self, keys, scratch)
-    }
-
-    /// Sequence query over a probe set hashed once; see
-    /// [`WeightedBloomFilter::query_precomputed`].
-    pub fn query_precomputed<'s>(
-        &'s self,
-        pre: &probe::PrecomputedProbes,
-        scratch: &'s mut QueryScratch,
-    ) -> Option<&'s WeightSet> {
-        if pre.is_empty() || !self.bits.contains_probes_simd(pre.words(), pre.mask_bits()) {
-            return None;
-        }
-        probe::fold_positions(self, pre.indices(), scratch)
-    }
-
-    /// The weight fold alone, for probes already known occupied; see
-    /// [`WeightedBloomFilter::fold_weights_precomputed`].
+    /// The weight fold over probes already known to be occupied; see
+    /// [`WeightedBloomFilter::fold_weights_precomputed`], whose mask fold
+    /// this shares.
     ///
     /// # Panics
     ///
@@ -215,43 +192,28 @@ impl WbfFrameView {
         pre: &probe::PrecomputedProbes,
         scratch: &'s mut QueryScratch,
     ) -> Option<&'s WeightSet> {
-        probe::fold_positions(self, pre.indices(), scratch)
+        probe::fold_precomputed(self, pre.indices(), scratch)
     }
 
     /// The sorted set of every distinct weight attached at some set bit —
-    /// see [`WeightedBloomFilter::weight_universe`]. Computed once per view
-    /// and cached.
-    ///
-    /// Only *referenced* set-table entries contribute: a hostile frame may
-    /// carry table entries no bit points at, and the owned decoder's
-    /// universe (built from the exploded per-bit table) would not see them
-    /// either.
+    /// see [`WeightedBloomFilter::weight_universe`]. A canonical frame
+    /// references every dictionary weight, so this is the dictionary.
     pub fn weight_universe(&self) -> &WeightSet {
-        self.universe.get_or_init(|| {
-            let mut seen = vec![false; self.sets.len()];
-            for_each_id(&self.ids, self.id_width, |id| seen[id] = true);
-            let mut all = WeightSet::new();
-            for (set, used) in self.sets.iter().zip(&seen) {
-                if *used {
-                    all.union_with(set);
-                }
-            }
-            all
-        })
+        &self.universe
     }
 }
 
 impl ProbeTable for WbfFrameView {
-    fn geometry(&self) -> (&HashFamily, usize) {
-        (&self.family, self.bits.len())
-    }
-
-    fn occupied(&self, probes: Probes) -> bool {
-        self.bits.contains_probes(probes)
-    }
-
     fn set_at(&self, idx: usize) -> Option<&WeightSet> {
-        self.set_at_bit(idx)
+        self.bits.get(idx).then(|| &self.sets[self.id_at(idx)])
+    }
+
+    fn fold_masks(&self) -> Option<(&WeightSet, &[u64])> {
+        Some((&self.universe, self.masks.as_deref()?))
+    }
+
+    fn entry_at(&self, idx: usize) -> usize {
+        self.id_at(idx)
     }
 }
 
@@ -280,7 +242,7 @@ impl PartialEq<WeightedBloomFilter> for WbfFrameView {
             && self
                 .bits
                 .iter_ones()
-                .all(|bit| self.set_at_bit(bit) == ProbeTable::set_at(other, bit))
+                .all(|bit| self.set_at(bit) == ProbeTable::set_at(other, bit))
     }
 }
 
@@ -298,6 +260,18 @@ mod tests {
             wbf.insert(*v, Weight::new(i as u64 + 1, 10).unwrap());
         }
         wbf
+    }
+
+    /// The scan's probe of `keys`: hash once, test membership by mask,
+    /// then fold — what a station runs against a view.
+    fn scan_probe(view: &WbfFrameView, keys: &[u64]) -> Option<WeightSet> {
+        let mut pre = probe::PrecomputedProbes::new();
+        pre.compute(&view.family, view.bit_len(), keys);
+        if pre.is_empty() || !view.bits.contains_probes_simd(pre.words(), pre.mask_bits()) {
+            return None;
+        }
+        view.fold_weights_precomputed(&pre, &mut QueryScratch::new())
+            .cloned()
     }
 
     #[test]
@@ -319,45 +293,41 @@ mod tests {
         let frame = encode_wbf(&wbf).unwrap();
         let owned = crate::encode::decode_wbf(frame.clone()).unwrap();
         let view = view_wbf(frame).unwrap();
-        let mut vs = QueryScratch::new();
-        let mut os = QueryScratch::new();
         for v in [10u64, 20, 30, 40, 50, 999, 0, u64::MAX] {
             assert_eq!(view.contains(v), owned.contains(v));
             assert_eq!(
-                view.query_sequence_into([v], &mut vs),
-                owned.query_sequence_into([v], &mut os),
+                scan_probe(&view, &[v]),
+                owned.query_sequence([v]),
                 "key {v}"
             );
         }
         assert_eq!(
-            view.query_sequence_into([10u64, 20], &mut vs),
-            owned.query_sequence_into([10u64, 20], &mut os)
+            scan_probe(&view, &[10, 20]),
+            owned.query_sequence([10u64, 20])
         );
-        assert_eq!(
-            view.query_sequence_into([] as [u64; 0], &mut vs),
-            owned.query_sequence_into([] as [u64; 0], &mut os)
-        );
+        assert_eq!(scan_probe(&view, &[]), owned.query_sequence([]));
     }
 
     #[test]
     fn view_precomputed_matches_sequence_path() {
-        let wbf = sample();
-        let view = view_wbf(encode_wbf(&wbf).unwrap()).unwrap();
-        let mut pre = probe::PrecomputedProbes::new();
-        let mut a = QueryScratch::new();
-        let mut b = QueryScratch::new();
-        for keys in [vec![10u64], vec![10, 20], vec![10, 999], vec![]] {
-            pre.compute(
-                &HashFamily::new(view.hashes(), view.seed()),
-                view.bit_len(),
-                &keys,
-            );
-            assert_eq!(
-                view.query_precomputed(&pre, &mut a).cloned(),
-                view.query_sequence_into(keys.iter().copied(), &mut b)
-                    .cloned(),
-                "keys {keys:?}"
-            );
+        // The mask fold and the merge fold (a universe wider than a mask)
+        // both answer as the owned sequence query does.
+        let narrow = sample();
+        let mut wide = WeightedBloomFilter::new(FilterParams::new(8192, 3).unwrap(), 5);
+        for v in 0..80u64 {
+            wide.insert(v * 7, Weight::new(v + 1, 100).unwrap());
+            wide.insert(v * 7 + 1, Weight::new(v + 1, 100).unwrap());
+        }
+        for (wbf, masked) in [(narrow, true), (wide, false)] {
+            let view = view_wbf(encode_wbf(&wbf).unwrap()).unwrap();
+            assert_eq!(view.masks.is_some(), masked);
+            for keys in [vec![10u64], vec![10, 20], vec![10, 999], vec![7, 8], vec![]] {
+                assert_eq!(
+                    scan_probe(&view, &keys),
+                    wbf.query_sequence(keys.iter().copied()),
+                    "keys {keys:?}"
+                );
+            }
         }
     }
 
@@ -382,12 +352,26 @@ mod tests {
 
     #[test]
     fn unreferenced_set_table_entries_do_not_leak_into_the_universe() {
-        // Owned decode drops table entries no bit references; the view's
-        // cached universe must agree.
+        // A table entry no bit names is refused outright, so the universe
+        // a view reads off its dictionary is the owned decode's.
         let wbf = sample();
         let frame = encode_wbf(&wbf).unwrap();
         let owned = crate::encode::decode_wbf(frame.clone()).unwrap();
-        let view = view_wbf(frame).unwrap();
+        let view = view_wbf(frame.clone()).unwrap();
         assert_eq!(view.weight_universe(), owned.weight_universe());
+        // Declare one more entry, the first dictionary weight alone, just
+        // before the id width byte: no set bit names it.
+        let ones = wbf.bits().count_ones();
+        let width_at = frame.len() - ones - 1;
+        let count_at = 32 + 4096 / 8 + 4 + 16 * wbf.weight_universe().len();
+        let mut raw = frame.to_vec();
+        let count = u32::from_le_bytes(raw[count_at..count_at + 4].try_into().unwrap());
+        raw[count_at..count_at + 4].copy_from_slice(&(count + 1).to_le_bytes());
+        raw.splice(width_at..width_at, [1, 0, 0, 0]);
+        let err = view_wbf(Bytes::from(raw.clone())).unwrap_err();
+        assert_eq!(
+            crate::encode::decode_wbf(Bytes::from(raw)).unwrap_err(),
+            err
+        );
     }
 }

@@ -15,9 +15,9 @@ use std::sync::OnceLock;
 
 use crate::bitset::BitSet;
 use crate::error::{CoreError, Result};
-use crate::hash::{HashFamily, Probes};
+use crate::hash::HashFamily;
 use crate::params::FilterParams;
-use crate::probe::{self, ProbeTable, QueryScratch};
+use crate::probe::{self, ProbeTable, QueryScratch, MASK_WIDTH};
 use crate::weight::Weight;
 use crate::weight_set::WeightSet;
 
@@ -118,9 +118,6 @@ struct FoldState {
     /// merge path.
     masks: Option<Vec<u64>>,
 }
-
-/// Mask bits a [`FoldState`] has: universes wider than this fold generically.
-const MASK_WIDTH: usize = 64;
 
 impl FoldState {
     fn derive(sets: &[WeightSet]) -> FoldState {
@@ -333,7 +330,7 @@ impl WeightedBloomFilter {
     /// [`WeightedBloomFilter::query_into`] with a reused buffer instead.
     pub fn query(&self, key: u64) -> Option<WeightSet> {
         let mut out = WeightSet::new();
-        probe::query_into(self, key, &mut out).map(|()| out)
+        self.query_into(key, &mut out).map(|()| out)
     }
 
     /// Allocation-free [`WeightedBloomFilter::query`]: the intersection is
@@ -341,7 +338,23 @@ impl WeightedBloomFilter {
     /// first occupied probe is borrowed from the filter; only a second
     /// distinct probe copies anything.
     pub fn query_into(&self, key: u64, out: &mut WeightSet) -> Option<()> {
-        probe::query_into(self, key, out)
+        let probes = self.family.probes(key, self.bits.len());
+        if !self.bits.contains_probes(probes.clone()) {
+            return None;
+        }
+        let mut acc = probe::Acc::Start;
+        for idx in probes {
+            if acc.fold(
+                ProbeTable::set_at(self, idx).expect("occupied position"),
+                out,
+            ) {
+                break;
+            }
+        }
+        if let probe::Acc::Borrowed(set) = acc {
+            out.assign_sorted(set.iter());
+        }
+        Some(())
     }
 
     /// Queries a sequence of keys (the `b` sampled points of one candidate
@@ -367,6 +380,10 @@ impl WeightedBloomFilter {
     /// the result borrows from it — or directly from the filter when a
     /// single position's set *is* the answer, in which case nothing is
     /// copied at all.
+    ///
+    /// Membership of *every* key is tested before any weight set is read
+    /// (`I::IntoIter: Clone` pays for the second pass), so a candidate with
+    /// at least one unknown point costs only word-level bit probes.
     pub fn query_sequence_into<'s, I>(
         &'s self,
         keys: I,
@@ -376,7 +393,14 @@ impl WeightedBloomFilter {
         I: IntoIterator<Item = u64>,
         I::IntoIter: Clone,
     {
-        probe::query_sequence_into(self, keys, scratch)
+        let (family, len) = (&self.family, self.bits.len());
+        let keys = keys.into_iter();
+        for key in keys.clone() {
+            if !self.bits.contains_probes(family.probes(key, len)) {
+                return None;
+            }
+        }
+        probe::fold_sets(self, keys.flat_map(|key| family.probes(key, len)), scratch)
     }
 
     /// [`WeightedBloomFilter::query_sequence_into`] over a probe set hashed
@@ -415,27 +439,7 @@ impl WeightedBloomFilter {
         pre: &crate::probe::PrecomputedProbes,
         scratch: &'s mut QueryScratch,
     ) -> Option<&'s WeightSet> {
-        let indices = pre.indices();
-        let state = self.fold_state();
-        if let Some(masks) = &state.masks {
-            if indices.is_empty() {
-                return None;
-            }
-            // Every probed position's set as one mask over the universe:
-            // the whole fold is an AND chain with a zero early-exit, and
-            // the surviving intersection materializes straight from the
-            // sorted universe.
-            let mut mask = u64::MAX;
-            for &idx in indices {
-                mask &= masks[self.slots[idx as usize] as usize];
-                if mask == 0 {
-                    break;
-                }
-            }
-            scratch.acc.assign_mask(&state.universe, mask);
-            return Some(&scratch.acc);
-        }
-        probe::fold_positions(self, indices, scratch)
+        probe::fold_precomputed(self, pre.indices(), scratch)
     }
 
     /// The derived weight state, built from the sets on first use after a
@@ -662,14 +666,6 @@ impl PartialEq for WeightedBloomFilter {
 impl Eq for WeightedBloomFilter {}
 
 impl ProbeTable for WeightedBloomFilter {
-    fn geometry(&self) -> (&HashFamily, usize) {
-        (&self.family, self.bits.len())
-    }
-
-    fn occupied(&self, probes: Probes) -> bool {
-        self.bits.contains_probes(probes)
-    }
-
     fn set_at(&self, idx: usize) -> Option<&WeightSet> {
         match self.slots[idx] {
             EMPTY_SLOT => None,
@@ -678,6 +674,15 @@ impl ProbeTable for WeightedBloomFilter {
                 (!set.is_empty()).then_some(set)
             }
         }
+    }
+
+    fn fold_masks(&self) -> Option<(&WeightSet, &[u64])> {
+        let state = self.fold_state();
+        Some((&state.universe, state.masks.as_deref()?))
+    }
+
+    fn entry_at(&self, idx: usize) -> usize {
+        self.slots[idx] as usize
     }
 }
 

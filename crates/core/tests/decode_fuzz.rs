@@ -1,6 +1,8 @@
 //! Robustness: decoders must never panic on malformed input — every mutated
 //! or truncated buffer either fails cleanly or yields a structurally valid
-//! filter. Weighted frames are fuzzed at every per-bit set-id width.
+//! filter. Weighted frames are fuzzed at both per-bit set-id widths, and
+//! every mutated frame that still decodes re-encodes to itself: a decoder
+//! accepts exactly the encoder's image.
 
 use std::sync::OnceLock;
 
@@ -18,11 +20,35 @@ fn sample_wbf() -> WeightedBloomFilter {
     wbf
 }
 
+/// A filter whose set table holds exactly `sets` entries: one hash
+/// function, and the `n`-th key to land on a fresh bit (counting from 1)
+/// carries the weights named by `n`'s binary digits, so every set bit
+/// holds a distinct weight set.
+fn filter_with_sets(sets: usize) -> WeightedBloomFilter {
+    let params = FilterParams::new(1 << 12, 1).expect("valid");
+    let mut wbf = WeightedBloomFilter::new(params, 5);
+    let digits: Vec<Weight> = (0..usize::BITS - sets.leading_zeros())
+        .map(|d| Weight::new(1, u64::from(d) + 2).expect("valid"))
+        .collect();
+    let (mut n, mut key) = (0usize, 0u64);
+    while n < sets {
+        if !wbf.contains(key) {
+            n += 1;
+            for (d, &weight) in digits.iter().enumerate() {
+                if n >> d & 1 == 1 {
+                    wbf.insert(key, weight);
+                }
+            }
+        }
+        key += 1;
+    }
+    wbf
+}
+
 /// Rewrites `sample_wbf`'s frame with its set table padded to `table`
-/// entries by unreferenced one-weight entries, and its per-bit ids
-/// re-encoded at the width a table that size takes (2 bytes past 256
-/// entries, 4 past 65,536). The encoder only writes referenced sets, so
-/// padding reaches the wide ids without tens of thousands of set bits.
+/// entries by one-weight entries no bit names, and its per-bit ids
+/// re-encoded at the width a table that size once took (2 bytes past 256
+/// entries, 4 past 65,536). Decoders now refuse such frames.
 fn padded_sample_frame(table: usize) -> Bytes {
     let frame = encode::encode_wbf(&sample_wbf()).expect("encodable");
     let u32_at = |at: usize| u32::from_le_bytes(frame[at..at + 4].try_into().unwrap()) as usize;
@@ -49,24 +75,16 @@ fn padded_sample_frame(table: usize) -> Bytes {
     Bytes::from(out)
 }
 
-/// `sample_wbf`'s frame at 1-, 2- and 4-byte set ids, built once, each
-/// with the offset of its id-width byte (the id region runs from there to
-/// the end).
-fn frames_at_every_width() -> &'static [(Bytes, usize); 3] {
-    static FRAMES: OnceLock<[(Bytes, usize); 3]> = OnceLock::new();
+/// A weighted frame at 1- and at 2-byte set ids — `sample_wbf`'s, and a
+/// real 257-set filter's — built once, each with the offset of its id-width
+/// byte (the id region runs from there to the end).
+fn frames_at_every_width() -> &'static [(Bytes, usize); 2] {
+    static FRAMES: OnceLock<[(Bytes, usize); 2]> = OnceLock::new();
     FRAMES.get_or_init(|| {
-        let ones = sample_wbf().bits().count_ones();
-        let frames = [
-            (encode::encode_wbf(&sample_wbf()).expect("encodable"), 1),
-            (padded_sample_frame(257), 2),
-            (padded_sample_frame(65_537), 4),
-        ];
-        frames.map(|(frame, width)| {
-            assert_eq!(
-                encode::decode_wbf(frame.clone()).expect("padded frames decode"),
-                sample_wbf()
-            );
-            let tail = frame.len() - 1 - ones * width;
+        [(sample_wbf(), 1), (filter_with_sets(257), 2)].map(|(wbf, width)| {
+            let frame = encode::encode_wbf(&wbf).expect("encodable");
+            assert_eq!(encode::decode_wbf(frame.clone()).expect("decodes"), wbf);
+            let tail = frame.len() - 1 - wbf.bits().count_ones() * width;
             assert_eq!(usize::from(frame[tail]), width);
             (frame, tail)
         })
@@ -82,12 +100,32 @@ fn sample_bloom() -> BloomFilter {
     bf
 }
 
+// Padding a set table reached the wide ids without tens of thousands of
+// set bits, but the padding is itself non-canonical: duplicate entries no
+// bit names, or a table past the 65,536-entry cap. Both decoders refuse
+// the padded frames with the same message.
+#[test]
+fn padded_set_tables_are_rejected_alike_by_owned_and_view_decode() {
+    for (table, message) in [
+        (257, "duplicate weight set table entry"),
+        (65_537, "weight set table too large"),
+    ] {
+        let frame = padded_sample_frame(table);
+        let owned = encode::decode_wbf(frame.clone()).expect_err("padded frame decoded");
+        assert_eq!(
+            encode::view_wbf(frame).expect_err("padded frame viewed"),
+            owned
+        );
+        assert!(owned.to_string().contains(message), "{table}: {owned}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
     fn mutated_wbf_payload_never_panics(
-        width in 0usize..3,
+        width in 0usize..2,
         flips in vec((any::<prop::sample::Index>(), any::<u8>()), 1..8),
         tail_flips in vec((any::<prop::sample::Index>(), any::<u8>()), 0..4),
     ) {
@@ -97,22 +135,24 @@ proptest! {
             let i = index.index(raw.len());
             raw[i] ^= value;
         }
-        // The width byte and id region are a sliver of a padded frame, so
-        // some flips aim there.
+        // The width byte and id region are a sliver of the frame, so some
+        // flips aim there.
         for (index, value) in tail_flips {
             let i = tail + index.index(raw.len() - tail);
             raw[i] ^= value;
         }
         // Must not panic; any Ok result is a structurally valid filter that
-        // can answer queries.
-        if let Ok(filter) = encode::decode_wbf(Bytes::from(raw)) {
+        // can answer queries, and is the filter the bytes encode.
+        let raw = Bytes::from(raw);
+        if let Ok(filter) = encode::decode_wbf(raw.clone()) {
             let _ = filter.query(12345);
+            prop_assert_eq!(encode::encode_wbf(&filter).expect("re-encodes"), raw);
         }
     }
 
     #[test]
     fn truncated_wbf_payload_never_panics(
-        width in 0usize..3,
+        width in 0usize..2,
         cut in any::<prop::sample::Index>(),
         in_tail in any::<bool>(),
     ) {
@@ -135,8 +175,10 @@ proptest! {
             let i = index.index(raw.len());
             raw[i] ^= value;
         }
-        if let Ok(filter) = encode::decode_bloom(Bytes::from(raw)) {
+        let raw = Bytes::from(raw);
+        if let Ok(filter) = encode::decode_bloom(raw.clone()) {
             let _ = filter.contains(12345);
+            prop_assert_eq!(encode::encode_bloom(&filter), raw);
         }
     }
 

@@ -4,15 +4,18 @@
 //! `UserId → shard` mapping, so a station scans in shard-sized steps, each
 //! charged its own modeled scan ticks; the layout never changes the results
 //! or the report bytes. Each scan is
-//! *batch-first*: every locally stored pattern is accumulated, sampled and
-//! hashed **once**, then probed against every query section of the batch —
-//! one pass over the store per batch, however many queries it carries. Only
+//! *batch-first*: every locally stored pattern is accumulated and sampled
+//! **once**, then probed against every query section of the batch — one
+//! pass over the store per batch, however many queries it carries. Only
 //! `(query, ID, weight)` (or `(query, ID)` for the Bloom baseline) tuples
 //! travel back to the center.
 //!
 //! [`scan_shard_wbf`] and [`scan_shard_bloom`] are the two scans, one per
 //! filter family; a single-filter, unsharded scan is one section over one
-//! shard.
+//! shard. The WBF scan has one probe path for every section: a row's keys
+//! are hashed at the section's own geometry, reused across neighbouring
+//! sections that share it, tested by word mask and folded by weight mask,
+//! whether the section is an owned filter or a zero-copy frame view.
 
 use std::collections::BTreeMap;
 
@@ -207,14 +210,6 @@ pub trait WbfScanFilter: FilterCore {
         pre: &PrecomputedProbes,
         scratch: &'s mut QueryScratch,
     ) -> Option<&'s WeightSet>;
-
-    /// The full sequence query (membership + fold), hashing keys on the
-    /// fly — the fallback when sections disagree on geometry.
-    fn query_sequence_scratch<'s>(
-        &'s self,
-        keys: &[u64],
-        scratch: &'s mut QueryScratch,
-    ) -> Option<&'s WeightSet>;
 }
 
 impl WbfScanFilter for WeightedBloomFilter {
@@ -232,14 +227,6 @@ impl WbfScanFilter for WeightedBloomFilter {
         scratch: &'s mut QueryScratch,
     ) -> Option<&'s WeightSet> {
         WeightedBloomFilter::fold_weights_precomputed(self, pre, scratch)
-    }
-
-    fn query_sequence_scratch<'s>(
-        &'s self,
-        keys: &[u64],
-        scratch: &'s mut QueryScratch,
-    ) -> Option<&'s WeightSet> {
-        self.query_sequence_into(keys.iter().copied(), scratch)
     }
 }
 
@@ -259,26 +246,6 @@ impl WbfScanFilter for WbfFrameView {
     ) -> Option<&'s WeightSet> {
         WbfFrameView::fold_weights_precomputed(self, pre, scratch)
     }
-
-    fn query_sequence_scratch<'s>(
-        &'s self,
-        keys: &[u64],
-        scratch: &'s mut QueryScratch,
-    ) -> Option<&'s WeightSet> {
-        self.query_sequence_into(keys.iter().copied(), scratch)
-    }
-}
-
-/// The hash family shared by every section, when they all agree on
-/// `(bits, hashes, seed)` — the precondition for hashing each row's probe
-/// set once and replaying it per section.
-fn shared_geometry<F: WbfScanFilter>(sections: &[WbfScanSection<'_, F>]) -> Option<HashFamily> {
-    let (_, first, _) = *sections.first()?;
-    let geometry = (first.bit_len(), first.hashes(), first.seed());
-    sections
-        .iter()
-        .all(|&(_, f, _)| (f.bit_len(), f.hashes(), f.seed()) == geometry)
-        .then(|| HashFamily::new(first.hashes(), first.seed()))
 }
 
 /// One WBF query section as the station scan sees it: the filter plus the
@@ -289,7 +256,7 @@ fn shared_geometry<F: WbfScanFilter>(sections: &[WbfScanSection<'_, F>]) -> Opti
 pub type WbfScanSection<'a, F = WeightedBloomFilter> = (u32, &'a F, &'a [u64]);
 
 /// Algorithm 2 over one shard, batch-first: every stored pattern is sampled
-/// and hashed once, then probed against every WBF query section. Returns
+/// once, then probed against every WBF query section. Returns
 /// `(query, user, weight)` for each section that accepts a pattern with a
 /// consistent, plausible weight, in `(row, section)` visit order.
 ///
@@ -300,6 +267,13 @@ pub type WbfScanSection<'a, F = WeightedBloomFilter> = (u32, &'a F, &'a [u64]);
 /// skipped section could not have reported the row: the reports and their
 /// order are those of an exhaustive scan. The row is sampled before the
 /// test, so a malformed row errors exactly where an exhaustive scan would.
+///
+/// Every surviving section takes one probe path. The row's keys are hashed
+/// at the section's geometry key by key, and the section is dropped at its
+/// first key whose probes miss. Probes hashed for one section are reused by
+/// the next when the two share a geometry, so a batch of same-geometry
+/// sections hashes each key at most once. A section whose every key passes
+/// folds its weight sets.
 ///
 /// `meter`, when given, records the work performed: the full probe cost of
 /// every `(row, section)` pair that survives the test as `hash_ops`, every
@@ -314,7 +288,6 @@ pub fn scan_shard_wbf<F: WbfScanFilter>(
     config: &DiMatchingConfig,
     meter: Option<&CostMeter>,
 ) -> Result<Vec<(u32, UserId, Weight)>> {
-    let family = shared_geometry(sections);
     // Reserve for a percent-level hit rate so steady-state scans never grow
     // the report vector; reports stay rare in a miss-dominated store.
     let mut reports = Vec::with_capacity(
@@ -324,28 +297,22 @@ pub fn scan_shard_wbf<F: WbfScanFilter>(
             .min(1 << 16),
     );
     // Per-shard scratch: the key buffer, the probe core's intersection
-    // buffer and the precomputed probe set are reused across every row, so
-    // the per-(row × section) probe itself is allocation-free.
+    // buffer and the probe set are reused across every row, so the
+    // per-(row × section) probe itself is allocation-free.
     let mut keys: Vec<u64> = Vec::with_capacity(config.samples);
     let mut scratch = QueryScratch::new();
     let mut pre = PrecomputedProbes::new();
-    let mut alive: Vec<usize> = Vec::with_capacity(sections.len());
-    if family.is_some() {
-        pre.reserve(
-            config
-                .samples
-                .saturating_mul(usize::from(sections[0].1.hashes())),
-        );
-    }
+    let most_hashes = sections.iter().map(|s| s.1.hashes()).max().unwrap_or(0);
+    pre.reserve(config.samples.saturating_mul(usize::from(most_hashes)));
     for &(user, pattern) in shard {
         let local_total = sample_keys_into(pattern, config, &mut keys)?;
         let slack = config.eps.saturating_mul(pattern.len() as u64);
-        // Stage 1: the exact prune picks the candidate sections. The meter
-        // charges each candidate its full probe cost here, so the recorded
-        // cost depends on the row and the section alone, however early
-        // stage 2 cuts the actual hashing short.
-        alive.clear();
-        for (i, &(_, filter, query_totals)) in sections.iter().enumerate() {
+        // The geometry `pre` holds this row's probes for, if any.
+        let mut hashed = None;
+        for &(query, filter, query_totals) in sections {
+            // The exact prune. The meter charges each candidate its full
+            // probe cost here, so the recorded cost depends on the row and
+            // the section alone, however early the probe cuts hashing short.
             if select_weight(filter.weight_universe(), query_totals, local_total, slack).is_none() {
                 if let Some(m) = meter {
                     m.record_rows_pruned(1);
@@ -355,40 +322,23 @@ pub fn scan_shard_wbf<F: WbfScanFilter>(
             if let Some(m) = meter {
                 m.record_hash_ops(filter.probe_cost(keys.len()));
             }
-            alive.push(i);
-        }
-        if alive.is_empty() {
-            continue;
-        }
-        // Stage 2 (shared geometry): hash each sampled key once and test it
-        // against every still-alive section as one SIMD batch, dropping
-        // sections the moment a key misses. Hashing stops as soon as no
-        // candidate survives — in a miss-dominated store most rows die on
-        // the first key or two.
-        if let Some(fam) = &family {
-            pre.clear();
-            let bit_len = sections[alive[0]].1.bit_len();
-            for (key_ordinal, &key) in keys.iter().enumerate() {
-                pre.push_key(fam, bit_len, key);
-                let (words, masks) = pre.key_masks(key_ordinal);
-                alive.retain(|&i| sections[i].1.passes_masks(words, masks));
-                if alive.is_empty() {
-                    break;
-                }
+            let family = HashFamily::new(filter.hashes(), filter.seed());
+            let geometry = Some((family, filter.bit_len()));
+            if hashed != geometry {
+                pre.clear();
+                hashed = geometry;
             }
-        }
-        // Stage 3: survivors fold their weight sets. Under a shared geometry
-        // membership is already proven, so only the weight intersection
-        // remains; otherwise each section runs the full per-section
-        // sequence query.
-        for &i in &alive {
-            let (query, filter, query_totals) = sections[i];
-            let set = if family.is_some() {
-                filter.fold_weights_precomputed(&pre, &mut scratch)
-            } else {
-                filter.query_sequence_scratch(&keys, &mut scratch)
-            };
-            if let Some(set) = set {
+            let member = keys.iter().enumerate().all(|(ordinal, &key)| {
+                if ordinal == pre.key_count() {
+                    pre.push_key(&family, filter.bit_len(), key);
+                }
+                let (words, masks) = pre.key_masks(ordinal);
+                filter.passes_masks(words, masks)
+            });
+            if !member {
+                continue;
+            }
+            if let Some(set) = filter.fold_weights_precomputed(&pre, &mut scratch) {
                 if let Some(m) = meter {
                     m.record_comparisons(set.len() as u64 + 1);
                 }

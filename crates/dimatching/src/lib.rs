@@ -82,7 +82,7 @@ pub use query::PatternQuery;
 pub use result::{BatchOutcome, Method, MethodDetails, QueryOutcome, QueryVerdict};
 pub use routing::RoutingTree;
 pub use service::{Service, ServiceEpoch, TenantId};
-pub use strategy::{Bloom, FilterStrategy, Wbf, WbfStationView};
+pub use strategy::{Bloom, FilterStrategy, Wbf};
 pub use streaming::{
     run_streaming, EpochBroadcast, EpochOutcome, StationMemory, StreamQueryId, StreamingSession,
     StreamingUpdate,

@@ -14,7 +14,7 @@
 //! fork of the pipeline.
 
 use bytes::Bytes;
-use dipm_core::{encode, BloomFilter, Weight, WeightedBloomFilter};
+use dipm_core::{encode, BloomFilter, Weight};
 use dipm_distsim::{CostMeter, TrafficClass};
 use dipm_mobilenet::UserId;
 use dipm_timeseries::Pattern;
@@ -185,21 +185,6 @@ pub(crate) fn bucket_by_query<R>(
 /// The paper's weighted Bloom filter method (DI-matching proper).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Wbf;
-
-/// A station's **owned** decode of one WBF broadcast section: the filter
-/// plus the query volumes it shipped with.
-///
-/// The batch scan path no longer uses this — stations scan straight out of
-/// the received bytes via the zero-copy [`wire::WbfSectionView`]. The owned
-/// form remains for paths that must mutate filter state after decode:
-/// streaming delta application and checkpoint recovery.
-#[derive(Debug, Clone)]
-pub struct WbfStationView {
-    /// The weighted filter to probe.
-    pub filter: WeightedBloomFilter,
-    /// The query group's global volumes (the weight-plausibility anchors).
-    pub query_totals: Vec<u64>,
-}
 
 impl FilterStrategy for Wbf {
     const METHOD: Method = Method::Wbf;

@@ -435,8 +435,8 @@ pub fn decode_filter_broadcast(mut data: Bytes) -> Result<(Vec<u64>, Bytes)> {
 /// path uses this instead of materializing an owned
 /// [`WeightedBloomFilter`](dipm_core::WeightedBloomFilter), so a broadcast
 /// frame is never copied bit-by-bit into station-side structures. Owned
-/// decode remains for paths that must *mutate* filter state (streaming
-/// delta application, checkpoints).
+/// decode remains for the one path that must *mutate* filter state: a
+/// streaming station applying deltas to its full filter.
 #[derive(Debug, Clone)]
 pub struct WbfSectionView {
     /// The zero-copy filter view to probe.
@@ -683,6 +683,41 @@ fn take_varint(data: &mut Bytes) -> Result<u64> {
     Err(ProtocolError::malformed_report("varint exceeds 64 bits"))
 }
 
+/// Checks a delta's diff table against its entries in the canonical form
+/// [`FilterDelta::intern`] produces, which the encoder requires and the
+/// decoder accepts alone: every entry references a diff inside the table,
+/// the entries' first references run 0, 1, 2, … (first-seen order), every
+/// diff is referenced, and no diff repeats.
+fn check_diff_table(delta: &FilterDelta) -> Result<()> {
+    let mut named = 0;
+    for &(_, diff_ref) in &delta.entries {
+        let diff_ref = diff_ref as usize;
+        if diff_ref >= delta.diffs.len() {
+            return Err(ProtocolError::malformed_report(
+                "delta diff reference outside table",
+            ));
+        }
+        if diff_ref > named {
+            return Err(ProtocolError::malformed_report(
+                "delta diff table out of first-seen order",
+            ));
+        }
+        named += usize::from(diff_ref == named);
+    }
+    if named < delta.diffs.len() {
+        return Err(ProtocolError::malformed_report(
+            "delta diff referenced by no position",
+        ));
+    }
+    let mut distinct = std::collections::HashSet::with_capacity(delta.diffs.len());
+    if !delta.diffs.iter().all(|diff| distinct.insert(diff)) {
+        return Err(ProtocolError::malformed_report(
+            "duplicate delta diff table entry",
+        ));
+    }
+    Ok(())
+}
+
 /// Serializes a delta with the same weight-set interning idea the
 /// full-filter encoding uses, applied to *diffs*: a dictionary of distinct
 /// weights (`u16` ids), the diff table as `(removed, added)` id lists, and
@@ -691,6 +726,7 @@ fn take_varint(data: &mut Bytes) -> Result<u64> {
 /// diff onto every position it touches, so the table stays tiny however
 /// many positions change.
 fn put_filter_delta(buf: &mut BytesMut, delta: &FilterDelta) -> Result<()> {
+    check_diff_table(delta)?;
     // Dictionary of distinct weights across all diffs, ascending.
     let mut dict_set = WeightSet::new();
     for diff in &delta.diffs {
@@ -747,11 +783,6 @@ fn put_filter_delta(buf: &mut BytesMut, delta: &FilterDelta) -> Result<()> {
                 ))
             }
         };
-        if diff_ref as usize >= delta.diffs.len() {
-            return Err(ProtocolError::malformed_report(
-                "delta diff reference outside table",
-            ));
-        }
         previous = Some(pos);
         put_varint(buf, gap);
         put_varint(buf, u64::from(diff_ref));
@@ -782,6 +813,11 @@ fn take_filter_delta(data: &mut Bytes) -> Result<FilterDelta> {
         let den = data.get_u64_le();
         let weight = Weight::new(num, den)
             .map_err(|_| ProtocolError::malformed_report("zero weight denominator"))?;
+        if (weight.numerator(), weight.denominator()) != (num, den) {
+            return Err(ProtocolError::malformed_report(
+                "delta weight not in lowest terms",
+            ));
+        }
         if dict.last().is_some_and(|&last| weight <= last) {
             return Err(ProtocolError::malformed_report(
                 "delta dictionary must be strictly ascending",
@@ -802,6 +838,7 @@ fn take_filter_delta(data: &mut Bytes) -> Result<FilterDelta> {
         ));
     }
     let mut diffs: Vec<WeightDiff> = Vec::with_capacity(diffs_len);
+    let mut referenced = vec![false; dict_len];
     for _ in 0..diffs_len {
         if data.remaining() < 4 {
             return Err(ProtocolError::malformed_report(
@@ -835,6 +872,7 @@ fn take_filter_delta(data: &mut Bytes) -> Result<FilterDelta> {
                     ProtocolError::malformed_report("delta weight index outside dictionary")
                 })?;
                 side.insert(weight);
+                referenced[idx] = true;
             }
             Ok(side)
         };
@@ -846,6 +884,11 @@ fn take_filter_delta(data: &mut Bytes) -> Result<FilterDelta> {
             ));
         }
         diffs.push(WeightDiff { removed, added });
+    }
+    if referenced.contains(&false) {
+        return Err(ProtocolError::malformed_report(
+            "delta dictionary weight held by no diff",
+        ));
     }
     if data.remaining() < 4 {
         return Err(ProtocolError::malformed_report(
@@ -871,14 +914,14 @@ fn take_filter_delta(data: &mut Bytes) -> Result<FilterDelta> {
             ProtocolError::malformed_report("delta position exceeds the u32 filter range")
         })?;
         previous = Some(pos);
-        let diff_ref = take_varint(data)?;
-        let diff_ref = u32::try_from(diff_ref)
-            .ok()
-            .filter(|&i| (i as usize) < diffs.len())
-            .ok_or_else(|| ProtocolError::malformed_report("delta diff reference outside table"))?;
+        // References inside the table are checked with the table's form.
+        let diff_ref = u32::try_from(take_varint(data)?)
+            .map_err(|_| ProtocolError::malformed_report("delta diff reference outside table"))?;
         entries.push((pos, diff_ref));
     }
-    Ok(FilterDelta { diffs, entries })
+    let delta = FilterDelta { diffs, entries };
+    check_diff_table(&delta)?;
+    Ok(delta)
 }
 
 /// Frames one streaming epoch's broadcast.
@@ -926,11 +969,13 @@ pub fn encode_station_update(update: &StationUpdate) -> Result<Bytes> {
 
 /// Decodes one streaming epoch's broadcast.
 ///
-/// Delta frames are validated structurally here (counts bounded before
-/// allocation, dictionary and set references in range, strictly ascending
-/// positions, no trailing bytes); full frames hand their rest-of-buffer
-/// filter bytes to the filter decoder, which performs the equivalent
-/// validation.
+/// Delta frames are validated here (counts bounded before allocation,
+/// dictionary and diff references in range, strictly ascending positions,
+/// no trailing bytes) and must be canonical: a dictionary of reduced
+/// weights that the diffs hold in full, and a diff table of distinct,
+/// referenced diffs in first-seen order. Full frames hand their
+/// rest-of-buffer filter bytes to the filter decoder, which performs the
+/// equivalent validation.
 ///
 /// # Errors
 ///

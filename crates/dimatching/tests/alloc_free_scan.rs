@@ -181,6 +181,60 @@ fn zero_copy_wire_view_scan_holds_the_same_allocation_contract() {
 }
 
 #[test]
+fn mixed_geometry_view_scan_holds_the_same_allocation_contract() {
+    // Per-query sections are sized per query, so a batch's views rarely
+    // share a bit length. Alternating two geometries re-hashes every row
+    // at each section, into the same probe buffer: still no allocation
+    // per (row × section).
+    let config = DiMatchingConfig::default();
+    let built = build_wbf(&[query()], &config).expect("filter builds");
+    let wider = DiMatchingConfig {
+        fixed_geometry: Some(
+            dipm_core::FilterParams::new(built.filter.bit_len() + 1024, built.filter.hashes() + 1)
+                .expect("valid geometry"),
+        ),
+        ..config
+    };
+    let other = build_wbf(&[query()], &wider).expect("filter builds");
+    let view = |built: &dipm_protocol::BuiltFilter| {
+        let frame = wire::encode_filter_broadcast(
+            &built.query_totals,
+            dipm_core::encode::encode_wbf(&built.filter).expect("filter encodes"),
+        )
+        .expect("broadcast frames");
+        wire::view_filter_broadcast(frame).expect("broadcast views")
+    };
+    let views = [view(&built), view(&other)];
+    assert_ne!(views[0].filter.bit_len(), views[1].filter.bit_len());
+    let one_section: Vec<WbfScanSection<'_, WbfFrameView>> = vec![(0, &views[0].filter, &[])];
+    let four_sections: Vec<WbfScanSection<'_, WbfFrameView>> = (0..4)
+        .map(|i| (i as u32, &views[i % 2].filter, &[][..]))
+        .collect();
+
+    let small = measure_scan(&one_section, 64, &config);
+    let wide = measure_scan(&four_sections, 64, &config);
+    let tall = measure_scan(&one_section, 1024, &config);
+    let huge = measure_scan(&four_sections, 1024, &config);
+
+    assert!(
+        small <= 8,
+        "per-call setup should be a handful of allocations, got {small}"
+    );
+    assert!(
+        tall <= small + 1,
+        "16× the rows may at most warm the probe scratch once: {small} -> {tall}"
+    );
+    assert_eq!(
+        small, wide,
+        "4× the mixed-geometry sections must not add allocations"
+    );
+    assert_eq!(
+        tall, huge,
+        "4× the mixed-geometry sections over 16× the rows must stay at the setup cost"
+    );
+}
+
+#[test]
 fn delta_decoding_allocates_per_diff_not_per_entry() {
     // Two delta frames over one diff table, 100× apart in entry count: a
     // station decoding either must pay for the table alone.

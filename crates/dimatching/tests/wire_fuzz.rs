@@ -432,7 +432,8 @@ proptest! {
     }
 }
 
-/// The per-bit set-id width a set table of `entries` entries takes.
+/// The per-bit set-id width a set table of `entries` entries takes; past
+/// 65,536 entries, the 4 bytes such a table could once declare.
 fn id_width(entries: usize) -> usize {
     if entries <= 1 << 8 {
         1
@@ -458,29 +459,40 @@ fn set_table(frame: &[u8], bit_len: usize) -> (usize, usize, usize) {
     (count_at, entries, end)
 }
 
-/// Rewrites the weighted frame of a `bit_len`-bit filter with its set table
-/// padded to `table` entries by unreferenced one-weight entries, and its
-/// per-bit ids re-encoded at the width a table that size takes. The
-/// encoder only writes referenced sets, so a 4-byte id width would
-/// otherwise need more than 65,536 set bits; padded, the id region stays a
-/// few dozen ids long and every byte of it can be fuzzed.
-fn pad_set_table(frame: &[u8], bit_len: usize, table: usize) -> Vec<u8> {
-    let (count_at, entries, end) = set_table(frame, bit_len);
-    let (old_width, width) = (usize::from(frame[end]), id_width(table));
-    let mut out = frame[..count_at].to_vec();
-    out.extend_from_slice(&(table as u32).to_le_bytes());
-    out.extend_from_slice(&frame[count_at + 4..end]);
-    for _ in entries..table {
-        // { len 1, dictionary index 0 }
-        out.extend_from_slice(&[1, 0, 0, 0]);
+/// A filter whose set table holds exactly `sets` entries, built as
+/// `encode.rs` builds its width cases: one hash function, and the `n`-th
+/// key to land on a fresh bit (counting from 1) carries the weights named
+/// by `n`'s binary digits, so every set bit holds a distinct weight set.
+fn filter_with_sets(sets: usize) -> dipm_core::WeightedBloomFilter {
+    let params = dipm_core::FilterParams::new(1 << 12, 1).unwrap();
+    let mut wbf = dipm_core::WeightedBloomFilter::new(params, 5);
+    let digits: Vec<Weight> = (0..usize::BITS - sets.leading_zeros())
+        .map(|d| Weight::new(1, u64::from(d) + 2).unwrap())
+        .collect();
+    let (mut n, mut key) = (0usize, 0u64);
+    while n < sets {
+        if !wbf.contains(key) {
+            n += 1;
+            for (d, &weight) in digits.iter().enumerate() {
+                if n >> d & 1 == 1 {
+                    wbf.insert(key, weight);
+                }
+            }
+        }
+        key += 1;
     }
-    out.push(width as u8);
-    for id in frame[end + 1..].chunks_exact(old_width) {
-        let mut le = [0u8; 4];
-        le[..old_width].copy_from_slice(id);
-        out.extend_from_slice(&le[..width]);
+    wbf
+}
+
+/// An 8-key filter whose set bits share a handful of two-weight sets.
+fn small_filter() -> dipm_core::WeightedBloomFilter {
+    let params = dipm_core::FilterParams::new(1 << 10, 2).unwrap();
+    let mut wbf = dipm_core::WeightedBloomFilter::new(params, 7);
+    for key in 0..8u64 {
+        wbf.insert(key * 7919, Weight::new(1, key % 3 + 1).unwrap());
+        wbf.insert(key * 7919, Weight::new(2, key % 5 + 3).unwrap());
     }
-    out
+    wbf
 }
 
 /// A filter broadcast at one set-id width.
@@ -493,27 +505,19 @@ struct WidthCase {
     region: usize,
 }
 
-/// One filter broadcast per set-id width: a small filter's frame as
-/// encoded (width 1), and padded to 257 (width 2) and 65,537 (width 4)
-/// set-table entries.
+/// One filter broadcast per set-id width: a small filter's frame (width 1)
+/// and a real 257-set filter's (width 2).
 fn broadcasts_at_every_width() -> Vec<WidthCase> {
-    let params = dipm_core::FilterParams::new(1 << 10, 2).unwrap();
-    let mut wbf = dipm_core::WeightedBloomFilter::new(params, 7);
-    for key in 0..8u64 {
-        wbf.insert(key * 7919, Weight::new(1, key % 3 + 1).unwrap());
-        wbf.insert(key * 7919, Weight::new(2, key % 5 + 3).unwrap());
-    }
-    let frame = dipm_core::encode::encode_wbf(&wbf).unwrap();
-    let (_, own_table, _) = set_table(&frame, wbf.bit_len());
-    let ones = wbf.bits().count_ones();
-    [own_table, 257, 65_537]
+    [small_filter(), filter_with_sets(257)]
         .into_iter()
-        .map(|table| {
-            let filter = pad_set_table(&frame, wbf.bit_len(), table);
-            let broadcast = wire::encode_filter_broadcast(&[5, 9], Bytes::from(filter)).unwrap();
+        .map(|wbf| {
+            let filter = dipm_core::encode::encode_wbf(&wbf).unwrap();
+            let (_, table, _) = set_table(&filter, wbf.bit_len());
+            let broadcast = wire::encode_filter_broadcast(&[5, 9], filter).unwrap();
             let width = id_width(table);
+            assert_eq!(width, 1 + usize::from(table == 257), "{table} sets");
             WidthCase {
-                region: broadcast.len() - ones * width,
+                region: broadcast.len() - wbf.bits().count_ones() * width,
                 frame: broadcast.to_vec(),
                 width,
                 table,
@@ -578,6 +582,358 @@ fn truncation_in_the_id_region_is_rejected_alike_at_every_width() {
     }
 }
 
+/// A weighted frame split into the parts the canonical-form rules govern,
+/// so a test can break one rule and reassemble the rest as encoded.
+#[derive(Clone)]
+struct FrameParts {
+    /// Header and bit words, verbatim.
+    head: Vec<u8>,
+    /// Dictionary weights as written: `(numerator, denominator)`.
+    dict: Vec<(u64, u64)>,
+    /// Set-table entries as dictionary-id lists.
+    sets: Vec<Vec<u16>>,
+    /// One set id per set bit, in bit order.
+    ids: Vec<usize>,
+}
+
+impl FrameParts {
+    fn split(frame: &[u8], bit_len: usize) -> FrameParts {
+        let u64_at = |at: usize| u64::from_le_bytes(frame[at..at + 8].try_into().unwrap());
+        let u16_at = |at: usize| u16::from_le_bytes([frame[at], frame[at + 1]]);
+        let dict_at = 32 + bit_len.div_ceil(64) * 8;
+        let (count_at, entries, end) = set_table(frame, bit_len);
+        let dict = (dict_at + 4..count_at)
+            .step_by(16)
+            .map(|at| (u64_at(at), u64_at(at + 8)))
+            .collect();
+        let mut sets = Vec::new();
+        let mut at = count_at + 4;
+        for _ in 0..entries {
+            let len = usize::from(u16_at(at));
+            sets.push((0..len).map(|i| u16_at(at + 2 + 2 * i)).collect());
+            at += 2 + 2 * len;
+        }
+        let width = usize::from(frame[end]);
+        let ids = frame[end + 1..]
+            .chunks_exact(width)
+            .map(|id| id.iter().rev().fold(0, |v, &b| v << 8 | usize::from(b)))
+            .collect();
+        FrameParts {
+            head: frame[..dict_at].to_vec(),
+            dict,
+            sets,
+            ids,
+        }
+    }
+
+    /// The frame as a filter broadcast, its ids at the width its table
+    /// takes.
+    fn broadcast(&self) -> Vec<u8> {
+        let mut out = self.head.clone();
+        out.extend_from_slice(&(self.dict.len() as u32).to_le_bytes());
+        for &(num, den) in &self.dict {
+            out.extend_from_slice(&num.to_le_bytes());
+            out.extend_from_slice(&den.to_le_bytes());
+        }
+        out.extend_from_slice(&(self.sets.len() as u32).to_le_bytes());
+        for set in &self.sets {
+            out.extend_from_slice(&(set.len() as u16).to_le_bytes());
+            set.iter()
+                .for_each(|id| out.extend_from_slice(&id.to_le_bytes()));
+        }
+        let width = id_width(self.sets.len());
+        out.push(width as u8);
+        for &id in &self.ids {
+            out.extend_from_slice(&id.to_le_bytes()[..width]);
+        }
+        wire::encode_filter_broadcast(&[5, 9], Bytes::from(out))
+            .unwrap()
+            .to_vec()
+    }
+}
+
+// Decoders accept exactly the encoder's image. Each case below breaks one
+// canonical-form rule of a real frame and leaves the rest as encoded; the
+// owned and the view decoder refuse it with the same message, one message
+// per rule.
+#[test]
+fn non_canonical_set_tables_and_dictionaries_are_rejected_alike() {
+    let wbf = small_filter();
+    let frame = dipm_core::encode::encode_wbf(&wbf).unwrap();
+    let parts = FrameParts::split(&frame, wbf.bit_len());
+    assert_eq!(parts.broadcast(), {
+        let broadcast = wire::encode_filter_broadcast(&[5, 9], frame.clone()).unwrap();
+        broadcast.to_vec()
+    });
+    assert!(parts.sets.len() >= 2 && parts.dict.len() >= 2);
+    // The last bit re-pointed at an appended copy of its own entry, which
+    // other bits keep naming.
+    let with_duplicate = |parts: &FrameParts| {
+        let last = *parts.ids.last().unwrap();
+        assert!(parts.ids.iter().filter(|&&id| id == last).count() > 1);
+        let mut duplicate = parts.clone();
+        duplicate.sets.push(parts.sets[last].clone());
+        *duplicate.ids.last_mut().unwrap() = parts.sets.len();
+        duplicate
+    };
+    // Past 64 weights no entry has a mask, and duplicates are found apart.
+    let mut wide =
+        dipm_core::WeightedBloomFilter::new(dipm_core::FilterParams::new(1 << 12, 2).unwrap(), 7);
+    for key in 0..80u64 {
+        wide.insert(key * 7919, Weight::new(1, key + 2).unwrap());
+    }
+    let wide = FrameParts::split(
+        &dipm_core::encode::encode_wbf(&wide).unwrap(),
+        wide.bit_len(),
+    );
+    assert!(wide.dict.len() > 64);
+    // An entry holding the whole dictionary, which no bit names.
+    let mut unnamed = parts.clone();
+    unnamed.sets.push((0..unnamed.dict.len() as u16).collect());
+    assert!(!parts.sets.contains(unnamed.sets.last().unwrap()));
+    // Entries 0 and 1 swapped in every id: 1 is seen first.
+    let mut reordered = parts.clone();
+    for id in &mut reordered.ids {
+        *id = match *id {
+            0 => 1,
+            1 => 0,
+            other => other,
+        };
+    }
+    // A weight above every other, held by no entry.
+    let mut idle_weight = parts.clone();
+    idle_weight.dict.push((u64::MAX, 1));
+    // The first weight with numerator and denominator doubled.
+    let mut unreduced = parts.clone();
+    unreduced.dict[0].0 *= 2;
+    unreduced.dict[0].1 *= 2;
+    let cases = [
+        (with_duplicate(&parts), "duplicate weight set table entry"),
+        (with_duplicate(&wide), "duplicate weight set table entry"),
+        (unnamed, "set table entry named by no set bit"),
+        (reordered, "set table entries out of first-seen order"),
+        (idle_weight, "weight dictionary entry held by no weight set"),
+        (unreduced, "weight not in lowest terms"),
+    ];
+    for (case, message) in cases {
+        let err = assert_rejected_alike(&case.broadcast(), message);
+        assert!(err.contains(message), "{message}: {err}");
+    }
+}
+
+// Padding a small filter's set table with one-weight entries no bit names
+// once reached 2- and 4-byte ids without tens of thousands of set bits.
+// The padding is not the encoder's image — duplicate unnamed entries, or a
+// table past the 65,536-entry cap — so both decoders refuse it alike.
+#[test]
+fn padded_set_tables_are_rejected_alike() {
+    let wbf = small_filter();
+    let frame = dipm_core::encode::encode_wbf(&wbf).unwrap();
+    let parts = FrameParts::split(&frame, wbf.bit_len());
+    for (table, message) in [
+        (257, "duplicate weight set table entry"),
+        (65_537, "weight set table too large"),
+    ] {
+        let mut padded = parts.clone();
+        padded.sets.resize(table, vec![0]);
+        let err = assert_rejected_alike(&padded.broadcast(), message);
+        assert!(err.contains(message), "{table}: {err}");
+    }
+}
+
+/// A delta station update written by hand: no query totals, the given
+/// dictionary and diff table, and entries as `(gap, diff reference)`
+/// one-byte varints.
+fn delta_frame(dict: &[(u64, u64)], diffs: &[(&[u16], &[u16])], entries: &[(u8, u8)]) -> Bytes {
+    let mut out = vec![1];
+    out.extend_from_slice(&0u64.to_le_bytes());
+    out.extend_from_slice(&0u32.to_le_bytes());
+    out.extend_from_slice(&(dict.len() as u32).to_le_bytes());
+    for &(num, den) in dict {
+        out.extend_from_slice(&num.to_le_bytes());
+        out.extend_from_slice(&den.to_le_bytes());
+    }
+    out.extend_from_slice(&(diffs.len() as u32).to_le_bytes());
+    for &(removed, added) in diffs {
+        out.extend_from_slice(&(removed.len() as u16).to_le_bytes());
+        out.extend_from_slice(&(added.len() as u16).to_le_bytes());
+        for id in removed.iter().chain(added) {
+            out.extend_from_slice(&id.to_le_bytes());
+        }
+    }
+    out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
+    for &(gap, diff_ref) in entries {
+        assert!(gap < 0x80 && diff_ref < 0x80, "one-byte varints");
+        out.extend_from_slice(&[gap, diff_ref]);
+    }
+    Bytes::from(out)
+}
+
+// A delta's diff table is canonical as `FilterDelta::intern` builds it:
+// distinct diffs, each referenced, in first-seen order, over a dictionary
+// of reduced weights that the diffs hold in full. The decoder refuses
+// each broken rule with its own message, and the encoder refuses the same
+// `FilterDelta` with the same message.
+#[test]
+fn non_canonical_delta_tables_are_rejected_by_encoder_and_decoder() {
+    let w = |n| Weight::new(n, 9).unwrap();
+    let dict = [(1, 9), (2, 9)];
+    let (a, b): (&[u16], &[u16]) = (&[0], &[1]);
+    let diff_a = WeightDiff {
+        removed: WeightSet::singleton(w(1)),
+        added: WeightSet::singleton(w(2)),
+    };
+    let diff_b = WeightDiff {
+        removed: WeightSet::new(),
+        added: WeightSet::singleton(w(2)),
+    };
+    let update = |diffs: Vec<WeightDiff>, entries: Vec<(u32, u32)>| wire::StationUpdate::Delta {
+        epoch: 0,
+        query_totals: vec![],
+        delta: wire::FilterDelta { diffs, entries },
+    };
+    // The canonical frame: both diffs, referenced in order.
+    let canonical = update(vec![diff_a.clone(), diff_b.clone()], vec![(0, 0), (1, 1)]);
+    let frame = delta_frame(&dict, &[(a, b), (&[], b)], &[(0, 0), (0, 1)]);
+    assert_eq!(
+        wire::decode_station_update(frame.clone()).unwrap(),
+        canonical
+    );
+    assert_eq!(wire::encode_station_update(&canonical).unwrap(), frame);
+
+    let cases = [
+        (
+            update(vec![diff_a.clone(), diff_a.clone()], vec![(0, 0), (1, 1)]),
+            delta_frame(&dict, &[(a, b), (a, b)], &[(0, 0), (0, 1)]),
+            "duplicate delta diff table entry",
+        ),
+        (
+            update(vec![diff_a.clone(), diff_b.clone()], vec![(0, 0)]),
+            delta_frame(&dict, &[(a, b), (&[], b)], &[(0, 0)]),
+            "delta diff referenced by no position",
+        ),
+        (
+            update(vec![diff_a.clone(), diff_b.clone()], vec![(0, 1), (1, 0)]),
+            delta_frame(&dict, &[(a, b), (&[], b)], &[(0, 1), (0, 0)]),
+            "delta diff table out of first-seen order",
+        ),
+    ];
+    for (update, frame, message) in cases {
+        let decoded = wire::decode_station_update(frame).unwrap_err().to_string();
+        assert!(decoded.contains(message), "{message}: {decoded}");
+        let encoded = wire::encode_station_update(&update)
+            .unwrap_err()
+            .to_string();
+        assert_eq!(encoded, decoded, "{message}");
+    }
+    // The encoder derives its dictionary from the diffs, so these two
+    // rules only a hand-written frame can break.
+    for (frame, message) in [
+        (
+            delta_frame(&[(1, 9), (2, 9), (4, 9)], &[(a, b)], &[(0, 0)]),
+            "delta dictionary weight held by no diff",
+        ),
+        (
+            delta_frame(&[(2, 18), (2, 9)], &[(a, b)], &[(0, 0)]),
+            "delta weight not in lowest terms",
+        ),
+    ] {
+        let err = wire::decode_station_update(frame).unwrap_err().to_string();
+        assert!(err.contains(message), "{message}: {err}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    // Every mutated WBF broadcast that still decodes re-encodes to itself,
+    // through the owned decoder, at both id widths.
+    #[test]
+    fn mutated_wbf_broadcasts_that_decode_reencode_to_themselves(
+        wide in any::<bool>(),
+        flips in vec((any::<prop::sample::Index>(), any::<u8>()), 1..6),
+        tail_flips in vec((any::<prop::sample::Index>(), any::<u8>()), 0..3),
+    ) {
+        let cases = wbf_broadcasts();
+        let case = &cases[usize::from(wide)];
+        let mut raw = case.frame.clone();
+        for (index, value) in flips {
+            let i = index.index(raw.len());
+            raw[i] ^= value;
+        }
+        for (index, value) in tail_flips {
+            let i = case.region - 1 + index.index(raw.len() - case.region + 1);
+            raw[i] ^= value;
+        }
+        let raw = Bytes::from(raw);
+        let owned = wire::decode_filter_broadcast(raw.clone())
+            .and_then(|(totals, filter)| Ok((totals, dipm_core::encode::decode_wbf(filter)?)));
+        prop_assert_eq!(owned.is_ok(), wire::view_filter_broadcast(raw.clone()).is_ok());
+        if let Ok((totals, filter)) = owned {
+            let filter = dipm_core::encode::encode_wbf(&filter).unwrap();
+            prop_assert_eq!(wire::encode_filter_broadcast(&totals, filter).unwrap(), raw);
+        }
+    }
+
+    // Every mutated station update, full or delta, that still decodes
+    // re-encodes to itself.
+    #[test]
+    fn mutated_station_updates_that_decode_reencode_to_themselves(
+        entries in vec((any::<u32>(), any::<u64>()), 1..12),
+        totals in vec(any::<u64>(), 0..3),
+        full in any::<bool>(),
+        flips in vec((any::<prop::sample::Index>(), any::<u8>()), 0..4),
+        dict_flips in vec((any::<prop::sample::Index>(), any::<u8>()), 0..3),
+    ) {
+        let update = if full {
+            wire::StationUpdate::Full {
+                epoch: 3,
+                query_totals: totals,
+                filter: dipm_core::encode::encode_wbf(&small_filter()).unwrap(),
+            }
+        } else {
+            wire::StationUpdate::Delta {
+                epoch: 3,
+                query_totals: totals,
+                delta: delta_from(&entries),
+            }
+        };
+        let mut raw = wire::encode_station_update(&update).unwrap().to_vec();
+        // A delta's dictionary is a sliver of its frame, so some flips aim
+        // at its weights.
+        let dict_at = DELTA_DICT_AT + 8 * update_totals(&update);
+        let dict_len = u32::from_le_bytes(raw[dict_at - 4..dict_at].try_into().unwrap());
+        for (index, value) in dict_flips {
+            if !full {
+                let i = dict_at + index.index(16 * dict_len as usize);
+                raw[i] ^= value;
+            }
+        }
+        for (index, value) in flips {
+            let i = index.index(raw.len());
+            raw[i] ^= value;
+        }
+        let raw = Bytes::from(raw);
+        if let Ok(decoded) = wire::decode_station_update(raw.clone()) {
+            prop_assert_eq!(wire::encode_station_update(&decoded).unwrap(), raw);
+        }
+    }
+}
+
+/// How many query totals an update carries.
+fn update_totals(update: &wire::StationUpdate) -> usize {
+    match update {
+        wire::StationUpdate::Full { query_totals, .. }
+        | wire::StationUpdate::Delta { query_totals, .. } => query_totals.len(),
+    }
+}
+
+/// [`broadcasts_at_every_width`], built once for the property cases.
+fn wbf_broadcasts() -> &'static [WidthCase] {
+    static CASES: std::sync::OnceLock<Vec<WidthCase>> = std::sync::OnceLock::new();
+    CASES.get_or_init(broadcasts_at_every_width)
+}
+
 // A 1 MiB frame of 131,072 empty sections decodes with one id comparison
 // per section; a repeated or regressing id in its last section is refused
 // by the encoder and, written by hand, by the decoder.
@@ -607,12 +963,7 @@ fn long_batch_broadcasts_decode_and_reject_a_disordered_last_id() {
 /// A weighted frame whose set table has an entry of two or more ids, with
 /// the offset of that entry's first id.
 fn frame_with_a_multi_id_set_entry() -> (Vec<u8>, usize) {
-    let params = dipm_core::FilterParams::new(1 << 10, 2).unwrap();
-    let mut wbf = dipm_core::WeightedBloomFilter::new(params, 7);
-    for key in 0..8u64 {
-        wbf.insert(key * 7919, Weight::new(1, key % 3 + 1).unwrap());
-        wbf.insert(key * 7919, Weight::new(2, key % 5 + 3).unwrap());
-    }
+    let wbf = small_filter();
     let frame = dipm_core::encode::encode_wbf(&wbf).unwrap().to_vec();
     let (count_at, entries, _) = set_table(&frame, wbf.bit_len());
     let mut at = count_at + 4;

@@ -103,8 +103,8 @@ proptest! {
         let (built_totals, other_totals) = (totals(&built), totals(&other));
         let mut sections: Vec<WbfScanSection<'_>> = vec![(0, &built.filter, built_totals.as_slice())];
         if two_sections {
-            // Another geometry: rows can no longer share one probe set, so
-            // the per-section sequence query runs instead.
+            // Another geometry: the row is hashed again for this section,
+            // into the same probe buffer.
             sections.push((1, &other.filter, other_totals.as_slice()));
         }
         let shard: Vec<(UserId, &Pattern)> = store.iter().map(|&(u, ref p)| (u, p)).collect();
