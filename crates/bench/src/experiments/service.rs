@@ -177,6 +177,11 @@ pub fn service_sweep(scale: &Scale) -> Vec<ServicePoint> {
 /// Checkpoint-resync vs full re-broadcast bytes across tenants × churn ×
 /// stations.
 pub fn service(scale: &Scale) -> Report {
+    render(scale, &service_sweep(scale))
+}
+
+/// The report table of one measured sweep.
+fn render(scale: &Scale, points: &[ServicePoint]) -> Report {
     let mut report = Report::new(
         "Multi-tenant service recovery",
         "checkpoint-resync bytes vs the full re-broadcast a center restart would ship, across \
@@ -195,7 +200,7 @@ pub fn service(scale: &Scale) -> Report {
         "resync/rebroadcast",
         "saved_bytes",
     ]);
-    for p in service_sweep(scale) {
+    for p in points {
         let rate = p.churn as f64 * 100.0 / STANDING as f64;
         report.row_cells([
             Cell::int(p.tenants as u64),
@@ -227,19 +232,31 @@ pub fn service(scale: &Scale) -> Report {
 mod tests {
     use super::*;
     use crate::check;
+    use std::sync::OnceLock;
 
-    #[test]
-    fn resync_stays_far_below_rebroadcast_at_modest_churn() {
+    fn test_scale() -> Scale {
         let mut scale = Scale::quick();
         scale.users = 300;
         scale.stations = 6;
-        let points = service_sweep(&scale);
+        scale
+    }
+
+    /// The 300-user, 6-station sweep, measured once and shared by the
+    /// tests that read it.
+    fn shared_sweep() -> &'static [ServicePoint] {
+        static SWEEP: OnceLock<Vec<ServicePoint>> = OnceLock::new();
+        SWEEP.get_or_init(|| service_sweep(&test_scale()))
+    }
+
+    #[test]
+    fn resync_stays_far_below_rebroadcast_at_modest_churn() {
+        let points = shared_sweep();
         assert_eq!(
             points.len(),
             18,
             "3 tenant counts × 3 churn rates × 2 station counts"
         );
-        for p in &points {
+        for p in points {
             let rate = p.churn as f64 / STANDING as f64;
             if rate <= 0.10 {
                 assert!(
@@ -281,13 +298,12 @@ mod tests {
         }
     }
 
+    /// A fresh run renders the same rows as the shared sweep.
     #[test]
     fn service_report_is_deterministic() {
-        let mut scale = Scale::quick();
-        scale.users = 300;
-        scale.stations = 6;
+        let scale = test_scale();
         let first = service(&scale);
-        let second = service(&scale);
+        let second = render(&scale, shared_sweep());
         assert_eq!(first.rows, second.rows);
     }
 

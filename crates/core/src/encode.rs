@@ -2,8 +2,10 @@
 //!
 //! The data center broadcasts one encoded filter to every base station, so
 //! the encoded length *is* the query's downstream communication cost
-//! (Fig. 4c/4d use these sizes). The format is deterministic — weight entries
-//! are emitted in ascending bit order — self-describing, and versioned.
+//! (Fig. 4c/4d use these sizes). Callers read that cost off the encoded
+//! frame; no second description of the layout computes it. The format is
+//! deterministic — weight entries are emitted in ascending bit order —
+//! self-describing, and versioned.
 //!
 //! Layout (all integers little-endian):
 //!
@@ -194,20 +196,6 @@ struct Interned {
     per_bit: Vec<u16>,
 }
 
-impl Interned {
-    /// The exact length of the weighted frame this interning encodes to.
-    fn encoded_len(&self, filter: &WeightedBloomFilter) -> usize {
-        let set_bytes: usize = self.sets.iter().map(|s| 2 + 2 * s.len()).sum();
-        32 + filter.bits().byte_len()
-            + 4
-            + self.dict.len() * 16
-            + 4
-            + set_bytes
-            + 1
-            + self.per_bit.len() * id_width(self.sets.len())
-    }
-}
-
 /// The per-bit set-id width, in bytes, for a set table of at most
 /// [`MAX_SETS`] entries: the narrower of 1 or 2 that indexes every entry.
 fn id_width(sets: usize) -> usize {
@@ -278,7 +266,7 @@ fn intern(filter: &WeightedBloomFilter) -> Result<Interned> {
 /// index widths).
 pub fn encode_wbf(filter: &WeightedBloomFilter) -> Result<Bytes> {
     let interned = intern(filter)?;
-    let mut buf = BytesMut::with_capacity(interned.encoded_len(filter));
+    let mut buf = BytesMut::new();
     put_header(
         &mut buf,
         KIND_WEIGHTED,
@@ -308,16 +296,6 @@ pub fn encode_wbf(filter: &WeightedBloomFilter) -> Result<Bytes> {
         interned.per_bit.iter().for_each(|&id| buf.put_u16_le(id));
     }
     Ok(buf.freeze())
-}
-
-/// The exact byte length [`encode_wbf`] will produce.
-///
-/// # Errors
-///
-/// Returns the same [`CoreError::InvalidParams`] as [`encode_wbf`] for a
-/// filter the format cannot represent.
-pub fn encoded_wbf_len(filter: &WeightedBloomFilter) -> Result<usize> {
-    Ok(intern(filter)?.encoded_len(filter))
 }
 
 /// Everything of a weighted wire frame up to (but not including) the
@@ -524,7 +502,6 @@ mod tests {
     fn wbf_roundtrip() {
         let wbf = sample_wbf();
         let encoded = encode_wbf(&wbf).unwrap();
-        assert_eq!(encoded_wbf_len(&wbf), Ok(encoded.len()));
         let decoded = decode_wbf(encoded).unwrap();
         assert_eq!(decoded, wbf);
     }
@@ -618,7 +595,6 @@ mod tests {
             // The width byte sits right before the id region.
             let region = wbf.bits().count_ones() * width;
             assert_eq!(usize::from(frame[frame.len() - region - 1]), width);
-            assert_eq!(encoded_wbf_len(&wbf), Ok(frame.len()), "{sets} sets");
             assert_eq!(view_wbf(frame.clone()).unwrap(), wbf, "{sets} sets");
             assert_eq!(decode_wbf(frame.clone()).unwrap(), wbf, "{sets} sets");
             let mut v1 = frame.to_vec();
@@ -631,21 +607,19 @@ mod tests {
         // Past 65,536 sets an id would need a third byte: the set table is
         // capped there, like the weight dictionary at 65,535 weights.
         let wbf = filter_with_sets(65_537);
-        let err = encoded_wbf_len(&wbf).unwrap_err();
+        let err = encode_wbf(&wbf).unwrap_err();
         assert!(matches!(err, CoreError::InvalidParams { .. }), "{err}");
-        assert_eq!(encode_wbf(&wbf).unwrap_err(), err);
     }
 
     #[test]
-    fn unencodable_filters_fail_alike_in_encode_and_len() {
+    fn filters_with_more_weights_than_the_dictionary_indexes_are_unencodable() {
         let params = FilterParams::new(1 << 20, 1).unwrap();
         let mut wbf = WeightedBloomFilter::new(params, 5);
         for key in 0..=u64::from(u16::MAX) {
             wbf.insert(key, Weight::new(1, key + 1).unwrap());
         }
-        let err = encoded_wbf_len(&wbf).unwrap_err();
+        let err = encode_wbf(&wbf).unwrap_err();
         assert!(matches!(err, CoreError::InvalidParams { .. }), "{err}");
-        assert_eq!(encode_wbf(&wbf).unwrap_err(), err);
     }
 
     #[test]
@@ -657,7 +631,7 @@ mod tests {
         for v in [10u64, 20, 30, 40, 50] {
             bf.insert(v);
         }
-        assert!(encoded_wbf_len(&wbf).unwrap() > encoded_bloom_len(&bf));
+        assert!(encode_wbf(&wbf).unwrap().len() > encoded_bloom_len(&bf));
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //!   (weight < 1) and rejects classic Bloom false positives stitched
 //!   together from different patterns.
 //!   [`WeightedBloomFilter::diff_from`] compares two builds position by
-//!   position, and [`WeightedBloomFilter::apply_delta`] replays that
-//!   [`WeightDiff`] list onto a held copy — the streaming delta broadcasts
-//!   in `dipm-protocol`.
+//!   position into a [`FilterDelta`] of interned [`WeightDiff`]s, and
+//!   [`WeightedBloomFilter::apply_delta`] replays it onto a held copy — the
+//!   streaming delta broadcasts in `dipm-protocol`.
 //! * [`BloomFilter`] — the classic unweighted filter used as the paper's
 //!   `BF` comparison method.
 //! * [`Weight`] / [`WeightSet`] — exact rational weights with the paper's
@@ -76,6 +76,6 @@ pub use kernel::{AlignedWords, Kernel};
 pub use params::{FilterParams, MAX_BITS, MAX_HASHES};
 pub use probe::{PrecomputedProbes, QueryScratch};
 pub use view::WbfFrameView;
-pub use wbf::{WeightDiff, WeightedBloomFilter};
+pub use wbf::{FilterDelta, WeightDiff, WeightedBloomFilter};
 pub use weight::{sum_weights, Weight};
 pub use weight_set::WeightSet;

@@ -10,6 +10,13 @@
 //! and (b) rejecting Bloom false positives whose probed bits were set by
 //! *different* patterns — e.g. `{1,4,5}` probing a filter holding `{1,2,3}`
 //! and `{2,4,5}` hits only set bits but no consistent weight.
+//!
+//! Two builds of one geometry compare position by position:
+//! [`WeightedBloomFilter::diff_from`] yields a [`FilterDelta`] whose table
+//! holds each distinct [`WeightDiff`] once, and
+//! [`WeightedBloomFilter::apply_delta`] replays it onto a held copy. That
+//! one form is what a streaming center computes, what its delta frame
+//! carries, and what a station applies.
 
 use std::sync::OnceLock;
 
@@ -40,6 +47,30 @@ impl WeightDiff {
     /// Whether the diff changes nothing.
     pub fn is_empty(&self) -> bool {
         self.removed.is_empty() && self.added.is_empty()
+    }
+}
+
+/// The changed positions of a filter, as per-position [`WeightDiff`]s
+/// against the receiver's current state — held the way the streaming delta
+/// frame carries them: each distinct diff once, and each entry as a
+/// position plus an index into that diff table.
+///
+/// [`WeightedBloomFilter::diff_from`] produces the canonical form the wire
+/// accepts alone: entries in strictly ascending position order, and a table
+/// of distinct diffs in the order entries first reference them.
+/// [`WeightedBloomFilter::apply_delta`] replays it onto a held copy.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct FilterDelta {
+    /// The diff table, in the order entries first reference each diff.
+    pub diffs: Vec<WeightDiff>,
+    /// `(position, index into diffs)` in strictly ascending position order.
+    pub entries: Vec<(u32, u32)>,
+}
+
+impl FilterDelta {
+    /// Whether the delta changes nothing (a pure CDR-churn epoch).
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
     }
 }
 
@@ -473,12 +504,6 @@ impl WeightedBloomFilter {
         self.bits.fill_ratio()
     }
 
-    /// The total number of stored `(bit, weight)` attachments — the extra
-    /// storage a WBF pays over a plain Bloom filter (Fig. 4d).
-    pub fn weight_entries(&self) -> usize {
-        self.sets.iter().map(WeightSet::len).sum()
-    }
-
     /// The sorted set of every distinct weight attached anywhere in the
     /// filter — the score universe a pruning scan bounds candidates
     /// against. Any weight a query of this filter can ever report is drawn
@@ -515,27 +540,32 @@ impl WeightedBloomFilter {
     }
 
     /// The positions whose weight set differs between `base` and this
-    /// filter, ascending, each with the weights that left and the weights
-    /// that arrived: the delta that [`apply_delta`] turns a copy of `base`
-    /// into this filter with. Both filters' occupied positions are walked
-    /// once, side by side.
+    /// filter, each with the weights that left and the weights that
+    /// arrived: the delta that [`apply_delta`] turns a copy of `base` into
+    /// this filter with. Both filters' occupied positions are walked once,
+    /// side by side, and each distinct diff enters the table as it is first
+    /// met, so the result is already in the canonical wire form.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::IncompatibleFilters`] if geometry or seed differ.
     ///
     /// [`apply_delta`]: WeightedBloomFilter::apply_delta
-    pub fn diff_from(&self, base: &WeightedBloomFilter) -> Result<Vec<(u32, WeightDiff)>> {
+    pub fn diff_from(&self, base: &WeightedBloomFilter) -> Result<FilterDelta> {
         if self.family != base.family || self.bits.len() != base.bits.len() {
             return Err(CoreError::IncompatibleFilters);
         }
         let empty = WeightSet::new();
         let mut was = base.weight_positions().peekable();
         let mut now = self.weight_positions().peekable();
-        let mut diffs = Vec::new();
+        let mut delta = FilterDelta::default();
+        let mut index: std::collections::HashMap<WeightDiff, u32> = Default::default();
+        // Each changed position's diff is written into one reused scratch
+        // diff; only a diff met for the first time is copied into the table.
+        let mut diff = WeightDiff::default();
         loop {
             let bit = match (was.peek(), now.peek()) {
-                (None, None) => return Ok(diffs),
+                (None, None) => return Ok(delta),
                 (Some(&(a, _)), Some(&(b, _))) => a.min(b),
                 (Some(&(a, _)), None) => a,
                 (None, Some(&(b, _))) => b,
@@ -546,20 +576,28 @@ impl WeightedBloomFilter {
             let after = now
                 .next_if(|&(at, _)| at == bit)
                 .map_or(&empty, |(_, set)| set);
-            if before != after {
-                let diff = WeightDiff {
-                    removed: before.difference(after),
-                    added: after.difference(before),
-                };
-                diffs.push((bit, diff));
+            if before == after {
+                continue;
             }
+            diff.removed.assign_difference(before, after);
+            diff.added.assign_difference(after, before);
+            let id = match index.get(&diff) {
+                Some(&id) => id,
+                None => {
+                    let id = delta.diffs.len() as u32;
+                    index.insert(diff.clone(), id);
+                    delta.diffs.push(diff.clone());
+                    id
+                }
+            };
+            delta.entries.push((bit, id));
         }
     }
 
-    /// Applies a filter delta: `entries` pairs a position with an index
-    /// into `diffs`, the [`WeightDiff`] of that position relative to this
-    /// filter's current state, as a streaming data center broadcasts it
-    /// (see [`WeightedBloomFilter::diff_from`]).
+    /// Applies a filter delta: each entry pairs a position with an index
+    /// into the delta's diff table, the [`WeightDiff`] of that position
+    /// relative to this filter's current state, as a streaming data center
+    /// broadcasts it (see [`WeightedBloomFilter::diff_from`]).
     ///
     /// Each entry is checked against its position's own set: every removed
     /// weight must currently be attached and every added weight absent. A
@@ -573,10 +611,11 @@ impl WeightedBloomFilter {
     /// # Errors
     ///
     /// Returns [`CoreError::Decode`] at the first entry whose position is
-    /// outside the filter, whose diff index is outside `diffs`, whose diff
+    /// outside the filter, whose diff index is outside the table, whose diff
     /// is empty, or whose diff does not match the current state. The entries
     /// before it stay applied and none after it is.
-    pub fn apply_delta(&mut self, diffs: &[WeightDiff], entries: &[(u32, u32)]) -> Result<()> {
+    pub fn apply_delta(&mut self, delta: &FilterDelta) -> Result<()> {
+        let (diffs, entries) = (&delta.diffs, &delta.entries);
         let mut state = self.fold.take();
         let diff_masks = state
             .as_mut()
@@ -774,15 +813,6 @@ mod tests {
     }
 
     #[test]
-    fn weight_entries_counts_attachments() {
-        let mut wbf = WeightedBloomFilter::new(params(), 1);
-        assert_eq!(wbf.weight_entries(), 0);
-        wbf.insert(1, Weight::ONE);
-        // k = 4 probes, possibly fewer distinct bits on collision.
-        assert!(wbf.weight_entries() >= 1 && wbf.weight_entries() <= 4);
-    }
-
-    #[test]
     fn weight_universe_tracks_every_mutation_path() {
         let mut wbf = WeightedBloomFilter::new(params(), 1);
         assert!(wbf.weight_universe().is_empty());
@@ -806,12 +836,16 @@ mod tests {
         let mut replayed = first.clone();
         assert_eq!(replayed.weight_universe().max(), Some(Weight::ONE));
         let second = build(&[(5, Weight::ONE), (6, w(1, 3))]);
-        replay(&mut replayed, second.diff_from(&first).unwrap()).unwrap();
+        replayed
+            .apply_delta(&second.diff_from(&first).unwrap())
+            .unwrap();
         assert_eq!(
             replayed.weight_universe().as_slice(),
             &[w(1, 3), Weight::ONE]
         );
-        replay(&mut replayed, build(&[]).diff_from(&second).unwrap()).unwrap();
+        replayed
+            .apply_delta(&build(&[]).diff_from(&second).unwrap())
+            .unwrap();
         assert!(replayed.weight_universe().is_empty());
 
         // A clone carries an independent, consistent cache.
@@ -892,15 +926,12 @@ mod tests {
         wbf
     }
 
-    /// Applies `(position, diff)` pairs as one delta whose diff table holds
-    /// each entry's diff.
-    fn replay(wbf: &mut WeightedBloomFilter, diff: Vec<(u32, WeightDiff)>) -> Result<()> {
-        let (entries, diffs): (Vec<(u32, u32)>, Vec<WeightDiff>) = diff
-            .into_iter()
-            .enumerate()
-            .map(|(i, (bit, diff))| ((bit, i as u32), diff))
-            .unzip();
-        wbf.apply_delta(&diffs, &entries)
+    /// A delta of `entries` over the diff table `diffs`.
+    fn delta(diffs: &[WeightDiff], entries: &[(u32, u32)]) -> FilterDelta {
+        FilterDelta {
+            diffs: diffs.to_vec(),
+            entries: entries.to_vec(),
+        }
     }
 
     /// The position of `key`'s first probe.
@@ -953,7 +984,7 @@ mod tests {
         // Swap the pair for another, replay the diff onto the warm filter.
         let next = build(&[(9, w(1, 3))]);
         let diff = next.diff_from(&wbf).unwrap();
-        replay(&mut wbf, diff).unwrap();
+        wbf.apply_delta(&diff).unwrap();
         assert_eq!(wbf, next);
         assert_derived_state_fresh(&wbf, &[5, 9]);
     }
@@ -974,14 +1005,25 @@ mod tests {
         );
         assert!(a.diff_from(&a).unwrap().is_empty());
         for (from, to) in [(&a, &b), (&b, &a)] {
-            let diff = to.diff_from(from).unwrap();
-            assert!(diff.windows(2).all(|e| e[0].0 < e[1].0), "ascending");
-            for (_, d) in &diff {
+            let delta = to.diff_from(from).unwrap();
+            let positions = || delta.entries.iter().map(|&(bit, _)| bit);
+            assert!(positions().zip(positions().skip(1)).all(|(p, q)| p < q));
+            // Canonical table: first references run 0, 1, 2, … and every
+            // diff is distinct, non-empty and disjoint.
+            let mut named = 0;
+            for &(_, d) in &delta.entries {
+                assert!(d <= named, "first-seen order");
+                named += u32::from(d == named);
+            }
+            assert_eq!(named as usize, delta.diffs.len());
+            for (i, d) in delta.diffs.iter().enumerate() {
                 assert!(!d.is_empty());
                 assert!(d.removed.intersection(&d.added).is_empty());
+                assert!(!delta.diffs[..i].contains(d), "distinct");
             }
+            assert!(delta.diffs.len() < delta.entries.len(), "diffs intern");
             let mut replayed = from.clone();
-            replay(&mut replayed, diff).unwrap();
+            replayed.apply_delta(&delta).unwrap();
             assert_eq!(&replayed, to);
         }
         let other_seed = WeightedBloomFilter::new(params(), 2);
@@ -1002,7 +1044,7 @@ mod tests {
         let before = wbf.clone();
         let rejects = |wbf: &mut WeightedBloomFilter, diffs: &[WeightDiff], entry, msg| {
             assert_eq!(
-                wbf.apply_delta(diffs, &[entry]),
+                wbf.apply_delta(&delta(diffs, &[entry])),
                 Err(CoreError::decode(msg))
             );
         };
@@ -1081,13 +1123,15 @@ mod tests {
                 warm(&filter, 3);
             }
             assert_eq!(
-                filter.apply_delta(&diffs, &entries),
+                filter.apply_delta(&delta(&diffs, &entries)),
                 Err(CoreError::decode(
                     "delta adds a weight the position already carries"
                 ))
             );
             let mut reference = wbf.clone();
-            reference.apply_delta(&diffs, &entries[..k]).unwrap();
+            reference
+                .apply_delta(&delta(&diffs, &entries[..k]))
+                .unwrap();
             assert_eq!(filter, reference, "warmed: {warmed}");
             assert!(filter.bits.get(clear[0] as usize));
             assert!(!filter.bits.get(clear[1] as usize));

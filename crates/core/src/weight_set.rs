@@ -186,17 +186,17 @@ impl WeightSet {
         }
     }
 
-    /// The weights in `self` but not in `other`, as a new set — the
-    /// building block of streaming weight diffs.
+    /// The weights in `self` but not in `other`, as a new set.
     pub fn difference(&self, other: &WeightSet) -> WeightSet {
-        WeightSet {
-            sorted: self
-                .sorted
-                .iter()
-                .copied()
-                .filter(|&w| !other.contains(w))
-                .collect(),
-        }
+        let mut out = WeightSet::new();
+        out.assign_difference(self, other);
+        out
+    }
+
+    /// Replaces this set's contents with `a \ b`, reusing the existing
+    /// capacity — the building block of streaming weight diffs.
+    pub(crate) fn assign_difference(&mut self, a: &WeightSet, b: &WeightSet) {
+        self.assign_sorted(a.iter().filter(|&w| !b.contains(w)));
     }
 
     /// Removes the weights of `removed` and inserts those of `added`, in
@@ -366,6 +366,9 @@ mod tests {
         let mut assigned = WeightSet::singleton(w(9, 10)); // stale content
         assigned.assign_intersection(&a, &b);
         assert_eq!(assigned, expected);
+
+        assigned.assign_difference(&a, &b);
+        assert_eq!(assigned.as_slice(), &[w(1, 4), w(2, 3)]);
 
         let mut cleared = a.clone();
         cleared.clear();

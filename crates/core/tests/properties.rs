@@ -196,10 +196,6 @@ proptest! {
         }
         let decoded = encode::decode_wbf(encode::encode_wbf(&wbf).unwrap()).unwrap();
         prop_assert_eq!(&decoded, &wbf);
-        prop_assert_eq!(
-            encode::encoded_wbf_len(&wbf),
-            Ok(encode::encode_wbf(&wbf).unwrap().len())
-        );
     }
 
     #[test]

@@ -12,7 +12,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use dipm_core::{
-    encode, FilterParams, HashFamily, Kernel, PrecomputedProbes, QueryScratch, Weight,
+    encode, FilterDelta, FilterParams, HashFamily, Kernel, PrecomputedProbes, QueryScratch, Weight,
     WeightedBloomFilter,
 };
 use proptest::collection::vec;
@@ -264,10 +264,10 @@ proptest! {
                 }
             }
             let current = build(&live);
-            for (bit, diff) in current.diff_from(&previous).unwrap() {
-                entries.push((bit, diffs.len() as u32));
-                diffs.push(diff);
-            }
+            let delta = current.diff_from(&previous).unwrap();
+            let base = diffs.len() as u32;
+            entries.extend(delta.entries.iter().map(|&(bit, d)| (bit, base + d)));
+            diffs.extend(delta.diffs);
             previous = current;
         }
         if replay.0 && !entries.is_empty() {
@@ -278,9 +278,12 @@ proptest! {
         // Reference: the entries one at a time on a filter with no derived
         // state, stopping at the first rejection.
         let mut reference = station.clone();
-        let expected = entries
-            .iter()
-            .try_for_each(|&entry| reference.apply_delta(&diffs, &[entry]));
+        let expected = entries.iter().try_for_each(|&entry| {
+            reference.apply_delta(&FilterDelta {
+                diffs: diffs.clone(),
+                entries: vec![entry],
+            })
+        });
         let mut filter = station.clone();
         let family = HashFamily::new(params.hashes(), seed);
         let mut pre = PrecomputedProbes::new();
@@ -290,7 +293,10 @@ proptest! {
             pre.compute(&family, params.bits(), &[key]);
             filter.query_precomputed(&pre, &mut scratch);
         }
-        prop_assert_eq!(filter.apply_delta(&diffs, &entries), expected.clone());
+        prop_assert_eq!(
+            filter.apply_delta(&FilterDelta { diffs, entries }),
+            expected.clone()
+        );
         prop_assert_eq!(&filter, &reference);
         if expected.is_ok() {
             prop_assert_eq!(filter.bits(), previous.bits());

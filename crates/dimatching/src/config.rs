@@ -72,12 +72,15 @@ impl RoutingPolicy {
 /// how much update traffic each station's downlink accepts per service
 /// epoch.
 ///
-/// Admission is decided center-side before any frame flies, from each
-/// tenant's *planned* update bytes (routing-blind, so the budget holds even
-/// if every station ends up targeted). A tenant that does not fit is
-/// **deferred, never dropped**: its session is left untouched — pending
-/// query churn simply accumulates into the next epoch's delta — and the
-/// deferral is recorded on its [`deferred_epochs`] meter.
+/// Admission is decided center-side before any frame flies. Each tenant's
+/// epoch is planned once, and each station is charged the length of the
+/// frame that plan sends it — the delta frame on the delta path, the full
+/// frame off it — routing-blind, so the budget holds even if every station
+/// ends up targeted. An admitted tenant runs the plan it was priced by. A
+/// tenant that does not fit is **deferred, never dropped**: planning
+/// changed nothing, so its session is as it was — pending query churn
+/// simply accumulates into the next epoch's delta — and the deferral is
+/// recorded on its [`deferred_epochs`] meter.
 ///
 /// [`deferred_epochs`]: dipm_distsim::CostReport::deferred_epochs
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]

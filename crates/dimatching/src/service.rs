@@ -27,10 +27,13 @@
 //!   deltas against the filters they retained, instead of re-broadcasting
 //!   everything — the economics `repro service` measures.
 //! * **Admission backpressure.** An [`AdmissionPolicy`] bounds each
-//!   station's per-epoch update bytes; over-budget tenants are deferred to
-//!   the next epoch with their [`deferred_epochs`] meter ticked, never
-//!   silently dropped, and longest-deferred tenants are admitted first so
-//!   backpressure cannot starve anyone.
+//!   station's per-epoch update bytes. Each tenant's epoch is planned once,
+//!   and admission prices each station from that plan, which is the plan
+//!   an admitted tenant runs — so a station is charged exactly the bytes
+//!   it receives. Over-budget tenants are deferred to the next epoch with
+//!   their [`deferred_epochs`] meter ticked, never silently dropped, and
+//!   longest-deferred tenants are admitted first so backpressure cannot
+//!   starve anyone.
 //!
 //! [`deferred_epochs`]: dipm_distsim::CostReport::deferred_epochs
 
@@ -45,7 +48,7 @@ use crate::error::{ProtocolError, Result};
 use crate::pipeline::PipelineOptions;
 use crate::query::PatternQuery;
 use crate::streaming::{
-    run_interleaved_epochs, EpochOutcome, StationMemory, StreamQueryId, StreamingSession,
+    run_interleaved_epochs, EpochOutcome, EpochPlan, StationMemory, StreamQueryId, StreamingSession,
 };
 use crate::wire;
 
@@ -205,7 +208,7 @@ impl Service {
     }
 
     /// Read access to a tenant's session (epoch number, live queries,
-    /// fill ratio, checkpointing).
+    /// checkpointing).
     ///
     /// # Errors
     ///
@@ -232,12 +235,17 @@ impl Service {
     /// shared station links.
     ///
     /// Admission considers tenants longest-deferred first (ties in id
-    /// order). Deferred tenants' sessions are untouched — no drain, no
-    /// routing mutation — and their ledgers record the deferral.
+    /// order). Each tenant's epoch is planned once — its filters built and
+    /// diffed, its frames encoded — and admission charges every station the
+    /// frame that plan would send it; an admitted tenant then runs exactly
+    /// that plan. Planning changes nothing, so a deferred tenant's session
+    /// is untouched — no drain, no routing mutation — and its ledger
+    /// records the deferral.
     ///
     /// # Errors
     ///
-    /// Propagates any admitted tenant's epoch error; like a solo failed
+    /// Propagates any tenant's planning error, with every session left as
+    /// it was, and any admitted tenant's epoch error; like a solo failed
     /// epoch, every admitted session then resyncs with a full broadcast on
     /// its next run.
     pub fn run_epoch(&mut self, dataset: &Dataset) -> Result<ServiceEpoch> {
@@ -250,22 +258,21 @@ impl Service {
         // starvation-free, ids as the deterministic tie-break.
         let mut order: Vec<TenantId> = self.tenants.keys().copied().collect();
         order.sort_by_key(|id| (std::cmp::Reverse(self.tenants[id].deferred_streak), *id));
-        let mut admitted: Vec<TenantId> = Vec::new();
+        let mut admitted: Vec<(TenantId, EpochPlan)> = Vec::new();
         let mut deferred: Vec<TenantId> = Vec::new();
         let mut inflight = vec![0u64; station_count];
         for id in order {
-            let budget = self.admission.per_station_budget_bytes;
             let tenant = self.tenants.get_mut(&id).expect("id from key iteration");
-            let fits = match budget {
+            let plan = tenant.session.plan_epoch(dataset)?;
+            let fits = match self.admission.per_station_budget_bytes {
                 None => true,
                 Some(budget) => {
-                    let planned = tenant.session.planned_station_bytes(station_count)?;
-                    let fits = planned
-                        .iter()
+                    let fits = plan
+                        .station_bytes()
                         .zip(&inflight)
-                        .all(|(&bytes, &used)| used == 0 || used.saturating_add(bytes) <= budget);
+                        .all(|(bytes, &used)| used == 0 || used.saturating_add(bytes) <= budget);
                     if fits {
-                        for (used, &bytes) in inflight.iter_mut().zip(&planned) {
+                        for (used, bytes) in inflight.iter_mut().zip(plan.station_bytes()) {
                             *used = used.saturating_add(bytes);
                         }
                     }
@@ -273,7 +280,7 @@ impl Service {
                 }
             };
             if fits {
-                admitted.push(id);
+                admitted.push((id, plan));
             } else {
                 tenant.deferred_streak += 1;
                 tenant.ledger.record_deferred_epoch();
@@ -283,23 +290,21 @@ impl Service {
 
         // Run the admitted tenants in admission order — the order they
         // claim the shared downlinks.
-        let rank: BTreeMap<TenantId, usize> = admitted
-            .iter()
-            .enumerate()
-            .map(|(order, &id)| (id, order))
-            .collect();
-        let mut entries: Vec<(TenantId, &mut Tenant)> = self
+        let mut by_id: BTreeMap<TenantId, &mut Tenant> = self
             .tenants
             .iter_mut()
-            .filter(|(id, _)| rank.contains_key(id))
             .map(|(&id, tenant)| (id, tenant))
             .collect();
-        entries.sort_by_key(|(id, _)| rank[id]);
+        let (mut entries, plans): (Vec<(TenantId, &mut Tenant)>, Vec<EpochPlan>) = admitted
+            .into_iter()
+            .map(|(id, plan)| ((id, by_id.remove(&id).expect("admitted once")), plan))
+            .unzip();
         let mut sessions: Vec<&mut StreamingSession> = entries
             .iter_mut()
             .map(|(_, tenant)| &mut tenant.session)
             .collect();
-        let epoch_outcomes = run_interleaved_epochs(&mut sessions, dataset, &mut self.links)?;
+        let epoch_outcomes =
+            run_interleaved_epochs(&mut sessions, plans, dataset, &mut self.links)?;
 
         let mut outcomes = BTreeMap::new();
         for ((id, tenant), outcome) in entries.into_iter().zip(epoch_outcomes) {
@@ -378,6 +383,7 @@ impl Service {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::streaming::EpochBroadcast;
 
     fn query(dataset: &Dataset, index: usize) -> PatternQuery {
         let user = dataset.users()[index];
@@ -457,6 +463,71 @@ mod tests {
         let after_two = service.tenant_report(TenantId(0)).unwrap();
         assert!(after_two.query_bytes > after_one.query_bytes);
         assert_eq!(after_two.deferred_epochs, 0);
+    }
+
+    #[test]
+    fn admission_charges_each_station_exactly_what_the_admitted_epoch_ships() {
+        let day = Dataset::small(16);
+        let stations = day.stations().len() as u64;
+        // Two tenants past their full broadcast, each with a churned query
+        // pending; `budget` then bounds their delta epoch.
+        let open = |budget: Option<u64>| {
+            let mut service = Service::new(PipelineOptions::default());
+            for (tenant, index) in [(0, 0), (1, 3)] {
+                let initial = [query(&day, index)];
+                let config = DiMatchingConfig::default();
+                service
+                    .register(TenantId(tenant), &initial, config)
+                    .unwrap();
+            }
+            service.run_epoch(&day).unwrap();
+            service.insert_query(TenantId(0), &query(&day, 5)).unwrap();
+            service.insert_query(TenantId(1), &query(&day, 7)).unwrap();
+            service.admission = AdmissionPolicy {
+                per_station_budget_bytes: budget,
+            };
+            service
+        };
+        // What each tenant's epoch ships to every station, unbudgeted.
+        let shipped = open(None).run_epoch(&day).unwrap();
+        let per_station = |id: TenantId| {
+            let bytes = shipped.outcomes[&id].broadcast_bytes;
+            assert_eq!(bytes % stations, 0, "every station takes the delta");
+            bytes / stations
+        };
+        let price = per_station(TenantId(0)) + per_station(TenantId(1));
+
+        let exact = open(Some(price)).run_epoch(&day).unwrap();
+        assert_eq!(exact.outcomes.len(), 2);
+        assert!(exact.deferred.is_empty());
+
+        let mut short = open(Some(price - 1));
+        let deferred = TenantId(1);
+        let state = |service: &Service| {
+            let session = service.session(deferred).unwrap();
+            (
+                session.epoch(),
+                session.live_queries(),
+                session.checkpoint(),
+            )
+        };
+        let before = state(&short);
+        let epoch = short.run_epoch(&day).unwrap();
+        assert_eq!(epoch.deferred, vec![deferred]);
+        assert_eq!(
+            state(&short),
+            before,
+            "deferral leaves the session as it was"
+        );
+        // Longest-deferred first: the tenant runs next and ships the delta
+        // it would have shipped.
+        let next = short.run_epoch(&day).unwrap();
+        let (ran, twin) = (&next.outcomes[&deferred], &shipped.outcomes[&deferred]);
+        assert!(matches!(twin.broadcast, EpochBroadcast::Delta { entries } if entries > 0));
+        assert_eq!(ran.epoch, twin.epoch);
+        assert_eq!(ran.broadcast, twin.broadcast);
+        assert_eq!(ran.broadcast_bytes, twin.broadcast_bytes);
+        assert_eq!(ran.outcome.ranked, twin.outcome.ranked);
     }
 
     #[test]

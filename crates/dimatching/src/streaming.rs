@@ -10,14 +10,20 @@
 //! * the **data center** keeps only its query registry: each live query's
 //!   `(key, weight)` pairs. [`StreamingSession::insert_query`] and
 //!   [`StreamingSession::remove_query`] edit the registry and nothing else;
-//! * each **epoch** ([`StreamingSession::run_epoch`]) builds two
-//!   [`WeightedBloomFilter`]s from the registry, the way the batch center
-//!   builds: the live queries' filter, and the filter of the registry as it
-//!   stood at the previous epoch's broadcast. It then broadcasts a
-//!   [`StationUpdate`](crate::wire::StationUpdate): the full filter once at
-//!   session start, then only the positions whose weight set differs
-//!   between the two builds — the [`FilterDelta`](crate::wire::FilterDelta)
-//!   of [`WeightedBloomFilter::diff_from`];
+//! * each **epoch** ([`StreamingSession::run_epoch`]) is computed once, by
+//!   a plan that changes nothing: it builds two [`WeightedBloomFilter`]s
+//!   from the registry, the way the batch center builds — the live queries'
+//!   filter, and the filter of the registry as it stood at the previous
+//!   epoch's broadcast — and diffs them into the
+//!   [`FilterDelta`](crate::wire::FilterDelta) of
+//!   [`WeightedBloomFilter::diff_from`], already in its wire form. It then
+//!   encodes the full [`StationUpdate`](crate::wire::StationUpdate) frame,
+//!   whose length is the epoch's rebuild yardstick, and the delta frame
+//!   when some station holds the state the delta extends. A commit then
+//!   routes, drains the registry and sends the full filter to stations off
+//!   the delta path (session start, a resync) and only the changed
+//!   positions to the rest. A [`Service`](crate::Service) prices each
+//!   tenant's plan for admission and runs the plans it admits;
 //! * **base stations** hold their decoded filter across epochs and apply
 //!   deltas shard-locally under any
 //!   [`ExecutionMode`](dipm_distsim::ExecutionMode) — a pure CDR-churn
@@ -59,7 +65,7 @@ use crate::query::PatternQuery;
 use crate::result::{Method, MethodDetails, QueryOutcome};
 use crate::routing::{self, RoutingTree};
 use crate::strategy::{Wbf, CENTER_ENTRY_BYTES};
-use crate::wire::{self, FilterDelta, StationUpdate};
+use crate::wire::{self, StationUpdate};
 
 /// Handle to one live query of a [`StreamingSession`]; returned by
 /// [`StreamingSession::insert_query`] and consumed by
@@ -132,7 +138,7 @@ impl StationState {
                         self.applied_epoch
                     )));
                 }
-                filter.apply_delta(&delta.diffs, &delta.entries)?;
+                filter.apply_delta(&delta)?;
                 self.totals = query_totals;
             }
         }
@@ -149,26 +155,37 @@ impl StationState {
     }
 }
 
-/// One tenant's epoch, planned but not yet executed: the encoded update
-/// frames, who gets which, and the bookkeeping the finish phase needs.
-/// Produced by `plan_epoch`, consumed by `finish_epoch`; between the two,
-/// the epoch engine broadcasts and executes any number of tenants' plans
-/// over shared station links.
+/// One tenant's epoch as the center computes it, before anything moves:
+/// the update frames and which stations can take the delta. Produced by
+/// the pure `plan_epoch`, priced by [`Service`](crate::Service) admission,
+/// and run by `commit_epoch` and the epoch engine. Planning leaves the
+/// session untouched, so a tenant admission defers keeps its epoch, its
+/// registry and its pending delta as they were.
 #[derive(Debug)]
-struct EpochPlan {
+pub(crate) struct EpochPlan {
     epoch: u64,
-    clock_base: u64,
     start: Instant,
-    /// Per-station routing mask (all `true` under broadcast-all).
-    active: Vec<bool>,
     broadcast: EpochBroadcast,
-    full_frame: Option<Bytes>,
+    /// The full update frame. Encoded every epoch: its length prices a
+    /// rebuild, and any station off the delta path receives it.
+    full_frame: Bytes,
+    /// The delta update frame, when some station can take it.
     delta_frame: Option<Bytes>,
-    full_stations: Vec<usize>,
-    delta_stations: Vec<usize>,
-    full_frame_len: usize,
-    /// Filled by the broadcast phase.
-    broadcast_bytes: u64,
+    /// Per dataset station: whether it holds the state the delta extends.
+    on_delta_path: Vec<bool>,
+}
+
+impl EpochPlan {
+    /// What this epoch sends each dataset station if targeted, in bytes:
+    /// the delta frame on the delta path, the full frame off it.
+    pub(crate) fn station_bytes(&self) -> impl Iterator<Item = u64> + '_ {
+        let frame_len = |frame: &Bytes| frame.len() as u64;
+        let full = frame_len(&self.full_frame);
+        let delta = self.delta_frame.as_ref().map_or(full, frame_len);
+        self.on_delta_path
+            .iter()
+            .map(move |&on| if on { delta } else { full })
+    }
 }
 
 /// How one epoch's filter state reached the stations.
@@ -382,12 +399,6 @@ impl StreamingSession {
         self.epoch
     }
 
-    /// The live queries' filter occupancy — the signal for scheduling a
-    /// deliberate rebuild at a larger geometry once churn degrades it.
-    pub fn fill_ratio(&self) -> f64 {
-        self.build(self.live.values()).fill_ratio()
-    }
-
     /// The live queries' global volumes, in id order.
     fn totals(&self) -> Vec<u64> {
         self.live.values().map(|q| q.total).collect()
@@ -414,18 +425,6 @@ impl StreamingSession {
         filter
     }
 
-    /// The live queries' filter, and the delta to it from the filter the
-    /// delta-path stations hold: the build of the registry as of the last
-    /// drain (the live queries below the drain mark plus the retired ones).
-    fn live_filter_and_delta(&self) -> Result<(WeightedBloomFilter, FilterDelta)> {
-        let live = self.build(self.live.values());
-        let mark = StreamQueryId(self.drained_next_id);
-        let drained = self.live.range(..mark).chain(&self.retired);
-        let drained = self.build(drained.map(|(_, query)| query));
-        let delta = FilterDelta::intern(live.diff_from(&drained)?);
-        Ok((live, delta))
-    }
-
     /// Runs one epoch over `dataset`: broadcasts the pending filter state
     /// (full on the first epoch, delta after), scans every station's
     /// current local store under the session's
@@ -448,8 +447,9 @@ impl StreamingSession {
         // A solo session is the one-tenant case of the interleaved engine:
         // fresh per-epoch link state means every frame is stamped straight
         // from `clock_base`, exactly as a lone center would.
+        let plan = self.plan_epoch(dataset)?;
         let mut links = Vec::new();
-        let mut outcomes = run_interleaved_epochs(&mut [self], dataset, &mut links)?;
+        let mut outcomes = run_interleaved_epochs(&mut [self], vec![plan], dataset, &mut links)?;
         Ok(outcomes.pop().expect("one outcome per session"))
     }
 
@@ -506,13 +506,80 @@ impl StreamingSession {
         Ok(active)
     }
 
-    /// Phase 1 of an epoch: everything the center decides *before* any
-    /// frame flies — guards, lazy station init, routing, the two filter
-    /// builds, the drain and the encoded update frames. Pure center-side
-    /// work, so a service can plan every tenant before any of them
-    /// executes.
-    fn plan_epoch(&mut self, dataset: &Dataset, meter: &CostMeter) -> Result<EpochPlan> {
+    /// Phase 1 of an epoch, and the only place it is computed: builds the
+    /// live queries' filter and the filter of the registry as of the last
+    /// drain (the live queries below the drain mark plus the retired ones),
+    /// which is what delta-path stations hold; diffs them; and encodes the
+    /// full frame and, when some station can take it, the delta frame.
+    ///
+    /// Pure: nothing changes until `commit_epoch` runs the plan, so a
+    /// service can plan and price every tenant before deciding which run.
+    /// The per-station delta-path test ignores routing, so admission
+    /// budgets against every station being targeted.
+    pub(crate) fn plan_epoch(&self, dataset: &Dataset) -> Result<EpochPlan> {
         let start = Instant::now();
+        let epoch = self.epoch;
+        let totals = self.totals();
+        let live = self.build(self.live.values());
+        let mark = StreamQueryId(self.drained_next_id);
+        let drained = self.live.range(..mark).chain(&self.retired);
+        let delta = live.diff_from(&self.build(drained.map(|(_, query)| query)))?;
+        // A station is on the delta path when it applied every epoch up to
+        // this one onto a full base; everyone else — session start, a
+        // post-failure resync, or a station an earlier epoch's routing
+        // pruned — gets the full filter instead.
+        let on_delta_path: Vec<bool> = (0..dataset.stations().len())
+            .map(|i| {
+                !self.needs_full
+                    && self
+                        .stations
+                        .get(i)
+                        .is_some_and(|s| s.filter.is_some() && s.applied_epoch + 1 == epoch)
+            })
+            .collect();
+        let broadcast = if self.needs_full {
+            EpochBroadcast::Full
+        } else {
+            EpochBroadcast::Delta {
+                entries: delta.entries.len(),
+            }
+        };
+        let full_frame = wire::encode_station_update(&StationUpdate::Full {
+            epoch,
+            query_totals: totals.clone(),
+            filter: encode::encode_wbf(&live)?,
+        })?;
+        let delta_frame = if on_delta_path.contains(&true) {
+            Some(wire::encode_station_update(&StationUpdate::Delta {
+                epoch,
+                query_totals: totals,
+                delta,
+            })?)
+        } else {
+            None
+        };
+        Ok(EpochPlan {
+            epoch,
+            start,
+            broadcast,
+            full_frame,
+            delta_frame,
+            on_delta_path,
+        })
+    }
+
+    /// Phase 2 of an epoch: runs `plan` against the session — guards the
+    /// station count, initializes stations on the first epoch, routes, and
+    /// drains the registry exactly once, so the live registry becomes the
+    /// base of the next delta. Returns the per-station routing mask (all
+    /// `true` under broadcast-all).
+    fn commit_epoch(
+        &mut self,
+        plan: &EpochPlan,
+        dataset: &Dataset,
+        meter: &CostMeter,
+    ) -> Result<Vec<bool>> {
+        debug_assert_eq!(plan.epoch, self.epoch, "a plan runs in its own epoch");
         let station_count = dataset.stations().len();
         if !self.stations.is_empty() && self.stations.len() != station_count {
             return Err(ProtocolError::invalid_config(format!(
@@ -520,15 +587,11 @@ impl StreamingSession {
                 self.stations.len()
             )));
         }
-        let epoch = self.epoch;
-        let totals = self.totals();
-
         if self.stations.is_empty() {
             self.stations = (0..station_count)
                 .map(|_| StationState::default())
                 .collect();
         }
-
         // Query routing: keep the Bloofi tree hot against this epoch's CDR
         // churn and target only stations whose summaries can match the live
         // query set. The default broadcasts to all.
@@ -536,110 +599,9 @@ impl StreamingSession {
             RoutingPolicy::Tree { fanout } => self.route_epoch(dataset, fanout, meter)?,
             RoutingPolicy::BroadcastAll => vec![true; station_count],
         };
-
-        // This epoch's builds, its delta, and the rebuild-economics
-        // yardstick: what a full broadcast would weigh this epoch, computed
-        // without serializing the frame.
-        let (live, delta) = self.live_filter_and_delta()?;
-        let full_frame_len = full_frame_len(&totals, &live)?;
-
-        // Drain exactly once per epoch: the live registry becomes the base
-        // of the next delta. Stations on the delta path are exactly those
-        // synced to the previous drain point (they applied the last epoch,
-        // and every epoch before it, to a full base), so the delta extends
-        // their state; everyone else — session start, post-failure resync,
-        // or a station an earlier epoch's routing pruned and this one
-        // re-targets — gets this epoch's full filter instead.
         self.drained_next_id = self.next_id;
         self.retired.clear();
-        let delta_entries = delta.entries.len();
-        let mut full_stations: Vec<usize> = Vec::new();
-        let mut delta_stations: Vec<usize> = Vec::new();
-        for (i, state) in self.stations.iter().enumerate() {
-            if !active[i] {
-                continue;
-            }
-            let on_delta_path =
-                !self.needs_full && state.filter.is_some() && state.applied_epoch + 1 == epoch;
-            if on_delta_path {
-                delta_stations.push(i);
-            } else {
-                full_stations.push(i);
-            }
-        }
-        let broadcast = if self.needs_full {
-            EpochBroadcast::Full
-        } else {
-            EpochBroadcast::Delta {
-                entries: delta_entries,
-            }
-        };
-        let full_frame = if full_stations.is_empty() {
-            None
-        } else {
-            let frame = wire::encode_station_update(&StationUpdate::Full {
-                epoch,
-                query_totals: totals.clone(),
-                filter: encode::encode_wbf(&live)?,
-            })?;
-            debug_assert_eq!(frame.len(), full_frame_len);
-            Some(frame)
-        };
-        let delta_frame = if delta_stations.is_empty() {
-            None
-        } else {
-            Some(wire::encode_station_update(&StationUpdate::Delta {
-                epoch,
-                query_totals: totals,
-                delta,
-            })?)
-        };
-        Ok(EpochPlan {
-            epoch,
-            clock_base: self.clock_base,
-            start,
-            active,
-            broadcast,
-            full_frame,
-            delta_frame,
-            full_stations,
-            delta_stations,
-            full_frame_len,
-            broadcast_bytes: 0,
-        })
-    }
-
-    /// What the *next* epoch would send each of `station_count` stations,
-    /// in bytes — the admission currency of
-    /// [`Service`](crate::Service) backpressure. Builds the epoch's filters
-    /// without draining, so a deferred tenant's session is exactly as it
-    /// was. Routing-blind on purpose: admission budgets against the worst
-    /// case where every station is targeted.
-    pub(crate) fn planned_station_bytes(&self, station_count: usize) -> Result<Vec<u64>> {
-        let totals = self.totals();
-        let (live, delta) = self.live_filter_and_delta()?;
-        let full_len = full_frame_len(&totals, &live)? as u64;
-        let delta_len = wire::encode_station_update(&StationUpdate::Delta {
-            epoch: self.epoch,
-            query_totals: totals,
-            delta,
-        })?
-        .len() as u64;
-        let epoch = self.epoch;
-        Ok((0..station_count)
-            .map(|i| {
-                let on_delta_path = !self.needs_full
-                    && self
-                        .stations
-                        .get(i)
-                        .is_some_and(|s| s.filter.is_some() && s.applied_epoch + 1 == epoch);
-                if on_delta_path {
-                    delta_len
-                } else {
-                    full_len
-                }
-            })
-            .collect())
+        Ok(active)
     }
 
     /// The split borrow the execution phase needs: every station's mutable
@@ -648,18 +610,23 @@ impl StreamingSession {
         (&mut self.stations, &self.config)
     }
 
-    /// Phase 4 of an epoch: Algorithm 3 intake (shared with the batch
+    /// Phase 5 of an epoch: Algorithm 3 intake (shared with the batch
     /// pipeline), aggregation, and the epoch-advance bookkeeping.
     fn finish_epoch(
         &mut self,
-        plan: EpochPlan,
-        center: &Mailbox,
-        network: &Network,
+        tenant: TenantEpoch,
         shard_count: u32,
         station_count: usize,
     ) -> Result<EpochOutcome> {
+        let TenantEpoch {
+            network,
+            center,
+            plan,
+            broadcast_bytes,
+            ..
+        } = tenant;
         let collected =
-            collect_station_reports(center, network, shard_count, station_count as u32)?;
+            collect_station_reports(&center, &network, shard_count, station_count as u32)?;
         let mut reports: Vec<(dipm_mobilenet::UserId, Weight)> = Vec::new();
         for (report_frame, _) in &collected.frames {
             for (query, user, weight) in
@@ -695,8 +662,8 @@ impl StreamingSession {
         Ok(EpochOutcome {
             epoch: plan.epoch,
             broadcast: plan.broadcast,
-            broadcast_bytes: plan.broadcast_bytes,
-            rebuild_bytes: plan.full_frame_len as u64 * station_count as u64,
+            broadcast_bytes,
+            rebuild_bytes: plan.full_frame.len() as u64 * station_count as u64,
             latency: collected.latency,
             outcome,
         })
@@ -881,13 +848,6 @@ impl StreamingSession {
     }
 }
 
-/// The length of a full update frame carrying `filter` to stations with
-/// `totals`, computed without serializing the frame. Fails when the filter
-/// outgrows the wire format, as the full broadcast itself would.
-fn full_frame_len(totals: &[u64], filter: &WeightedBloomFilter) -> Result<usize> {
-    Ok(1 + 8 + 4 + totals.len() * 8 + encode::encoded_wbf_len(filter)?)
-}
-
 /// Rejects a recovery whose config disagrees with the checkpoint on
 /// `field`.
 fn same_as_config<T: PartialEq + std::fmt::Debug>(
@@ -922,53 +882,71 @@ impl StationMemory {
     }
 }
 
-/// Phase 2 of an epoch: schedules the plan's frames onto the shared
-/// per-station downlinks. Each station's link serializes: a frame's send
-/// tick is the later of the tenant's clock and the tick the link finished
-/// its previous frame, so concurrent tenants queue behind each other
-/// exactly as they would on real station radios. With fresh (all-zero)
-/// links — the solo case — every frame is stamped straight from the
-/// tenant's `clock_base`, byte-identically to a lone session. An unmodeled
-/// network serializes in zero ticks, so its links never advance.
-fn broadcast_plan(plan: &mut EpochPlan, network: &Network, links: &mut [u64]) -> Result<()> {
+/// Phase 3 of an epoch: schedules the plan's frames onto the shared
+/// per-station downlinks and returns the bytes they moved. Each station's
+/// link serializes: a frame's send tick is the later of the tenant's clock
+/// and the tick the link finished its previous frame, so concurrent tenants
+/// queue behind each other exactly as they would on real station radios.
+/// With fresh (all-zero) links — the solo case — every frame is stamped
+/// straight from the tenant's `clock_base`, byte-identically to a lone
+/// session. An unmodeled network serializes in zero ticks, so its links
+/// never advance.
+fn broadcast_plan(
+    plan: &EpochPlan,
+    active: &[bool],
+    clock_base: u64,
+    network: &Network,
+    links: &mut [u64],
+) -> Result<u64> {
     let frames = [
-        (&plan.full_frame, &plan.full_stations),
-        (&plan.delta_frame, &plan.delta_stations),
+        (Some(&plan.full_frame), false),
+        (plan.delta_frame.as_ref(), true),
     ];
-    for (frame, stations) in frames {
-        if let Some(frame) = frame {
-            let serialize = network.latency_model().map_or(0, |model| {
-                model.ticks_per_byte.saturating_mul(frame.len() as u64)
-            });
-            let targets: Vec<(NodeId, u64)> = stations
-                .iter()
-                .map(|&i| {
-                    let tick = plan.clock_base.max(links[i]);
-                    links[i] = tick.saturating_add(serialize);
-                    (NodeId::base_station(i as u32), tick)
-                })
-                .collect();
-            network.broadcast_each_at(DATA_CENTER, targets, TrafficClass::Query, frame)?;
-            // Each recipient holds its copy of the frame while live.
-            network
-                .meter()
-                .record_storage(frame.len() as u64 * stations.len() as u64);
-            plan.broadcast_bytes += frame.len() as u64 * stations.len() as u64;
-        }
+    let mut bytes = 0;
+    for (frame, delta_path) in frames {
+        let stations: Vec<usize> = (0..active.len())
+            .filter(|&i| active[i] && plan.on_delta_path[i] == delta_path)
+            .collect();
+        // A station is on the delta path only when the delta frame exists.
+        let Some(frame) = frame.filter(|_| !stations.is_empty()) else {
+            continue;
+        };
+        let serialize = network.latency_model().map_or(0, |model| {
+            model.ticks_per_byte.saturating_mul(frame.len() as u64)
+        });
+        let targets: Vec<(NodeId, u64)> = stations
+            .iter()
+            .map(|&i| {
+                let tick = clock_base.max(links[i]);
+                links[i] = tick.saturating_add(serialize);
+                (NodeId::base_station(i as u32), tick)
+            })
+            .collect();
+        network.broadcast_each_at(DATA_CENTER, targets, TrafficClass::Query, frame)?;
+        // Each recipient holds its copy of the frame while live.
+        network
+            .meter()
+            .record_storage(frame.len() as u64 * stations.len() as u64);
+        bytes += frame.len() as u64 * stations.len() as u64;
     }
-    Ok(())
+    Ok(bytes)
 }
 
 /// Per-tenant per-epoch runtime: the tenant's private network (its own
-/// meter — isolation is structural) and its planned epoch.
+/// meter — isolation is structural), its plan, who the plan targets, and
+/// what its broadcast moved.
 struct TenantEpoch {
     network: Network,
     center: Mailbox,
     mailboxes: Vec<Mailbox>,
     plan: EpochPlan,
+    active: Vec<bool>,
+    broadcast_bytes: u64,
 }
 
-/// Runs one epoch for every session over the shared per-station links.
+/// Runs one planned epoch for every session over the shared per-station
+/// links; `plans[i]` is `sessions[i]`'s own
+/// [`plan_epoch`](StreamingSession::plan_epoch).
 ///
 /// This is *the* epoch engine: a solo [`StreamingSession::run_epoch`] is
 /// the one-session call of the same code, which is what makes tenant
@@ -986,10 +964,11 @@ struct TenantEpoch {
 /// have struck mid-protocol for any of them.
 pub(crate) fn run_interleaved_epochs(
     sessions: &mut [&mut StreamingSession],
+    plans: Vec<EpochPlan>,
     dataset: &Dataset,
     links: &mut Vec<u64>,
 ) -> Result<Vec<EpochOutcome>> {
-    let result = interleaved_epochs_inner(sessions, dataset, links);
+    let result = interleaved_epochs_inner(sessions, plans, dataset, links);
     if result.is_err() {
         for session in sessions.iter_mut() {
             session.needs_full = true;
@@ -1003,6 +982,7 @@ pub(crate) fn run_interleaved_epochs(
 
 fn interleaved_epochs_inner(
     sessions: &mut [&mut StreamingSession],
+    plans: Vec<EpochPlan>,
     dataset: &Dataset,
     links: &mut Vec<u64>,
 ) -> Result<Vec<EpochOutcome>> {
@@ -1015,28 +995,31 @@ fn interleaved_epochs_inner(
         links.resize(station_count, 0);
     }
 
-    // Phases 1+2 per tenant, in registration order: plan, then claim the
-    // shared downlinks. The first tenant's frames are stamped exactly as a
-    // solo run's; later tenants queue behind it. Each tenant gets a fresh
-    // network per epoch so nodes re-register and meters stay private.
+    // Phases 2 and 3 per tenant, in registration order: commit the plan,
+    // then claim the shared downlinks. The first tenant's frames are
+    // stamped exactly as a solo run's; later tenants queue behind it. Each
+    // tenant gets a fresh network per epoch so nodes re-register and meters
+    // stay private.
     let mut tenants: Vec<TenantEpoch> = Vec::with_capacity(sessions.len());
-    for session in sessions.iter_mut() {
+    for (session, plan) in sessions.iter_mut().zip(plans) {
         let network = session.options.network();
         let center = network.register(DATA_CENTER)?;
         let mailboxes = (0..station_count)
             .map(|i| network.register(NodeId::base_station(i as u32)))
             .collect::<dipm_distsim::Result<Vec<_>>>()?;
-        let mut plan = session.plan_epoch(dataset, network.meter())?;
-        broadcast_plan(&mut plan, &network, links)?;
+        let active = session.commit_epoch(&plan, dataset, network.meter())?;
+        let broadcast_bytes = broadcast_plan(&plan, &active, session.clock_base, &network, links)?;
         tenants.push(TenantEpoch {
             network,
             center,
             mailboxes,
             plan,
+            active,
+            broadcast_bytes,
         });
     }
 
-    // Phase 3: execution. The dataset (and so the shard layout) is shared
+    // Phase 4: execution. The dataset (and so the shard layout) is shared
     // across tenants — it is the same physical traffic every tenant's
     // standing queries watch.
     let empty = BTreeMap::new();
@@ -1057,7 +1040,7 @@ fn interleaved_epochs_inner(
     let mut results: Vec<Result<()>> = Vec::new();
     for (session, tenant) in sessions.iter_mut().zip(&tenants) {
         let epoch = tenant.plan.epoch;
-        let (network, active) = (&tenant.network, &tenant.plan.active);
+        let (network, active) = (&tenant.network, &tenant.active);
         let (stations, config) = session.exec_parts();
         let steps = tenant.mailboxes.iter().zip(stations.iter_mut()).enumerate();
         results.extend(
@@ -1075,17 +1058,11 @@ fn interleaved_epochs_inner(
     }
     results.into_iter().collect::<Result<()>>()?;
 
-    // Phase 4 per tenant.
+    // Phase 5 per tenant.
     let shard_count = shards.count() as u32;
     let mut outcomes = Vec::with_capacity(sessions.len());
     for (session, tenant) in sessions.iter_mut().zip(tenants) {
-        outcomes.push(session.finish_epoch(
-            tenant.plan,
-            &tenant.center,
-            &tenant.network,
-            shard_count,
-            station_count,
-        )?);
+        outcomes.push(session.finish_epoch(tenant, shard_count, station_count)?);
     }
     Ok(outcomes)
 }
@@ -1427,7 +1404,7 @@ mod tests {
         let delta = StationUpdate::Delta {
             epoch: 0,
             query_totals: vec![],
-            delta: FilterDelta::default(),
+            delta: wire::FilterDelta::default(),
         };
         assert!(state.apply(delta.clone(), 0).is_err());
         // So is an epoch mismatch.

@@ -18,6 +18,7 @@
 //!   by their inner decoders).
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
+pub use dipm_core::FilterDelta;
 use dipm_core::{encode, BloomFilter, WbfFrameView, Weight, WeightDiff, WeightSet};
 use dipm_mobilenet::UserId;
 use dipm_timeseries::{Pattern, ToleranceMode};
@@ -53,6 +54,27 @@ fn expect_consumed(data: &Bytes, frame: &str) -> Result<()> {
         )));
     }
     Ok(())
+}
+
+/// Writes a weight as `{num u64, den u64}`, in lowest terms.
+fn put_weight(buf: &mut BytesMut, weight: Weight) {
+    buf.put_u64_le(weight.numerator());
+    buf.put_u64_le(weight.denominator());
+}
+
+/// Reads a weight [`put_weight`] wrote. It must be in lowest terms, as
+/// every encoder writes it, so the frame re-encodes to itself; `what` names
+/// the frame family in the refusal.
+fn take_weight(data: &mut Bytes, what: &str) -> Result<Weight> {
+    let (num, den) = (data.get_u64_le(), data.get_u64_le());
+    let weight = Weight::new(num, den)
+        .map_err(|_| ProtocolError::malformed_report("zero weight denominator"))?;
+    if (weight.numerator(), weight.denominator()) != (num, den) {
+        return Err(ProtocolError::malformed_report(format!(
+            "{what} weight not in lowest terms"
+        )));
+    }
+    Ok(weight)
 }
 
 /// Frames a batch broadcast: one strategy-encoded filter section per query,
@@ -319,18 +341,19 @@ pub fn encode_tagged_weight_reports(reports: &[(u32, UserId, Weight)]) -> Result
     for (query, user, weight) in reports {
         buf.put_u32_le(*query);
         buf.put_u64_le(user.0);
-        buf.put_u64_le(weight.numerator());
-        buf.put_u64_le(weight.denominator());
+        put_weight(&mut buf, *weight);
     }
     Ok(buf.freeze())
 }
 
-/// Decodes a query-tagged weight-report payload.
+/// Decodes a query-tagged weight-report payload. Weights must be in
+/// lowest terms, as the encoder writes them, so every accepted payload
+/// re-encodes to itself.
 ///
 /// # Errors
 ///
-/// Returns [`ProtocolError::MalformedReport`] on truncation or a zero
-/// denominator.
+/// Returns [`ProtocolError::MalformedReport`] on truncation, a zero
+/// denominator or a weight not in lowest terms.
 pub fn decode_tagged_weight_reports(mut data: Bytes) -> Result<Vec<(u32, UserId, Weight)>> {
     if data.remaining() < 4 {
         return Err(ProtocolError::malformed_report("truncated report count"));
@@ -343,11 +366,7 @@ pub fn decode_tagged_weight_reports(mut data: Bytes) -> Result<Vec<(u32, UserId,
     for _ in 0..count {
         let query = data.get_u32_le();
         let user = UserId(data.get_u64_le());
-        let num = data.get_u64_le();
-        let den = data.get_u64_le();
-        let weight = Weight::new(num, den)
-            .map_err(|_| ProtocolError::malformed_report("zero weight denominator"))?;
-        out.push((query, user, weight));
+        out.push((query, user, take_weight(&mut data, "report")?));
     }
     expect_consumed(&data, "tagged weight reports")?;
     Ok(out)
@@ -551,60 +570,6 @@ pub fn decode_station_data(mut data: Bytes) -> Result<Vec<(UserId, Pattern)>> {
 const UPDATE_KIND_FULL: u8 = 0;
 const UPDATE_KIND_DELTA: u8 = 1;
 
-/// The changed positions of one filter section, as per-position
-/// [`WeightDiff`]s against the receiver's current state — held the way the
-/// frame carries them: each distinct diff once, and each entry as a
-/// position plus an index into that diff table.
-///
-/// Entries are in strictly ascending position order — the canonical form
-/// [`WeightedBloomFilter::diff_from`](dipm_core::WeightedBloomFilter::diff_from)
-/// produces; the encoder rejects disorder and the wire format makes it
-/// unrepresentable (positions travel as varint gaps). Diffs rather than
-/// absolute sets for two reasons: every position a churned pattern touches
-/// carries the *same* few-weight diff, so the diff table interns to a
-/// handful of entries where absolute sets (each grafted onto a different
-/// pre-existing set) would not — and application doubles as validation,
-/// since a diff that does not match the station's state proves the station
-/// missed or replayed an epoch.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct FilterDelta {
-    /// The diff table, in the order entries first reference each diff.
-    pub diffs: Vec<WeightDiff>,
-    /// `(position, index into diffs)` in strictly ascending position order.
-    pub entries: Vec<(u32, u32)>,
-}
-
-impl FilterDelta {
-    /// Interns `(position, diff)` entries: each distinct diff enters the
-    /// table once, in first-seen order.
-    pub fn intern(changes: Vec<(u32, WeightDiff)>) -> FilterDelta {
-        let mut diffs: Vec<WeightDiff> = Vec::new();
-        let mut index: std::collections::HashMap<WeightDiff, u32> =
-            std::collections::HashMap::new();
-        let entries = changes
-            .into_iter()
-            .map(|(pos, diff)| {
-                let id = match index.get(&diff) {
-                    Some(&id) => id,
-                    None => {
-                        let id = diffs.len() as u32;
-                        index.insert(diff.clone(), id);
-                        diffs.push(diff);
-                        id
-                    }
-                };
-                (pos, id)
-            })
-            .collect();
-        FilterDelta { diffs, entries }
-    }
-
-    /// Whether the delta changes nothing (a pure CDR-churn epoch).
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-}
-
 /// One epoch's broadcast in a streaming session: either the full filter
 /// (session start, or a deliberate rebuild) or the delta since the previous
 /// epoch. Both carry the epoch number — stations reject gaps and replays —
@@ -684,10 +649,11 @@ fn take_varint(data: &mut Bytes) -> Result<u64> {
 }
 
 /// Checks a delta's diff table against its entries in the canonical form
-/// [`FilterDelta::intern`] produces, which the encoder requires and the
-/// decoder accepts alone: every entry references a diff inside the table,
-/// the entries' first references run 0, 1, 2, … (first-seen order), every
-/// diff is referenced, and no diff repeats.
+/// [`WeightedBloomFilter::diff_from`](dipm_core::WeightedBloomFilter::diff_from)
+/// produces, which the encoder requires and the decoder accepts alone:
+/// every entry references a diff inside the table, the entries' first
+/// references run 0, 1, 2, … (first-seen order), every diff is referenced,
+/// and no diff repeats.
 fn check_diff_table(delta: &FilterDelta) -> Result<()> {
     let mut named = 0;
     for &(_, diff_ref) in &delta.entries {
@@ -753,9 +719,8 @@ fn put_filter_delta(buf: &mut BytesMut, delta: &FilterDelta) -> Result<()> {
         ));
     }
     buf.put_u32_le(frame_count(dict.len())?);
-    for weight in &dict {
-        buf.put_u64_le(weight.numerator());
-        buf.put_u64_le(weight.denominator());
+    for &weight in &dict {
+        put_weight(buf, weight);
     }
     buf.put_u32_le(frame_count(delta.diffs.len())?);
     for diff in &delta.diffs {
@@ -809,15 +774,7 @@ fn take_filter_delta(data: &mut Bytes) -> Result<FilterDelta> {
     }
     let mut dict: Vec<Weight> = Vec::with_capacity(dict_len);
     for _ in 0..dict_len {
-        let num = data.get_u64_le();
-        let den = data.get_u64_le();
-        let weight = Weight::new(num, den)
-            .map_err(|_| ProtocolError::malformed_report("zero weight denominator"))?;
-        if (weight.numerator(), weight.denominator()) != (num, den) {
-            return Err(ProtocolError::malformed_report(
-                "delta weight not in lowest terms",
-            ));
-        }
+        let weight = take_weight(data, "delta")?;
         if dict.last().is_some_and(|&last| weight <= last) {
             return Err(ProtocolError::malformed_report(
                 "delta dictionary must be strictly ascending",
@@ -1215,8 +1172,8 @@ pub struct CheckpointQuery {
     pub total: u64,
     /// The query's combination count (build statistics).
     pub combinations: u64,
-    /// The `(key, weight)` pairs inserted for this query, in insertion
-    /// order.
+    /// The `(key, weight)` pairs inserted for this query, strictly
+    /// ascending.
     pub pairs: Vec<(u64, Weight)>,
 }
 
@@ -1282,11 +1239,6 @@ pub struct SessionCheckpoint {
     pub stations: Vec<CheckpointStation>,
 }
 
-fn put_checkpoint_weight(buf: &mut BytesMut, weight: Weight) {
-    buf.put_u64_le(weight.numerator());
-    buf.put_u64_le(weight.denominator());
-}
-
 /// Reads one byte as an index into `choices`, rejecting any other value.
 /// Encoders write a fieldless enum's discriminant (`as u8`), so `choices`
 /// lists its variants in declaration order.
@@ -1297,15 +1249,10 @@ fn take_checkpoint_choice<T: Copy>(data: &mut Bytes, choices: &[T], what: &str) 
     })
 }
 
-fn take_checkpoint_weight(data: &mut Bytes) -> Result<Weight> {
-    let num = data.get_u64_le();
-    let den = data.get_u64_le();
-    Weight::new(num, den).map_err(|_| ProtocolError::malformed_report("zero weight denominator"))
-}
-
 /// The rules one query list of a checkpoint obeys: ids strictly ascending
 /// and below `limit` (named `limit_name`), every query with a volume and
-/// pairs.
+/// pairs, and each query's pairs strictly ascending, as the registry holds
+/// them.
 fn validate_checkpoint_queries(
     queries: &[CheckpointQuery],
     what: &str,
@@ -1334,6 +1281,11 @@ fn validate_checkpoint_queries(
         if query.pairs.is_empty() {
             return Err(ProtocolError::malformed_report(format!(
                 "checkpoint {what} with no pairs"
+            )));
+        }
+        if query.pairs.windows(2).any(|pair| pair[0] >= pair[1]) {
+            return Err(ProtocolError::malformed_report(format!(
+                "checkpoint {what} pairs must be strictly ascending"
             )));
         }
     }
@@ -1419,7 +1371,7 @@ fn put_checkpoint_queries(buf: &mut BytesMut, queries: &[CheckpointQuery]) -> Re
         buf.put_u32_le(frame_count(query.pairs.len())?);
         for &(key, weight) in &query.pairs {
             buf.put_u64_le(key);
-            put_checkpoint_weight(buf, weight);
+            put_weight(buf, weight);
         }
     }
     Ok(())
@@ -1457,7 +1409,7 @@ fn take_checkpoint_queries(data: &mut Bytes, what: &str) -> Result<Vec<Checkpoin
         let mut pairs = Vec::with_capacity(pair_count);
         for _ in 0..pair_count {
             let key = data.get_u64_le();
-            let weight = take_checkpoint_weight(data)?;
+            let weight = take_weight(data, "checkpoint")?;
             pairs.push((key, weight));
         }
         queries.push(CheckpointQuery {
@@ -1515,8 +1467,10 @@ pub fn encode_session_checkpoint(checkpoint: &SessionCheckpoint) -> Result<Bytes
 /// Decodes one streaming session's checkpoint, enforcing every structural
 /// rule the encoder promises: counts bounded against the remaining buffer
 /// before allocation, known configuration bytes, strictly ascending ids in
-/// range, retired queries never live, station epochs never beyond the
-/// session epoch, and no trailing bytes.
+/// range, retired queries never live, each query's pairs strictly
+/// ascending with weights in lowest terms, station epochs never beyond the
+/// session epoch, and no trailing bytes. So every accepted frame re-encodes
+/// to itself.
 ///
 /// # Errors
 ///
@@ -1924,6 +1878,23 @@ mod tests {
     }
 
     #[test]
+    fn report_weights_not_in_lowest_terms_are_rejected() {
+        // One report of 2/4 written by hand: its value is the encoder's
+        // 1/2, but accepting it would re-encode to other bytes.
+        let mut raw = BytesMut::new();
+        raw.put_u32_le(1);
+        raw.put_u32_le(0);
+        raw.put_u64_le(7);
+        raw.put_u64_le(2);
+        raw.put_u64_le(4);
+        let err = decode_tagged_weight_reports(raw.freeze()).unwrap_err();
+        assert_eq!(
+            err,
+            ProtocolError::malformed_report("report weight not in lowest terms")
+        );
+    }
+
+    #[test]
     fn frame_count_guards_the_length_prefix() {
         // The regression the checked casts fix: a count above u32::MAX used
         // to truncate silently (`len() as u32`), producing a prefix that
@@ -1966,20 +1937,14 @@ mod tests {
     #[test]
     fn station_update_delta_roundtrips_with_interning() {
         let churn = diff(&[w(1, 3)], &[w(2, 3)]);
-        let delta = FilterDelta::intern(vec![
-            (3, churn.clone()),
-            (9, diff(&[Weight::ONE], &[])),
-            (17, churn.clone()),
-            (18, churn.clone()),
-            (40, diff(&[], &[Weight::ONE])),
-        ]);
-        // The table holds each distinct diff once, in first-seen order.
-        assert_eq!(delta.diffs.len(), 3);
-        assert_eq!(delta.diffs[0], churn);
-        assert_eq!(
-            delta.entries,
-            vec![(3, 0), (9, 1), (17, 0), (18, 0), (40, 2)]
-        );
+        let delta = FilterDelta {
+            diffs: vec![
+                churn.clone(),
+                diff(&[Weight::ONE], &[]),
+                diff(&[], &[Weight::ONE]),
+            ],
+            entries: vec![(3, 0), (9, 1), (17, 0), (18, 0), (40, 2)],
+        };
         let update = StationUpdate::Delta {
             epoch: 7,
             query_totals: vec![100, 250],
@@ -2004,54 +1969,26 @@ mod tests {
 
     #[test]
     fn delta_encoder_rejects_disorder_and_empty_diffs() {
-        let out_of_order = FilterDelta::intern(vec![
-            (9, diff(&[], &[Weight::ONE])),
-            (3, diff(&[], &[Weight::ONE])),
-        ]);
-        assert!(encode_station_update(&StationUpdate::Delta {
-            epoch: 0,
-            query_totals: vec![],
-            delta: out_of_order,
-        })
-        .is_err());
-        let duplicate = FilterDelta::intern(vec![
-            (3, diff(&[], &[Weight::ONE])),
-            (3, diff(&[], &[Weight::ONE])),
-        ]);
-        assert!(encode_station_update(&StationUpdate::Delta {
-            epoch: 0,
-            query_totals: vec![],
-            delta: duplicate,
-        })
-        .is_err());
-        let empty_diff = FilterDelta::intern(vec![(3, WeightDiff::default())]);
-        assert!(encode_station_update(&StationUpdate::Delta {
-            epoch: 0,
-            query_totals: vec![],
-            delta: empty_diff,
-        })
-        .is_err());
+        let rejected = |diffs: Vec<WeightDiff>, entries: Vec<(u32, u32)>| {
+            let delta = FilterDelta { diffs, entries };
+            encode_station_update(&StationUpdate::Delta {
+                epoch: 0,
+                query_totals: vec![],
+                delta,
+            })
+            .is_err()
+        };
+        let add_one = || vec![diff(&[], &[Weight::ONE])];
+        assert!(rejected(add_one(), vec![(9, 0), (3, 0)]), "out of order");
+        assert!(rejected(add_one(), vec![(3, 0), (3, 0)]), "duplicate");
+        assert!(rejected(vec![WeightDiff::default()], vec![(3, 0)]), "empty");
         // Encode/decode symmetry: an overlapping diff is rejected at the
         // encoder too, so the center can never frame an update every
         // station would refuse.
-        let overlapping = FilterDelta::intern(vec![(3, diff(&[Weight::ONE], &[Weight::ONE]))]);
-        assert!(encode_station_update(&StationUpdate::Delta {
-            epoch: 0,
-            query_totals: vec![],
-            delta: overlapping,
-        })
-        .is_err());
+        let overlapping = vec![diff(&[Weight::ONE], &[Weight::ONE])];
+        assert!(rejected(overlapping, vec![(3, 0)]), "overlapping");
         // An entry must reference a diff inside the table.
-        let dangling = FilterDelta {
-            diffs: vec![diff(&[], &[Weight::ONE])],
-            entries: vec![(3, 1)],
-        };
-        assert!(encode_station_update(&StationUpdate::Delta {
-            epoch: 0,
-            query_totals: vec![],
-            delta: dangling,
-        })
-        .is_err());
+        assert!(rejected(add_one(), vec![(3, 1)]), "dangling");
     }
 
     #[test]
@@ -2325,7 +2262,7 @@ mod tests {
                     id: 0,
                     total: 40,
                     combinations: 12,
-                    pairs: vec![(11, w(1, 4)), (7, w(3, 4))],
+                    pairs: vec![(7, w(3, 4)), (11, w(1, 4))],
                 },
                 CheckpointQuery {
                     id: 2,

@@ -250,13 +250,14 @@ fn delta_decoding_allocates_per_diff_not_per_entry() {
         },
     ];
     let frame = |entries: u32| {
-        let drained = (0..entries)
-            .map(|i| (i * 3, diffs[i as usize % diffs.len()].clone()))
-            .collect();
+        let delta = wire::FilterDelta {
+            diffs: diffs.to_vec(),
+            entries: (0..entries).map(|i| (i * 3, i % 2)).collect(),
+        };
         wire::encode_station_update(&wire::StationUpdate::Delta {
             epoch: 1,
             query_totals: vec![10, 20],
-            delta: wire::FilterDelta::intern(drained),
+            delta,
         })
         .expect("delta frames")
     };

@@ -28,15 +28,26 @@ fn weight_diff(seed: u64) -> WeightDiff {
     WeightDiff { removed, added }
 }
 
-/// Builds a structurally valid delta from arbitrary position/diff seeds.
+/// Builds a structurally valid delta from arbitrary position/diff seeds:
+/// ascending positions over a table of distinct diffs in first-seen order.
 fn delta_from(seeds: &[(u32, u64)]) -> wire::FilterDelta {
-    let mut entries: Vec<(u32, WeightDiff)> = seeds
-        .iter()
-        .map(|&(pos, seed)| (pos, weight_diff(seed)))
-        .collect();
-    entries.sort_by_key(|&(pos, _)| pos);
-    entries.dedup_by_key(|&mut (pos, _)| pos);
-    wire::FilterDelta::intern(entries)
+    let mut seeds = seeds.to_vec();
+    seeds.sort_by_key(|&(pos, _)| pos);
+    seeds.dedup_by_key(|&mut (pos, _)| pos);
+    let mut delta = wire::FilterDelta::default();
+    for (pos, seed) in seeds {
+        let diff = weight_diff(seed);
+        let id = delta
+            .diffs
+            .iter()
+            .position(|d| *d == diff)
+            .unwrap_or_else(|| {
+                delta.diffs.push(diff);
+                delta.diffs.len() - 1
+            });
+        delta.entries.push((pos, id as u32));
+    }
+    delta
 }
 
 proptest! {
@@ -769,11 +780,11 @@ fn delta_frame(dict: &[(u64, u64)], diffs: &[(&[u16], &[u16])], entries: &[(u8, 
     Bytes::from(out)
 }
 
-// A delta's diff table is canonical as `FilterDelta::intern` builds it:
-// distinct diffs, each referenced, in first-seen order, over a dictionary
-// of reduced weights that the diffs hold in full. The decoder refuses
-// each broken rule with its own message, and the encoder refuses the same
-// `FilterDelta` with the same message.
+// A delta's diff table is canonical as `WeightedBloomFilter::diff_from`
+// builds it: distinct diffs, each referenced, in first-seen order, over a
+// dictionary of reduced weights that the diffs hold in full. The decoder
+// refuses each broken rule with its own message, and the encoder refuses
+// the same `FilterDelta` with the same message.
 #[test]
 fn non_canonical_delta_tables_are_rejected_by_encoder_and_decoder() {
     let w = |n| Weight::new(n, 9).unwrap();
@@ -918,6 +929,29 @@ proptest! {
             prop_assert_eq!(wire::encode_station_update(&decoded).unwrap(), raw);
         }
     }
+
+    // Every mutated tagged weight-report payload that still decodes
+    // re-encodes to itself: a flipped weight that is no longer in lowest
+    // terms is refused, never silently reduced.
+    #[test]
+    fn mutated_weight_reports_that_decode_reencode_to_themselves(
+        reports in vec((0u32..4, any::<u64>(), 1u64..60, 1u64..60), 1..6),
+        flips in vec((any::<prop::sample::Index>(), any::<u8>()), 1..4),
+    ) {
+        let reports: Vec<(u32, dipm_mobilenet::UserId, Weight)> = reports
+            .into_iter()
+            .map(|(q, u, n, d)| (q, dipm_mobilenet::UserId(u), Weight::new(n, d).unwrap()))
+            .collect();
+        let mut raw = wire::encode_tagged_weight_reports(&reports).unwrap().to_vec();
+        for (index, value) in flips {
+            let i = index.index(raw.len());
+            raw[i] ^= value;
+        }
+        let raw = Bytes::from(raw);
+        if let Ok(decoded) = wire::decode_tagged_weight_reports(raw.clone()) {
+            prop_assert_eq!(wire::encode_tagged_weight_reports(&decoded).unwrap(), raw);
+        }
+    }
 }
 
 /// How many query totals an update carries.
@@ -1055,7 +1089,10 @@ fn two_sided_delta_frame() -> Vec<u8> {
     let update = wire::StationUpdate::Delta {
         epoch: 0,
         query_totals: vec![],
-        delta: wire::FilterDelta::intern(vec![(5, diff)]),
+        delta: wire::FilterDelta {
+            diffs: vec![diff],
+            entries: vec![(5, 0)],
+        },
     };
     wire::encode_station_update(&update).unwrap().to_vec()
 }
@@ -1519,4 +1556,103 @@ proptest! {
         let encoded = wire::encode_service_checkpoint(&frames).unwrap();
         prop_assert_eq!(wire::decode_service_checkpoint(encoded).unwrap(), frames);
     }
+
+    // Every mutated service checkpoint that still decodes re-encodes to
+    // itself, and so does every tenant frame in it that decodes as a
+    // session checkpoint. Some flips aim at the first query's pairs, whose
+    // keys and weights are most of a real checkpoint.
+    #[test]
+    fn mutated_checkpoints_that_decode_reencode_to_themselves(
+        epoch in 0u64..50,
+        query_seeds in vec(any::<u64>(), 1..6),
+        retired_seeds in vec(any::<u64>(), 0..6),
+        extra_pairs in vec((any::<u64>(), 1u64..30), 0..4),
+        flips in vec((any::<prop::sample::Index>(), any::<u8>()), 0..3),
+        pair_flips in vec((any::<prop::sample::Index>(), any::<u8>()), 0..3),
+    ) {
+        let mut checkpoint = checkpoint_from(epoch, &query_seeds, &retired_seeds, 3);
+        let pairs = &mut checkpoint.queries[0].pairs;
+        pairs.extend(extra_pairs.iter().map(|&(key, n)| (key, Weight::new(n, 31).unwrap())));
+        pairs.sort_unstable();
+        pairs.dedup();
+        let pair_bytes = 24 * pairs.len();
+        let session = wire::encode_session_checkpoint(&checkpoint).unwrap();
+        let mut raw = wire::encode_service_checkpoint(&[(9, session.clone())])
+            .unwrap()
+            .to_vec();
+        // The session frame follows the 21-byte service header.
+        let pairs_at = 21 + QUERIES_AT + 4 + 28;
+        for (index, value) in pair_flips {
+            raw[pairs_at + index.index(pair_bytes)] ^= value;
+        }
+        for (index, value) in flips {
+            let i = index.index(raw.len());
+            raw[i] ^= value;
+        }
+        let raw = Bytes::from(raw);
+        if let Ok(tenants) = wire::decode_service_checkpoint(raw.clone()) {
+            prop_assert_eq!(wire::encode_service_checkpoint(&tenants).unwrap(), raw);
+            for (_, frame) in tenants {
+                if let Ok(decoded) = wire::decode_session_checkpoint(frame.clone()) {
+                    prop_assert_eq!(wire::encode_session_checkpoint(&decoded).unwrap(), frame);
+                }
+            }
+        }
+    }
+}
+
+// A checkpoint holds each query's pairs strictly ascending, as the registry
+// fills them from an ordered set: a repeated or descending pair is refused
+// by the encoder and, written by hand, by the decoder.
+#[test]
+fn checkpoint_pairs_that_repeat_or_descend_are_rejected() {
+    let w = |n| Weight::new(n, 9).unwrap();
+    let mut valid = checkpoint_from(1, &[1], &[], 0);
+    valid.queries[0].pairs = vec![(5, w(1)), (5, w(2)), (8, w(1))];
+    let framed = wire::encode_session_checkpoint(&valid).unwrap().to_vec();
+    let pair_at = |i: usize| QUERIES_AT + 4 + 28 + 24 * i;
+    let cases = [
+        (
+            "repeated",
+            vec![(5, w(1)), (5, w(1)), (8, w(1))],
+            repeated(&framed, pair_at(0), pair_at(1), 24),
+        ),
+        (
+            "descending",
+            vec![(5, w(2)), (5, w(1)), (8, w(1))],
+            swapped(&framed, pair_at(0), pair_at(1), 24),
+        ),
+    ];
+    let message = "checkpoint query pairs must be strictly ascending";
+    for (name, pairs, raw) in cases {
+        let mut checkpoint = valid.clone();
+        checkpoint.queries[0].pairs = pairs;
+        let err = wire::encode_session_checkpoint(&checkpoint).unwrap_err();
+        assert!(err.to_string().contains(message), "{name} encoder: {err}");
+        let err = wire::decode_session_checkpoint(Bytes::from(raw)).unwrap_err();
+        assert!(err.to_string().contains(message), "{name} decoder: {err}");
+    }
+}
+
+// A pair weight not in lowest terms is refused, not reduced: 6/27 is the
+// encoder's 2/9 by value, but accepting it would re-encode to other bytes.
+#[test]
+fn checkpoint_weights_not_in_lowest_terms_are_rejected() {
+    let checkpoint = checkpoint_from(1, &[1], &[], 0);
+    assert_eq!(
+        checkpoint.queries[0].pairs,
+        vec![(31, Weight::new(2, 9).unwrap())]
+    );
+    let mut raw = wire::encode_session_checkpoint(&checkpoint)
+        .unwrap()
+        .to_vec();
+    let weight_at = QUERIES_AT + 4 + 28 + 8;
+    raw[weight_at..weight_at + 8].copy_from_slice(&6u64.to_le_bytes());
+    raw[weight_at + 8..weight_at + 16].copy_from_slice(&27u64.to_le_bytes());
+    let err = wire::decode_session_checkpoint(Bytes::from(raw)).unwrap_err();
+    assert!(
+        err.to_string()
+            .contains("checkpoint weight not in lowest terms"),
+        "{err}"
+    );
 }

@@ -58,7 +58,7 @@ pub use dipm_timeseries as timeseries;
 /// The most commonly used items, for glob import.
 pub mod prelude {
     pub use dipm_core::{
-        BloomFilter, FilterParams, Weight, WeightDiff, WeightSet, WeightedBloomFilter,
+        BloomFilter, FilterDelta, FilterParams, Weight, WeightDiff, WeightSet, WeightedBloomFilter,
     };
     pub use dipm_distsim::{
         CostReport, ExecutionMode, LatencyModel, LatencyReport, StationLatency,

@@ -125,7 +125,6 @@ proptest! {
             wbf.insert(*k, *w);
         }
         let encoded = encode::encode_wbf(&wbf).unwrap();
-        prop_assert_eq!(encode::encoded_wbf_len(&wbf), Ok(encoded.len()));
         prop_assert_eq!(encode::decode_wbf(encoded).unwrap(), wbf);
     }
 

@@ -126,7 +126,7 @@ fn replay_session_deltas(
         }
         // One "broadcast": diff, frame, decode, apply at the station.
         let newest = build(&live);
-        let delta = wire::FilterDelta::intern(newest.diff_from(&center).unwrap());
+        let delta = newest.diff_from(&center).unwrap();
         center = newest;
         let frame = wire::encode_station_update(&wire::StationUpdate::Delta {
             epoch: 0,
@@ -142,9 +142,7 @@ fn replay_session_deltas(
             panic!("kind flipped in flight");
         };
         prop_assert_eq!(&received, &delta, "delta did not round-trip");
-        station
-            .apply_delta(&received.diffs, &received.entries)
-            .unwrap();
+        station.apply_delta(&received).unwrap();
         // Structural and behavioral equivalence. (The `inserted` statistic
         // is deliberately excluded: it refreshes on full broadcasts only
         // and never affects matching.)
