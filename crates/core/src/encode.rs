@@ -54,7 +54,7 @@ use crate::bloom::BloomFilter;
 use crate::error::{CoreError, Result};
 use crate::hash::HashFamily;
 use crate::params::{FilterParams, MAX_HASHES};
-use crate::probe::MASK_WIDTH;
+use crate::probe::{FoldEntries, FoldState, ProbeTable, MASK_WIDTH};
 use crate::wbf::WeightedBloomFilter;
 use crate::weight::Weight;
 use crate::weight_set::WeightSet;
@@ -175,27 +175,6 @@ pub fn decode_bloom(mut data: Bytes) -> Result<BloomFilter> {
     Ok(BloomFilter::from_parts(bits, family, header.inserted))
 }
 
-/// Collects the distinct weights of a filter in ascending order — the wire
-/// dictionary. Distinct weights are few (one per combination pattern), so
-/// per-bit attachments are encoded as `u16` dictionary indices instead of
-/// repeating 16-byte rationals.
-fn weight_dictionary(filter: &WeightedBloomFilter) -> Vec<Weight> {
-    let mut dict = WeightSet::new();
-    for (_, set) in filter.weight_positions() {
-        dict.union_with(set);
-    }
-    dict.iter().collect()
-}
-
-/// The interned representation backing the weighted wire sections: the
-/// weight dictionary, the distinct weight sets (as dictionary-id lists, in
-/// first-seen order over ascending bits) and one set id per set bit.
-struct Interned {
-    dict: Vec<Weight>,
-    sets: Vec<Vec<u16>>,
-    per_bit: Vec<u16>,
-}
-
 /// The per-bit set-id width, in bytes, for a set table of at most
 /// [`MAX_SETS`] entries: the narrower of 1 or 2 that indexes every entry.
 fn id_width(sets: usize) -> usize {
@@ -206,48 +185,47 @@ fn id_width(sets: usize) -> usize {
     }
 }
 
-fn intern(filter: &WeightedBloomFilter) -> Result<Interned> {
-    let dict = weight_dictionary(filter);
-    if dict.len() > u16::MAX as usize {
+/// The wire's set table, taken from a filter's interned sets: the filter's
+/// weight universe is the dictionary, and the table ids its set bits name
+/// are renumbered in first-seen order over ascending bits.
+struct WireTable<'a> {
+    fold: &'a FoldState,
+    /// The filter's table ids in wire order.
+    order: Vec<u32>,
+    /// Per filter table id, its wire id (`u32::MAX` for an id no set bit
+    /// names).
+    wire_id: Vec<u32>,
+}
+
+fn intern(filter: &WeightedBloomFilter) -> Result<WireTable<'_>> {
+    let fold = ProbeTable::fold_state(filter);
+    if fold.universe.len() > u16::MAX as usize {
         return Err(CoreError::invalid_params(
             "more distinct weights than the wire format supports",
         ));
     }
-    let mut sets: Vec<Vec<u16>> = Vec::new();
-    let mut index: std::collections::HashMap<Vec<u16>, u16> = std::collections::HashMap::new();
-    let mut per_bit = Vec::with_capacity(filter.bits().count_ones());
-    let mut ids: Vec<u16> = Vec::new();
-    for (_, set) in filter.weight_positions() {
-        if set.len() > u16::MAX as usize {
-            return Err(CoreError::invalid_params(
-                "more weights on one bit than the wire format supports",
-            ));
-        }
-        ids.clear();
-        ids.extend(set.iter().map(|w| {
-            dict.binary_search(&w)
-                .expect("dictionary contains every attached weight") as u16
-        }));
-        let id = match index.get(ids.as_slice()) {
-            Some(&id) => id,
-            None => {
-                if sets.len() == MAX_SETS {
-                    return Err(CoreError::invalid_params(
-                        "more distinct weight sets than the wire format supports",
-                    ));
-                }
-                let id = sets.len() as u16;
-                index.insert(ids.clone(), id);
-                sets.push(ids.clone());
-                id
+    let entries = match &fold.entries {
+        FoldEntries::Masks(masks) => masks.len(),
+        FoldEntries::Sets(sets) => sets.len(),
+    };
+    let mut wire_id = vec![u32::MAX; entries];
+    let mut order = Vec::new();
+    for id in filter.set_ids() {
+        let wire = &mut wire_id[id as usize];
+        if *wire == u32::MAX {
+            if order.len() == MAX_SETS {
+                return Err(CoreError::invalid_params(
+                    "more distinct weight sets than the wire format supports",
+                ));
             }
-        };
-        per_bit.push(id);
+            *wire = order.len() as u32;
+            order.push(id);
+        }
     }
-    Ok(Interned {
-        dict,
-        sets,
-        per_bit,
+    Ok(WireTable {
+        fold,
+        order,
+        wire_id,
     })
 }
 
@@ -256,16 +234,17 @@ fn intern(filter: &WeightedBloomFilter) -> Result<Interned> {
 /// Per-bit weight sets are interned: the payload carries each distinct set
 /// once plus one set id per set bit (emitted in set-bit order — the decoder
 /// already knows which bits are set from the bit array). Each id takes 1 or
-/// 2 bytes, the narrower width that indexes the frame's set table.
+/// 2 bytes, the narrower width that indexes the frame's set table. The
+/// filter already holds its sets interned, so the set table is its own,
+/// renumbered; nothing is hashed per set bit.
 ///
 /// # Errors
 ///
 /// Returns [`CoreError::InvalidParams`] if the filter holds more than
-/// `u16::MAX` distinct weights, more than 65,536 distinct weight sets, or
-/// any bit carries more than `u16::MAX` weights (beyond the wire format's
-/// index widths).
+/// `u16::MAX` distinct weights or more than 65,536 distinct weight sets
+/// (beyond the wire format's index widths).
 pub fn encode_wbf(filter: &WeightedBloomFilter) -> Result<Bytes> {
-    let interned = intern(filter)?;
+    let table = intern(filter)?;
     let mut buf = BytesMut::new();
     put_header(
         &mut buf,
@@ -276,24 +255,42 @@ pub fn encode_wbf(filter: &WeightedBloomFilter) -> Result<Bytes> {
         filter.inserted(),
     );
     put_words(&mut buf, filter.bits());
-    buf.put_u32_le(interned.dict.len() as u32);
-    for weight in &interned.dict {
+    let universe = &table.fold.universe;
+    buf.put_u32_le(universe.len() as u32);
+    for weight in universe.iter() {
         buf.put_u64_le(weight.numerator());
         buf.put_u64_le(weight.denominator());
     }
-    buf.put_u32_le(interned.sets.len() as u32);
-    for set in &interned.sets {
-        buf.put_u16_le(set.len() as u16);
-        for &id in set {
-            buf.put_u16_le(id);
+    buf.put_u32_le(table.order.len() as u32);
+    for &id in &table.order {
+        match &table.fold.entries {
+            FoldEntries::Masks(masks) => {
+                let mut mask = masks[id as usize];
+                buf.put_u16_le(mask.count_ones() as u16);
+                while mask != 0 {
+                    buf.put_u16_le(mask.trailing_zeros() as u16);
+                    mask &= mask - 1;
+                }
+            }
+            FoldEntries::Sets(sets) => {
+                let set = &sets[id as usize];
+                buf.put_u16_le(set.len() as u16);
+                for weight in set.iter() {
+                    let index = universe.position(weight);
+                    buf.put_u16_le(index.expect("the universe holds every set's weights") as u16);
+                }
+            }
         }
     }
-    let width = id_width(interned.sets.len());
+    let width = id_width(table.order.len());
     buf.put_u8(width as u8);
-    if width == 1 {
-        interned.per_bit.iter().for_each(|&id| buf.put_u8(id as u8));
-    } else {
-        interned.per_bit.iter().for_each(|&id| buf.put_u16_le(id));
+    for id in filter.set_ids() {
+        let wire = table.wire_id[id as usize];
+        if width == 1 {
+            buf.put_u8(wire as u8);
+        } else {
+            buf.put_u16_le(wire as u16);
+        }
     }
     Ok(buf.freeze())
 }
@@ -304,16 +301,16 @@ pub(crate) struct WbfWireBody {
     pub(crate) bits: BitSet,
     pub(crate) family: HashFamily,
     pub(crate) inserted: u64,
-    /// The weight dictionary. Every weight in it is held by some set-table
-    /// entry, so once the id region names every entry it is the filter's
-    /// weight universe.
-    pub(crate) universe: WeightSet,
-    pub(crate) sets: Vec<WeightSet>,
-    /// Per set-table entry, the mask of the dictionary weights it holds;
-    /// `None` when the dictionary is wider than [`MASK_WIDTH`].
-    pub(crate) masks: Option<Vec<u64>>,
+    /// The weight dictionary as the universe — every weight in it is held
+    /// by some set-table entry, so once the id region names every entry it
+    /// is the filter's weight universe — and the set table as the fold
+    /// reads it: a mask over the dictionary per entry, or past
+    /// [`MASK_WIDTH`] dictionary weights the entry's sorted set.
+    pub(crate) fold: FoldState,
+    /// How many entries the set table holds.
+    pub(crate) sets: usize,
     /// Bytes per set id in the region that follows: 1 or 2, the narrower
-    /// that indexes `sets`.
+    /// that indexes the set table.
     pub(crate) id_width: usize,
 }
 
@@ -367,9 +364,11 @@ pub(crate) fn take_wbf_body(data: &mut Bytes) -> Result<WbfWireBody> {
     // reservation to what the remaining payload could possibly hold and let
     // the per-entry truncation checks reject the lie.
     let reserve = sets_len.min(data.remaining() / 4);
-    let mut sets: Vec<WeightSet> = Vec::with_capacity(reserve);
+    // Over a dictionary narrow enough for masks an entry is its mask, and
+    // no sorted set is built; wider dictionaries keep each entry's set.
     let fits = dict_len <= MASK_WIDTH;
     let mut masks = Vec::with_capacity(if fits { reserve } else { 0 });
+    let mut sets: Vec<WeightSet> = Vec::with_capacity(if fits { 0 } else { reserve });
     let mut referenced = vec![false; dict_len];
     for _ in 0..sets_len {
         if data.remaining() < 2 {
@@ -398,15 +397,17 @@ pub(crate) fn take_wbf_body(data: &mut Bytes) -> Result<WbfWireBody> {
                 .get(idx)
                 .copied()
                 .ok_or_else(|| CoreError::decode("weight index outside dictionary"))?;
-            set.insert(weight);
             referenced[idx] = true;
             if fits {
                 mask |= 1 << idx;
+            } else {
+                set.insert(weight);
             }
         }
-        sets.push(set);
         if fits {
             masks.push(mask);
+        } else {
+            sets.push(set);
         }
     }
     if referenced.contains(&false) {
@@ -414,7 +415,6 @@ pub(crate) fn take_wbf_body(data: &mut Bytes) -> Result<WbfWireBody> {
             "weight dictionary entry held by no weight set",
         ));
     }
-    // Over a dictionary narrow enough for masks an entry is its mask.
     let duplicate = if fits {
         let mut sorted = masks.clone();
         sorted.sort_unstable();
@@ -430,26 +430,32 @@ pub(crate) fn take_wbf_body(data: &mut Bytes) -> Result<WbfWireBody> {
         return Err(CoreError::decode("truncated set id width"));
     }
     let width = data.get_u8() as usize;
-    if width != id_width(sets.len()) {
+    if width != id_width(sets_len) {
         return Err(CoreError::decode(format!(
-            "set id width {width} does not fit a {}-entry set table",
-            sets.len()
+            "set id width {width} does not fit a {sets_len}-entry set table"
         )));
     }
     Ok(WbfWireBody {
         bits,
         family: HashFamily::new(header.hashes, header.seed),
         inserted: header.inserted,
-        universe: dict.into_iter().collect(),
-        sets,
-        masks: fits.then_some(masks),
+        fold: FoldState {
+            universe: dict.into_iter().collect(),
+            entries: if fits {
+                FoldEntries::Masks(masks)
+            } else {
+                FoldEntries::Sets(sets)
+            },
+        },
+        sets: sets_len,
         id_width: width,
     })
 }
 
 /// Decodes a weighted Bloom filter into an owned, mutable filter: the
-/// frame is validated once by [`view_wbf`], then each set bit takes a copy
-/// of its interned weight set.
+/// frame is validated once by [`view_wbf`], and the filter takes the
+/// view's set table and per-bit ids as its own interned sets, so nothing
+/// is copied per set bit.
 ///
 /// # Errors
 ///
@@ -590,7 +596,7 @@ mod tests {
     fn set_ids_take_the_narrowest_width_that_indexes_the_set_table() {
         for (sets, width) in [(1, 1), (256, 1), (257, 2), (65_536, 2)] {
             let wbf = filter_with_sets(sets);
-            assert_eq!(intern(&wbf).unwrap().sets.len(), sets);
+            assert_eq!(intern(&wbf).unwrap().order.len(), sets);
             let frame = encode_wbf(&wbf).unwrap();
             // The width byte sits right before the id region.
             let region = wbf.bits().count_ones() * width;

@@ -62,6 +62,7 @@ mod hash;
 mod kernel;
 mod params;
 mod probe;
+mod set_table;
 mod view;
 mod wbf;
 mod weight;

@@ -14,12 +14,12 @@
 //!    plain filter — before any weight set is read, so a miss row costs a
 //!    few masked loads and never touches the weight table. The weight fold
 //!    only ever runs on candidates whose every sampled point is present.
-//! 2. **Borrow until a copy is forced.** The first occupied probe's weight
-//!    set is borrowed from the table; only a second, different probe forces
-//!    materializing an intersection — and that lands in the caller's
-//!    reusable [`QueryScratch`], never in a fresh allocation. With `k = 1`,
-//!    or when every probe of the sequence lands on one position, the result
-//!    is returned as a borrow of the table itself.
+//! 2. **Fold by entry.** Both representations intern their weight sets in
+//!    a table and name an entry per occupied position. Over a universe of
+//!    at most [`MASK_WIDTH`] weights each entry is one mask over the sorted
+//!    universe, so the fold is a chain of `AND`s; wider universes intersect
+//!    the entries' sorted sets. Either way the result lands in the caller's
+//!    reusable [`QueryScratch`], never in a fresh allocation.
 //! 3. **Early reject.** Once the running intersection is empty it can never
 //!    grow, so the scan stops and reports the weight-inconsistent reject.
 //!
@@ -187,101 +187,80 @@ impl PrecomputedProbes {
 /// than this fold by sorted-set merges instead of masks.
 pub(crate) const MASK_WIDTH: usize = 64;
 
-/// A probe-addressable table of weight sets: the storage interface both
-/// filter representations expose to the shared weight fold.
+/// What the weight fold reads of a weight-set table: the sorted weight
+/// universe, and every table entry in the form the fold intersects.
+///
+/// A frame view reads it off the parse; an owned filter derives it from
+/// its live table entries, at a cost that follows the table, not the
+/// positions.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct FoldState {
+    /// Every weight some entry holds, ascending.
+    pub(crate) universe: WeightSet,
+    /// The entries, indexed by table id.
+    pub(crate) entries: FoldEntries,
+}
+
+/// The table entries as the fold reads them.
+#[derive(Debug, Clone)]
+pub(crate) enum FoldEntries {
+    /// Over a universe of at most [`MASK_WIDTH`] weights: bit `i` of an
+    /// entry's mask is set iff the entry holds `universe.as_slice()[i]`.
+    Masks(Vec<u64>),
+    /// Over a wider universe: each entry's sorted set.
+    Sets(Vec<WeightSet>),
+}
+
+impl Default for FoldEntries {
+    fn default() -> FoldEntries {
+        FoldEntries::Masks(Vec::new())
+    }
+}
+
+/// A probe-addressable table of interned weight sets: the storage
+/// interface both filter representations expose to the shared weight fold.
 pub(crate) trait ProbeTable {
-    /// The weight set at `idx`; `None` if the position is empty.
-    fn set_at(&self, idx: usize) -> Option<&WeightSet>;
+    /// The universe and the entries the fold intersects.
+    fn fold_state(&self) -> &FoldState;
 
-    /// The mask fold's tables: the sorted weight universe and, per
-    /// weight-set entry, the mask of the universe weights it holds; `None`
-    /// while the universe is wider than [`MASK_WIDTH`].
-    fn fold_masks(&self) -> Option<(&WeightSet, &[u64])>;
-
-    /// The weight-set entry of the occupied position `idx`: its index into
-    /// the masks of [`ProbeTable::fold_masks`].
+    /// The table entry of the occupied position `idx`.
     fn entry_at(&self, idx: usize) -> usize;
 }
 
-/// The running intersection state: borrowing from the table until a second
-/// distinct set forces an owned copy in the scratch buffer.
-pub(crate) enum Acc<'a> {
-    Start,
-    Borrowed(&'a WeightSet),
-    Owned,
-}
-
-impl<'a> Acc<'a> {
-    /// Folds one occupied position's set into the intersection, writing it
-    /// to `owned` once a second distinct set shows up. Returns `true` once
-    /// the intersection is empty: it can never grow back, so the caller
-    /// stops and reports the weight-inconsistent reject.
-    pub(crate) fn fold(&mut self, set: &'a WeightSet, owned: &mut WeightSet) -> bool {
-        match *self {
-            Acc::Start => *self = Acc::Borrowed(set),
-            Acc::Borrowed(first) if std::ptr::eq(first, set) => {}
-            Acc::Borrowed(first) => {
-                owned.assign_intersection(first, set);
-                *self = Acc::Owned;
-                return owned.is_empty();
-            }
-            Acc::Owned => {
-                owned.intersect_with(set);
-                return owned.is_empty();
-            }
-        }
-        false
-    }
-}
-
-/// The weight fold over probe positions hashed ahead of time, all already
-/// known to be occupied (the caller ran the mask membership pre-test).
-/// Returns `None` for an empty probe set, as a sequence query of no keys.
-///
-/// Over a universe of at most [`MASK_WIDTH`] weights each set is one mask,
-/// so the fold is a chain of `AND`s with a zero early exit; wider universes
-/// take the sorted-set merge.
-pub(crate) fn fold_precomputed<'s, T: ProbeTable>(
-    table: &'s T,
-    indices: &[u32],
-    scratch: &'s mut QueryScratch,
+/// The weight fold over occupied positions `indices`: the weights every
+/// position's set holds, written into `acc` (capacity reused), stopping at
+/// the first empty intersection. `None` if there are no positions, as a
+/// sequence query of no keys.
+pub(crate) fn fold<'s, T: ProbeTable>(
+    table: &T,
+    indices: impl IntoIterator<Item = usize>,
+    acc: &'s mut WeightSet,
 ) -> Option<&'s WeightSet> {
-    let Some((universe, masks)) = table.fold_masks() else {
-        return fold_sets(table, indices.iter().map(|&idx| idx as usize), scratch);
-    };
-    if indices.is_empty() {
-        return None;
-    }
-    let mut mask = u64::MAX;
-    for &idx in indices {
-        mask &= masks[table.entry_at(idx as usize)];
-        if mask == 0 {
-            break;
+    let state = table.fold_state();
+    let mut indices = indices.into_iter();
+    let first = table.entry_at(indices.next()?);
+    match &state.entries {
+        FoldEntries::Masks(masks) => {
+            let mut mask = masks[first];
+            for idx in indices {
+                if mask == 0 {
+                    break;
+                }
+                mask &= masks[table.entry_at(idx)];
+            }
+            acc.assign_mask(&state.universe, mask);
+        }
+        FoldEntries::Sets(sets) => {
+            acc.assign_sorted(sets[first].iter());
+            for idx in indices {
+                if acc.is_empty() {
+                    break;
+                }
+                acc.intersect_with(&sets[table.entry_at(idx)]);
+            }
         }
     }
-    scratch.acc.assign_mask(universe, mask);
-    Some(&scratch.acc)
-}
-
-/// Intersects the weight sets at occupied positions `indices`, stopping at
-/// the first empty intersection; `None` if there are no positions.
-pub(crate) fn fold_sets<'s, T: ProbeTable>(
-    table: &'s T,
-    indices: impl Iterator<Item = usize>,
-    scratch: &'s mut QueryScratch,
-) -> Option<&'s WeightSet> {
-    let mut acc = Acc::Start;
-    for idx in indices {
-        let set = table.set_at(idx).expect("occupied position");
-        if acc.fold(set, &mut scratch.acc) {
-            break;
-        }
-    }
-    match acc {
-        Acc::Start => None,
-        Acc::Borrowed(set) => Some(set),
-        Acc::Owned => Some(&scratch.acc),
-    }
+    Some(acc)
 }
 
 #[cfg(test)]

@@ -1,41 +1,42 @@
 //! Zero-copy weighted-filter frame view: probe a broadcast straight out of
 //! the received bytes.
 //!
-//! The owned decoder ([`decode_wbf`](crate::encode::decode_wbf)) copies a
-//! weight set out to every set bit — the right shape for mutation (a
-//! streaming station's delta application), but pure overhead for a base
-//! station that only wants to *probe* the broadcast. [`WbfFrameView`]
-//! keeps the frame's per-bit set-id region as a borrowed slice of the
-//! receive buffer: validation runs once at parse time, then each occupied
-//! probe finds its weight set by rank — a prefix-popcount over the bit
-//! array gives the probe's ordinal among set bits, which indexes the id
-//! region directly. The owned decoder is this view converted
-//! (`WeightedBloomFilter::from`), so both accept and reject exactly the
-//! same frames.
+//! The owned decoder ([`decode_wbf`](crate::encode::decode_wbf)) expands
+//! the frame's per-bit set ids into a dense per-position id array — the
+//! right shape for mutation (a streaming station's delta application), but
+//! pure overhead for a base station that only wants to *probe* the
+//! broadcast. [`WbfFrameView`] keeps the frame's per-bit set-id region as a
+//! borrowed slice of the receive buffer: validation runs once at parse
+//! time, then each occupied probe finds its set-table entry by rank — a
+//! prefix-popcount over the bit array gives the probe's ordinal among set
+//! bits, which indexes the id region directly. The owned decoder is this
+//! view converted (`WeightedBloomFilter::from`), so both accept and reject
+//! exactly the same frames.
 //!
 //! An accepted frame is canonical (see [`encode`](crate::encode)), so its
 //! weight dictionary is the filter's weight universe, and each set-table
 //! entry's fold mask over it comes out of the parse: the view folds by the
-//! same mask routine as the owned filter. Folds answer bit-identically to
-//! the owned filter decoded from the same frame; the scan conformance
-//! suite pins that equivalence.
+//! same routine as the owned filter. Folds answer bit-identically to the
+//! owned filter decoded from the same frame; the scan conformance suite
+//! pins that equivalence.
 
 use bytes::Bytes;
 
 use crate::bitset::BitSet;
 use crate::error::{CoreError, Result};
 use crate::hash::HashFamily;
-use crate::probe::{self, ProbeTable, QueryScratch};
+use crate::probe::{self, FoldState, ProbeTable, QueryScratch};
+use crate::set_table::EMPTY;
 use crate::wbf::WeightedBloomFilter;
 use crate::weight_set::WeightSet;
 
 /// A validated, read-only view of an encoded weighted Bloom filter frame.
 ///
 /// Holds the decoded bit array, hash family, weight universe and interned
-/// weight-set table, but keeps the per-bit set-id region as a zero-copy
-/// slice of the received bytes (`Bytes` is reference-counted, so the view
-/// shares the receive buffer instead of re-materializing thousands of
-/// per-bit entries). Its weight folds return the exact same answers the
+/// weight-set table (as the fold reads it), but keeps the per-bit set-id
+/// region as a zero-copy slice of the received bytes (`Bytes` is
+/// reference-counted, so the view shares the receive buffer instead of
+/// re-materializing thousands of per-bit entries). Its weight folds return the exact same answers the
 /// owned decode of the same frame would.
 ///
 /// Created by [`encode::view_wbf`](crate::encode::view_wbf).
@@ -46,17 +47,15 @@ pub struct WbfFrameView {
     /// `w`, turning "which ordinal among set bits is this probe" into one
     /// table load plus one masked popcount.
     rank: Vec<u32>,
-    sets: Vec<WeightSet>,
-    /// The frame's weight dictionary, which is its weight universe.
-    universe: WeightSet,
-    /// Per set-table entry, its fold mask over `universe`; `None` for a
-    /// universe wider than a mask.
-    masks: Option<Vec<u64>>,
+    /// The frame's weight dictionary, which is its weight universe, and
+    /// its set table: per entry a fold mask over the universe, or past a
+    /// mask's width the entry's sorted set.
+    fold: FoldState,
     /// The frame's per-bit set-id region: one little-endian id of
     /// `id_width` bytes per set bit, in ascending bit order, borrowed from
     /// the receive buffer.
     ids: Bytes,
-    /// Bytes per set id: 1 or 2, the narrower that indexes `sets`.
+    /// Bytes per set id: 1 or 2, the narrower that indexes the set table.
     id_width: usize,
     family: HashFamily,
     inserted: u64,
@@ -84,7 +83,7 @@ pub(crate) fn parse_frame(mut data: Bytes) -> Result<WbfFrameView> {
         ordered &= id <= top;
         top = top.max(id + 1);
     });
-    if top > body.sets.len() {
+    if top > body.sets {
         return Err(CoreError::decode("set id outside set table"));
     }
     if !ordered {
@@ -92,7 +91,7 @@ pub(crate) fn parse_frame(mut data: Bytes) -> Result<WbfFrameView> {
             "set table entries out of first-seen order",
         ));
     }
-    if top < body.sets.len() {
+    if top < body.sets {
         return Err(CoreError::decode("set table entry named by no set bit"));
     }
     let words = body.bits.as_words();
@@ -107,9 +106,7 @@ pub(crate) fn parse_frame(mut data: Bytes) -> Result<WbfFrameView> {
         id_width: body.id_width,
         bits: body.bits,
         rank,
-        sets: body.sets,
-        universe: body.universe,
-        masks: body.masks,
+        fold: body.fold,
         family: body.family,
         inserted: body.inserted,
     })
@@ -188,28 +185,25 @@ impl WbfFrameView {
     /// May panic if any precomputed probe index is unoccupied — run the
     /// membership test first.
     pub fn fold_weights_precomputed<'s>(
-        &'s self,
+        &self,
         pre: &probe::PrecomputedProbes,
         scratch: &'s mut QueryScratch,
     ) -> Option<&'s WeightSet> {
-        probe::fold_precomputed(self, pre.indices(), scratch)
+        let probes = pre.indices().iter().map(|&idx| idx as usize);
+        probe::fold(self, probes, &mut scratch.acc)
     }
 
     /// The sorted set of every distinct weight attached at some set bit —
     /// see [`WeightedBloomFilter::weight_universe`]. A canonical frame
     /// references every dictionary weight, so this is the dictionary.
     pub fn weight_universe(&self) -> &WeightSet {
-        &self.universe
+        &self.fold.universe
     }
 }
 
 impl ProbeTable for WbfFrameView {
-    fn set_at(&self, idx: usize) -> Option<&WeightSet> {
-        self.bits.get(idx).then(|| &self.sets[self.id_at(idx)])
-    }
-
-    fn fold_masks(&self) -> Option<(&WeightSet, &[u64])> {
-        Some((&self.universe, self.masks.as_deref()?))
+    fn fold_state(&self) -> &FoldState {
+        &self.fold
     }
 
     fn entry_at(&self, idx: usize) -> usize {
@@ -217,15 +211,20 @@ impl ProbeTable for WbfFrameView {
     }
 }
 
-/// Materializes the owned, mutable filter a streaming station applies
-/// deltas to: each set bit takes its own copy of its interned weight set.
+/// The owned, mutable filter a streaming station applies deltas to. It
+/// takes the view's set table as its own interned sets — the dictionary
+/// numbers the table's weights, and each entry keeps its id — and each set
+/// bit's id becomes the position's slot, so nothing is copied per set bit.
+/// The view's fold state is the filter's derived state as it stands.
 impl From<WbfFrameView> for WeightedBloomFilter {
     fn from(view: WbfFrameView) -> WeightedBloomFilter {
-        let mut sets = Vec::with_capacity(view.ids.len() / view.id_width);
+        let mut slots = vec![EMPTY; view.bits.len()];
+        let mut ones = view.bits.iter_ones();
         for_each_id(&view.ids, view.id_width, |id| {
-            sets.push(view.sets[id].clone())
+            let bit = ones.next().expect("one id per set bit");
+            slots[bit] = id as u32;
         });
-        WeightedBloomFilter::from_parts(view.bits, view.family, view.inserted, sets)
+        WeightedBloomFilter::decoded(view.bits, view.family, view.inserted, slots, view.fold)
     }
 }
 
@@ -235,14 +234,8 @@ impl From<WbfFrameView> for WeightedBloomFilter {
 /// a view against the filter the frame was encoded from.
 impl PartialEq<WeightedBloomFilter> for WbfFrameView {
     fn eq(&self, other: &WeightedBloomFilter) -> bool {
-        self.family.hashes() == other.hashes()
-            && self.family.seed() == other.seed()
-            && self.inserted == other.inserted()
-            && &self.bits == other.bits()
-            && self
-                .bits
-                .iter_ones()
-                .all(|bit| self.set_at(bit) == ProbeTable::set_at(other, bit))
+        let decoded = WeightedBloomFilter::from(self.clone());
+        decoded == *other
     }
 }
 
@@ -320,7 +313,8 @@ mod tests {
         }
         for (wbf, masked) in [(narrow, true), (wide, false)] {
             let view = view_wbf(encode_wbf(&wbf).unwrap()).unwrap();
-            assert_eq!(view.masks.is_some(), masked);
+            let masks = matches!(view.fold.entries, probe::FoldEntries::Masks(_));
+            assert_eq!(masks, masked);
             for keys in [vec![10u64], vec![10, 20], vec![10, 999], vec![7, 8], vec![]] {
                 assert_eq!(
                     scan_probe(&view, &keys),

@@ -11,6 +11,12 @@
 //! *different* patterns — e.g. `{1,4,5}` probing a filter holding `{1,2,3}`
 //! and `{2,4,5}` hits only set bits but no consistent weight.
 //!
+//! Neighbouring band keys point at identical weight queues, so the filter
+//! stores each distinct weight set once, in an interned table of bitmasks
+//! over its weights, and every occupied position names its set by id. An
+//! insert, a delta, a diff and the wire encoding then pay per distinct set,
+//! not per position.
+//!
 //! Two builds of one geometry compare position by position:
 //! [`WeightedBloomFilter::diff_from`] yields a [`FilterDelta`] whose table
 //! holds each distinct [`WeightDiff`] once, and
@@ -18,13 +24,15 @@
 //! one form is what a streaming center computes, what its delta frame
 //! carries, and what a station applies.
 
+use std::collections::hash_map::Entry;
 use std::sync::OnceLock;
 
 use crate::bitset::BitSet;
 use crate::error::{CoreError, Result};
 use crate::hash::HashFamily;
 use crate::params::FilterParams;
-use crate::probe::{self, ProbeTable, QueryScratch, MASK_WIDTH};
+use crate::probe::{self, FoldState, ProbeTable, QueryScratch};
+use crate::set_table::{self, pair_key, MaskWord, SetTable, WordMap, EMPTY};
 use crate::weight::Weight;
 use crate::weight_set::WeightSet;
 
@@ -111,232 +119,78 @@ impl FilterDelta {
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct WeightedBloomFilter {
     bits: BitSet,
-    // Dense per-bit slot index into `sets`: the probe hot path resolves a
-    // bit's weight set with one bounds-free load instead of a tree walk.
-    // `EMPTY_SLOT` marks a bit with no weights; a slot whose set has been
-    // emptied by a delta stays allocated (tombstone) and is reused when the
-    // position refills.
+    // Dense per-position id into `table`, the interned weight sets: the
+    // probe hot path resolves a position's set with one bounds-free load.
+    // `EMPTY` marks a position with no weights, whose bit is clear.
     slots: Vec<u32>,
-    sets: Vec<WeightSet>,
+    table: SetTable,
     family: HashFamily,
     inserted: u64,
-    // Lazily derived weight state (see `FoldState`): `insert` and
-    // `union_with` reset it, `apply_delta` keeps it in step. Equality and
-    // the wire format ignore it.
+    // The fold state derived from the table's live entries (the sorted
+    // weight universe and each entry's fold mask), built on first use and
+    // reset by every mutation. Equality and the wire format ignore it.
     fold: OnceLock<FoldState>,
 }
-
-/// The weight state derived from the per-position sets: the sorted weight
-/// universe — the score universe dynamic-pruning scans bound against — and
-/// the fold acceleration of the scan hot path, each weight-set slot
-/// reduced to a bitmask over that universe, so the per-row weight fold
-/// (intersect the weight sets of every probed position) is a chain of
-/// `AND`s over one `u64` with a zero early-exit instead of up to `b × k`
-/// sorted-set merges.
-///
-/// Per-weight carrier counts let a delta retire a weight from the universe
-/// the moment its last position drops it, without rescanning the filter.
-#[derive(Debug, Clone)]
-struct FoldState {
-    /// Every weight attached somewhere, ascending; mask bits index into it.
-    universe: WeightSet,
-    /// Parallel to `universe`: how many positions carry each weight.
-    carriers: Vec<u32>,
-    /// One mask per slot in `sets`, parallel to it: bit `i` set iff the
-    /// slot's set contains `universe.as_slice()[i]`. `None` while the
-    /// universe is wider than the 64-weight mask (rare — the universe is
-    /// one entry per distinct pattern weight); folds then take the generic
-    /// merge path.
-    masks: Option<Vec<u64>>,
-}
-
-impl FoldState {
-    fn derive(sets: &[WeightSet]) -> FoldState {
-        let mut universe = WeightSet::new();
-        for set in sets {
-            universe.union_with(set);
-        }
-        let mut carriers = vec![0u32; universe.len()];
-        let fits = universe.len() <= MASK_WIDTH;
-        let mut masks = Vec::with_capacity(if fits { sets.len() } else { 0 });
-        for set in sets {
-            let mut mask = 0u64;
-            for w in set.iter() {
-                let i = universe
-                    .position(w)
-                    .expect("universe holds every attached weight");
-                carriers[i] += 1;
-                if fits {
-                    mask |= 1 << i;
-                }
-            }
-            if fits {
-                masks.push(mask);
-            }
-        }
-        FoldState {
-            universe,
-            carriers,
-            masks: fits.then_some(masks),
-        }
-    }
-
-    /// Admits the weights `diffs` add that the universe lacks, shifting
-    /// every mask once per new weight (or dropping the masks once the
-    /// universe outgrows them), then returns each diff's `(removed, added)`
-    /// masks over the widened universe — none while masks are dropped.
-    fn admit(&mut self, diffs: &[WeightDiff]) -> Vec<(u64, u64)> {
-        for diff in diffs {
-            for w in diff.added.iter() {
-                let Err(i) = self.universe.as_slice().binary_search(&w) else {
-                    continue;
-                };
-                self.universe.insert(w);
-                self.carriers.insert(i, 0);
-                if self.universe.len() > MASK_WIDTH {
-                    self.masks = None;
-                }
-                if let Some(masks) = &mut self.masks {
-                    let low = (1u64 << i) - 1;
-                    for mask in masks {
-                        *mask = (*mask & low) | ((*mask & !low) << 1);
-                    }
-                }
-            }
-        }
-        if self.masks.is_none() {
-            return Vec::new();
-        }
-        let side = |set: &WeightSet| {
-            set.iter()
-                .filter_map(|w| self.universe.position(w))
-                .fold(0u64, |mask, i| mask | 1 << i)
-        };
-        diffs
-            .iter()
-            .map(|diff| (side(&diff.removed), side(&diff.added)))
-            .collect()
-    }
-
-    /// Moves the carrier counts by `applied[d]` uses of each diff, then
-    /// retires the weights no position carries any more.
-    fn settle(&mut self, diffs: &[WeightDiff], applied: &[u32]) {
-        let used = || diffs.iter().zip(applied).filter(|&(_, &uses)| uses > 0);
-        // Additions first: an entry may remove what an earlier entry of the
-        // same delta added, so only the net count is known to be in range.
-        for (diff, &uses) in used() {
-            for w in diff.added.iter() {
-                let i = self.universe.position(w).expect("admitted before apply");
-                self.carriers[i] += uses;
-            }
-        }
-        for (diff, &uses) in used() {
-            for w in diff.removed.iter() {
-                let i = self
-                    .universe
-                    .position(w)
-                    .expect("a removed weight was attached");
-                self.carriers[i] -= uses;
-            }
-        }
-        if !self.carriers.contains(&0) {
-            return;
-        }
-        if let Some(masks) = &mut self.masks {
-            for i in (0..self.carriers.len()).rev() {
-                if self.carriers[i] == 0 {
-                    let low = (1u64 << i) - 1;
-                    for mask in masks.iter_mut() {
-                        *mask = (*mask & low) | ((*mask >> 1) & !low);
-                    }
-                }
-            }
-        }
-        let kept: Vec<Weight> = self
-            .universe
-            .iter()
-            .zip(&self.carriers)
-            .filter(|&(_, &c)| c > 0)
-            .map(|(w, _)| w)
-            .collect();
-        self.universe.assign_sorted(kept.into_iter());
-        self.carriers.retain(|&c| c > 0);
-    }
-}
-
-/// Sentinel in `slots` for a position carrying no weights.
-const EMPTY_SLOT: u32 = u32::MAX;
 
 impl WeightedBloomFilter {
     /// Creates an empty weighted filter with the given geometry and seed.
     pub fn new(params: FilterParams, seed: u64) -> WeightedBloomFilter {
         WeightedBloomFilter {
             bits: BitSet::new(params.bits()),
-            slots: vec![EMPTY_SLOT; params.bits()],
-            sets: Vec::new(),
+            slots: vec![EMPTY; params.bits()],
+            table: SetTable::default(),
             family: HashFamily::new(params.hashes(), seed),
             inserted: 0,
             fold: OnceLock::new(),
         }
     }
 
-    /// Assembles a decoded filter: `sets` holds the weight set of each set
-    /// bit of `bits`, in ascending bit order.
-    pub(crate) fn from_parts(
+    /// Assembles a decoded filter: `slots` names, per position, an entry of
+    /// `fold`'s table (set bits only), whose universe numbers the weights.
+    /// The filter's table takes `fold`'s entries at the same ids, so `fold`
+    /// is already its derived state.
+    pub(crate) fn decoded(
         bits: BitSet,
         family: HashFamily,
         inserted: u64,
-        sets: Vec<WeightSet>,
+        slots: Vec<u32>,
+        fold: FoldState,
     ) -> WeightedBloomFilter {
-        assert_eq!(sets.len(), bits.count_ones(), "one weight set per set bit");
-        let mut slots = vec![EMPTY_SLOT; bits.len()];
-        for (slot, bit) in bits.iter_ones().enumerate() {
-            slots[bit] = slot as u32;
+        let mut table = SetTable::from_fold(&fold);
+        for position in bits.iter_ones() {
+            table.retain(slots[position]);
         }
         WeightedBloomFilter {
             bits,
             slots,
-            sets,
+            table,
             family,
             inserted,
-            fold: OnceLock::new(),
+            fold: OnceLock::from(fold),
         }
     }
 
-    /// The weight set slot for `bit`, allocating (or reusing a tombstoned)
-    /// slot on first attachment.
-    fn slot_or_insert(&mut self, bit: usize) -> usize {
-        match self.slots[bit] {
-            EMPTY_SLOT => {
-                self.slots[bit] = self.sets.len() as u32;
-                self.sets.push(WeightSet::new());
-                self.sets.len() - 1
-            }
-            slot => slot as usize,
-        }
-    }
-
-    /// Iterates `(bit, weight set)` over every position carrying weights, in
-    /// ascending bit order — the canonical order the wire encoding and
-    /// equality rely on.
-    pub(crate) fn weight_positions(&self) -> impl Iterator<Item = (u32, &WeightSet)> {
-        self.slots.iter().enumerate().filter_map(|(idx, &slot)| {
-            if slot == EMPTY_SLOT {
-                return None;
-            }
-            let set = &self.sets[slot as usize];
-            (!set.is_empty()).then_some((idx as u32, set))
-        })
+    /// The table id of every set bit's weight set, in ascending bit order
+    /// — the order the wire encoding writes set ids in.
+    pub(crate) fn set_ids(&self) -> impl Iterator<Item = u32> + '_ {
+        self.bits.iter_ones().map(|bit| self.slots[bit])
     }
 
     /// Inserts `key` carrying `weight`: sets all `k` probed bits and attaches
-    /// the weight to each.
+    /// the weight to each. A position moves to the interned set that adds
+    /// the weight to its own, so a filter built key by key pays one table
+    /// lookup per probe.
     pub fn insert(&mut self, key: u64, weight: Weight) {
-        let m = self.bits.len();
-        for idx in self.family.probes(key, m) {
+        let bit = self.table.bit(weight);
+        for idx in self.family.probes(key, self.bits.len()) {
             self.bits.set(idx);
-            let slot = self.slot_or_insert(idx);
-            self.sets[slot].insert(weight);
+            let before = self.slots[idx];
+            let after = self.table.with_bit(before, bit);
+            if after != before {
+                self.table.retain(after);
+                self.table.release(before);
+                self.slots[idx] = after;
+            }
         }
         self.inserted += 1;
         self.fold.take();
@@ -365,27 +219,13 @@ impl WeightedBloomFilter {
     }
 
     /// Allocation-free [`WeightedBloomFilter::query`]: the intersection is
-    /// written into `out` (cleared and overwritten, capacity reused). The
-    /// first occupied probe is borrowed from the filter; only a second
-    /// distinct probe copies anything.
+    /// written into `out` (cleared and overwritten, capacity reused).
     pub fn query_into(&self, key: u64, out: &mut WeightSet) -> Option<()> {
         let probes = self.family.probes(key, self.bits.len());
         if !self.bits.contains_probes(probes.clone()) {
             return None;
         }
-        let mut acc = probe::Acc::Start;
-        for idx in probes {
-            if acc.fold(
-                ProbeTable::set_at(self, idx).expect("occupied position"),
-                out,
-            ) {
-                break;
-            }
-        }
-        if let probe::Acc::Borrowed(set) = acc {
-            out.assign_sorted(set.iter());
-        }
-        Some(())
+        probe::fold(self, probes, out).map(|_| ())
     }
 
     /// Queries a sequence of keys (the `b` sampled points of one candidate
@@ -408,15 +248,13 @@ impl WeightedBloomFilter {
 
     /// Allocation-free [`WeightedBloomFilter::query_sequence`]: the running
     /// intersection lives in `scratch` (capacity reused across calls) and
-    /// the result borrows from it — or directly from the filter when a
-    /// single position's set *is* the answer, in which case nothing is
-    /// copied at all.
+    /// the result borrows from it.
     ///
     /// Membership of *every* key is tested before any weight set is read
     /// (`I::IntoIter: Clone` pays for the second pass), so a candidate with
     /// at least one unknown point costs only word-level bit probes.
     pub fn query_sequence_into<'s, I>(
-        &'s self,
+        &self,
         keys: I,
         scratch: &'s mut QueryScratch,
     ) -> Option<&'s WeightSet>
@@ -431,7 +269,8 @@ impl WeightedBloomFilter {
                 return None;
             }
         }
-        probe::fold_sets(self, keys.flat_map(|key| family.probes(key, len)), scratch)
+        let probes = keys.flat_map(|key| family.probes(key, len));
+        probe::fold(self, probes, &mut scratch.acc)
     }
 
     /// [`WeightedBloomFilter::query_sequence_into`] over a probe set hashed
@@ -445,7 +284,7 @@ impl WeightedBloomFilter {
     /// bit length)` geometry; results are then exactly those of
     /// `query_sequence_into` over the same keys.
     pub fn query_precomputed<'s>(
-        &'s self,
+        &self,
         pre: &crate::probe::PrecomputedProbes,
         scratch: &'s mut QueryScratch,
     ) -> Option<&'s WeightSet> {
@@ -466,17 +305,12 @@ impl WeightedBloomFilter {
     /// May panic if any precomputed probe index is unoccupied — run the
     /// membership test first.
     pub fn fold_weights_precomputed<'s>(
-        &'s self,
+        &self,
         pre: &crate::probe::PrecomputedProbes,
         scratch: &'s mut QueryScratch,
     ) -> Option<&'s WeightSet> {
-        probe::fold_precomputed(self, pre.indices(), scratch)
-    }
-
-    /// The derived weight state, built from the sets on first use after a
-    /// reset.
-    fn fold_state(&self) -> &FoldState {
-        self.fold.get_or_init(|| FoldState::derive(&self.sets))
+        let probes = pre.indices().iter().map(|&idx| idx as usize);
+        probe::fold(self, probes, &mut scratch.acc)
     }
 
     /// The number of insert operations performed.
@@ -509,42 +343,23 @@ impl WeightedBloomFilter {
     /// against. Any weight a query of this filter can ever report is drawn
     /// from this set, so its maximum is the section's score upper bound.
     ///
-    /// Derived on first use and cached; [`insert`] and [`union_with`]
-    /// reset the cache, and [`apply_delta`] updates it in place.
+    /// Derived from the distinct weight sets on first use and cached until
+    /// the next [`insert`] or [`apply_delta`].
     ///
     /// [`insert`]: WeightedBloomFilter::insert
-    /// [`union_with`]: WeightedBloomFilter::union_with
     /// [`apply_delta`]: WeightedBloomFilter::apply_delta
     pub fn weight_universe(&self) -> &WeightSet {
-        &self.fold_state().universe
-    }
-
-    /// Merges another WBF built with identical geometry and seed, unioning
-    /// bits and per-bit weight sets.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::IncompatibleFilters`] if geometry or seed differ.
-    pub fn union_with(&mut self, other: &WeightedBloomFilter) -> Result<()> {
-        if self.family != other.family {
-            return Err(CoreError::IncompatibleFilters);
-        }
-        self.bits.union_with(&other.bits)?;
-        for (idx, set) in other.weight_positions() {
-            let slot = self.slot_or_insert(idx as usize);
-            self.sets[slot].union_with(set);
-        }
-        self.inserted += other.inserted;
-        self.fold.take();
-        Ok(())
+        &ProbeTable::fold_state(self).universe
     }
 
     /// The positions whose weight set differs between `base` and this
     /// filter, each with the weights that left and the weights that
     /// arrived: the delta that [`apply_delta`] turns a copy of `base` into
     /// this filter with. Both filters' occupied positions are walked once,
-    /// side by side, and each distinct diff enters the table as it is first
-    /// met, so the result is already in the canonical wire form.
+    /// side by side. Each distinct pair of table entries is compared once,
+    /// as masks renumbered over the two filters' common weights, and each
+    /// distinct diff enters the table as it is first met, so the result is
+    /// already in the canonical wire form.
     ///
     /// # Errors
     ///
@@ -555,43 +370,57 @@ impl WeightedBloomFilter {
         if self.family != base.family || self.bits.len() != base.bits.len() {
             return Err(CoreError::IncompatibleFilters);
         }
-        let empty = WeightSet::new();
-        let mut was = base.weight_positions().peekable();
-        let mut now = self.weight_positions().peekable();
+        const UNCHANGED: u32 = u32::MAX;
+        // Both tables' masks renumbered over one ascending weight list, so
+        // equal sets have equal masks and a diff is two mask differences.
+        let mut common: Vec<Weight> = (base.table.weights().iter())
+            .chain(self.table.weights())
+            .copied()
+            .collect();
+        common.sort_unstable();
+        common.dedup();
+        let rank = |table: &SetTable| -> Vec<u32> {
+            let at = |w| common.binary_search(w).expect("every weight is common");
+            table.weights().iter().map(|w| at(w) as u32).collect()
+        };
+        let (was_rank, now_rank) = (rank(&base.table), rank(&self.table));
         let mut delta = FilterDelta::default();
-        let mut index: std::collections::HashMap<WeightDiff, u32> = Default::default();
-        // Each changed position's diff is written into one reused scratch
-        // diff; only a diff met for the first time is copied into the table.
-        let mut diff = WeightDiff::default();
-        loop {
-            let bit = match (was.peek(), now.peek()) {
-                (None, None) => return Ok(delta),
-                (Some(&(a, _)), Some(&(b, _))) => a.min(b),
-                (Some(&(a, _)), None) => a,
-                (None, Some(&(b, _))) => b,
-            };
-            let before = was
-                .next_if(|&(at, _)| at == bit)
-                .map_or(&empty, |(_, set)| set);
-            let after = now
-                .next_if(|&(at, _)| at == bit)
-                .map_or(&empty, |(_, set)| set);
-            if before == after {
-                continue;
-            }
-            diff.removed.assign_difference(before, after);
-            diff.added.assign_difference(after, before);
-            let id = match index.get(&diff) {
-                Some(&id) => id,
-                None => {
-                    let id = delta.diffs.len() as u32;
-                    index.insert(diff.clone(), id);
-                    delta.diffs.push(diff.clone());
-                    id
+        // (base id, own id) → index into `delta.diffs`, or `UNCHANGED`.
+        let mut pairs: WordMap<u64, u32> = WordMap::default();
+        let mut index: WordMap<Vec<MaskWord>, u32> = WordMap::default();
+        let (mut bits, mut before, mut after, mut key) = Default::default();
+        let words = base.bits.as_words().iter().zip(self.bits.as_words());
+        for (at, (&was, &now)) in words.enumerate() {
+            let mut word = was | now;
+            while word != 0 {
+                let bit = at * 64 + word.trailing_zeros() as usize;
+                word &= word - 1;
+                let (was, now) = (base.slots[bit], self.slots[bit]);
+                let id = match pairs.entry(pair_key(was, now)) {
+                    Entry::Occupied(known) => *known.get(),
+                    Entry::Vacant(slot) => {
+                        base.table.remapped(was, &was_rank, &mut bits, &mut before);
+                        self.table.remapped(now, &now_rank, &mut bits, &mut after);
+                        let id = if before == after {
+                            UNCHANGED
+                        } else {
+                            set_table::diff_key(&before, &after, &mut key);
+                            let next = delta.diffs.len() as u32;
+                            let id = *index.entry(key.clone()).or_insert(next);
+                            if id == next {
+                                delta.diffs.push(set_table::key_diff(&key, &common));
+                            }
+                            id
+                        };
+                        *slot.insert(id)
+                    }
+                };
+                if id != UNCHANGED {
+                    delta.entries.push((bit as u32, id));
                 }
-            };
-            delta.entries.push((bit, id));
+            }
         }
+        Ok(delta)
     }
 
     /// Applies a filter delta: each entry pairs a position with an index
@@ -602,11 +431,13 @@ impl WeightedBloomFilter {
     /// Each entry is checked against its position's own set: every removed
     /// weight must currently be attached and every added weight absent. A
     /// mismatch means the station's state diverged from the baseline the
-    /// center diffed against (a missed or replayed epoch). Sets are edited
-    /// in place; a position whose set empties is cleared, and a previously
-    /// clear position gains its first weights and its bit. A derived weight
-    /// universe and its fold masks are kept in step rather than rebuilt, so
-    /// the cost follows the delta, not the filter.
+    /// center diffed against (a missed or replayed epoch). The diff table
+    /// is turned into masks over the filter's weights once, and each
+    /// distinct (set, diff) pair is checked and interned once; an entry
+    /// then only moves its position to the resulting set's id. A position
+    /// whose set empties is cleared, and a previously clear position gains
+    /// its first weights and its bit. The cost follows the delta and its
+    /// distinct sets, not the filter.
     ///
     /// # Errors
     ///
@@ -615,72 +446,38 @@ impl WeightedBloomFilter {
     /// is empty, or whose diff does not match the current state. The entries
     /// before it stay applied and none after it is.
     pub fn apply_delta(&mut self, delta: &FilterDelta) -> Result<()> {
-        let (diffs, entries) = (&delta.diffs, &delta.entries);
-        let mut state = self.fold.take();
-        let diff_masks = state
-            .as_mut()
-            .map_or_else(Vec::new, |state| state.admit(diffs));
-        let mut applied = vec![0u32; diffs.len()];
-        let result = entries.iter().try_for_each(|&(bit, d)| {
-            let diff = diffs.get(d as usize).ok_or_else(|| {
+        self.fold.take();
+        let masks = self.table.diff_masks(&delta.diffs);
+        // (current id, diff index) → the id the diff turns it into.
+        let mut edits: WordMap<u64, u32> = WordMap::default();
+        let result = delta.entries.iter().try_for_each(|&(bit, d)| {
+            let diff = delta.diffs.get(d as usize).ok_or_else(|| {
                 CoreError::decode("delta entry references a diff outside the table")
             })?;
-            let slot = self.apply_entry(bit, diff)?;
-            applied[d as usize] += 1;
-            if let Some(masks) = state.as_mut().and_then(|state| state.masks.as_mut()) {
-                // A freshly allocated slot extends the parallel mask vector.
-                if slot == masks.len() {
-                    masks.push(0);
-                }
-                let (removed, added) = diff_masks[d as usize];
-                masks[slot] = (masks[slot] & !removed) | added;
+            let idx = bit as usize;
+            if idx >= self.bits.len() {
+                return Err(CoreError::decode("delta entry beyond filter length"));
+            }
+            if diff.is_empty() {
+                return Err(CoreError::decode("empty delta entry"));
+            }
+            let before = self.slots[idx];
+            let after = match edits.entry(pair_key(before, d)) {
+                Entry::Occupied(known) => *known.get(),
+                Entry::Vacant(slot) => *slot.insert(self.table.edit(before, &masks[d as usize])?),
+            };
+            self.table.retain(after);
+            self.table.release(before);
+            self.slots[idx] = after;
+            if after == EMPTY {
+                self.bits.unset(idx);
+            } else {
+                self.bits.set(idx);
             }
             Ok(())
         });
-        if let Some(mut state) = state {
-            state.settle(diffs, &applied);
-            // Masks dropped while the universe was too wide are derived
-            // afresh on the next read once it fits again.
-            if state.masks.is_some() || state.universe.len() > MASK_WIDTH {
-                self.fold = OnceLock::from(state);
-            }
-        }
+        self.table.compact_if_sparse(&mut self.slots, &self.bits);
         result
-    }
-
-    /// Applies one delta entry to its position's own set and returns the
-    /// slot the position occupies; mutates nothing on error.
-    fn apply_entry(&mut self, bit: u32, diff: &WeightDiff) -> Result<usize> {
-        let idx = bit as usize;
-        if idx >= self.bits.len() {
-            return Err(CoreError::decode("delta entry beyond filter length"));
-        }
-        if diff.is_empty() {
-            return Err(CoreError::decode("empty delta entry"));
-        }
-        let current = ProbeTable::set_at(self, idx);
-        let carries = |w| current.is_some_and(|set| set.contains(w));
-        if !diff.removed.iter().all(carries) {
-            return Err(CoreError::decode(
-                "delta removes a weight the position does not carry",
-            ));
-        }
-        if diff.added.iter().any(carries) {
-            return Err(CoreError::decode(
-                "delta adds a weight the position already carries",
-            ));
-        }
-        let slot = self.slot_or_insert(idx);
-        let set = &mut self.sets[slot];
-        set.apply_diff(&diff.removed, &diff.added);
-        if set.is_empty() {
-            // Tombstone: the slot stays allocated for reuse when the
-            // position refills; an empty set reads as "no weights".
-            self.bits.unset(idx);
-        } else {
-            self.bits.set(idx);
-        }
-        Ok(slot)
     }
 
     /// Borrows the underlying bit set.
@@ -690,34 +487,23 @@ impl WeightedBloomFilter {
 }
 
 /// Equality is semantic — per-position weight sets in bit order — because
-/// the slot layout depends on attachment order: a filter built by inserts
-/// and the same filter decoded from the wire (or edited by deltas) must
-/// compare equal.
+/// table ids and the weights' numbering depend on the mutation history: a
+/// filter built by inserts and the same filter decoded from the wire (or
+/// edited by deltas) must compare equal.
 impl PartialEq for WeightedBloomFilter {
     fn eq(&self, other: &WeightedBloomFilter) -> bool {
         self.inserted == other.inserted
             && self.family == other.family
             && self.bits == other.bits
-            && self.weight_positions().eq(other.weight_positions())
+            && self.diff_from(other).is_ok_and(|delta| delta.is_empty())
     }
 }
 
 impl Eq for WeightedBloomFilter {}
 
 impl ProbeTable for WeightedBloomFilter {
-    fn set_at(&self, idx: usize) -> Option<&WeightSet> {
-        match self.slots[idx] {
-            EMPTY_SLOT => None,
-            slot => {
-                let set = &self.sets[slot as usize];
-                (!set.is_empty()).then_some(set)
-            }
-        }
-    }
-
-    fn fold_masks(&self) -> Option<(&WeightSet, &[u64])> {
-        let state = self.fold_state();
-        Some((&state.universe, state.masks.as_deref()?))
+    fn fold_state(&self) -> &FoldState {
+        self.fold.get_or_init(|| self.table.fold_state())
     }
 
     fn entry_at(&self, idx: usize) -> usize {
@@ -818,15 +604,11 @@ mod tests {
         assert!(wbf.weight_universe().is_empty());
         assert_eq!(wbf.weight_universe().max(), None);
 
-        // Insert invalidates the cached (empty) universe.
+        // Insert invalidates the cached (empty) universe, each time.
         wbf.insert(1, w(1, 3));
         assert_eq!(wbf.weight_universe().as_slice(), &[w(1, 3)]);
         assert_eq!(wbf.weight_universe().max(), Some(w(1, 3)));
-
-        // Union invalidates it again.
-        let mut other = WeightedBloomFilter::new(params(), 1);
-        other.insert(9, w(2, 3));
-        wbf.union_with(&other).unwrap();
+        wbf.insert(9, w(2, 3));
         assert_eq!(wbf.weight_universe().as_slice(), &[w(1, 3), w(2, 3)]);
 
         // Delta application keeps it in step — replay the diffs between
@@ -887,26 +669,6 @@ mod tests {
                 .cloned();
             assert_eq!(fast, slow, "keys {keys:?}");
         }
-    }
-
-    #[test]
-    fn union_merges_weights() {
-        let mut a = WeightedBloomFilter::new(params(), 1);
-        let mut b = WeightedBloomFilter::new(params(), 1);
-        a.insert(1, w(1, 2));
-        b.insert(1, w(1, 4));
-        b.insert(9, Weight::ONE);
-        a.union_with(&b).unwrap();
-        let set = a.query(1).unwrap();
-        assert!(set.contains(w(1, 2)) && set.contains(w(1, 4)));
-        assert!(a.query(9).unwrap().contains(Weight::ONE));
-    }
-
-    #[test]
-    fn union_rejects_mismatched_seed() {
-        let mut a = WeightedBloomFilter::new(params(), 1);
-        let b = WeightedBloomFilter::new(params(), 2);
-        assert_eq!(a.union_with(&b), Err(CoreError::IncompatibleFilters));
     }
 
     #[test]
@@ -1141,5 +903,65 @@ mod tests {
             );
             assert_derived_state_fresh(&filter, &[1, 2, 3, 4]);
         }
+    }
+
+    #[test]
+    fn set_table_stays_bounded_over_long_churn() {
+        // A station copy follows 1,200 epochs of churn. Its weights swing
+        // between a 12-weight pool and a 97-weight one every 240 epochs, so
+        // the universe widens past the 64-weight fold mask and narrows back
+        // twice. After every delta the table holds at most twice its live
+        // sets plus the slack, and its derived state is a fresh decode's.
+        let params = FilterParams::new(1 << 10, 3).unwrap();
+        let pair =
+            |i: u64, pool: u64| (i.wrapping_mul(0x9E37_79B9_7F4A_7C15), w(i % pool + 1, pool));
+        let build = |live: &[(u64, Weight)]| {
+            let mut filter = WeightedBloomFilter::new(params, 3);
+            for &(key, weight) in live {
+                filter.insert(key, weight);
+            }
+            filter
+        };
+        let mut live: Vec<(u64, Weight)> = (0..40).map(|i| pair(i, 12)).collect();
+        let mut center = build(&live);
+        let mut station = center.clone();
+        let (mut next, mut widest, mut narrowest_after) = (40u64, 0, usize::MAX);
+        for epoch in 0..1_200u64 {
+            let wide = epoch / 240 % 2 == 1;
+            let (pool, target) = if wide { (97, 100) } else { (12, 40) };
+            if live.len() > target {
+                live.drain(..2);
+            } else {
+                if live.len() == target {
+                    live.remove(0);
+                }
+                live.push(pair(next, pool));
+                next += 1;
+            }
+            let built = build(&live);
+            station
+                .apply_delta(&built.diff_from(&center).unwrap())
+                .unwrap();
+            center = built;
+            let table = &station.table;
+            assert!(
+                table.len() <= 2 * table.live() + crate::set_table::SLACK,
+                "epoch {epoch}: {} entries for {} live sets",
+                table.len(),
+                table.live()
+            );
+            let keys: Vec<u64> = live.iter().rev().take(5).map(|&(key, _)| key).collect();
+            assert_derived_state_fresh(&station, &keys);
+            let width = station.weight_universe().len();
+            widest = widest.max(width);
+            if widest > 64 {
+                narrowest_after = narrowest_after.min(width);
+            }
+        }
+        assert!(
+            widest > 64 && narrowest_after <= 12,
+            "{widest} / {narrowest_after}"
+        );
+        assert_eq!(station.diff_from(&center), Ok(FilterDelta::default()));
     }
 }

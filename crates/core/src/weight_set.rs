@@ -194,20 +194,9 @@ impl WeightSet {
     }
 
     /// Replaces this set's contents with `a \ b`, reusing the existing
-    /// capacity — the building block of streaming weight diffs.
+    /// capacity.
     pub(crate) fn assign_difference(&mut self, a: &WeightSet, b: &WeightSet) {
         self.assign_sorted(a.iter().filter(|&w| !b.contains(w)));
-    }
-
-    /// Removes the weights of `removed` and inserts those of `added`, in
-    /// place. The backing vector grows by exactly what the result must
-    /// hold, so a set edited by many deltas carries no doubling slack.
-    pub(crate) fn apply_diff(&mut self, removed: &WeightSet, added: &WeightSet) {
-        self.sorted.retain(|&w| !removed.contains(w));
-        self.sorted.reserve_exact(added.len());
-        for &w in &added.sorted {
-            self.insert(w);
-        }
     }
 
     /// The index of `weight` in ascending order, if present.

@@ -199,25 +199,6 @@ proptest! {
     }
 
     #[test]
-    fn wbf_union_preserves_membership(
-        xs in vec((any::<u64>(), arb_weight()), 0..50),
-        ys in vec((any::<u64>(), arb_weight()), 0..50),
-        seed in any::<u64>(),
-    ) {
-        let params = FilterParams::new(8192, 4).unwrap();
-        let mut a = WeightedBloomFilter::new(params, seed);
-        let mut b = WeightedBloomFilter::new(params, seed);
-        for (k, w) in &xs { a.insert(*k, *w); }
-        for (k, w) in &ys { b.insert(*k, *w); }
-        let mut merged = a.clone();
-        merged.union_with(&b).unwrap();
-        for (k, w) in xs.iter().chain(&ys) {
-            let set = merged.query(*k).expect("merged filter keeps bits");
-            prop_assert!(set.contains(*w));
-        }
-    }
-
-    #[test]
     fn wbf_query_subset_of_contains(key in any::<u64>(), seed in any::<u64>()) {
         let params = FilterParams::new(1024, 3).unwrap();
         let mut wbf = WeightedBloomFilter::new(params, seed);

@@ -7,7 +7,9 @@
 //! with membership-first semantics — so neither the scratch reuse nor the
 //! word-level membership fast path can drift the accepted sets. One more
 //! property replays diffs between successive builds onto a filter whose
-//! derived fold state a scan already built.
+//! derived fold state a scan already built, then drives it through a
+//! random history of inserts, delta replays and wire round trips against
+//! the same model.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -221,19 +223,28 @@ proptest! {
     // delta lands on a filter whose universe and fold masks a scan already
     // built. Entries before the rejection stay applied and none after, and
     // the universe and the precomputed (mask-fold) answers match those of
-    // the wire round-trip, whose state is derived afresh. A 97-weight pool
-    // takes the universe across the 64-weight mask width.
+    // the wire round-trip, whose state is derived afresh.
+    //
+    // The filter then runs a random history of its three mutation paths:
+    // direct inserts, a center rebuild diffed and applied, and an
+    // encode→decode round trip. After every step it must hold exactly the
+    // reference model of its live pairs: per-position sets (its canonical
+    // frame, which names every position's set, equals a fresh build's but
+    // for the insert count), the weight universe, and every query path's
+    // answers; and its frame must re-encode to itself. An 8-weight pool
+    // keeps the universe within one fold mask; a 97-weight pool takes it
+    // across the 64-weight mask width.
     #[test]
     fn apply_delta_keeps_the_fold_state_in_step(
         seed in any::<u64>(),
         wide in any::<bool>(),
         initial in 0u64..100,
         churn in vec((any::<bool>(), any::<u64>()), 0..60),
-        split in any::<u64>(),
-        replay in (any::<bool>(), any::<u64>()),
+        (split, replay) in (any::<u64>(), (any::<bool>(), any::<u64>())),
+        history in vec((0u8..4, any::<u64>()), 0..12),
     ) {
         let params = FilterParams::new(1 << 11, 3).unwrap();
-        let pool = if wide { 97 } else { 9 };
+        let pool = if wide { 97 } else { 8 };
         // Weights scattered over the pool, so new ones land inside the
         // sorted universe, not only past its end.
         let pair = |i: u64| {
@@ -312,6 +323,68 @@ proptest! {
                     fresh.query_precomputed(&pre, &mut fresh_scratch).cloned(),
                     "keys {:?}", keys
                 );
+            }
+        }
+
+        // The history, from the live pairs' state (a rejected replay left
+        // the filter between two epochs).
+        if expected.is_err() {
+            filter = previous;
+        }
+        for &(op, pick) in &history {
+            match op {
+                0 => {
+                    live.push(pair(next));
+                    filter.insert(pair(next).0, pair(next).1);
+                    next += 1;
+                }
+                1 | 2 => {
+                    if op == 2 || live.is_empty() {
+                        live.push(pair(next));
+                        next += 1;
+                    }
+                    if op == 1 || pick % 2 == 0 {
+                        live.swap_remove(pick as usize % live.len());
+                    }
+                    let delta = build(&live).diff_from(&filter).unwrap();
+                    filter.apply_delta(&delta).unwrap();
+                }
+                _ => {
+                    let frame = encode::encode_wbf(&filter).unwrap();
+                    filter = encode::decode_wbf(frame).unwrap();
+                }
+            }
+            let frame = encode::encode_wbf(&filter).unwrap();
+            let rebuilt = encode::encode_wbf(&build(&live)).unwrap();
+            // Header bytes 24..32 hold the insert count, which a delta
+            // leaves alone.
+            prop_assert_eq!(&frame[..24], &rebuilt[..24]);
+            prop_assert_eq!(&frame[32..], &rebuilt[32..], "op {}", op);
+            prop_assert_eq!(
+                &encode::encode_wbf(&encode::decode_wbf(frame.clone()).unwrap()).unwrap(),
+                &frame
+            );
+            let mut model = ModelFilter::new(params, seed);
+            for &(key, w) in &live {
+                model.insert(key, w);
+            }
+            let universe: BTreeSet<Weight> = live.iter().map(|&(_, w)| w).collect();
+            prop_assert_eq!(
+                sorted(filter.weight_universe()),
+                universe.into_iter().collect::<Vec<_>>()
+            );
+            let as_vec = |set: Option<BTreeSet<Weight>>| set.map(|s| s.into_iter().collect::<Vec<_>>());
+            for i in next.saturating_sub(24)..next + 2 {
+                let key = pair(i).0;
+                prop_assert_eq!(filter.query(key).as_ref().map(sorted), as_vec(model.query(key)));
+                let keys = [key, pair(i + 1).0];
+                let expect = as_vec(model.query_sequence(&keys));
+                prop_assert_eq!(
+                    filter.query_sequence_into(keys, &mut scratch).map(sorted),
+                    expect.clone()
+                );
+                pre.compute(&family, params.bits(), &keys);
+                prop_assert_eq!(filter.query_precomputed(&pre, &mut scratch).map(sorted), expect);
             }
         }
     }

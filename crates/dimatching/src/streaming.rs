@@ -29,11 +29,13 @@
 //!   [`ExecutionMode`](dipm_distsim::ExecutionMode) — a pure CDR-churn
 //!   epoch (new traffic, same queries) costs a near-empty delta frame plus
 //!   the scans, never a re-broadcast. A station pays for the delta, not
-//!   the filter: it decodes the frame's diff table once, applies each
-//!   entry in place to its position's weight set
-//!   ([`WeightedBloomFilter::apply_delta`]), and keeps the scan's derived
-//!   fold state (weight universe and per-slot fold masks) in step instead
-//!   of re-deriving it from every occupied position.
+//!   the filter: it decodes the frame's diff table once and applies it to
+//!   the filter's interned weight sets
+//!   ([`WeightedBloomFilter::apply_delta`]). Each distinct (set, diff)
+//!   pair is checked and interned once, an entry only moves its position
+//!   to the resulting set, and the scan's derived fold state (weight
+//!   universe and per-set fold masks) is re-derived from the distinct
+//!   sets, not from every occupied position.
 //!
 //! The session pins its filter geometry at creation (deltas cannot resize
 //! a hash table without rehashing everything, i.e. a full broadcast), and
@@ -45,8 +47,9 @@
 //!
 //! Epoch scans prune exactly like the batch pipeline: a station skips only
 //! the `(row, section)` pairs its filter's weight universe proves
-//! reportless, and every applied delta admits and retires weights in that
-//! cached universe, so churn can never leave a stale bound behind.
+//! reportless, and every applied delta resets that universe, which the
+//! next scan derives afresh from the live weight sets, so churn can never
+//! leave a stale bound behind.
 
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -95,9 +98,9 @@ struct SessionRouting {
 /// One base station's cross-epoch state: its decoded filter, the live
 /// query volumes, and the last epoch it applied.
 ///
-/// A full update replaces the filter; a delta is applied to it in place,
-/// and the fold state the previous epoch's scan derived stays cached and
-/// in step, so the next scan starts warm.
+/// A full update replaces the filter (its fold state comes with the
+/// decode); a delta is applied to it in place, and the next scan derives
+/// the fold state from the filter's distinct weight sets.
 #[derive(Debug, Default)]
 struct StationState {
     filter: Option<WeightedBloomFilter>,

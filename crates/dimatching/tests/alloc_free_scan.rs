@@ -6,7 +6,9 @@
 //! shards of different sizes: the allocation count must not grow with
 //! `rows × sections` — it stays at the fixed per-call setup cost. The same
 //! counter holds the streaming delta decoder to allocating per distinct
-//! diff, never per changed position.
+//! diff, never per changed position; delta application to allocating per
+//! new weight set, never per entry; and the owned filter decoder to
+//! allocating per set-table entry, never per set bit.
 //!
 //! The counter is per thread: the test harness runs tests in parallel, and
 //! a process-global count would charge one test's allocations to another.
@@ -14,7 +16,10 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use dipm_core::{WbfFrameView, Weight, WeightDiff, WeightSet};
+use dipm_core::{
+    encode, FilterDelta, FilterParams, WbfFrameView, Weight, WeightDiff, WeightSet,
+    WeightedBloomFilter,
+};
 use dipm_distsim::CostMeter;
 use dipm_mobilenet::UserId;
 use dipm_protocol::{
@@ -276,5 +281,84 @@ fn delta_decoding_allocates_per_diff_not_per_entry() {
     assert_eq!(
         small, large,
         "100× the entries must not add allocations: {small} -> {large}"
+    );
+}
+
+/// A one-hash filter whose first `occupied` fresh positions each carry one
+/// weight of a `cycle`-weight cycle, so its set table holds `cycle` entries
+/// whatever `occupied` is.
+fn cycled_filter(occupied: usize, cycle: u64) -> WeightedBloomFilter {
+    let params = FilterParams::new(1 << 16, 1).expect("valid geometry");
+    let mut filter = WeightedBloomFilter::new(params, 7);
+    let (mut placed, mut key) = (0, 0u64);
+    while placed < occupied {
+        if !filter.contains(key) {
+            let weight = Weight::new(placed as u64 % cycle + 1, 5).expect("nonzero denominator");
+            filter.insert(key, weight);
+            placed += 1;
+        }
+        key += 1;
+    }
+    filter
+}
+
+#[test]
+fn delta_application_allocates_per_new_set_not_per_entry() {
+    // Two deltas over one diff table, 100× apart in entry count: each
+    // attaches one weight at as many clear positions as positions of the
+    // filter's one set, so both create the same two new sets. A station
+    // applying either must pay for the diff and those sets alone.
+    let base = cycled_filter(20_000, 1);
+    let (occupied, clear): (Vec<u32>, Vec<u32>) =
+        (0..base.bit_len() as u32).partition(|&bit| base.bits().get(bit as usize));
+    let diffs = vec![WeightDiff {
+        removed: WeightSet::new(),
+        added: WeightSet::singleton(Weight::ONE),
+    }];
+    let measure = |entries: usize| {
+        let half = entries / 2;
+        let mut touched: Vec<(u32, u32)> = occupied[..half]
+            .iter()
+            .chain(&clear[..half])
+            .map(|&bit| (bit, 0))
+            .collect();
+        touched.sort_unstable();
+        let delta = FilterDelta {
+            diffs: diffs.clone(),
+            entries: touched,
+        };
+        let mut station = base.clone();
+        station.weight_universe();
+        let before = allocations();
+        station.apply_delta(&delta).expect("delta applies");
+        let after = allocations();
+        after - before
+    };
+    let small = measure(100);
+    let large = measure(10_000);
+    assert_eq!(
+        small, large,
+        "100× the entries must not add allocations: {small} -> {large}"
+    );
+}
+
+#[test]
+fn owned_decode_allocates_per_set_table_entry_not_per_set_bit() {
+    // Two frames of one geometry and one three-entry set table, 100× apart
+    // in set bits: decoding either into an owned filter must pay for the
+    // table alone.
+    let measure = |occupied: usize| {
+        let frame = encode::encode_wbf(&cycled_filter(occupied, 3)).expect("filter encodes");
+        let before = allocations();
+        let filter = encode::decode_wbf(frame).expect("frame decodes");
+        let after = allocations();
+        assert_eq!(filter.bits().count_ones(), occupied);
+        after - before
+    };
+    let small = measure(100);
+    let large = measure(10_000);
+    assert_eq!(
+        small, large,
+        "100× the set bits must not add allocations: {small} -> {large}"
     );
 }
