@@ -21,7 +21,10 @@
 //!   next mutation that needs its set revives it. An insert only adds a
 //!   weight to a position, so an insert-only history leaves at most one
 //!   entry per weight it attached at a position: what one set per position
-//!   would hold. Deltas can churn a table forever, so a delta that leaves
+//!   would hold, most of it dead. A bulk build
+//!   ([`WeightedBloomFilter::from_pairs`](crate::WeightedBloomFilter::from_pairs))
+//!   interns each position's final set alone, so up to 64 weights it leaves
+//!   no dead entry. Deltas can churn a table forever, so a delta that leaves
 //!   dead entries outnumbering live ones by more than [`SLACK`] rebuilds
 //!   the table from its live entries, dropping the weights no live entry
 //!   holds and renumbering the ids. A station's table thus stays within
@@ -309,7 +312,7 @@ impl SetTable {
 
     /// The id of the entry holding `mask` (non-empty), appended as a dead
     /// entry if no entry holds it yet.
-    fn intern(&mut self, mask: &[MaskWord]) -> u32 {
+    pub(crate) fn intern(&mut self, mask: &[MaskWord]) -> u32 {
         let hash = hash_mask(mask);
         let mut id = self.index.get(&hash).copied().unwrap_or(EMPTY);
         while id != EMPTY {

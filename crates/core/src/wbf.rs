@@ -17,6 +17,12 @@
 //! insert, a delta, a diff and the wire encoding then pay per distinct set,
 //! not per position.
 //!
+//! A center builds its filter whole, with
+//! [`WeightedBloomFilter::from_pairs`]: attaching a weight to a probed bit
+//! is an OR into that position's word, and each occupied position interns
+//! its final set once. The table then holds the live sets alone, not every
+//! intermediate set a key-by-key build passes through.
+//!
 //! Two builds of one geometry compare position by position:
 //! [`WeightedBloomFilter::diff_from`] yields a [`FilterDelta`] whose table
 //! holds each distinct [`WeightDiff`] once, and
@@ -31,7 +37,7 @@ use crate::bitset::BitSet;
 use crate::error::{CoreError, Result};
 use crate::hash::HashFamily;
 use crate::params::FilterParams;
-use crate::probe::{self, FoldState, ProbeTable, QueryScratch};
+use crate::probe::{self, FoldState, ProbeTable, QueryScratch, MASK_WIDTH};
 use crate::set_table::{self, pair_key, MaskWord, SetTable, WordMap, EMPTY};
 use crate::weight::Weight;
 use crate::weight_set::WeightSet;
@@ -145,6 +151,47 @@ impl WeightedBloomFilter {
         }
     }
 
+    /// Builds the filter that inserting every `(key, weight)` of `pairs`, in
+    /// order, into [`WeightedBloomFilter::new`]`(params, seed)` builds —
+    /// equal to it, with the same insert count and wire bytes — in one
+    /// pass: each pair ORs its weight's bit into a per-position word at
+    /// every probe, and each occupied position then interns its final set
+    /// once. Up to 64 distinct weights the table so holds exactly the live
+    /// sets, none of the intermediate ones a key-by-key build passes
+    /// through; the pairs of any later weight are inserted after that pass.
+    pub fn from_pairs<I>(params: FilterParams, seed: u64, pairs: I) -> WeightedBloomFilter
+    where
+        I: IntoIterator<Item = (u64, Weight)>,
+    {
+        let mut filter = WeightedBloomFilter::new(params, seed);
+        let len = filter.bits.len();
+        let mut words = vec![0u64; len];
+        let mut wide = Vec::new();
+        for (key, weight) in pairs {
+            let bit = filter.table.bit(weight);
+            if bit as usize >= MASK_WIDTH {
+                wide.push((key, weight));
+                continue;
+            }
+            for idx in filter.family.probes(key, len) {
+                words[idx] |= 1 << bit;
+            }
+            filter.inserted += 1;
+        }
+        for (idx, &word) in words.iter().enumerate() {
+            if word != 0 {
+                filter.bits.set(idx);
+                let id = filter.table.intern(&[(0, word)]);
+                filter.table.retain(id);
+                filter.slots[idx] = id;
+            }
+        }
+        for (key, weight) in wide {
+            filter.insert(key, weight);
+        }
+        filter
+    }
+
     /// Assembles a decoded filter: `slots` names, per position, an entry of
     /// `fold`'s table (set bits only), whose universe numbers the weights.
     /// The filter's table takes `fold`'s entries at the same ids, so `fold`
@@ -179,7 +226,9 @@ impl WeightedBloomFilter {
     /// Inserts `key` carrying `weight`: sets all `k` probed bits and attaches
     /// the weight to each. A position moves to the interned set that adds
     /// the weight to its own, so a filter built key by key pays one table
-    /// lookup per probe.
+    /// lookup per probe, and its table keeps every set a position passed
+    /// through; [`WeightedBloomFilter::from_pairs`] builds a whole filter
+    /// without either.
     pub fn insert(&mut self, key: u64, weight: Weight) {
         let bit = self.table.bit(weight);
         for idx in self.family.probes(key, self.bits.len()) {
@@ -686,6 +735,23 @@ mod tests {
             wbf.insert(key, weight);
         }
         wbf
+    }
+
+    #[test]
+    fn a_bulk_build_leaves_no_dead_set() {
+        // 600 pairs over 40 weights on 300 keys, the first 50 repeated.
+        let mut pairs: Vec<(u64, Weight)> = (0..600u64)
+            .map(|i| (i * 7 % 300, w(i % 40 + 1, 41)))
+            .collect();
+        pairs.extend_from_within(..50);
+        let bulk = WeightedBloomFilter::from_pairs(params(), 1, pairs.iter().copied());
+        let folded = build(&pairs);
+        assert_eq!(bulk, folded);
+        // Both hold the same live sets; only the fold keeps the sets its
+        // positions passed through.
+        assert_eq!(bulk.table.len(), bulk.table.live());
+        assert_eq!(bulk.table.live(), folded.table.live());
+        assert!(folded.table.len() > 2 * folded.table.live());
     }
 
     /// A delta of `entries` over the diff table `diffs`.

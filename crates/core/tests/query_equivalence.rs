@@ -9,7 +9,8 @@
 //! property replays diffs between successive builds onto a filter whose
 //! derived fold state a scan already built, then drives it through a
 //! random history of inserts, delta replays and wire round trips against
-//! the same model.
+//! the same model, and checks a center's bulk build of the live pairs
+//! against the insert fold of the same pairs along the way.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -19,6 +20,7 @@ use dipm_core::{
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 /// Independent model of the weighted filter: per-bit weight sets, probed
 /// with the same seeded family, queried membership-first.
@@ -234,6 +236,12 @@ proptest! {
     // answers; and its frame must re-encode to itself. An 8-weight pool
     // keeps the universe within one fold mask; a 97-weight pool takes it
     // across the 64-weight mask width.
+    //
+    // Centers build with `from_pairs`. Before the history (over no pairs at
+    // all, then over the live ones) and after every step, the bulk build of
+    // the live pairs with some of them repeated must equal the insert fold
+    // of the same list: semantically, in its insert count, its frame bytes
+    // and its universe, and on every query path against the model.
     #[test]
     fn apply_delta_keeps_the_fold_state_in_step(
         seed in any::<u64>(),
@@ -241,7 +249,7 @@ proptest! {
         initial in 0u64..100,
         churn in vec((any::<bool>(), any::<u64>()), 0..60),
         (split, replay) in (any::<u64>(), (any::<bool>(), any::<u64>())),
-        history in vec((0u8..4, any::<u64>()), 0..12),
+        (history, repeats) in (vec((0u8..4, any::<u64>()), 0..12), vec(any::<u64>(), 1..8)),
     ) {
         let params = FilterParams::new(1 << 11, 3).unwrap();
         let pool = if wide { 97 } else { 8 };
@@ -252,12 +260,68 @@ proptest! {
             (key, Weight::new((key >> 40) % pool + 1, pool).unwrap())
         };
         let build = |live: &[(u64, Weight)]| {
+            WeightedBloomFilter::from_pairs(params, seed, live.iter().copied())
+        };
+        let fold = |pairs: &[(u64, Weight)]| {
             let mut filter = WeightedBloomFilter::new(params, seed);
-            for &(key, w) in live {
+            for &(key, w) in pairs {
                 filter.insert(key, w);
             }
             filter
         };
+        let family = HashFamily::new(params.hashes(), seed);
+        // `filter` holds exactly the reference model of `live`: its weight
+        // universe, and every query path's answers around the newest pairs.
+        let answers_like_the_model = |filter: &WeightedBloomFilter,
+                                      live: &[(u64, Weight)],
+                                      next: u64|
+         -> Result<(), TestCaseError> {
+            let mut model = ModelFilter::new(params, seed);
+            for &(key, w) in live {
+                model.insert(key, w);
+            }
+            let universe: BTreeSet<Weight> = live.iter().map(|&(_, w)| w).collect();
+            prop_assert_eq!(
+                sorted(filter.weight_universe()),
+                universe.into_iter().collect::<Vec<_>>()
+            );
+            let as_vec = |set: Option<BTreeSet<Weight>>| set.map(|s| s.into_iter().collect::<Vec<_>>());
+            let (mut pre, mut scratch, mut out) =
+                (PrecomputedProbes::new(), QueryScratch::new(), dipm_core::WeightSet::new());
+            for i in next.saturating_sub(24)..next + 2 {
+                let key = pair(i).0;
+                let expect = as_vec(model.query(key));
+                prop_assert_eq!(filter.query(key).as_ref().map(sorted), expect.clone());
+                prop_assert_eq!(filter.query_into(key, &mut out).map(|()| sorted(&out)), expect);
+                let keys = [key, pair(i + 1).0];
+                let expect = as_vec(model.query_sequence(&keys));
+                prop_assert_eq!(filter.query_sequence(keys).as_ref().map(sorted), expect.clone());
+                prop_assert_eq!(
+                    filter.query_sequence_into(keys, &mut scratch).map(sorted),
+                    expect.clone()
+                );
+                pre.compute(&family, params.bits(), &keys);
+                prop_assert_eq!(filter.query_precomputed(&pre, &mut scratch).map(sorted), expect);
+            }
+            Ok(())
+        };
+        let bulk_is_the_fold = |live: &[(u64, Weight)], next: u64| -> Result<(), TestCaseError> {
+            let mut pairs = live.to_vec();
+            if !live.is_empty() {
+                pairs.extend(repeats.iter().map(|&r| live[r as usize % live.len()]));
+            }
+            let bulk = WeightedBloomFilter::from_pairs(params, seed, pairs.iter().copied());
+            let folded = fold(&pairs);
+            prop_assert_eq!(&bulk, &folded);
+            prop_assert_eq!(bulk.inserted(), pairs.len() as u64);
+            prop_assert_eq!(
+                encode::encode_wbf(&bulk).unwrap(),
+                encode::encode_wbf(&folded).unwrap()
+            );
+            prop_assert_eq!(bulk.weight_universe(), folded.weight_universe());
+            answers_like_the_model(&bulk, live, next)
+        };
+        bulk_is_the_fold(&[], 0)?;
         let mut live: Vec<(u64, Weight)> = (0..initial).map(pair).collect();
         let station = build(&live);
         let mut previous = station.clone();
@@ -296,7 +360,6 @@ proptest! {
             })
         });
         let mut filter = station.clone();
-        let family = HashFamily::new(params.hashes(), seed);
         let mut pre = PrecomputedProbes::new();
         let mut scratch = QueryScratch::new();
         filter.weight_universe();
@@ -331,6 +394,7 @@ proptest! {
         if expected.is_err() {
             filter = previous;
         }
+        bulk_is_the_fold(&live, next)?;
         for &(op, pick) in &history {
             match op {
                 0 => {
@@ -364,28 +428,8 @@ proptest! {
                 &encode::encode_wbf(&encode::decode_wbf(frame.clone()).unwrap()).unwrap(),
                 &frame
             );
-            let mut model = ModelFilter::new(params, seed);
-            for &(key, w) in &live {
-                model.insert(key, w);
-            }
-            let universe: BTreeSet<Weight> = live.iter().map(|&(_, w)| w).collect();
-            prop_assert_eq!(
-                sorted(filter.weight_universe()),
-                universe.into_iter().collect::<Vec<_>>()
-            );
-            let as_vec = |set: Option<BTreeSet<Weight>>| set.map(|s| s.into_iter().collect::<Vec<_>>());
-            for i in next.saturating_sub(24)..next + 2 {
-                let key = pair(i).0;
-                prop_assert_eq!(filter.query(key).as_ref().map(sorted), as_vec(model.query(key)));
-                let keys = [key, pair(i + 1).0];
-                let expect = as_vec(model.query_sequence(&keys));
-                prop_assert_eq!(
-                    filter.query_sequence_into(keys, &mut scratch).map(sorted),
-                    expect.clone()
-                );
-                pre.compute(&family, params.bits(), &keys);
-                prop_assert_eq!(filter.query_precomputed(&pre, &mut scratch).map(sorted), expect);
-            }
+            answers_like_the_model(&filter, &live, next)?;
+            bulk_is_the_fold(&live, next)?;
         }
     }
 }

@@ -203,10 +203,7 @@ pub fn build_wbf(queries: &[PatternQuery], config: &DiMatchingConfig) -> Result<
     let build = prepare_build(queries, config)?;
     let probe_keys = build.probe_keys();
     let params = sized_params(probe_keys.len(), config)?;
-    let mut filter = WeightedBloomFilter::new(params, config.seed);
-    for &(key, weight) in &build.pairs {
-        filter.insert(key, weight);
-    }
+    let filter = WeightedBloomFilter::from_pairs(params, config.seed, build.pairs.iter().copied());
     let stats = BuildStats::for_filter(build.combinations, build.pairs.len() as u64, &filter);
     Ok(BuiltFilter {
         filter,

@@ -235,12 +235,12 @@ impl Service {
     /// shared station links.
     ///
     /// Admission considers tenants longest-deferred first (ties in id
-    /// order). Each tenant's epoch is planned once — its filters built and
-    /// diffed, its frames encoded — and admission charges every station the
-    /// frame that plan would send it; an admitted tenant then runs exactly
-    /// that plan. Planning changes nothing, so a deferred tenant's session
-    /// is untouched — no drain, no routing mutation — and its ledger
-    /// records the deferral.
+    /// order). Each tenant's epoch is planned once — its live filter built
+    /// and diffed, its frames encoded — and admission charges every station
+    /// the frame that plan would send it; an admitted tenant then runs
+    /// exactly that plan. Planning changes nothing, so a deferred tenant's
+    /// session is untouched — no drain, no routing mutation, the same
+    /// retained filter — and its ledger records the deferral.
     ///
     /// # Errors
     ///

@@ -7,23 +7,27 @@
 //! little between epochs. A [`StreamingSession`] keeps the query set
 //! standing:
 //!
-//! * the **data center** keeps only its query registry: each live query's
+//! * the **data center** keeps its query registry: each live query's
 //!   `(key, weight)` pairs. [`StreamingSession::insert_query`] and
 //!   [`StreamingSession::remove_query`] edit the registry and nothing else;
 //! * each **epoch** ([`StreamingSession::run_epoch`]) is computed once, by
-//!   a plan that changes nothing: it builds two [`WeightedBloomFilter`]s
-//!   from the registry, the way the batch center builds — the live queries'
-//!   filter, and the filter of the registry as it stood at the previous
-//!   epoch's broadcast — and diffs them into the
-//!   [`FilterDelta`](crate::wire::FilterDelta) of
-//!   [`WeightedBloomFilter::diff_from`], already in its wire form. It then
-//!   encodes the full [`StationUpdate`](crate::wire::StationUpdate) frame,
-//!   whose length is the epoch's rebuild yardstick, and the delta frame
-//!   when some station holds the state the delta extends. A commit then
-//!   routes, drains the registry and sends the full filter to stations off
-//!   the delta path (session start, a resync) and only the changed
-//!   positions to the rest. A [`Service`](crate::Service) prices each
-//!   tenant's plan for admission and runs the plans it admits;
+//!   a plan that changes nothing: it builds the live queries'
+//!   [`WeightedBloomFilter`] from the registry, the way the batch center
+//!   builds ([`WeightedBloomFilter::from_pairs`]), and diffs it against
+//!   the filter of the registry as it stood at the previous epoch's
+//!   broadcast into the [`FilterDelta`](crate::wire::FilterDelta) of
+//!   [`WeightedBloomFilter::diff_from`], already in its wire form. That
+//!   drained filter is retained, so an epoch pays one build: it is the
+//!   live build the last committed epoch kept (empty in a new session,
+//!   built from the registry by a recovered one). A full-broadcast epoch
+//!   (session start, a resync) diffs nothing. The plan then encodes the
+//!   full [`StationUpdate`](crate::wire::StationUpdate) frame, whose
+//!   length is the epoch's rebuild yardstick, and the delta frame when
+//!   some station holds the state the delta extends. A commit then routes,
+//!   drains the registry, keeps the plan's live build as the drained
+//!   filter, and sends the full filter to stations off the delta path and
+//!   only the changed positions to the rest. A [`Service`](crate::Service)
+//!   prices each tenant's plan for admission and runs the plans it admits;
 //! * **base stations** hold their decoded filter across epochs and apply
 //!   deltas shard-locally under any
 //!   [`ExecutionMode`](dipm_distsim::ExecutionMode) — a pure CDR-churn
@@ -39,8 +43,8 @@
 //!
 //! The session pins its filter geometry at creation (deltas cannot resize
 //! a hash table without rehashing everything, i.e. a full broadcast), and
-//! because the center's filter *is* a fresh build the whole path is
-//! checkable: after any update sequence the station-side state byte-matches
+//! because the center's filter *is* a build of its registry the whole path
+//! is checkable: after any update sequence the station-side state byte-matches
 //! a from-scratch [`run_pipeline`](crate::run_pipeline) over the surviving
 //! query set at the same geometry — asserted across execution modes by the
 //! streaming conformance suite.
@@ -159,15 +163,20 @@ impl StationState {
 }
 
 /// One tenant's epoch as the center computes it, before anything moves:
-/// the update frames and which stations can take the delta. Produced by
-/// the pure `plan_epoch`, priced by [`Service`](crate::Service) admission,
-/// and run by `commit_epoch` and the epoch engine. Planning leaves the
-/// session untouched, so a tenant admission defers keeps its epoch, its
-/// registry and its pending delta as they were.
+/// its live build, the update frames and which stations can take the
+/// delta. Produced by the pure `plan_epoch`, priced by
+/// [`Service`](crate::Service) admission, and run by `commit_epoch` and
+/// the epoch engine. Planning leaves the session untouched, so a tenant
+/// admission defers keeps its epoch, its registry and its pending delta
+/// as they were.
 #[derive(Debug)]
 pub(crate) struct EpochPlan {
     epoch: u64,
     start: Instant,
+    /// The live queries' filter as this plan built it. The commit swaps it
+    /// in as the session's retained filter, so from then on this holds the
+    /// filter it replaced.
+    live: WeightedBloomFilter,
     broadcast: EpochBroadcast,
     /// The full update frame. Encoded every epoch: its length prices a
     /// rebuild, and any station off the delta path receives it.
@@ -273,6 +282,11 @@ pub struct StreamingSession {
     drained_next_id: u64,
     /// The queries removed since the last drain that were live at it.
     retired: BTreeMap<StreamQueryId, LiveQuery>,
+    /// The filter of the registry as of the last drain, which delta-path
+    /// stations hold: the live build the last committed epoch kept. Derived
+    /// state, never checkpointed: `new` starts it empty (nothing is
+    /// drained yet) and `recover` builds it from the drained registry.
+    retained: WeightedBloomFilter,
     /// The next epoch to run; station states trail it by one once running.
     epoch: u64,
     stations: Vec<StationState>,
@@ -323,6 +337,7 @@ impl StreamingSession {
             .flat_map(|build| build.pairs.iter().map(|&(key, _)| key))
             .collect();
         let params = sized_params(distinct_keys.len().max(1), &config)?;
+        let retained = WeightedBloomFilter::new(params, config.seed);
         let mut session = StreamingSession {
             config,
             options,
@@ -331,6 +346,7 @@ impl StreamingSession {
             next_id: 0,
             drained_next_id: 0,
             retired: BTreeMap::new(),
+            retained,
             epoch: 0,
             stations: Vec::new(),
             needs_full: true,
@@ -416,16 +432,19 @@ impl StreamingSession {
         }
     }
 
-    /// Builds the filter of `queries` at the session's pinned geometry by
-    /// inserting their registered pairs, as the batch center builds.
+    /// The registry as of the last drain: the live queries below the drain
+    /// mark plus the retired ones.
+    fn drained(&self) -> impl Iterator<Item = &LiveQuery> {
+        let mark = StreamQueryId(self.drained_next_id);
+        let queries = self.live.range(..mark).chain(&self.retired);
+        queries.map(|(_, query)| query)
+    }
+
+    /// Builds the filter of `queries` at the session's pinned geometry from
+    /// their registered pairs in one pass, as the batch center builds.
     fn build<'a>(&self, queries: impl Iterator<Item = &'a LiveQuery>) -> WeightedBloomFilter {
-        let mut filter = WeightedBloomFilter::new(self.params, self.config.seed);
-        for query in queries {
-            for &(key, weight) in &query.pairs {
-                filter.insert(key, weight);
-            }
-        }
-        filter
+        let pairs = queries.flat_map(|query| query.pairs.iter().copied());
+        WeightedBloomFilter::from_pairs(self.params, self.config.seed, pairs)
     }
 
     /// Runs one epoch over `dataset`: broadcasts the pending filter state
@@ -510,10 +529,11 @@ impl StreamingSession {
     }
 
     /// Phase 1 of an epoch, and the only place it is computed: builds the
-    /// live queries' filter and the filter of the registry as of the last
-    /// drain (the live queries below the drain mark plus the retired ones),
-    /// which is what delta-path stations hold; diffs them; and encodes the
-    /// full frame and, when some station can take it, the delta frame.
+    /// live queries' filter, diffs it against the retained filter of the
+    /// registry as of the last drain, which is what delta-path stations
+    /// hold, and encodes the full frame and, when some station can take it,
+    /// the delta frame. A full-broadcast epoch (session start, a resync)
+    /// diffs nothing.
     ///
     /// Pure: nothing changes until `commit_epoch` runs the plan, so a
     /// service can plan and price every tenant before deciding which run.
@@ -524,9 +544,6 @@ impl StreamingSession {
         let epoch = self.epoch;
         let totals = self.totals();
         let live = self.build(self.live.values());
-        let mark = StreamQueryId(self.drained_next_id);
-        let drained = self.live.range(..mark).chain(&self.retired);
-        let delta = live.diff_from(&self.build(drained.map(|(_, query)| query)))?;
         // A station is on the delta path when it applied every epoch up to
         // this one onto a full base; everyone else — session start, a
         // post-failure resync, or a station an earlier epoch's routing
@@ -540,30 +557,33 @@ impl StreamingSession {
                         .is_some_and(|s| s.filter.is_some() && s.applied_epoch + 1 == epoch)
             })
             .collect();
-        let broadcast = if self.needs_full {
-            EpochBroadcast::Full
-        } else {
-            EpochBroadcast::Delta {
-                entries: delta.entries.len(),
-            }
-        };
         let full_frame = wire::encode_station_update(&StationUpdate::Full {
             epoch,
             query_totals: totals.clone(),
             filter: encode::encode_wbf(&live)?,
         })?;
-        let delta_frame = if on_delta_path.contains(&true) {
-            Some(wire::encode_station_update(&StationUpdate::Delta {
-                epoch,
-                query_totals: totals,
-                delta,
-            })?)
+        let (broadcast, delta_frame) = if self.needs_full {
+            (EpochBroadcast::Full, None)
         } else {
-            None
+            let delta = live.diff_from(&self.retained)?;
+            let broadcast = EpochBroadcast::Delta {
+                entries: delta.entries.len(),
+            };
+            let frame = if on_delta_path.contains(&true) {
+                Some(wire::encode_station_update(&StationUpdate::Delta {
+                    epoch,
+                    query_totals: totals,
+                    delta,
+                })?)
+            } else {
+                None
+            };
+            (broadcast, frame)
         };
         Ok(EpochPlan {
             epoch,
             start,
+            live,
             broadcast,
             full_frame,
             delta_frame,
@@ -574,11 +594,12 @@ impl StreamingSession {
     /// Phase 2 of an epoch: runs `plan` against the session — guards the
     /// station count, initializes stations on the first epoch, routes, and
     /// drains the registry exactly once, so the live registry becomes the
-    /// base of the next delta. Returns the per-station routing mask (all
-    /// `true` under broadcast-all).
+    /// base of the next delta and the plan's live build its retained
+    /// filter. Returns the per-station routing mask (all `true` under
+    /// broadcast-all).
     fn commit_epoch(
         &mut self,
-        plan: &EpochPlan,
+        plan: &mut EpochPlan,
         dataset: &Dataset,
         meter: &CostMeter,
     ) -> Result<Vec<bool>> {
@@ -604,6 +625,7 @@ impl StreamingSession {
         };
         self.drained_next_id = self.next_id;
         self.retired.clear();
+        std::mem::swap(&mut self.retained, &mut plan.live);
         Ok(active)
     }
 
@@ -685,8 +707,9 @@ impl StreamingSession {
     /// the queries' keys were derived under, and the per-station protocol
     /// positions.
     ///
-    /// Two things are absent. The center's filters are functions of the
-    /// registry. Station filters stay on the stations: they retain their
+    /// Two things are absent. The center's filters, the one it retains as
+    /// the next delta's base included, are functions of the registry.
+    /// Station filters stay on the stations: they retain their
     /// own state across a center crash, and [`StreamingSession::recover`]
     /// resyncs them via the next delta instead of a full re-broadcast.
     ///
@@ -747,11 +770,12 @@ impl StreamingSession {
     /// crashed center would have, so the resumed run's station results and
     /// wire bytes are identical to an uninterrupted one.
     ///
-    /// The checkpoint holds everything the center keeps: its query
-    /// registry split at the last drain, and its epoch bookkeeping.
-    /// Recovery decodes it, validates it against `config` and the station
-    /// memories, and restores it; every epoch derives its filters and delta
-    /// from the registry, so there is nothing to rebuild. Under
+    /// The checkpoint holds everything the center keeps but its derived
+    /// retained filter: its query registry split at the last drain, and
+    /// its epoch bookkeeping. Recovery decodes it, validates it against
+    /// `config` and the station memories, restores it, and builds the
+    /// retained filter, the next delta's base, from the registry as of the
+    /// drain. Under
     /// [`RoutingPolicy::Tree`] the standing Bloofi tree is *not* part of
     /// the checkpoint — the first recovered epoch rebuilds it from the
     /// epoch's dataset and re-uploads station summaries (routing bytes are
@@ -834,7 +858,8 @@ impl StreamingSession {
                 })
                 .collect()
         };
-        Ok(StreamingSession {
+        let retained = WeightedBloomFilter::new(params, config.seed);
+        let mut session = StreamingSession {
             config,
             options,
             params,
@@ -842,12 +867,15 @@ impl StreamingSession {
             next_id: checkpoint.next_id,
             drained_next_id: checkpoint.drained_next_id,
             retired: registry(checkpoint.retired),
+            retained,
             epoch: checkpoint.epoch,
             stations: stations.into_iter().map(|memory| memory.0).collect(),
             needs_full: checkpoint.needs_full,
             routing: None,
             clock_base: checkpoint.clock_base,
-        })
+        };
+        session.retained = session.build(session.drained());
+        Ok(session)
     }
 }
 
@@ -1004,13 +1032,13 @@ fn interleaved_epochs_inner(
     // tenant gets a fresh network per epoch so nodes re-register and meters
     // stay private.
     let mut tenants: Vec<TenantEpoch> = Vec::with_capacity(sessions.len());
-    for (session, plan) in sessions.iter_mut().zip(plans) {
+    for (session, mut plan) in sessions.iter_mut().zip(plans) {
         let network = session.options.network();
         let center = network.register(DATA_CENTER)?;
         let mailboxes = (0..station_count)
             .map(|i| network.register(NodeId::base_station(i as u32)))
             .collect::<dipm_distsim::Result<Vec<_>>>()?;
-        let active = session.commit_epoch(&plan, dataset, network.meter())?;
+        let active = session.commit_epoch(&mut plan, dataset, network.meter())?;
         let broadcast_bytes = broadcast_plan(&plan, &active, session.clock_base, &network, links)?;
         tenants.push(TenantEpoch {
             network,
@@ -1121,7 +1149,9 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::AdmissionPolicy;
     use crate::pipeline::{run_pipeline, SectionGrouping};
+    use crate::service::{Service, TenantId};
     use dipm_distsim::{ExecutionMode, LatencyModel};
 
     fn probe_query(dataset: &Dataset, index: usize) -> PatternQuery {
@@ -1339,6 +1369,118 @@ mod tests {
         // And the session continues on the delta path afterwards.
         let next = session.run_epoch(&day0).unwrap();
         assert_eq!(next.broadcast, EpochBroadcast::Delta { entries: 0 });
+    }
+
+    /// Asserts that `session`'s retained filter is a fresh build of its
+    /// registry as of the last drain.
+    fn assert_retained_is_the_drained_build(session: &StreamingSession, when: &str) {
+        let (retained, fresh) = (&session.retained, session.build(session.drained()));
+        assert!(*retained == fresh, "{when}: not the drained build");
+        let frame = |filter| encode::encode_wbf(filter).unwrap();
+        assert!(frame(retained) == frame(&fresh), "{when}: other bytes");
+    }
+
+    #[test]
+    fn the_retained_filter_is_the_drained_registry_build() {
+        let days: Vec<Dataset> = (60..63).map(Dataset::small).collect();
+        let other = Dataset::city_slice(60, 3, 1).unwrap();
+        let query = |index| probe_query(&days[0], index);
+        let config = DiMatchingConfig {
+            fixed_geometry: Some(FilterParams::new(1 << 14, 5).unwrap()),
+            ..DiMatchingConfig::default()
+        };
+        let options = PipelineOptions::default();
+        let check = assert_retained_is_the_drained_build;
+
+        // A solo session through churn, a pure CDR epoch, a failed epoch
+        // and a crash.
+        let mut session =
+            StreamingSession::new(&[query(0), query(1)], config.clone(), options).unwrap();
+        check(&session, "a new session");
+        session.run_epoch(&days[0]).unwrap();
+        check(&session, "after the full epoch");
+        session.remove_query(session.live_queries()[0]).unwrap();
+        session.insert_query(&query(2)).unwrap();
+        check(&session, "with churn pending");
+        let churned = session.run_epoch(&days[1]).unwrap();
+        assert!(matches!(churned.broadcast, EpochBroadcast::Delta { entries } if entries > 0));
+        check(&session, "after a churn epoch");
+        let pure = session.run_epoch(&days[2]).unwrap();
+        assert_eq!(pure.broadcast, EpochBroadcast::Delta { entries: 0 });
+        check(&session, "after a pure CDR epoch");
+        // A failed epoch leaves the drain, and so the retained filter, as
+        // it was; the resync after it sends the full filter.
+        session.insert_query(&query(3)).unwrap();
+        assert!(session.run_epoch(&other).is_err());
+        check(&session, "after a failed epoch");
+        let resync = session.run_epoch(&days[0]).unwrap();
+        assert_eq!(resync.broadcast, EpochBroadcast::Full);
+        check(&session, "after the resync");
+        session.remove_query(session.live_queries()[0]).unwrap();
+        let frame = session.checkpoint().unwrap();
+        let stations = session.release_stations();
+        let mut session =
+            StreamingSession::recover(frame, stations, config.clone(), options).unwrap();
+        check(&session, "a recovered session");
+        let recovered = session.run_epoch(&days[1]).unwrap();
+        assert!(matches!(recovered.broadcast, EpochBroadcast::Delta { entries } if entries > 0));
+        check(&session, "after the recovered epoch");
+
+        // Two tenants under a budget that admits one per epoch, so the
+        // other's plan is dropped every epoch.
+        let budget = AdmissionPolicy {
+            per_station_budget_bytes: Some(1),
+        };
+        let mut service = Service::with_admission(options, budget);
+        for tenant in 0..2 {
+            let id = TenantId(tenant);
+            let initial = [query(4 + tenant as usize)];
+            service.register(id, &initial, config.clone()).unwrap();
+            check(service.session(id).unwrap(), "a registered tenant");
+        }
+        let run = |service: &mut Service, day: &Dataset, when: &str| {
+            let epoch = service.run_epoch(day).unwrap();
+            assert_eq!(epoch.deferred.len(), 1, "{when}");
+            for id in service.tenants() {
+                check(service.session(id).unwrap(), when);
+            }
+            epoch
+        };
+        // Each tenant's full epoch, then churn for both: tenant 0 runs it
+        // while tenant 1 is deferred with its churn pending, then the other
+        // way round, and tenant 0's next epoch is pure CDR churn.
+        run(&mut service, &days[0], "tenant 0's full epoch");
+        run(&mut service, &days[1], "tenant 1's full epoch");
+        for (tenant, index) in [(0, 6), (1, 7)] {
+            let id = TenantId(tenant);
+            service.insert_query(id, &query(index)).unwrap();
+            let oldest = service.session(id).unwrap().live_queries()[0];
+            service.remove_query(id, oldest).unwrap();
+        }
+        let epoch = run(&mut service, &days[2], "tenant 0's churn epoch");
+        assert_eq!(epoch.deferred, vec![TenantId(1)]);
+        run(&mut service, &days[0], "tenant 1's churn epoch");
+        let epoch = run(&mut service, &days[1], "tenant 0's pure CDR epoch");
+        let outcome = &epoch.outcomes[&TenantId(0)];
+        assert_eq!(outcome.broadcast, EpochBroadcast::Delta { entries: 0 });
+        // A failed service epoch, then the resync.
+        service.insert_query(TenantId(1), &query(8)).unwrap();
+        assert!(service.run_epoch(&other).is_err());
+        for id in service.tenants() {
+            check(service.session(id).unwrap(), "after a failed service epoch");
+        }
+        run(&mut service, &days[2], "after the failed service epoch");
+        // Tenant 1 crashes and recovers, rebuilding its retained filter.
+        let crashed = service.deregister(TenantId(1)).unwrap();
+        let frame = crashed.checkpoint().unwrap();
+        let stations = crashed.release_stations();
+        service
+            .recover_tenant(TenantId(1), frame, stations, config)
+            .unwrap();
+        check(service.session(TenantId(1)).unwrap(), "a recovered tenant");
+        for day in &days {
+            run(&mut service, day, "after the recovery");
+        }
     }
 
     #[test]
