@@ -136,6 +136,22 @@ impl BitSet {
         was
     }
 
+    /// Sets the bit at every index of `indices` and counts the ones once at
+    /// the end: the bulk form of [`BitSet::set`], for builds that never ask
+    /// whether a bit was new.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an index is out of range.
+    pub(crate) fn set_all(&mut self, indices: impl IntoIterator<Item = usize>) {
+        let words = self.words.as_mut_slice();
+        for index in indices {
+            assert!(index < self.len, "bit index {index} out of range");
+            words[index / 64] |= 1u64 << (index % 64);
+        }
+        self.ones = words.iter().map(|w| w.count_ones() as usize).sum();
+    }
+
     /// Reads the bit at `index`.
     ///
     /// # Panics

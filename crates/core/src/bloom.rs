@@ -71,6 +71,26 @@ impl BloomFilter {
         newly
     }
 
+    /// Builds a whole filter in one pass: each key ORs its
+    /// [`HashFamily::probes`] into the words, and the ones are counted once
+    /// at the end. The bits, and so [`BloomFilter::contains`], equal those
+    /// of inserting every key in turn; [`BloomFilter::inserted`] counts the
+    /// keys passed, duplicates included, as that fold would.
+    pub fn from_keys<I>(params: FilterParams, seed: u64, keys: I) -> BloomFilter
+    where
+        I: IntoIterator<Item = u64>,
+    {
+        let mut filter = BloomFilter::new(params, seed);
+        let (family, m) = (filter.family, filter.bits.len());
+        let mut inserted = 0;
+        filter.bits.set_all(keys.into_iter().flat_map(|key| {
+            inserted += 1;
+            family.probes(key, m)
+        }));
+        filter.inserted = inserted;
+        filter
+    }
+
     /// Whether `key` may have been inserted (no false negatives).
     ///
     /// Probes at word level through the active [`Kernel`](crate::Kernel).
@@ -79,7 +99,9 @@ impl BloomFilter {
         self.bits.contains_probes(self.family.probes(key, m))
     }
 
-    /// The number of insert operations performed.
+    /// The number of keys inserted, by [`BloomFilter::insert`] or
+    /// [`BloomFilter::from_keys`], duplicates included; a union sums its
+    /// inputs' counts.
     pub fn inserted(&self) -> u64 {
         self.inserted
     }

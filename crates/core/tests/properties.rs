@@ -162,6 +162,34 @@ proptest! {
         prop_assert_eq!(decoded, bf);
     }
 
+    // The bulk constructor is the insert fold: the same bits, ones and
+    // membership, and `inserted` counts every key passed, duplicates
+    // included. Keys come from a small pool, so lists repeat keys, and bit
+    // lengths are odd, so none is a power of two.
+    #[test]
+    fn bloom_from_keys_equals_the_insert_fold(
+        pool in vec(any::<u64>(), 1..40),
+        picks in vec(any::<usize>(), 0..200),
+        half_bits in 0usize..3_000,
+        hashes in 1u16..=24,
+        seed in any::<u64>(),
+    ) {
+        let keys: Vec<u64> = picks.iter().map(|&p| pool[p % pool.len()]).collect();
+        let params = FilterParams::new(2 * half_bits + 1, hashes).unwrap();
+        let mut fold = BloomFilter::new(params, seed);
+        for &k in &keys {
+            fold.insert(k);
+        }
+        let bulk = BloomFilter::from_keys(params, seed, keys.iter().copied());
+        prop_assert_eq!(bulk.bits(), fold.bits());
+        prop_assert_eq!(bulk.bits().count_ones(), fold.bits().count_ones());
+        prop_assert_eq!(bulk.inserted(), keys.len() as u64);
+        for &k in pool.iter().chain(&keys) {
+            prop_assert_eq!(bulk.contains(k), fold.contains(k));
+        }
+        prop_assert_eq!(bulk, fold);
+    }
+
     // ---------- WeightedBloomFilter ----------
 
     #[test]

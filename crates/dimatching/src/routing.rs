@@ -31,20 +31,23 @@
 //! independent bit-collision per distinct nonzero value and is the same
 //! probability class as the WBF's own false reports.)
 //!
-//! Each summary is a plain [`BloomFilter`] holding every key of its
-//! station's current rows, built in one pass. A streaming session keeps the
-//! tree hot under CDR churn by re-summarizing only the stations whose rows
-//! changed ([`RoutingTree::set_station`]) and recomputing their root paths,
-//! so after any sequence of updates the tree equals a one-pass build over
-//! every station's latest rows. Routing hashes the probe keys once per call
-//! and replays the word masks against every node: all nodes share one hash
-//! family and bit length.
-
-use std::collections::{BTreeMap, BTreeSet};
+//! Each summary is a plain [`BloomFilter`] over its station's **key set**:
+//! the sorted, distinct routing signatures of the station's current rows,
+//! derived in one flat pass per build. The key set is the only input a
+//! summary has. Its length sizes the summaries, the summary is bulk-built
+//! from it ([`BloomFilter::from_keys`]), and a streaming session keeps it as
+//! the base each epoch is diffed against: a station whose key set changed is
+//! re-summarized ([`RoutingTree::set_station`]) and its root path
+//! recomputed, so after any sequence of updates the tree equals a one-pass
+//! build over every station's latest key set. Routing hashes the probe keys
+//! once per call (all nodes share one hash family and bit length) and
+//! descends with the keys each node holds: a child's bits are a subset of
+//! its parent's, so a key the parent lacks cannot match below it, and the
+//! targets are exactly the stations whose own summary holds a probe key.
 
 use dipm_core::{BloomFilter, FilterParams, HashFamily, PrecomputedProbes};
 use dipm_distsim::CostMeter;
-use dipm_mobilenet::{Dataset, UserId};
+use dipm_mobilenet::Dataset;
 
 use crate::basestation::sample_keys_into;
 use crate::config::DiMatchingConfig;
@@ -77,8 +80,8 @@ pub struct RoutingTree {
     fanout: usize,
     params: FilterParams,
     seed: u64,
-    /// Per-station summaries: every key of the station's rows — the form
-    /// that unions, ships and probes.
+    /// Per-station summaries over each station's key set — the form that
+    /// unions, ships and probes.
     blooms: Vec<BloomFilter>,
     /// Interior levels bottom-up: `levels[0]` unions chunks of `blooms`,
     /// each next level unions chunks of the previous, the last level is the
@@ -99,26 +102,25 @@ impl RoutingTree {
         params: FilterParams,
         seed: u64,
     ) -> Result<RoutingTree> {
-        let no_rows = (0..station_count).map(|_| [] as [&[u64]; 0]);
-        RoutingTree::from_rows(no_rows, fanout, params, seed)
+        let no_keys = (0..station_count).map(|_| [] as [u64; 0]);
+        RoutingTree::from_station_keys(no_keys, fanout, params, seed)
     }
 
-    /// Builds the tree in one pass over each station's rows, in station
-    /// order: every key of a station's rows goes into its summary, then the
+    /// Builds the tree in one pass over each station's key set, in station
+    /// order: each summary is bulk-built from its station's keys, then the
     /// interior levels are unioned once, bottom-up.
     ///
     /// # Errors
     ///
     /// Returns [`ProtocolError::InvalidConfig`] if `fanout < 2`.
-    pub fn from_rows<S, R, K>(
+    pub fn from_station_keys<S, K>(
         stations: S,
         fanout: usize,
         params: FilterParams,
         seed: u64,
     ) -> Result<RoutingTree>
     where
-        S: IntoIterator<Item = R>,
-        R: IntoIterator<Item = K>,
+        S: IntoIterator<Item = K>,
         K: AsRef<[u64]>,
     {
         if fanout < 2 {
@@ -129,7 +131,7 @@ impl RoutingTree {
         let seed = seed ^ SUMMARY_SEED_TWEAK;
         let blooms = stations
             .into_iter()
-            .map(|rows| summarize(params, seed, rows))
+            .map(|keys| BloomFilter::from_keys(params, seed, keys.as_ref().iter().copied()))
             .collect();
         let mut tree = RoutingTree {
             fanout,
@@ -143,9 +145,8 @@ impl RoutingTree {
     }
 
     /// Builds the tree over a dataset's current station populations: one
-    /// leaf per station holding every local row's routing signature,
-    /// geometry sized for the most populous station at the summary
-    /// false-positive rate.
+    /// leaf per station over its key set, geometry sized for the largest
+    /// key set at the summary false-positive rate.
     ///
     /// # Errors
     ///
@@ -155,14 +156,9 @@ impl RoutingTree {
         fanout: usize,
         config: &DiMatchingConfig,
     ) -> Result<RoutingTree> {
-        let rows = station_row_keys(dataset, config)?;
-        let params = summary_params(&rows)?;
-        RoutingTree::from_rows(
-            rows.iter().map(BTreeMap::values),
-            fanout,
-            params,
-            config.seed,
-        )
+        let keys = station_keys(dataset, config)?;
+        let params = summary_params(&keys)?;
+        RoutingTree::from_station_keys(&keys, fanout, params, config.seed)
     }
 
     /// The number of leaf stations.
@@ -191,26 +187,23 @@ impl RoutingTree {
         &self.blooms[station]
     }
 
-    /// Replaces `station`'s summary with one built from its current `rows`
-    /// and recomputes the union nodes on its path to the root — the only
-    /// nodes the change can touch. After any sequence of calls the tree
-    /// equals [`RoutingTree::from_rows`] over every station's latest rows.
+    /// Replaces `station`'s summary with one built from its current key
+    /// set and recomputes the union nodes on its path to the root — the
+    /// only nodes the change can touch. After any sequence of calls the
+    /// tree equals [`RoutingTree::from_station_keys`] over every station's
+    /// latest keys.
     ///
     /// # Errors
     ///
     /// Rejects an out-of-range station.
-    pub fn set_station<R, K>(&mut self, station: usize, rows: R) -> Result<()>
-    where
-        R: IntoIterator<Item = K>,
-        K: AsRef<[u64]>,
-    {
+    pub fn set_station(&mut self, station: usize, keys: &[u64]) -> Result<()> {
         if station >= self.station_count() {
             return Err(ProtocolError::invalid_config(format!(
                 "routing tree has {} stations, no station {station}",
                 self.station_count()
             )));
         }
-        self.blooms[station] = summarize(self.params, self.seed, rows);
+        self.blooms[station] = BloomFilter::from_keys(self.params, self.seed, keys.iter().copied());
         let mut child = station;
         for level in 0..self.levels.len() {
             let parent = child / self.fanout;
@@ -268,7 +261,11 @@ impl RoutingTree {
     /// filter reports nothing anyway).
     ///
     /// The keys are hashed once per call: every node shares one geometry,
-    /// so each node test replays the same precomputed word masks.
+    /// so each node test replays the same precomputed word masks. A
+    /// surviving node hands its children only the probe keys it holds: a
+    /// child's bits are a subset of its parent's, so a key the parent lacks
+    /// cannot match below it. The targets are therefore exactly the
+    /// stations whose own summary holds some probe key, at any fanout.
     pub fn route(&self, keys: &[u64]) -> Vec<u32> {
         if self.is_degenerate() {
             return (0..self.station_count() as u32).collect();
@@ -276,20 +273,33 @@ impl RoutingTree {
         let mut probes = PrecomputedProbes::new();
         let family = HashFamily::new(self.params.hashes(), self.seed);
         probes.compute(&family, self.params.bits(), keys);
-        // The root is the single node of the top level, i.e. the only
-        // child of a virtual parent 0 above it.
-        let mut survivors = vec![0usize];
+        // Each surviving node with its run of `held`, the probe keys it
+        // holds. The root is the single node of the top level, i.e. the
+        // only child of a virtual parent 0 above it that holds every key.
+        let mut held: Vec<usize> = (0..probes.key_count()).collect();
+        let mut survivors = vec![(0usize, 0..held.len())];
         for depth in (0..=self.levels.len()).rev() {
             let layer = self.layer(depth);
-            survivors = survivors
-                .iter()
-                .flat_map(|&parent| self.children(parent, layer))
-                .filter(|&node| layer[node].may_contain_any(&probes))
-                .collect();
+            let mut next_held = Vec::new();
+            let mut next_survivors = Vec::new();
+            for (parent, run) in survivors {
+                for node in self.children(parent, layer) {
+                    let start = next_held.len();
+                    next_held.extend(held[run.clone()].iter().copied().filter(|&key| {
+                        let (words, masks) = probes.key_masks(key);
+                        layer[node].bits().contains_probes_simd(words, masks)
+                    }));
+                    if next_held.len() > start {
+                        next_survivors.push((node, start..next_held.len()));
+                    }
+                }
+            }
+            held = next_held;
+            survivors = next_survivors;
         }
         survivors
             .into_iter()
-            .map(|station| station as u32)
+            .map(|(station, _)| station as u32)
             .collect()
     }
 
@@ -318,89 +328,67 @@ impl RoutingTree {
     }
 }
 
-/// One station's summary: every key of its `rows`, inserted into a plain
-/// Bloom filter.
-fn summarize<R, K>(params: FilterParams, seed: u64, rows: R) -> BloomFilter
-where
-    R: IntoIterator<Item = K>,
-    K: AsRef<[u64]>,
-{
-    let mut summary = BloomFilter::new(params, seed);
-    for row in rows {
-        for &key in row.as_ref() {
-            summary.insert(key);
-        }
-    }
-    summary
-}
-
-/// The sampled-zero keys under `config`'s hash scheme — the keys an idle
-/// sample produces ([`HashScheme::ValueOnly`](crate::config::HashScheme)
+/// The sampled-zero keys under `config`'s hash scheme, ascending — the keys
+/// an idle sample produces ([`HashScheme::ValueOnly`](crate::config::HashScheme)
 /// collapses them all to the single key `0`).
-fn zero_value_keys(config: &DiMatchingConfig) -> BTreeSet<u64> {
-    (0..config.samples)
+fn zero_value_keys(config: &DiMatchingConfig) -> Vec<u64> {
+    let mut keys: Vec<u64> = (0..config.samples)
         .map(|i| config.hash_scheme.key(i, 0))
-        .collect()
+        .collect();
+    keys.sort_unstable();
+    keys.dedup();
+    keys
 }
 
-/// One row's routing signature: its nonzero-value keys, or — for a row with
-/// no traffic at any sample — its zero keys, kept so idle rows stay visible
-/// to queries that genuinely admit them (see the module docs).
-fn routing_signature(keys: &[u64], zero_keys: &BTreeSet<u64>) -> Vec<u64> {
-    let nonzero: Vec<u64> = keys
-        .iter()
-        .copied()
-        .filter(|k| !zero_keys.contains(k))
-        .collect();
-    if nonzero.is_empty() {
-        keys.to_vec()
-    } else {
-        nonzero
+/// Appends one row's routing signature to `keys`: the nonzero-value keys
+/// of its `sampled` keys, or — for a row with no traffic at any sample —
+/// its zero keys, kept so idle rows stay visible to queries that genuinely
+/// admit them (see the module docs).
+fn push_signature(keys: &mut Vec<u64>, sampled: &[u64], zero_keys: &[u64]) {
+    let start = keys.len();
+    keys.extend(
+        sampled
+            .iter()
+            .filter(|key| zero_keys.binary_search(key).is_err()),
+    );
+    if keys.len() == start {
+        keys.extend_from_slice(sampled);
     }
 }
 
-/// Every station's current routing signatures, positionally indexed:
-/// `rows[station][user]` is the user's [`routing_signature`] — derived from
-/// exactly the keys Algorithm 2 would probe for that row. Streaming
-/// sessions diff successive epochs' maps to keep the tree hot.
-pub(crate) fn station_row_keys(
-    dataset: &Dataset,
-    config: &DiMatchingConfig,
-) -> Result<Vec<BTreeMap<UserId, Vec<u64>>>> {
+/// Every station's routing key set, positionally indexed: the sorted,
+/// distinct signature keys of its current rows, each row sampled into one
+/// reused buffer and its signature derived from exactly the keys
+/// Algorithm 2 would probe for it. The one input to summary sizing,
+/// summary builds and a streaming session's per-epoch diff.
+pub(crate) fn station_keys(dataset: &Dataset, config: &DiMatchingConfig) -> Result<Vec<Vec<u64>>> {
     let zero_keys = zero_value_keys(config);
-    let empty = BTreeMap::new();
-    let mut keys = Vec::new();
+    let mut sampled = Vec::new();
     dataset
         .stations()
         .iter()
         .map(|&station| {
-            let locals = dataset.station_locals(station).unwrap_or(&empty);
-            locals
+            let mut keys = Vec::new();
+            for pattern in dataset
+                .station_locals(station)
                 .iter()
-                .map(|(&user, pattern)| {
-                    sample_keys_into(pattern, config, &mut keys)?;
-                    Ok((user, routing_signature(&keys, &zero_keys)))
-                })
-                .collect::<Result<BTreeMap<UserId, Vec<u64>>>>()
+                .flat_map(|locals| locals.values())
+            {
+                sample_keys_into(pattern, config, &mut sampled)?;
+                push_signature(&mut keys, &sampled, &zero_keys);
+            }
+            keys.sort_unstable();
+            keys.dedup();
+            Ok(keys)
         })
         .collect()
 }
 
-/// Uniform summary geometry: sized for the most populous station's distinct
-/// keys at [`SUMMARY_FPP`]. Uniformity is what makes the leaves unionable
-/// all the way to the root.
-pub(crate) fn summary_params(rows: &[BTreeMap<UserId, Vec<u64>>]) -> Result<FilterParams> {
-    let max_distinct = rows
-        .iter()
-        .map(|station| {
-            station
-                .values()
-                .flat_map(|keys| keys.iter().copied())
-                .collect::<BTreeSet<u64>>()
-                .len()
-        })
-        .max()
-        .unwrap_or(0);
+/// Uniform summary geometry: sized for the largest station key set at
+/// [`SUMMARY_FPP`]. Uniformity is what makes the leaves unionable all the
+/// way to the root.
+pub(crate) fn summary_params(stations: &[Vec<u64>]) -> Result<FilterParams> {
+    let max_distinct = stations.iter().map(Vec::len).max().unwrap_or(0);
     FilterParams::optimal(max_distinct.max(1), SUMMARY_FPP).map_err(ProtocolError::Core)
 }
 
@@ -476,8 +464,8 @@ mod tests {
     #[test]
     fn routes_only_subtrees_holding_the_keys() {
         let mut tree = RoutingTree::new(9, 2, params(), 7).unwrap();
-        tree.set_station(2, [[10, 20, 30]]).unwrap();
-        tree.set_station(7, [[40, 50]]).unwrap();
+        tree.set_station(2, &[10, 20, 30]).unwrap();
+        tree.set_station(7, &[40, 50]).unwrap();
         // A key only station 2 holds routes to exactly station 2.
         assert_eq!(tree.route(&[10]), vec![2]);
         // Keys from both stations route to both, ascending.
@@ -502,36 +490,35 @@ mod tests {
         // tree (not degenerate — the root can prune the whole deployment).
         let mut tree = RoutingTree::new(3, 8, params(), 7).unwrap();
         assert!(!tree.is_degenerate());
-        tree.set_station(1, [[77]]).unwrap();
+        tree.set_station(1, &[77]).unwrap();
         assert_eq!(tree.route(&[77]), vec![1]);
         assert!(tree.route(&[78]).is_empty());
     }
 
     #[test]
     fn set_station_sequence_equals_one_pass_build() {
-        let final_rows: Vec<Vec<Vec<u64>>> = vec![
+        let final_keys: Vec<Vec<u64>> = vec![
             vec![],
-            vec![vec![1, 2, 3]],
+            vec![1, 2, 3],
             vec![],
             vec![],
-            vec![vec![2, 9], vec![50, 60]],
-            vec![vec![7]],
+            vec![2, 9, 50, 60],
+            vec![7],
         ];
         let mut incremental = RoutingTree::new(6, 3, params(), 11).unwrap();
         // Stations are set, overwritten and emptied again in any order.
-        incremental.set_station(0, [vec![1, 2, 3]]).unwrap();
-        incremental.set_station(4, [vec![2, 9]]).unwrap();
-        incremental.set_station(5, &final_rows[5]).unwrap();
-        incremental.set_station(4, &final_rows[4]).unwrap();
-        incremental.set_station(0, &final_rows[0]).unwrap();
-        incremental.set_station(1, &final_rows[1]).unwrap();
-        let fresh = RoutingTree::from_rows(&final_rows, 3, params(), 11).unwrap();
+        incremental.set_station(0, &[1, 2, 3]).unwrap();
+        incremental.set_station(4, &[2, 9]).unwrap();
+        incremental.set_station(5, &final_keys[5]).unwrap();
+        incremental.set_station(4, &final_keys[4]).unwrap();
+        incremental.set_station(0, &final_keys[0]).unwrap();
+        incremental.set_station(1, &final_keys[1]).unwrap();
+        let fresh = RoutingTree::from_station_keys(&final_keys, 3, params(), 11).unwrap();
         assert_eq!(incremental, fresh);
         assert_eq!(incremental.route(&[2]), vec![1, 4]);
         // Emptying every station restores the empty tree.
-        let no_rows: [&[u64]; 0] = [];
         for station in 0..6 {
-            incremental.set_station(station, no_rows).unwrap();
+            incremental.set_station(station, &[]).unwrap();
         }
         assert_eq!(incremental, RoutingTree::new(6, 3, params(), 11).unwrap());
     }
@@ -539,8 +526,8 @@ mod tests {
     #[test]
     fn unknown_station_is_rejected() {
         let mut tree = RoutingTree::new(2, 2, params(), 3).unwrap();
-        assert!(tree.set_station(2, [[1]]).is_err(), "unknown station");
-        assert!(tree.set_station(9, [[1]]).is_err(), "unknown station");
+        assert!(tree.set_station(2, &[1]).is_err(), "unknown station");
+        assert!(tree.set_station(9, &[1]).is_err(), "unknown station");
         assert_eq!(tree, RoutingTree::new(2, 2, params(), 3).unwrap());
     }
 
@@ -548,7 +535,7 @@ mod tests {
     fn route_frames_group_by_bottom_subtree() {
         let mut tree = RoutingTree::new(10, 4, params(), 5).unwrap();
         for station in [0, 3, 9] {
-            tree.set_station(station, [[100]]).unwrap();
+            tree.set_station(station, &[100]).unwrap();
         }
         let frames = tree.route_frames(&[100]);
         assert_eq!(
@@ -563,12 +550,10 @@ mod tests {
         let dataset = Dataset::small(61);
         let config = DiMatchingConfig::default();
         let tree = RoutingTree::from_dataset(&dataset, 3, &config).unwrap();
-        let rows = station_row_keys(&dataset, &config).unwrap();
-        let mut incremental = RoutingTree::new(rows.len(), 3, tree.params(), config.seed).unwrap();
-        for (station, station_rows) in rows.iter().enumerate().rev() {
-            incremental
-                .set_station(station, station_rows.values())
-                .unwrap();
+        let keys = station_keys(&dataset, &config).unwrap();
+        let mut incremental = RoutingTree::new(keys.len(), 3, tree.params(), config.seed).unwrap();
+        for (station, station_keys) in keys.iter().enumerate().rev() {
+            incremental.set_station(station, station_keys).unwrap();
         }
         assert_eq!(incremental, tree);
     }
@@ -578,17 +563,45 @@ mod tests {
         let dataset = Dataset::small(62);
         let config = DiMatchingConfig::default();
         let tree = RoutingTree::from_dataset(&dataset, 2, &config).unwrap();
-        let rows = station_row_keys(&dataset, &config).unwrap();
-        for (station, station_rows) in rows.iter().enumerate() {
+        let keys = station_keys(&dataset, &config).unwrap();
+        let rows = row_signatures(&dataset, &config);
+        for (station, station_keys) in keys.iter().enumerate() {
+            // A station's key set is its rows' signature keys, each once.
+            let mut signatures = rows[station].concat();
+            signatures.sort_unstable();
+            signatures.dedup();
+            assert_eq!(station_keys, &signatures, "station {station} key set");
             let mut expected = BloomFilter::new(tree.params(), config.seed ^ SUMMARY_SEED_TWEAK);
-            for &key in station_rows.values().flatten() {
+            for &key in station_keys {
                 expected.insert(key);
             }
             let summary = tree.summary(station);
             assert_eq!(summary.bits(), expected.bits(), "station {station} bits");
-            assert_eq!(summary.inserted(), expected.inserted());
+            assert_eq!(summary.inserted(), station_keys.len() as u64);
             assert_eq!(summary, &expected);
         }
+    }
+
+    /// Each station's rows' routing signatures, one per row.
+    fn row_signatures(dataset: &Dataset, config: &DiMatchingConfig) -> Vec<Vec<Vec<u64>>> {
+        let zero_keys = zero_value_keys(config);
+        let mut sampled = Vec::new();
+        dataset
+            .stations()
+            .iter()
+            .map(|&station| {
+                let locals = dataset.station_locals(station);
+                let patterns = locals.iter().flat_map(|locals| locals.values());
+                patterns
+                    .map(|pattern| {
+                        sample_keys_into(pattern, config, &mut sampled).unwrap();
+                        let mut signature = Vec::new();
+                        push_signature(&mut signature, &sampled, &zero_keys);
+                        signature
+                    })
+                    .collect()
+            })
+            .collect()
     }
 
     #[test]
@@ -599,9 +612,8 @@ mod tests {
         assert_eq!(tree.station_count(), dataset.stations().len());
         // Soundness witness: every row's own keys route to (at least) the
         // station holding the row.
-        let rows = station_row_keys(&dataset, &config).unwrap();
-        for (station, station_rows) in rows.iter().enumerate() {
-            for keys in station_rows.values() {
+        for (station, rows) in row_signatures(&dataset, &config).iter().enumerate() {
+            for keys in rows {
                 assert!(
                     tree.route(keys).contains(&(station as u32)),
                     "station {station} pruned for its own row"

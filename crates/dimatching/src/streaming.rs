@@ -61,7 +61,7 @@ use std::time::Instant;
 use bytes::Bytes;
 use dipm_core::{encode, FilterParams, Weight, WeightedBloomFilter};
 use dipm_distsim::{CostMeter, Mailbox, Network, NodeId, TrafficClass, DATA_CENTER};
-use dipm_mobilenet::{Dataset, UserId};
+use dipm_mobilenet::Dataset;
 
 use crate::basestation::{scan_shard_wbf, BaseStation};
 use crate::config::{DiMatchingConfig, RoutingPolicy};
@@ -90,13 +90,14 @@ struct LiveQuery {
 }
 
 /// The session's standing routing state under a tree policy: the hot
-/// Bloofi tree plus the per-station row keys it currently summarizes — the
-/// base each epoch's dataset is diffed against, so only stations whose rows
-/// changed are re-summarized and re-upload their summaries.
+/// Bloofi tree plus the per-station key sets it currently summarizes — the
+/// base each epoch's key sets are diffed against. A summary is a function
+/// of its station's key set alone, so a station is re-summarized, and
+/// re-uploads, exactly when its key set changed.
 #[derive(Debug)]
 struct SessionRouting {
     tree: RoutingTree,
-    rows: Vec<BTreeMap<UserId, Vec<u64>>>,
+    keys: Vec<Vec<u64>>,
 }
 
 /// One base station's cross-epoch state: its decoded filter, the live
@@ -477,7 +478,7 @@ impl StreamingSession {
 
     /// Keeps the routing tree synchronized with this epoch's dataset —
     /// built whole on the first routed epoch; after that, every station
-    /// whose rows differ from the previous epoch's is re-summarized — then
+    /// whose key set differs from the previous epoch's is re-summarized — then
     /// routes the union of the live queries' probe keys through it.
     /// Summary refreshes (changed stations only) and the routed plan are
     /// pushed through the wire codecs and metered. Returns the per-station
@@ -488,25 +489,24 @@ impl StreamingSession {
         fanout: usize,
         meter: &CostMeter,
     ) -> Result<Vec<bool>> {
-        let rows = routing::station_row_keys(dataset, &self.config)?;
+        let keys = routing::station_keys(dataset, &self.config)?;
         let changed: Vec<usize> = match &mut self.routing {
             None => {
-                let params = routing::summary_params(&rows)?;
-                let stations = rows.iter().map(BTreeMap::values);
-                let tree = RoutingTree::from_rows(stations, fanout, params, self.config.seed)?;
-                let changed = (0..rows.len()).collect();
-                self.routing = Some(SessionRouting { tree, rows });
+                let params = routing::summary_params(&keys)?;
+                let tree = RoutingTree::from_station_keys(&keys, fanout, params, self.config.seed)?;
+                let changed = (0..keys.len()).collect();
+                self.routing = Some(SessionRouting { tree, keys });
                 changed
             }
             Some(routing_state) => {
                 let mut changed = Vec::new();
-                for (station, (old, new)) in routing_state.rows.iter().zip(&rows).enumerate() {
+                for (station, (old, new)) in routing_state.keys.iter().zip(&keys).enumerate() {
                     if old != new {
-                        routing_state.tree.set_station(station, new.values())?;
+                        routing_state.tree.set_station(station, new)?;
                         changed.push(station);
                     }
                 }
-                routing_state.rows = rows;
+                routing_state.keys = keys;
                 changed
             }
         };
@@ -1510,9 +1510,8 @@ mod tests {
                 .expect("routed sessions keep a tree")
                 .tree;
             let params = *pinned.get_or_insert(tree.params());
-            let rows = routing::station_row_keys(&day, &config).unwrap();
-            let stations = rows.iter().map(BTreeMap::values);
-            let fresh = RoutingTree::from_rows(stations, fanout, params, config.seed).unwrap();
+            let keys = routing::station_keys(&day, &config).unwrap();
+            let fresh = RoutingTree::from_station_keys(&keys, fanout, params, config.seed).unwrap();
             assert_eq!(
                 tree, &fresh,
                 "day {seed}: the tree drifted from a fresh build"

@@ -1,10 +1,12 @@
 //! Property tests for the Bloofi-style routing tree: on *arbitrary* station
 //! populations and fanouts 2..=8, routing must never lose a station that
-//! could match (no false negatives vs broadcast), incremental maintenance
-//! must equal a one-pass build after any sequence of per-station updates,
-//! and degenerate shapes (one station, fanout above the station count) must
-//! fall back cleanly.
+//! could match (no false negatives vs broadcast), must prune exactly the
+//! stations whose own summary holds no probe key (so every fanout routes
+//! alike), incremental maintenance must equal a one-pass build after any
+//! sequence of per-station updates, and degenerate shapes (one station,
+//! fanout above the station count) must fall back cleanly.
 
+use dipm::core::{HashFamily, PrecomputedProbes};
 use dipm::mobilenet::TraceConfig;
 use dipm::prelude::*;
 use proptest::collection::vec;
@@ -46,21 +48,25 @@ fn arb_tree_workload() -> impl Strategy<Value = TreeWorkload> {
 }
 
 /// The keys of every row `live` admits, grouped by station.
-fn station_rows<'w>(workload: &'w TreeWorkload, live: &[bool]) -> Vec<Vec<&'w [u64]>> {
+fn station_keys(workload: &TreeWorkload, live: &[bool]) -> Vec<Vec<u64>> {
     let mut stations = vec![Vec::new(); workload.stations];
     for ((selector, keys), _) in workload.rows.iter().zip(live).filter(|(_, &l)| l) {
-        stations[selector % workload.stations].push(keys.as_slice());
+        stations[selector % workload.stations].extend_from_slice(keys);
     }
     stations
+}
+
+/// The keys of every placed row, grouped by station.
+fn all_station_keys(workload: &TreeWorkload) -> Vec<Vec<u64>> {
+    station_keys(workload, &vec![true; workload.rows.len()])
 }
 
 /// Applies the workload's placements to a fresh tree, station by station.
 fn populate(workload: &TreeWorkload) -> RoutingTree {
     let mut tree = RoutingTree::new(workload.stations, workload.fanout, params(), workload.seed)
         .expect("fanout >= 2 builds");
-    let all = vec![true; workload.rows.len()];
-    for (station, rows) in station_rows(workload, &all).iter().enumerate() {
-        tree.set_station(station, rows).expect("station exists");
+    for (station, keys) in all_station_keys(workload).iter().enumerate() {
+        tree.set_station(station, keys).expect("station exists");
     }
     tree
 }
@@ -107,6 +113,47 @@ proptest! {
         }
     }
 
+    // The descent prunes exactly by the leaves: a route's targets are the
+    // ascending stations whose own summary may hold a probe key (a
+    // one-station tree broadcasts), and every fanout over the same key sets
+    // routes alike. Probes mix placed keys with arbitrary ones.
+    #[test]
+    fn routing_prunes_exactly_by_the_leaves(
+        workload in arb_tree_workload(),
+        picks in vec((any::<bool>(), any::<usize>(), 0u64..5_000), 0..12),
+    ) {
+        let keys = all_station_keys(&workload);
+        let placed: Vec<u64> = keys.concat();
+        let probes: Vec<u64> = picks
+            .iter()
+            .map(|&(hit, pick, key)| {
+                if hit && !placed.is_empty() {
+                    placed[pick % placed.len()]
+                } else {
+                    key
+                }
+            })
+            .collect();
+        let tree = populate(&workload);
+        let summary = tree.summary(0);
+        let mut hashed = PrecomputedProbes::new();
+        hashed.compute(
+            &HashFamily::new(summary.hashes(), summary.seed()),
+            summary.bit_len(),
+            &probes,
+        );
+        let expected: Vec<u32> = (0..workload.stations)
+            .filter(|&s| tree.is_degenerate() || tree.summary(s).may_contain_any(&hashed))
+            .map(|s| s as u32)
+            .collect();
+        prop_assert_eq!(tree.route(&probes), expected.clone());
+        for fanout in 2..=8 {
+            let other = RoutingTree::from_station_keys(&keys, fanout, params(), workload.seed)
+                .expect("fanout >= 2 builds");
+            prop_assert_eq!(other.route(&probes), expected.clone(), "fanout {}", fanout);
+        }
+    }
+
     // After any interleaving of row placements and removals, each
     // followed by re-summarizing just the station it touched, the tree
     // equals a one-pass build over the surviving rows — summaries and every
@@ -129,14 +176,14 @@ proptest! {
             }
             for row in touched {
                 let station = workload.rows[row].0 % workload.stations;
-                let rows = station_rows(&workload, &live);
+                let keys = station_keys(&workload, &live);
                 incremental
-                    .set_station(station, &rows[station])
+                    .set_station(station, &keys[station])
                     .expect("station exists");
             }
         }
-        let fresh = RoutingTree::from_rows(
-            station_rows(&workload, &live),
+        let fresh = RoutingTree::from_station_keys(
+            station_keys(&workload, &live),
             workload.fanout,
             params(),
             workload.seed,
@@ -167,7 +214,7 @@ proptest! {
         let mut wide = RoutingTree::new(stations, wide_fanout, params(), seed).expect("builds");
         prop_assert!(!wide.is_degenerate());
         let station = keys.len() % stations;
-        wide.set_station(station, [&keys]).expect("station exists");
+        wide.set_station(station, &keys).expect("station exists");
         prop_assert_eq!(wide.route(&keys), vec![station as u32]);
         prop_assert!(wide.route(&[u64::MAX]).is_empty());
     }
