@@ -68,7 +68,7 @@ fn bench_filters(c: &mut Criterion) {
         let mut k = 0u64;
         b.iter(|| {
             k = k.wrapping_add(1);
-            wbf.query(k.wrapping_mul(0x9e37_79b9))
+            wbf.query_sequence([k.wrapping_mul(0x9e37_79b9)])
         });
     });
 

@@ -10,7 +10,6 @@ use crate::bitset::BitSet;
 use crate::error::Result;
 use crate::hash::HashFamily;
 use crate::params::FilterParams;
-use crate::probe::PrecomputedProbes;
 
 /// A classic Bloom filter over `u64` keys.
 ///
@@ -152,27 +151,6 @@ impl BloomFilter {
         dst.union_with(self)
     }
 
-    /// Whether **any** key of `probes` may have been inserted — the
-    /// routing-tree subtree test. No false negatives: if any key was
-    /// inserted into this filter (or any filter unioned into it), this
-    /// returns `true`.
-    ///
-    /// `probes` must be computed against this filter's hash family and bit
-    /// length, so a tree whose nodes share one geometry hashes its probe
-    /// keys once and replays them at every node. Each key is tested on its
-    /// own word masks through [`BitSet::contains_probes_simd`]. An empty
-    /// probe set trivially matches nothing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `probes` addresses a word beyond this filter's length.
-    pub fn may_contain_any(&self, probes: &PrecomputedProbes) -> bool {
-        (0..probes.key_count()).any(|key| {
-            let (words, masks) = probes.key_masks(key);
-            self.bits.contains_probes_simd(words, masks)
-        })
-    }
-
     /// Borrows the underlying bit set.
     pub fn bits(&self) -> &BitSet {
         &self.bits
@@ -259,34 +237,14 @@ mod tests {
         assert!(a.union_with(&b).is_err());
     }
 
-    /// `keys` hashed against `filter`'s geometry.
-    fn probes(filter: &BloomFilter, keys: &[u64]) -> PrecomputedProbes {
-        let family = HashFamily::new(filter.hashes(), filter.seed());
-        let mut probes = PrecomputedProbes::new();
-        probes.compute(&family, filter.bit_len(), keys);
-        probes
-    }
-
     #[test]
-    fn may_contain_any_is_an_existential_contains() {
+    fn union_into_keeps_every_constituent_reachable() {
         let mut f = small();
         f.insert(10);
-        f.insert(20);
-        assert!(f.may_contain_any(&probes(&f, &[999, 20])));
-        assert!(f.may_contain_any(&probes(&f, &[10])));
-        assert!(
-            !f.may_contain_any(&probes(&f, &[])),
-            "empty set matches nothing"
-        );
-        // Agrees with `contains` key by key, hit or miss.
-        for key in 0..2_000u64 {
-            assert_eq!(f.may_contain_any(&probes(&f, &[key])), f.contains(key));
-        }
-        // A union keeps every constituent reachable.
         let mut g = small();
         g.insert(30);
         g.union_into(&mut f).unwrap();
-        assert!(f.may_contain_any(&probes(&f, &[30])));
+        assert!(f.contains(10) && f.contains(30));
         // Incompatible union direction errors symmetrically.
         let other_seed = BloomFilter::new(FilterParams::new(1 << 12, 4).unwrap(), 99);
         assert!(other_seed.union_into(&mut f).is_err());

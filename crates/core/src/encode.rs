@@ -54,7 +54,8 @@ use crate::bloom::BloomFilter;
 use crate::error::{CoreError, Result};
 use crate::hash::HashFamily;
 use crate::params::{FilterParams, MAX_HASHES};
-use crate::probe::{FoldEntries, FoldState, ProbeTable, MASK_WIDTH};
+use crate::probe::sealed::Sealed;
+use crate::probe::{FoldEntries, FoldState, WeightedProbe, MASK_WIDTH};
 use crate::wbf::WeightedBloomFilter;
 use crate::weight::Weight;
 use crate::weight_set::WeightSet;
@@ -198,7 +199,7 @@ struct WireTable<'a> {
 }
 
 fn intern(filter: &WeightedBloomFilter) -> Result<WireTable<'_>> {
-    let fold = ProbeTable::fold_state(filter);
+    let fold = filter.fold_state();
     if fold.universe.len() > u16::MAX as usize {
         return Err(CoreError::invalid_params(
             "more distinct weights than the wire format supports",
@@ -517,7 +518,7 @@ mod tests {
         let wbf = sample_wbf();
         let decoded = decode_wbf(encode_wbf(&wbf).unwrap()).unwrap();
         for v in [10u64, 20, 30, 999] {
-            assert_eq!(wbf.query(v), decoded.query(v));
+            assert_eq!(wbf.query_sequence([v]), decoded.query_sequence([v]));
         }
     }
 

@@ -189,10 +189,11 @@ impl Kernel {
         debug_assert_eq!(idx.len(), masks.len());
         let n = idx.len().min(masks.len());
         let (idx, masks) = (&idx[..n], &masks[..n]);
-        // Tiny runs — a single key's k merged probes — cannot amortize the
-        // gather setup or the bounds pre-scan; the scalar loop with its
-        // first-miss short-circuit wins outright. SIMD engages only on
-        // multi-key batches (whole-row membership, routing fan-out).
+        // Tiny runs cannot amortize the gather setup or the bounds
+        // pre-scan; the scalar loop with its first-miss short-circuit wins
+        // outright. A row query tests one key at a time, and a key at the
+        // default 1 % target has k = 7 probes, so the station scan stays
+        // here; the routing descent's 20-probe summary keys go vector.
         if n < SIMD_MIN_PAIRS {
             return all_set_scalar(words, idx, masks);
         }

@@ -14,6 +14,9 @@
 //!   position into a [`FilterDelta`] of interned [`WeightDiff`]s, and
 //!   [`WeightedBloomFilter::apply_delta`] replays it onto a held copy — the
 //!   streaming delta broadcasts in `dipm-protocol`.
+//! * [`WeightedProbe`] — the one way a base station probes a weighted
+//!   filter, owned or the zero-copy [`WbfFrameView`] of its frame: a
+//!   checked row query that tests each key's membership before it folds.
 //! * [`BloomFilter`] — the classic unweighted filter used as the paper's
 //!   `BF` comparison method.
 //! * [`Weight`] / [`WeightSet`] — exact rational weights with the paper's
@@ -57,7 +60,6 @@ mod bitset;
 mod bloom;
 pub mod encode;
 mod error;
-mod filter;
 mod hash;
 mod kernel;
 mod params;
@@ -71,11 +73,10 @@ mod weight_set;
 pub use bitset::{BitSet, Ones};
 pub use bloom::BloomFilter;
 pub use error::{CoreError, Result};
-pub use filter::FilterCore;
 pub use hash::{mix64, tagged_key, HashFamily, Probes};
 pub use kernel::{AlignedWords, Kernel};
 pub use params::{FilterParams, MAX_BITS, MAX_HASHES};
-pub use probe::{PrecomputedProbes, QueryScratch};
+pub use probe::{PrecomputedProbes, QueryScratch, WeightedProbe};
 pub use view::WbfFrameView;
 pub use wbf::{FilterDelta, WeightDiff, WeightedBloomFilter};
 pub use weight::{sum_weights, Weight};

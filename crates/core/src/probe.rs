@@ -1,19 +1,24 @@
-//! The shared weighted-probe core (Algorithm 2, lines 3–15).
+//! The one way to probe a weighted filter (Algorithm 2, lines 3–15).
 //!
 //! [`WeightedBloomFilter`](crate::WeightedBloomFilter) and
-//! [`WbfFrameView`](crate::WbfFrameView) answer queries with identical
-//! semantics — reject unless every probed position is occupied and one
-//! weight is common to all of them — so the weight fold lives here once,
-//! generic over a [`ProbeTable`], instead of being maintained twice.
+//! [`WbfFrameView`](crate::WbfFrameView) answer with identical semantics:
+//! reject unless every probed position is occupied and one weight is
+//! common to all of them. Both implement the sealed [`WeightedProbe`], and
+//! its row query is the only public way to read their weight sets, so the
+//! rule lives here once. The two representations differ only in how a
+//! position names its weight set: the owned filter keeps a dense slot per
+//! position, the view finds the id by rank in its frame.
 //!
-//! Probing is built for the station-side scan, where almost every candidate
-//! misses:
+//! The row query is built for the station-side scan, where almost every
+//! candidate misses:
 //!
-//! 1. **Membership first.** The *entire sequence's* occupancy is tested —
-//!    all `k` probes of every key, word-level against the bit array for the
-//!    plain filter — before any weight set is read, so a miss row costs a
-//!    few masked loads and never touches the weight table. The weight fold
-//!    only ever runs on candidates whose every sampled point is present.
+//! 1. **Membership first, key by key.** A key's `k` probes are hashed into
+//!    the caller's [`PrecomputedProbes`] and tested by word mask before the
+//!    next key is hashed, and the row is dropped at its first key whose
+//!    probes miss. A miss row costs a few masked loads and never touches
+//!    the weight table. The probe set records the keys and the geometry it
+//!    holds probes for, so a key already hashed at the filter's geometry is
+//!    replayed, and any other key or geometry is hashed afresh.
 //! 2. **Fold by entry.** Both representations intern their weight sets in
 //!    a table and name an entry per occupied position. Over a universe of
 //!    at most [`MASK_WIDTH`] weights each entry is one mask over the sorted
@@ -21,7 +26,7 @@
 //!    the entries' sorted sets. Either way the result lands in the caller's
 //!    reusable [`QueryScratch`], never in a fresh allocation.
 //! 3. **Early reject.** Once the running intersection is empty it can never
-//!    grow, so the scan stops and reports the weight-inconsistent reject.
+//!    grow, so the fold stops and reports the weight-inconsistent reject.
 //!
 //! Membership-first ordering is a deliberate (and documented) refinement of
 //! the seed implementation, which interleaved bit tests and intersections
@@ -33,10 +38,8 @@
 use crate::hash::HashFamily;
 use crate::weight_set::WeightSet;
 
-/// Reusable scratch for the weight folds of
-/// [`WeightedBloomFilter`](crate::WeightedBloomFilter::query_sequence_into)
-/// and [`WbfFrameView`](crate::WbfFrameView::fold_weights_precomputed) —
-/// owns the running intersection so repeated queries share one heap buffer.
+/// Reusable scratch for [`WeightedProbe::query_row`]: owns the running
+/// intersection so repeated queries share one heap buffer.
 ///
 /// Create it once per scan loop and pass it to every call; the buffer's
 /// capacity converges to the largest weight set encountered and the hot
@@ -53,39 +56,40 @@ impl QueryScratch {
     }
 }
 
-/// One candidate row's probe set, hashed once and replayed against every
-/// query section sharing a geometry.
+/// A row's probe set: each key's `k` probe indices and merged word masks,
+/// hashed at one filter geometry and kept across row queries.
 ///
-/// A batch scan probes each row against many filter sections; when the
-/// sections share one `(hash family, bit length)` the probe indices — and
-/// the merged word masks the membership pre-test loads — are identical for
-/// all of them, so hashing them per `(row × section)` is pure waste. A
-/// `PrecomputedProbes` is filled once per row (key by key via
-/// [`PrecomputedProbes::push_key`], or in one shot via
-/// [`PrecomputedProbes::compute`], reusing its buffers across rows) and
-/// replayed per section — whole through
-/// [`WeightedBloomFilter::query_precomputed`](crate::WeightedBloomFilter::query_precomputed),
-/// or key by key through [`PrecomputedProbes::key_masks`] +
-/// [`BitSet::contains_probes_simd`](crate::BitSet::contains_probes_simd)
-/// when the scan wants to drop a section on its first missing key without
-/// hashing the rest of the row.
+/// [`WeightedProbe::query_row`] fills it key by key, and the set records
+/// which keys it holds probes for and at which `(hash family, bit length)`.
+/// A query replays a held key's probes only at the same ordinal and
+/// geometry: a filter of another geometry re-hashes the row, and a row
+/// whose keys differ re-hashes from its first differing key on. So a batch
+/// of sections sharing one geometry hashes each key of a row once, and no
+/// query reads probes hashed for another key or geometry.
+///
+/// [`PrecomputedProbes::compute`] hashes a whole key list at once, for
+/// callers that test the word masks themselves: a routing tree tests one
+/// probe key set at every node of its one geometry.
 ///
 /// Masks are stored as parallel word/mask arrays (not interleaved pairs) so
 /// they feed the SIMD membership kernel directly.
 #[derive(Debug, Clone, Default)]
 pub struct PrecomputedProbes {
+    /// The hash family and bit length every held probe was hashed at.
+    geometry: Option<(HashFamily, usize)>,
+    /// The held keys in row order, each with the exclusive end of its
+    /// mask-group run.
+    keys: Vec<(u64, u32)>,
     /// Flat probe indices: all `k` probes of key 0, then key 1, …
-    pub(crate) indices: Vec<u32>,
+    indices: Vec<u32>,
     /// Word index per merged mask group, parallel to `mask_bits`.
     mask_words: Vec<u32>,
     /// Merged bit masks of consecutive same-word probes — the word-batched
     /// membership masks, mirroring the merging
     /// [`BitSet::contains_probes`](crate::BitSet::contains_probes) performs
     /// on the fly. Groups never merge across key boundaries, so each key's
-    /// groups form a contiguous, independently replayable run.
+    /// groups form a contiguous, independently testable run.
     mask_bits: Vec<u64>,
-    /// Exclusive end offset of each key's mask-group run.
-    key_ends: Vec<u32>,
 }
 
 impl PrecomputedProbes {
@@ -94,48 +98,26 @@ impl PrecomputedProbes {
         PrecomputedProbes::default()
     }
 
-    /// Recomputes the probe set of `keys` against a filter geometry of
-    /// `len` bits under `family`, reusing all buffers.
+    /// Hashes `keys` against a filter geometry of `len` bits under
+    /// `family`: the set then holds exactly their probes, in order. Buffers
+    /// are reused, and so are the probes of a leading run of keys the set
+    /// already holds at this geometry.
     pub fn compute(&mut self, family: &HashFamily, len: usize, keys: &[u64]) {
-        self.clear();
-        for &key in keys {
-            self.push_key(family, len, key);
+        self.use_geometry(family, len);
+        for (ordinal, &key) in keys.iter().enumerate() {
+            self.hash_key(family, len, ordinal, key);
         }
+        self.truncate(keys.len());
     }
 
-    /// Clears the probe set without releasing its buffers.
-    pub fn clear(&mut self) {
-        self.indices.clear();
-        self.mask_words.clear();
-        self.mask_bits.clear();
-        self.key_ends.clear();
-    }
-
-    /// Appends one key's `k` probes, merging consecutive same-word probes
-    /// within the key into one mask group.
-    pub fn push_key(&mut self, family: &HashFamily, len: usize, key: u64) {
-        let start = self.mask_words.len();
-        for idx in family.probes(key, len) {
-            self.indices.push(idx as u32);
-            let (word, mask) = ((idx / 64) as u32, 1u64 << (idx % 64));
-            if self.mask_words.len() > start && *self.mask_words.last().unwrap() == word {
-                *self.mask_bits.last_mut().unwrap() |= mask;
-            } else {
-                self.mask_words.push(word);
-                self.mask_bits.push(mask);
-            }
-        }
-        self.key_ends.push(self.mask_words.len() as u32);
-    }
-
-    /// Reserves room for `probes` probe indices (and as many mask groups,
-    /// the no-merging worst case) so later [`PrecomputedProbes::compute`]
-    /// calls stay allocation-free.
+    /// Reserves room for `probes` probe indices (and as many keys and mask
+    /// groups, the no-merging worst case), so filling the set with up to
+    /// that many probes stays allocation-free.
     pub fn reserve(&mut self, probes: usize) {
+        self.keys.reserve(probes);
         self.indices.reserve(probes);
         self.mask_words.reserve(probes);
         self.mask_bits.reserve(probes);
-        self.key_ends.reserve(probes);
     }
 
     /// The merged mask groups' word indices, parallel to
@@ -150,36 +132,81 @@ impl PrecomputedProbes {
         &self.mask_bits
     }
 
-    /// The flat probe indices (all `k` probes of key 0, then key 1, …).
-    pub fn indices(&self) -> &[u32] {
-        &self.indices
-    }
-
-    /// The number of keys pushed.
+    /// The number of keys the set holds probes for.
     pub fn key_count(&self) -> usize {
-        self.key_ends.len()
+        self.keys.len()
     }
 
-    /// The `key`-th key's merged `(words, masks)` run — the membership test
-    /// for exactly that key, for scans that probe key by key and stop at
-    /// the first miss.
+    /// The `key`-th held key's merged `(words, masks)` run — the membership
+    /// test for exactly that key.
     ///
     /// # Panics
     ///
     /// Panics if `key >= key_count()`.
     pub fn key_masks(&self, key: usize) -> (&[u32], &[u64]) {
-        let end = self.key_ends[key] as usize;
-        let start = if key == 0 {
-            0
-        } else {
-            self.key_ends[key - 1] as usize
-        };
+        let end = self.keys[key].1 as usize;
+        let start = key.checked_sub(1).map_or(0, |k| self.keys[k].1 as usize);
         (&self.mask_words[start..end], &self.mask_bits[start..end])
     }
 
-    /// Whether the probe set holds no probes (computed from zero keys).
-    pub fn is_empty(&self) -> bool {
-        self.indices.is_empty()
+    /// Keeps the held probes if they were hashed under `family` over `len`
+    /// bits, and drops them otherwise.
+    fn use_geometry(&mut self, family: &HashFamily, len: usize) {
+        if self.geometry != Some((*family, len)) {
+            self.truncate(0);
+            self.geometry = Some((*family, len));
+        }
+    }
+
+    /// Makes `key` the held key at `ordinal` (at most
+    /// [`key_count`](Self::key_count)): kept if the set already holds it
+    /// there, otherwise hashed under `family` over `len` bits, the geometry
+    /// of the last [`use_geometry`](Self::use_geometry), in place of the
+    /// held keys from `ordinal` on.
+    fn hash_key(&mut self, family: &HashFamily, len: usize, ordinal: usize, key: u64) {
+        match self.keys.get(ordinal) {
+            Some(&(held, _)) if held == key => return,
+            Some(_) => self.truncate(ordinal),
+            None => {}
+        }
+        self.push_key(family, len, key);
+    }
+
+    /// Appends one key's `k` probes, merging consecutive same-word probes
+    /// within the key into one mask group.
+    fn push_key(&mut self, family: &HashFamily, len: usize, key: u64) {
+        let start = self.mask_words.len();
+        for idx in family.probes(key, len) {
+            self.indices.push(idx as u32);
+            let (word, mask) = ((idx / 64) as u32, 1u64 << (idx % 64));
+            if self.mask_words.len() > start && *self.mask_words.last().unwrap() == word {
+                *self.mask_bits.last_mut().unwrap() |= mask;
+            } else {
+                self.mask_words.push(word);
+                self.mask_bits.push(mask);
+            }
+        }
+        self.keys.push((key, self.mask_words.len() as u32));
+    }
+
+    /// Probe indices per held key: the geometry's hash count.
+    fn per_key(&self) -> usize {
+        self.geometry
+            .map_or(0, |(family, _)| usize::from(family.hashes()))
+    }
+
+    /// The probe indices of the first `keys` held keys.
+    fn indices_of(&self, keys: usize) -> &[u32] {
+        &self.indices[..keys * self.per_key()]
+    }
+
+    /// Drops the held keys from the `keys`-th on.
+    fn truncate(&mut self, keys: usize) {
+        let groups = keys.checked_sub(1).map_or(0, |k| self.keys[k].1 as usize);
+        self.indices.truncate(keys * self.per_key());
+        self.keys.truncate(keys);
+        self.mask_words.truncate(groups);
+        self.mask_bits.truncate(groups);
     }
 }
 
@@ -194,7 +221,7 @@ pub(crate) const MASK_WIDTH: usize = 64;
 /// its live table entries, at a cost that follows the table, not the
 /// positions.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct FoldState {
+pub struct FoldState {
     /// Every weight some entry holds, ascending.
     pub(crate) universe: WeightSet,
     /// The entries, indexed by table id.
@@ -217,46 +244,116 @@ impl Default for FoldEntries {
     }
 }
 
-/// A probe-addressable table of interned weight sets: the storage
-/// interface both filter representations expose to the shared weight fold.
-pub(crate) trait ProbeTable {
-    /// The universe and the entries the fold intersects.
-    fn fold_state(&self) -> &FoldState;
+/// The private half of [`WeightedProbe`]. The module is private, so no type
+/// outside this crate implements it.
+pub(crate) mod sealed {
+    use super::FoldState;
+    use crate::bitset::BitSet;
+    use crate::hash::HashFamily;
 
-    /// The table entry of the occupied position `idx`.
-    fn entry_at(&self, idx: usize) -> usize;
+    /// What a row query reads of a filter.
+    pub trait Sealed {
+        /// The bit array.
+        fn bits(&self) -> &BitSet;
+
+        /// The hash family the filter was built with.
+        fn family(&self) -> &HashFamily;
+
+        /// The weight universe, and the set-table entries the fold
+        /// intersects.
+        fn fold_state(&self) -> &FoldState;
+
+        /// The set-table entry of the occupied position `idx`.
+        fn entry_at(&self, idx: usize) -> usize;
+    }
 }
 
-/// The weight fold over occupied positions `indices`: the weights every
-/// position's set holds, written into `acc` (capacity reused), stopping at
-/// the first empty intersection. `None` if there are no positions, as a
-/// sequence query of no keys.
-pub(crate) fn fold<'s, T: ProbeTable>(
-    table: &T,
-    indices: impl IntoIterator<Item = usize>,
+/// A weighted Bloom filter as a base station probes it: the owned
+/// [`WeightedBloomFilter`](crate::WeightedBloomFilter) or the zero-copy
+/// [`WbfFrameView`](crate::WbfFrameView) of its broadcast frame, the trait's
+/// only two implementations.
+pub trait WeightedProbe: sealed::Sealed {
+    /// The sorted set of every distinct weight attached at some set bit:
+    /// the score universe a pruning scan bounds candidates against. Every
+    /// [`query_row`](WeightedProbe::query_row) answer is a subset of it, so
+    /// its maximum is the filter's score upper bound.
+    ///
+    /// An owned filter derives it from its distinct weight sets on first
+    /// use and caches it until the next `insert` or `apply_delta`; a view
+    /// reads it off its frame's dictionary.
+    fn weight_universe(&self) -> &WeightSet {
+        &self.fold_state().universe
+    }
+
+    /// The number of hash functions (`k`): a row of `b` keys costs `b·k`
+    /// probes.
+    fn hashes(&self) -> u16 {
+        self.family().hashes()
+    }
+
+    /// Queries one row, the `b` sampled keys of one candidate pattern
+    /// (Algorithm 2, lines 3–15): `None` if the row is empty or some key's
+    /// probes miss, otherwise the weights common to every probed position.
+    /// `Some` of an empty set is a weight-inconsistent reject, so the
+    /// caller accepts the row iff the set is non-empty, and
+    /// [`WeightSet::max`] is then the reported weight.
+    ///
+    /// The keys are hashed lazily into `probes` at this filter's geometry,
+    /// and each key's membership is tested before the next key is hashed,
+    /// so the row is dropped at its first missing key. Only a row whose
+    /// every key passes is folded. `probes` keeps what it hashed: the next
+    /// query replays a key at the same ordinal and geometry instead of
+    /// hashing it again. The answer borrows `scratch`, whose buffer is
+    /// reused.
+    fn query_row<'s>(
+        &self,
+        keys: &[u64],
+        probes: &mut PrecomputedProbes,
+        scratch: &'s mut QueryScratch,
+    ) -> Option<&'s WeightSet> {
+        let (bits, family) = (self.bits(), self.family());
+        probes.use_geometry(family, bits.len());
+        for (ordinal, &key) in keys.iter().enumerate() {
+            probes.hash_key(family, bits.len(), ordinal, key);
+            let (words, masks) = probes.key_masks(ordinal);
+            if !bits.contains_probes_simd(words, masks) {
+                return None;
+            }
+        }
+        fold(self, probes.indices_of(keys.len()), &mut scratch.acc)
+    }
+}
+
+/// The weight fold over the occupied positions `indices`: the weights
+/// every position's set holds, written into `acc` (capacity reused),
+/// stopping at the first empty intersection. `None` if there are no
+/// positions, as for a row of no keys.
+fn fold<'s, P: WeightedProbe + ?Sized>(
+    filter: &P,
+    indices: &[u32],
     acc: &'s mut WeightSet,
 ) -> Option<&'s WeightSet> {
-    let state = table.fold_state();
-    let mut indices = indices.into_iter();
-    let first = table.entry_at(indices.next()?);
+    let state = filter.fold_state();
+    let entry = |idx: u32| filter.entry_at(idx as usize);
+    let (&first, rest) = indices.split_first()?;
     match &state.entries {
         FoldEntries::Masks(masks) => {
-            let mut mask = masks[first];
-            for idx in indices {
+            let mut mask = masks[entry(first)];
+            for &idx in rest {
                 if mask == 0 {
                     break;
                 }
-                mask &= masks[table.entry_at(idx)];
+                mask &= masks[entry(idx)];
             }
             acc.assign_mask(&state.universe, mask);
         }
         FoldEntries::Sets(sets) => {
-            acc.assign_sorted(sets[first].iter());
-            for idx in indices {
+            acc.assign_sorted(sets[entry(first)].iter());
+            for &idx in rest {
                 if acc.is_empty() {
                     break;
                 }
-                acc.intersect_with(&sets[table.entry_at(idx)]);
+                acc.intersect_with(&sets[entry(idx)]);
             }
         }
     }
@@ -277,7 +374,7 @@ mod tests {
         for &k in &keys {
             incremental.push_key(&family, 4096, k);
         }
-        assert_eq!(whole.indices(), incremental.indices());
+        assert_eq!(whole.indices, incremental.indices);
         assert_eq!(whole.words(), incremental.words());
         assert_eq!(whole.mask_bits(), incremental.mask_bits());
         assert_eq!(whole.key_count(), keys.len());
@@ -295,8 +392,34 @@ mod tests {
             assert_eq!(m, solo.mask_bits());
         }
         assert_eq!(at, whole.words().len());
-        whole.clear();
-        assert!(whole.is_empty());
+        whole.compute(&family, 4096, &[]);
         assert_eq!(whole.key_count(), 0);
+        assert!(whole.words().is_empty() && whole.indices.is_empty());
+    }
+
+    #[test]
+    fn a_held_key_is_replayed_only_at_its_ordinal_and_geometry() {
+        let (family, other) = (HashFamily::new(4, 9), HashFamily::new(4, 10));
+        let fresh = |family: &HashFamily, len: usize, keys: &[u64]| {
+            let mut set = PrecomputedProbes::new();
+            set.compute(family, len, keys);
+            set
+        };
+        let same = |a: &PrecomputedProbes, b: &PrecomputedProbes| {
+            a.keys == b.keys && a.indices == b.indices && a.words() == b.words()
+        };
+        let mut set = fresh(&family, 4096, &[1, 2, 3]);
+        // A row sharing a leading key keeps it and re-hashes from the
+        // first key that differs; a shorter row drops the tail.
+        for row in [&[1u64, 5][..], &[1, 5, 3], &[5, 1], &[5], &[]] {
+            set.compute(&family, 4096, row);
+            assert!(same(&set, &fresh(&family, 4096, row)), "row {row:?}");
+        }
+        // Another seed or another length re-hashes the same keys.
+        set.compute(&family, 4096, &[1, 2]);
+        for (f, len) in [(other, 4096), (family, 2048), (family, 4096)] {
+            set.compute(&f, len, &[1, 2]);
+            assert!(same(&set, &fresh(&f, len, &[1, 2])), "{f:?} over {len}");
+        }
     }
 }

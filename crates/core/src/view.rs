@@ -15,20 +15,20 @@
 //!
 //! An accepted frame is canonical (see [`encode`](crate::encode)), so its
 //! weight dictionary is the filter's weight universe, and each set-table
-//! entry's fold mask over it comes out of the parse: the view folds by the
-//! same routine as the owned filter. Folds answer bit-identically to the
-//! owned filter decoded from the same frame; the scan conformance suite
-//! pins that equivalence.
+//! entry's fold mask over it comes out of the parse. The view is probed
+//! through [`WeightedProbe`], as the owned filter is, and the rank lookup
+//! is the only part of a row query that differs between the two: answers
+//! are bit-identical to the owned filter decoded from the same frame.
 
 use bytes::Bytes;
 
 use crate::bitset::BitSet;
 use crate::error::{CoreError, Result};
 use crate::hash::HashFamily;
-use crate::probe::{self, FoldState, ProbeTable, QueryScratch};
+use crate::probe::sealed::Sealed;
+use crate::probe::{FoldState, WeightedProbe};
 use crate::set_table::EMPTY;
 use crate::wbf::WeightedBloomFilter;
-use crate::weight_set::WeightSet;
 
 /// A validated, read-only view of an encoded weighted Bloom filter frame.
 ///
@@ -36,8 +36,8 @@ use crate::weight_set::WeightSet;
 /// weight-set table (as the fold reads it), but keeps the per-bit set-id
 /// region as a zero-copy slice of the received bytes (`Bytes` is
 /// reference-counted, so the view shares the receive buffer instead of
-/// re-materializing thousands of per-bit entries). Its weight folds return the exact same answers the
-/// owned decode of the same frame would.
+/// re-materializing thousands of per-bit entries). Its row queries return
+/// the exact same answers the owned decode of the same frame would.
 ///
 /// Created by [`encode::view_wbf`](crate::encode::view_wbf).
 #[derive(Debug, Clone)]
@@ -126,9 +126,35 @@ fn for_each_id(ids: &[u8], width: usize, mut f: impl FnMut(usize)) {
 }
 
 impl WbfFrameView {
-    /// The set-table id of the set bit `bit`.
-    #[inline]
-    fn id_at(&self, bit: usize) -> usize {
+    /// The filter length in bits.
+    pub fn bit_len(&self) -> usize {
+        self.bits.len()
+    }
+
+    /// Pure membership test (ignores weights): whether all probed bits are
+    /// set. Matches [`WeightedBloomFilter::contains`].
+    pub fn contains(&self, key: u64) -> bool {
+        let m = self.bits.len();
+        self.bits.contains_probes(self.family.probes(key, m))
+    }
+}
+
+impl Sealed for WbfFrameView {
+    fn bits(&self) -> &BitSet {
+        &self.bits
+    }
+
+    fn family(&self) -> &HashFamily {
+        &self.family
+    }
+
+    fn fold_state(&self) -> &FoldState {
+        &self.fold
+    }
+
+    /// The set bit's ordinal among set bits, one rank load plus a masked
+    /// popcount, indexes the id region.
+    fn entry_at(&self, bit: usize) -> usize {
         let word = self.bits.as_words()[bit / 64];
         let below = word & ((1u64 << (bit % 64)) - 1);
         let at = (self.rank[bit / 64] as usize + below.count_ones() as usize) * self.id_width;
@@ -138,78 +164,11 @@ impl WbfFrameView {
             usize::from(u16::from_le_bytes([self.ids[at], self.ids[at + 1]]))
         }
     }
-
-    /// The filter length in bits.
-    pub fn bit_len(&self) -> usize {
-        self.bits.len()
-    }
-
-    /// The number of hash functions.
-    pub fn hashes(&self) -> u16 {
-        self.family.hashes()
-    }
-
-    /// The hash seed shared between data center and base stations.
-    pub fn seed(&self) -> u64 {
-        self.family.seed()
-    }
-
-    /// The number of insert operations the encoder recorded.
-    pub fn inserted(&self) -> u64 {
-        self.inserted
-    }
-
-    /// The fraction of set bits.
-    pub fn fill_ratio(&self) -> f64 {
-        self.bits.fill_ratio()
-    }
-
-    /// Borrows the underlying bit set.
-    pub fn bits(&self) -> &BitSet {
-        &self.bits
-    }
-
-    /// Pure membership test (ignores weights): whether all probed bits are
-    /// set. Matches [`WeightedBloomFilter::contains`].
-    pub fn contains(&self, key: u64) -> bool {
-        let m = self.bits.len();
-        self.bits.contains_probes(self.family.probes(key, m))
-    }
-
-    /// The weight fold over probes already known to be occupied; see
-    /// [`WeightedBloomFilter::fold_weights_precomputed`], whose mask fold
-    /// this shares.
-    ///
-    /// # Panics
-    ///
-    /// May panic if any precomputed probe index is unoccupied — run the
-    /// membership test first.
-    pub fn fold_weights_precomputed<'s>(
-        &self,
-        pre: &probe::PrecomputedProbes,
-        scratch: &'s mut QueryScratch,
-    ) -> Option<&'s WeightSet> {
-        let probes = pre.indices().iter().map(|&idx| idx as usize);
-        probe::fold(self, probes, &mut scratch.acc)
-    }
-
-    /// The sorted set of every distinct weight attached at some set bit —
-    /// see [`WeightedBloomFilter::weight_universe`]. A canonical frame
-    /// references every dictionary weight, so this is the dictionary.
-    pub fn weight_universe(&self) -> &WeightSet {
-        &self.fold.universe
-    }
 }
 
-impl ProbeTable for WbfFrameView {
-    fn fold_state(&self) -> &FoldState {
-        &self.fold
-    }
-
-    fn entry_at(&self, idx: usize) -> usize {
-        self.id_at(idx)
-    }
-}
+/// The view probes through the frame's id region: a position's set id is
+/// found by rank.
+impl WeightedProbe for WbfFrameView {}
 
 /// The owned, mutable filter a streaming station applies deltas to. It
 /// takes the view's set table as its own interned sets — the dictionary
@@ -244,7 +203,9 @@ mod tests {
     use super::*;
     use crate::encode::{encode_wbf, view_wbf};
     use crate::params::FilterParams;
+    use crate::probe::{FoldEntries, PrecomputedProbes, QueryScratch};
     use crate::weight::Weight;
+    use crate::weight_set::WeightSet;
 
     fn sample() -> WeightedBloomFilter {
         let params = FilterParams::new(4096, 3).unwrap();
@@ -255,16 +216,14 @@ mod tests {
         wbf
     }
 
-    /// The scan's probe of `keys`: hash once, test membership by mask,
-    /// then fold — what a station runs against a view.
+    /// What a station runs against a view: the row query of `keys`.
     fn scan_probe(view: &WbfFrameView, keys: &[u64]) -> Option<WeightSet> {
-        let mut pre = probe::PrecomputedProbes::new();
-        pre.compute(&view.family, view.bit_len(), keys);
-        if pre.is_empty() || !view.bits.contains_probes_simd(pre.words(), pre.mask_bits()) {
-            return None;
-        }
-        view.fold_weights_precomputed(&pre, &mut QueryScratch::new())
-            .cloned()
+        view.query_row(
+            keys,
+            &mut PrecomputedProbes::new(),
+            &mut QueryScratch::new(),
+        )
+        .cloned()
     }
 
     #[test]
@@ -274,9 +233,9 @@ mod tests {
         assert_eq!(view, wbf);
         assert_eq!(view.bit_len(), wbf.bit_len());
         assert_eq!(view.hashes(), wbf.hashes());
-        assert_eq!(view.seed(), wbf.seed());
-        assert_eq!(view.inserted(), wbf.inserted());
-        assert_eq!(view.fill_ratio(), wbf.fill_ratio());
+        assert_eq!(view.family.seed(), wbf.seed());
+        assert_eq!(view.inserted, wbf.inserted());
+        assert_eq!(view.bits.fill_ratio(), wbf.fill_ratio());
         assert_eq!(view.weight_universe(), wbf.weight_universe());
     }
 
@@ -313,7 +272,7 @@ mod tests {
         }
         for (wbf, masked) in [(narrow, true), (wide, false)] {
             let view = view_wbf(encode_wbf(&wbf).unwrap()).unwrap();
-            let masks = matches!(view.fold.entries, probe::FoldEntries::Masks(_));
+            let masks = matches!(view.fold.entries, FoldEntries::Masks(_));
             assert_eq!(masks, masked);
             for keys in [vec![10u64], vec![10, 20], vec![10, 999], vec![7, 8], vec![]] {
                 assert_eq!(

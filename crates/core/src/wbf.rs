@@ -15,7 +15,10 @@
 //! stores each distinct weight set once, in an interned table of bitmasks
 //! over its weights, and every occupied position names its set by id. An
 //! insert, a delta, a diff and the wire encoding then pay per distinct set,
-//! not per position.
+//! not per position. A probe resolves a position's set with one load of
+//! its dense slot; the filter is read through
+//! [`WeightedProbe::query_row`](crate::WeightedProbe::query_row), as the
+//! zero-copy [`WbfFrameView`](crate::WbfFrameView) of its frame is.
 //!
 //! A center builds its filter whole, with
 //! [`WeightedBloomFilter::from_pairs`]: attaching a weight to a probed bit
@@ -37,7 +40,8 @@ use crate::bitset::BitSet;
 use crate::error::{CoreError, Result};
 use crate::hash::HashFamily;
 use crate::params::FilterParams;
-use crate::probe::{self, FoldState, ProbeTable, QueryScratch, MASK_WIDTH};
+use crate::probe::sealed::Sealed;
+use crate::probe::{FoldState, PrecomputedProbes, QueryScratch, WeightedProbe, MASK_WIDTH};
 use crate::set_table::{self, pair_key, MaskWord, SetTable, WordMap, EMPTY};
 use crate::weight::Weight;
 use crate::weight_set::WeightSet;
@@ -252,114 +256,21 @@ impl WeightedBloomFilter {
         self.bits.contains_probes(self.family.probes(key, m))
     }
 
-    /// Queries a single key: `None` if any probed bit is unset, otherwise the
-    /// intersection of the probed bits' weight sets (Algorithm 2, lines 4–9).
-    ///
-    /// An empty returned set means the bits were set but by values of
-    /// inconsistent weights — the candidate is rejected. Membership is
-    /// tested across *all* probed bits (word-level) before any weight set is
-    /// read, so a miss never touches the weight table.
-    ///
-    /// Allocates the result; the scan hot path uses
-    /// [`WeightedBloomFilter::query_into`] with a reused buffer instead.
-    pub fn query(&self, key: u64) -> Option<WeightSet> {
-        let mut out = WeightSet::new();
-        self.query_into(key, &mut out).map(|()| out)
-    }
-
-    /// Allocation-free [`WeightedBloomFilter::query`]: the intersection is
-    /// written into `out` (cleared and overwritten, capacity reused).
-    pub fn query_into(&self, key: u64, out: &mut WeightSet) -> Option<()> {
-        let probes = self.family.probes(key, self.bits.len());
-        if !self.bits.contains_probes(probes.clone()) {
-            return None;
-        }
-        probe::fold(self, probes, out).map(|_| ())
-    }
-
     /// Queries a sequence of keys (the `b` sampled points of one candidate
     /// pattern) and returns the weights common to *every* point, or `None`
-    /// if any point misses entirely (Algorithm 2, lines 3–15).
+    /// if any point misses entirely (Algorithm 2, lines 3–15): the
+    /// [`row query`](WeightedProbe::query_row) over a fresh probe set.
     ///
     /// The caller accepts the candidate iff the result is `Some` of a
     /// non-empty set; [`WeightSet::max`] is then the reported weight.
     ///
-    /// Allocates the result; the scan hot path uses
-    /// [`WeightedBloomFilter::query_sequence_into`] with reusable scratch.
-    pub fn query_sequence<I>(&self, keys: I) -> Option<WeightSet>
-    where
-        I: IntoIterator<Item = u64>,
-        I::IntoIter: Clone,
-    {
-        let mut scratch = QueryScratch::new();
-        self.query_sequence_into(keys, &mut scratch).cloned()
-    }
-
-    /// Allocation-free [`WeightedBloomFilter::query_sequence`]: the running
-    /// intersection lives in `scratch` (capacity reused across calls) and
-    /// the result borrows from it.
-    ///
-    /// Membership of *every* key is tested before any weight set is read
-    /// (`I::IntoIter: Clone` pays for the second pass), so a candidate with
-    /// at least one unknown point costs only word-level bit probes.
-    pub fn query_sequence_into<'s, I>(
-        &self,
-        keys: I,
-        scratch: &'s mut QueryScratch,
-    ) -> Option<&'s WeightSet>
-    where
-        I: IntoIterator<Item = u64>,
-        I::IntoIter: Clone,
-    {
-        let (family, len) = (&self.family, self.bits.len());
-        let keys = keys.into_iter();
-        for key in keys.clone() {
-            if !self.bits.contains_probes(family.probes(key, len)) {
-                return None;
-            }
-        }
-        let probes = keys.flat_map(|key| family.probes(key, len));
-        probe::fold(self, probes, &mut scratch.acc)
-    }
-
-    /// [`WeightedBloomFilter::query_sequence_into`] over a probe set hashed
-    /// once via [`PrecomputedProbes`](crate::PrecomputedProbes): membership
-    /// is tested with the precomputed word masks in one batched pass, and
-    /// the weight fold replays the stored indices — no re-hashing. Batch
-    /// scans use this to probe one row against many sections sharing this
-    /// filter's geometry.
-    ///
-    /// `pre` must have been computed against an identical `(hash family,
-    /// bit length)` geometry; results are then exactly those of
-    /// `query_sequence_into` over the same keys.
-    pub fn query_precomputed<'s>(
-        &self,
-        pre: &crate::probe::PrecomputedProbes,
-        scratch: &'s mut QueryScratch,
-    ) -> Option<&'s WeightSet> {
-        if pre.is_empty() || !self.bits.contains_probes_simd(pre.words(), pre.mask_bits()) {
-            return None;
-        }
-        self.fold_weights_precomputed(pre, scratch)
-    }
-
-    /// The weight fold of [`WeightedBloomFilter::query_precomputed`] alone,
-    /// for scans that already verified membership of every key (e.g. key by
-    /// key via [`PrecomputedProbes::key_masks`](crate::PrecomputedProbes::key_masks)
-    /// and [`BitSet::contains_probes_simd`](crate::BitSet::contains_probes_simd)).
-    /// Returns `None` for an empty probe set.
-    ///
-    /// # Panics
-    ///
-    /// May panic if any precomputed probe index is unoccupied — run the
-    /// membership test first.
-    pub fn fold_weights_precomputed<'s>(
-        &self,
-        pre: &crate::probe::PrecomputedProbes,
-        scratch: &'s mut QueryScratch,
-    ) -> Option<&'s WeightSet> {
-        let probes = pre.indices().iter().map(|&idx| idx as usize);
-        probe::fold(self, probes, &mut scratch.acc)
+    /// Allocates the result; a scan calls the row query with buffers it
+    /// reuses instead.
+    pub fn query_sequence(&self, keys: impl IntoIterator<Item = u64>) -> Option<WeightSet> {
+        let keys: Vec<u64> = keys.into_iter().collect();
+        let mut probes = PrecomputedProbes::new();
+        self.query_row(&keys, &mut probes, &mut QueryScratch::new())
+            .cloned()
     }
 
     /// The number of insert operations performed.
@@ -372,11 +283,6 @@ impl WeightedBloomFilter {
         self.bits.len()
     }
 
-    /// The number of hash functions.
-    pub fn hashes(&self) -> u16 {
-        self.family.hashes()
-    }
-
     /// The hash seed shared between data center and base stations.
     pub fn seed(&self) -> u64 {
         self.family.seed()
@@ -385,20 +291,6 @@ impl WeightedBloomFilter {
     /// The fraction of set bits.
     pub fn fill_ratio(&self) -> f64 {
         self.bits.fill_ratio()
-    }
-
-    /// The sorted set of every distinct weight attached anywhere in the
-    /// filter — the score universe a pruning scan bounds candidates
-    /// against. Any weight a query of this filter can ever report is drawn
-    /// from this set, so its maximum is the section's score upper bound.
-    ///
-    /// Derived from the distinct weight sets on first use and cached until
-    /// the next [`insert`] or [`apply_delta`].
-    ///
-    /// [`insert`]: WeightedBloomFilter::insert
-    /// [`apply_delta`]: WeightedBloomFilter::apply_delta
-    pub fn weight_universe(&self) -> &WeightSet {
-        &ProbeTable::fold_state(self).universe
     }
 
     /// The positions whose weight set differs between `base` and this
@@ -550,7 +442,15 @@ impl PartialEq for WeightedBloomFilter {
 
 impl Eq for WeightedBloomFilter {}
 
-impl ProbeTable for WeightedBloomFilter {
+impl Sealed for WeightedBloomFilter {
+    fn bits(&self) -> &BitSet {
+        &self.bits
+    }
+
+    fn family(&self) -> &HashFamily {
+        &self.family
+    }
+
     fn fold_state(&self) -> &FoldState {
         self.fold.get_or_init(|| self.table.fold_state())
     }
@@ -559,6 +459,10 @@ impl ProbeTable for WeightedBloomFilter {
         self.slots[idx] as usize
     }
 }
+
+/// The owned filter probes through dense slots: a position's set id is
+/// one load.
+impl WeightedProbe for WeightedBloomFilter {}
 
 #[cfg(test)]
 mod tests {
@@ -576,14 +480,14 @@ mod tests {
     fn insert_then_query_returns_weight() {
         let mut wbf = WeightedBloomFilter::new(params(), 1);
         wbf.insert(42, w(1, 3));
-        let set = wbf.query(42).unwrap();
+        let set = wbf.query_sequence([42]).unwrap();
         assert!(set.contains(w(1, 3)));
     }
 
     #[test]
     fn query_missing_key_is_none() {
         let wbf = WeightedBloomFilter::new(params(), 1);
-        assert!(wbf.query(42).is_none());
+        assert!(wbf.query_sequence([42]).is_none());
         assert!(wbf.query_sequence([1u64, 2]).is_none());
     }
 
@@ -599,7 +503,7 @@ mod tests {
         let mut wbf = WeightedBloomFilter::new(params(), 1);
         wbf.insert(7, w(1, 3));
         wbf.insert(7, w(2, 3));
-        let set = wbf.query(7).unwrap();
+        let set = wbf.query_sequence([7]).unwrap();
         assert!(set.contains(w(1, 3)) && set.contains(w(2, 3)));
     }
 
@@ -686,7 +590,6 @@ mod tests {
 
     #[test]
     fn precomputed_probes_match_query_sequence() {
-        use crate::probe::PrecomputedProbes;
         let mut wbf = WeightedBloomFilter::new(params(), 5);
         for v in [1u64, 2, 3] {
             wbf.insert(v, w(1, 2));
@@ -694,9 +597,11 @@ mod tests {
         for v in [2u64, 4, 5] {
             wbf.insert(v, w(1, 4));
         }
+        // One probe set and one scratch across every row, as a scan keeps
+        // them: a row replays the probes of the keys it shares with the
+        // row before and must answer as a fresh query does.
         let mut pre = PrecomputedProbes::new();
-        let mut scratch_a = QueryScratch::new();
-        let mut scratch_b = QueryScratch::new();
+        let mut scratch = QueryScratch::new();
         let cases: Vec<Vec<u64>> = vec![
             vec![],
             vec![1, 2, 3],   // genuine match
@@ -704,19 +609,12 @@ mod tests {
             vec![1, 4, 5],   // stitched: bits set, empty intersection
             vec![9, 10, 11], // miss
             vec![1, 9],      // partial miss
+            vec![1, 2],      // a prefix of an earlier row
             vec![2, 2, 2],   // repeated key
         ];
         for keys in cases {
-            pre.compute(
-                &HashFamily::new(wbf.hashes(), wbf.seed()),
-                wbf.bit_len(),
-                &keys,
-            );
-            let fast = wbf.query_precomputed(&pre, &mut scratch_a).cloned();
-            let slow = wbf
-                .query_sequence_into(keys.iter().copied(), &mut scratch_b)
-                .cloned();
-            assert_eq!(fast, slow, "keys {keys:?}");
+            let fast = wbf.query_row(&keys, &mut pre, &mut scratch).cloned();
+            assert_eq!(fast, wbf.query_sequence(keys.clone()), "keys {keys:?}");
         }
     }
 
@@ -725,7 +623,7 @@ mod tests {
         let mut wbf = WeightedBloomFilter::new(params(), 1);
         wbf.insert(10, Weight::ONE);
         assert!(wbf.contains(10));
-        assert!(!wbf.contains(11) || wbf.query(11).is_some());
+        assert!(!wbf.contains(11) || wbf.query_sequence([11]).is_some());
     }
 
     /// A filter at the test geometry and seed 1 holding `pairs`.
@@ -770,35 +668,32 @@ mod tests {
     /// Builds and caches the derived weight state the way a scan does.
     fn warm(wbf: &WeightedBloomFilter, key: u64) {
         wbf.weight_universe();
-        let mut pre = crate::probe::PrecomputedProbes::new();
-        pre.compute(&wbf.family, wbf.bit_len(), &[key]);
+        let mut pre = PrecomputedProbes::new();
         assert!(wbf
-            .query_precomputed(&pre, &mut QueryScratch::new())
+            .query_row(&[key], &mut pre, &mut QueryScratch::new())
             .is_some());
     }
 
     /// Asserts that `wbf`'s derived state answers exactly like that of
     /// its wire round-trip, whose state is derived afresh: same universe,
-    /// same precomputed folds over every single key and key pair.
+    /// same row queries over every single key and key pair.
     fn assert_derived_state_fresh(wbf: &WeightedBloomFilter, keys: &[u64]) {
         let fresh = crate::encode::decode_wbf(crate::encode::encode_wbf(wbf).unwrap()).unwrap();
         assert_eq!(wbf.weight_universe(), fresh.weight_universe());
-        let mut pre = crate::probe::PrecomputedProbes::new();
+        let mut pre = PrecomputedProbes::new();
         let (mut a, mut b) = (QueryScratch::new(), QueryScratch::new());
         for &x in keys {
             for probe in [vec![x], keys.iter().map(|&y| y ^ x).collect()] {
-                pre.compute(&wbf.family, wbf.bit_len(), &probe);
                 assert_eq!(
-                    wbf.query_precomputed(&pre, &mut a),
-                    fresh.query_precomputed(&pre, &mut b),
+                    wbf.query_row(&probe, &mut pre, &mut a),
+                    fresh.query_row(&probe, &mut pre, &mut b),
                     "probe {probe:?}"
                 );
             }
             for &y in keys {
-                pre.compute(&wbf.family, wbf.bit_len(), &[x, y]);
                 assert_eq!(
-                    wbf.query_precomputed(&pre, &mut a),
-                    fresh.query_precomputed(&pre, &mut b),
+                    wbf.query_row(&[x, y], &mut pre, &mut a),
+                    fresh.query_row(&[x, y], &mut pre, &mut b),
                     "probe [{x}, {y}]"
                 );
             }

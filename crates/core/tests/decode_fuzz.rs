@@ -145,7 +145,7 @@ proptest! {
         // can answer queries, and is the filter the bytes encode.
         let raw = Bytes::from(raw);
         if let Ok(filter) = encode::decode_wbf(raw.clone()) {
-            let _ = filter.query(12345);
+            let _ = filter.query_sequence([12345]);
             prop_assert_eq!(encode::encode_wbf(&filter).expect("re-encodes"), raw);
         }
     }

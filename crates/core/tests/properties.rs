@@ -231,8 +231,8 @@ proptest! {
         let params = FilterParams::new(1024, 3).unwrap();
         let mut wbf = WeightedBloomFilter::new(params, seed);
         wbf.insert(key ^ 0x5555, Weight::ONE);
-        // query(Some) implies contains(true) for any key.
-        if wbf.query(key).is_some() {
+        // A row query's Some implies contains(true) for any key.
+        if wbf.query_sequence([key]).is_some() {
             prop_assert!(wbf.contains(key));
         }
     }

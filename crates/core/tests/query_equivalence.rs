@@ -1,22 +1,25 @@
-//! Equivalence properties for the shared probe core.
+//! Equivalence properties for the one probe path.
 //!
-//! The borrowed/in-place query API (`query_into`, `query_sequence_into`)
-//! and the owned API (`query`, `query_sequence`) run through one shared
-//! core. These properties pin that core against an independent reference
-//! model — plain `BTreeSet` bookkeeping over the same `HashFamily` probes
-//! with membership-first semantics — so neither the scratch reuse nor the
-//! word-level membership fast path can drift the accepted sets. One more
-//! property replays diffs between successive builds onto a filter whose
-//! derived fold state a scan already built, then drives it through a
-//! random history of inserts, delta replays and wire round trips against
-//! the same model, and checks a center's bulk build of the live pairs
-//! against the insert fold of the same pairs along the way.
+//! The owned filter and the zero-copy view of its frame answer a row
+//! through one checked row query, `WeightedProbe::query_row`, and
+//! `query_sequence` is that query over a fresh probe set. These properties
+//! pin it against an independent reference model — plain `BTreeSet`
+//! bookkeeping over the same `HashFamily` probes with membership-first
+//! semantics — on both representations and on a filter of another
+//! geometry, with one probe set and one scratch shared across all of them,
+//! so neither replayed probes, nor scratch reuse, nor the word-level
+//! membership fast path can drift the accepted sets. One more property
+//! replays diffs between successive builds onto a filter whose derived
+//! fold state a scan already built, then drives it through a random
+//! history of inserts, delta replays and wire round trips against the same
+//! model, and checks a center's bulk build of the live pairs against the
+//! insert fold of the same pairs along the way.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use dipm_core::{
     encode, FilterDelta, FilterParams, HashFamily, Kernel, PrecomputedProbes, QueryScratch, Weight,
-    WeightedBloomFilter,
+    WeightedBloomFilter, WeightedProbe,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -39,6 +42,15 @@ impl ModelFilter {
             family: HashFamily::new(params.hashes(), seed),
             m: params.bits(),
         }
+    }
+
+    /// The model of a filter at `params` and `seed` holding `pairs`.
+    fn of(params: FilterParams, seed: u64, pairs: &[(u64, Weight)]) -> ModelFilter {
+        let mut model = ModelFilter::new(params, seed);
+        for &(key, weight) in pairs {
+            model.insert(key, weight);
+        }
+        model
     }
 
     fn insert(&mut self, key: u64, weight: Weight) {
@@ -102,6 +114,14 @@ fn arb_weight() -> impl Strategy<Value = Weight> {
     (1u64..=12, 1u64..=12).prop_map(|(a, b)| Weight::new(a.min(b), a.max(b)).unwrap())
 }
 
+/// The `i`-th pair of a `pool`-weight pool: a scattered key, and a weight
+/// scattered over the pool, so new weights land inside the sorted
+/// universe, not only past its end.
+fn pool_pair(pool: u64, i: u64) -> (u64, Weight) {
+    let key = i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    (key, Weight::new((key >> 40) % pool + 1, pool).unwrap())
+}
+
 fn arb_geometry() -> impl Strategy<Value = (FilterParams, u64)> {
     (6usize..=9, 1u16..=6, any::<u64>())
         .prop_map(|(log2m, k, seed)| (FilterParams::new(1 << log2m, k).unwrap(), seed))
@@ -111,69 +131,149 @@ fn sorted(set: &dipm_core::WeightSet) -> Vec<Weight> {
     set.iter().collect()
 }
 
+fn as_vec(set: Option<BTreeSet<Weight>>) -> Option<Vec<Weight>> {
+    set.map(|s| s.into_iter().collect())
+}
+
+#[test]
+fn probes_hashed_for_another_geometry_answer_as_the_filter_probed() {
+    // Geometry A, and three filters B over the same pairs that differ from
+    // A in one part of the geometry each: the seed, the hash count, the
+    // bit length. Probes hashed at A and handed to B must answer as B.
+    let pairs: Vec<(u64, Weight)> = (0..120).map(|i| pool_pair(8, i)).collect();
+    let a = FilterParams::new(1 << 11, 3).unwrap();
+    let a_filter = WeightedBloomFilter::from_pairs(a, 7, pairs.iter().copied());
+    let mut replay_would_lie = 0;
+    for (b, seed) in [
+        (a, 8),
+        (FilterParams::new(1 << 11, 4).unwrap(), 7),
+        (FilterParams::new(1 << 10, 3).unwrap(), 7),
+    ] {
+        let b_filter = WeightedBloomFilter::from_pairs(b, seed, pairs.iter().copied());
+        let b_view = encode::view_wbf(encode::encode_wbf(&b_filter).unwrap()).unwrap();
+        let model = ModelFilter::of(b, seed, &pairs);
+        let (mut pre, mut scratch) = (PrecomputedProbes::new(), QueryScratch::new());
+        for i in 0..200 {
+            let row = [pool_pair(8, i).0, pool_pair(8, i + 1).0];
+            // Hashed at A by A's own row query, then by `compute`.
+            a_filter.query_row(&row, &mut pre, &mut scratch);
+            let expect = as_vec(model.query_sequence(&row));
+            let got = b_filter.query_row(&row, &mut pre, &mut scratch);
+            assert_eq!(got.map(sorted), expect, "owned B, row {row:?}");
+            pre.compute(&HashFamily::new(a.hashes(), 7), a.bits(), &row);
+            if b.bits() == a.bits() {
+                let held = b_filter
+                    .bits()
+                    .contains_probes_simd(pre.words(), pre.mask_bits());
+                let own = row.iter().all(|&key| b_filter.contains(key));
+                replay_would_lie += usize::from(held != own);
+            }
+            let got = b_view.query_row(&row, &mut pre, &mut scratch);
+            assert_eq!(got.map(sorted), expect, "view of B, row {row:?}");
+        }
+    }
+    // The same-length cases have teeth: A's probes read against B's bits
+    // would have answered some rows wrongly.
+    assert!(replay_would_lie > 0);
+}
+
 proptest! {
-    // Single-key: owned query, in-place query and the model agree exactly,
-    // including the None (missing bit) vs Some(empty) (weight clash) split.
+    // The row query answers every row as the model's `query_sequence`
+    // does, on the owned filter and on the view of its frame, and so does
+    // `query_sequence` itself. The filter passes through a random history
+    // of inserts and center rebuilds diffed and applied, over an 8-weight
+    // pool (mask fold) or a 97-weight one (merge fold). Rows mix member
+    // keys, keys never inserted, keys sharing the row's first weight and
+    // repeated keys; the empty row is always among them. One probe set and
+    // one scratch serve every query: both representations, and a second
+    // filter of another geometry over the same pairs, visited in random
+    // order. The second filter is shorter, down to 64 bits, where keys
+    // never inserted pass membership and fold as often as not, and its hash
+    // count sometimes differs too.
     #[test]
     fn query_matches_reference_model(
-        (params, seed) in arb_geometry(),
-        inserts in vec((0u64..48, arb_weight()), 0..40),
-        probes in vec(0u64..64, 1..30),
+        seed in any::<u64>(),
+        wide in any::<bool>(),
+        (other_log2, other_hashes) in (6usize..=10, 2u16..=4),
+        history in vec((any::<bool>(), any::<u64>()), 0..40),
+        rows in vec(vec((0u8..4, any::<u64>()), 0..7), 1..12),
+        visits in vec((any::<u64>(), 0u8..4), 1..64),
     ) {
-        let mut wbf = WeightedBloomFilter::new(params, seed);
-        let mut model = ModelFilter::new(params, seed);
-        for &(key, w) in &inserts {
-            wbf.insert(key, w);
-            model.insert(key, w);
+        let pool = if wide { 97 } else { 8 };
+        let params = FilterParams::new(1 << 11, 3).unwrap();
+        let other = FilterParams::new(1 << other_log2, other_hashes).unwrap();
+        let pair = |i: u64| pool_pair(pool, i);
+        let mut filter = WeightedBloomFilter::new(params, seed);
+        let mut live: Vec<(u64, Weight)> = Vec::new();
+        let mut next = 0u64;
+        for &(insert, pick) in &history {
+            if insert || live.is_empty() {
+                live.push(pair(next));
+                filter.insert(pair(next).0, pair(next).1);
+                next += 1;
+            } else {
+                live.swap_remove(pick as usize % live.len());
+                let built = WeightedBloomFilter::from_pairs(params, seed, live.iter().copied());
+                filter.apply_delta(&built.diff_from(&filter).unwrap()).unwrap();
+            }
         }
-        let mut out = dipm_core::WeightSet::new();
-        for &key in &probes {
-            let expect = model.query(key);
-            let got = wbf.query(key);
+        let second = WeightedBloomFilter::from_pairs(other, seed, live.iter().copied());
+        let view_of = |f: &WeightedBloomFilter| encode::view_wbf(encode::encode_wbf(f).unwrap()).unwrap();
+        let (view, second_view) = (view_of(&filter), view_of(&second));
+        // Each filter the visits probe, with the model of its geometry.
+        let targets: [(&dyn WeightedProbe, usize); 4] =
+            [(&filter, 0), (&view, 0), (&second, 1), (&second_view, 1)];
+        let models = [ModelFilter::of(params, seed, &live), ModelFilter::of(other, seed, &live)];
+
+        let mut rows: Vec<Vec<u64>> = rows
+            .iter()
+            .map(|picks| {
+                let mut row: Vec<u64> = Vec::new();
+                for &(kind, pick) in picks {
+                    let key = match (kind, live.is_empty()) {
+                        (0, false) => live[pick as usize % live.len()].0,
+                        (2, false) => {
+                            let first = row.first().and_then(|k| live.iter().find(|p| p.0 == *k));
+                            let weight = first.map_or(live[0].1, |p| p.1);
+                            let alike: Vec<u64> =
+                                live.iter().filter(|p| p.1 == weight).map(|p| p.0).collect();
+                            alike[pick as usize % alike.len()]
+                        }
+                        (3, _) if !row.is_empty() => *row.last().unwrap(),
+                        _ => pair(next + pick % 16).0,
+                    };
+                    row.push(key);
+                }
+                row
+            })
+            .collect();
+        rows.push(Vec::new());
+
+        for row in &rows {
+            for (owned, model) in [(&filter, &models[0]), (&second, &models[1])] {
+                prop_assert_eq!(
+                    owned.query_sequence(row.iter().copied()).as_ref().map(sorted),
+                    as_vec(model.query_sequence(row)),
+                    "query_sequence on {:?}", row
+                );
+            }
+        }
+        let (mut pre, mut scratch) = (PrecomputedProbes::new(), QueryScratch::new());
+        for &(pick, target) in &visits {
+            let row = &rows[pick as usize % rows.len()];
+            let (probed, geometry) = targets[usize::from(target)];
             prop_assert_eq!(
-                got.as_ref().map(sorted),
-                expect.clone().map(|s| s.into_iter().collect::<Vec<_>>()),
-                "key {}", key
+                probed.query_row(row, &mut pre, &mut scratch).map(sorted),
+                as_vec(models[geometry].query_sequence(row)),
+                "target {} on {:?}", target, row
             );
-            // The in-place variant reuses `out` across probes and must agree.
-            let got_into = wbf.query_into(key, &mut out).map(|()| sorted(&out));
-            prop_assert_eq!(got_into, expect.map(|s| s.into_iter().collect::<Vec<_>>()));
         }
     }
 
-    // Sequences: the owned path, the scratch path (reused across calls) and
-    // the model agree.
-    #[test]
-    fn query_sequence_into_matches_owned_and_model(
-        (params, seed) in arb_geometry(),
-        inserts in vec((0u64..48, arb_weight()), 0..40),
-        sequences in vec(vec(0u64..64, 1..8), 1..12),
-    ) {
-        let mut wbf = WeightedBloomFilter::new(params, seed);
-        let mut model = ModelFilter::new(params, seed);
-        for &(key, w) in &inserts {
-            wbf.insert(key, w);
-            model.insert(key, w);
-        }
-        let mut scratch = QueryScratch::new();
-        for keys in &sequences {
-            let expect = model
-                .query_sequence(keys)
-                .map(|s| s.into_iter().collect::<Vec<_>>());
-            let owned = wbf.query_sequence(keys.iter().copied()).map(|s| sorted(&s));
-            prop_assert_eq!(&owned, &expect, "owned vs model on {:?}", keys);
-            // One scratch across every sequence: stale state must not leak.
-            let borrowed = wbf
-                .query_sequence_into(keys.iter().copied(), &mut scratch)
-                .map(sorted);
-            prop_assert_eq!(&borrowed, &expect, "scratch vs model on {:?}", keys);
-        }
-    }
-
-    // The batched membership path — precomputed probes tested through the
-    // runtime-dispatched kernel — agrees with the model, with the sequence
-    // path, and (at the raw predicate level) with the forced-scalar kernel,
-    // whatever SIMD variant dispatch picked on this machine.
+    // The kernel under the row query: whole-row word masks tested through
+    // the runtime-dispatched kernel are bit-identical to the forced-scalar
+    // kernel's, whatever SIMD variant dispatch picked on this machine, and
+    // each key's own (word, mask) run reproduces its single-key membership.
     #[test]
     fn precomputed_simd_path_matches_sequence_and_forced_scalar(
         (params, seed) in arb_geometry(),
@@ -181,28 +281,23 @@ proptest! {
         sequences in vec(vec(0u64..64, 1..8), 1..12),
     ) {
         let mut wbf = WeightedBloomFilter::new(params, seed);
-        let mut model = ModelFilter::new(params, seed);
         for &(key, w) in &inserts {
             wbf.insert(key, w);
-            model.insert(key, w);
         }
         let family = HashFamily::new(params.hashes(), seed);
-        let mut scratch = QueryScratch::new();
         let mut pre = PrecomputedProbes::new();
         for keys in &sequences {
             pre.compute(&family, params.bits(), keys);
-            let expect = model
-                .query_sequence(keys)
-                .map(|s| s.into_iter().collect::<Vec<_>>());
-            let got = wbf.query_precomputed(&pre, &mut scratch).map(sorted);
-            prop_assert_eq!(&got, &expect, "precomputed vs model on {:?}", keys);
-            // The dispatched kernel's batch predicate must be bit-identical
-            // to the scalar kernel's on the same (word, mask) run.
             let words = wbf.bits().as_words();
             prop_assert_eq!(
                 Kernel::active().all_set(words, pre.words(), pre.mask_bits()),
                 Kernel::Scalar.all_set(words, pre.words(), pre.mask_bits()),
                 "kernel {} disagrees with scalar", Kernel::active().name()
+            );
+            prop_assert_eq!(
+                Kernel::active().all_set(words, pre.words(), pre.mask_bits()),
+                keys.iter().all(|&key| wbf.contains(key)),
+                "whole-row batch vs single-key membership"
             );
             // Per-key batches partition the run: each key's own (word, mask)
             // group must reproduce the single-key membership test.
@@ -224,15 +319,15 @@ proptest! {
     // entry is replayed right after itself, which must be rejected. The
     // delta lands on a filter whose universe and fold masks a scan already
     // built. Entries before the rejection stay applied and none after, and
-    // the universe and the precomputed (mask-fold) answers match those of
-    // the wire round-trip, whose state is derived afresh.
+    // the universe and the row query's answers match those of the wire
+    // round-trip, whose state is derived afresh.
     //
     // The filter then runs a random history of its three mutation paths:
     // direct inserts, a center rebuild diffed and applied, and an
     // encode→decode round trip. After every step it must hold exactly the
     // reference model of its live pairs: per-position sets (its canonical
     // frame, which names every position's set, equals a fresh build's but
-    // for the insert count), the weight universe, and every query path's
+    // for the insert count), the weight universe, and the row query's
     // answers; and its frame must re-encode to itself. An 8-weight pool
     // keeps the universe within one fold mask; a 97-weight pool takes it
     // across the 64-weight mask width.
@@ -241,7 +336,7 @@ proptest! {
     // all, then over the live ones) and after every step, the bulk build of
     // the live pairs with some of them repeated must equal the insert fold
     // of the same list: semantically, in its insert count, its frame bytes
-    // and its universe, and on every query path against the model.
+    // and its universe, and on the row query against the model.
     #[test]
     fn apply_delta_keeps_the_fold_state_in_step(
         seed in any::<u64>(),
@@ -253,12 +348,7 @@ proptest! {
     ) {
         let params = FilterParams::new(1 << 11, 3).unwrap();
         let pool = if wide { 97 } else { 8 };
-        // Weights scattered over the pool, so new ones land inside the
-        // sorted universe, not only past its end.
-        let pair = |i: u64| {
-            let key = i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            (key, Weight::new((key >> 40) % pool + 1, pool).unwrap())
-        };
+        let pair = |i: u64| pool_pair(pool, i);
         let build = |live: &[(u64, Weight)]| {
             WeightedBloomFilter::from_pairs(params, seed, live.iter().copied())
         };
@@ -269,39 +359,26 @@ proptest! {
             }
             filter
         };
-        let family = HashFamily::new(params.hashes(), seed);
         // `filter` holds exactly the reference model of `live`: its weight
-        // universe, and every query path's answers around the newest pairs.
+        // universe, and the row query's answers around the newest pairs.
         let answers_like_the_model = |filter: &WeightedBloomFilter,
                                       live: &[(u64, Weight)],
                                       next: u64|
          -> Result<(), TestCaseError> {
-            let mut model = ModelFilter::new(params, seed);
-            for &(key, w) in live {
-                model.insert(key, w);
-            }
+            let model = ModelFilter::of(params, seed, live);
             let universe: BTreeSet<Weight> = live.iter().map(|&(_, w)| w).collect();
             prop_assert_eq!(
                 sorted(filter.weight_universe()),
                 universe.into_iter().collect::<Vec<_>>()
             );
-            let as_vec = |set: Option<BTreeSet<Weight>>| set.map(|s| s.into_iter().collect::<Vec<_>>());
-            let (mut pre, mut scratch, mut out) =
-                (PrecomputedProbes::new(), QueryScratch::new(), dipm_core::WeightSet::new());
+            let (mut pre, mut scratch) = (PrecomputedProbes::new(), QueryScratch::new());
             for i in next.saturating_sub(24)..next + 2 {
-                let key = pair(i).0;
-                let expect = as_vec(model.query(key));
-                prop_assert_eq!(filter.query(key).as_ref().map(sorted), expect.clone());
-                prop_assert_eq!(filter.query_into(key, &mut out).map(|()| sorted(&out)), expect);
-                let keys = [key, pair(i + 1).0];
-                let expect = as_vec(model.query_sequence(&keys));
-                prop_assert_eq!(filter.query_sequence(keys).as_ref().map(sorted), expect.clone());
-                prop_assert_eq!(
-                    filter.query_sequence_into(keys, &mut scratch).map(sorted),
-                    expect.clone()
-                );
-                pre.compute(&family, params.bits(), &keys);
-                prop_assert_eq!(filter.query_precomputed(&pre, &mut scratch).map(sorted), expect);
+                for row in [&[pair(i).0][..], &[pair(i).0, pair(i + 1).0]] {
+                    prop_assert_eq!(
+                        filter.query_row(row, &mut pre, &mut scratch).map(sorted),
+                        as_vec(model.query_sequence(row))
+                    );
+                }
             }
             Ok(())
         };
@@ -364,8 +441,7 @@ proptest! {
         let mut scratch = QueryScratch::new();
         filter.weight_universe();
         if let Some(&(key, _)) = live.first() {
-            pre.compute(&family, params.bits(), &[key]);
-            filter.query_precomputed(&pre, &mut scratch);
+            filter.query_row(&[key], &mut pre, &mut scratch);
         }
         prop_assert_eq!(
             filter.apply_delta(&FilterDelta { diffs, entries }),
@@ -380,10 +456,9 @@ proptest! {
         let mut fresh_scratch = QueryScratch::new();
         for i in 0..next {
             for keys in [vec![pair(i).0], vec![pair(i).0, pair(i + 1).0]] {
-                pre.compute(&family, params.bits(), &keys);
                 prop_assert_eq!(
-                    filter.query_precomputed(&pre, &mut scratch).cloned(),
-                    fresh.query_precomputed(&pre, &mut fresh_scratch).cloned(),
+                    filter.query_row(&keys, &mut pre, &mut scratch).cloned(),
+                    fresh.query_row(&keys, &mut pre, &mut fresh_scratch).cloned(),
                     "keys {:?}", keys
                 );
             }

@@ -12,16 +12,16 @@
 //!
 //! [`scan_shard_wbf`] and [`scan_shard_bloom`] are the two scans, one per
 //! filter family; a single-filter, unsharded scan is one section over one
-//! shard. The WBF scan has one probe path for every section: a row's keys
-//! are hashed at the section's own geometry, reused across neighbouring
-//! sections that share it, tested by word mask and folded by weight mask,
-//! whether the section is an owned filter or a zero-copy frame view.
+//! shard. The WBF scan probes every section, an owned filter or a zero-copy
+//! frame view, through the one row query of
+//! [`WeightedProbe`](dipm_core::WeightedProbe); the scan itself keeps only
+//! the exact prune, the meter charges and the weight selection.
 
 use std::collections::BTreeMap;
 
 use dipm_core::{
-    BloomFilter, FilterCore, HashFamily, PrecomputedProbes, QueryScratch, WbfFrameView, Weight,
-    WeightSet, WeightedBloomFilter,
+    BloomFilter, PrecomputedProbes, QueryScratch, Weight, WeightSet, WeightedBloomFilter,
+    WeightedProbe,
 };
 use dipm_distsim::CostMeter;
 use dipm_mobilenet::{StationId, UserId};
@@ -188,69 +188,15 @@ fn select_weight(
     set.iter().find(|&w| !w.is_zero() && plausible(w))
 }
 
-/// The query surface a WBF-style filter must expose for the station scan —
-/// implemented by the owned [`WeightedBloomFilter`] and by the
-/// zero-copy [`WbfFrameView`], so a station can scan straight out of a
-/// received broadcast frame without materializing an owned filter.
-pub trait WbfScanFilter: FilterCore {
-    /// The sorted universe of every distinct weight attached in the filter:
-    /// every weight fold is a subset of it, which is what makes the scan's
-    /// prune exact.
-    fn weight_universe(&self) -> &WeightSet;
-
-    /// Whether every probed bit named by the `(word, mask)` run is set —
-    /// the batched membership predicate the SIMD kernel accelerates.
-    fn passes_masks(&self, words: &[u32], masks: &[u64]) -> bool;
-
-    /// The weight-intersection fold over probe positions already known to
-    /// be occupied (membership must have been established via
-    /// [`passes_masks`](WbfScanFilter::passes_masks) first).
-    fn fold_weights_precomputed<'s>(
-        &'s self,
-        pre: &PrecomputedProbes,
-        scratch: &'s mut QueryScratch,
-    ) -> Option<&'s WeightSet>;
-}
-
-impl WbfScanFilter for WeightedBloomFilter {
-    fn weight_universe(&self) -> &WeightSet {
-        WeightedBloomFilter::weight_universe(self)
-    }
-
-    fn passes_masks(&self, words: &[u32], masks: &[u64]) -> bool {
-        self.bits().contains_probes_simd(words, masks)
-    }
-
-    fn fold_weights_precomputed<'s>(
-        &'s self,
-        pre: &PrecomputedProbes,
-        scratch: &'s mut QueryScratch,
-    ) -> Option<&'s WeightSet> {
-        WeightedBloomFilter::fold_weights_precomputed(self, pre, scratch)
-    }
-}
-
-impl WbfScanFilter for WbfFrameView {
-    fn weight_universe(&self) -> &WeightSet {
-        WbfFrameView::weight_universe(self)
-    }
-
-    fn passes_masks(&self, words: &[u32], masks: &[u64]) -> bool {
-        self.bits().contains_probes_simd(words, masks)
-    }
-
-    fn fold_weights_precomputed<'s>(
-        &'s self,
-        pre: &PrecomputedProbes,
-        scratch: &'s mut QueryScratch,
-    ) -> Option<&'s WeightSet> {
-        WbfFrameView::fold_weights_precomputed(self, pre, scratch)
-    }
+/// Hash evaluations a full probe of `keys` keys costs at `hashes` hash
+/// functions: the per-candidate station cost the meter records.
+fn probe_cost(keys: usize, hashes: u16) -> u64 {
+    keys as u64 * u64::from(hashes)
 }
 
 /// One WBF query section as the station scan sees it: the filter plus the
 /// query volumes it was broadcast with, tagged with the batch-frame query
-/// id. The filter slot is generic over [`WbfScanFilter`] so the same scan
+/// id. The filter slot is generic over [`WeightedProbe`] so the same scan
 /// runs against owned filters and zero-copy wire views; it defaults to the
 /// owned [`WeightedBloomFilter`].
 pub type WbfScanSection<'a, F = WeightedBloomFilter> = (u32, &'a F, &'a [u64]);
@@ -262,18 +208,18 @@ pub type WbfScanSection<'a, F = WeightedBloomFilter> = (u32, &'a F, &'a [u64]);
 ///
 /// The scan prunes exactly. Once a row is sampled, a section is skipped
 /// when the weight-selection rule finds no weight in the section's whole
-/// [`weight_universe`](WbfScanFilter::weight_universe) plausible for the
-/// row's volume. A probe's weight fold is a subset of that universe, so a
+/// [`weight_universe`](WeightedProbe::weight_universe) plausible for the
+/// row's volume. A row query's answer is a subset of that universe, so a
 /// skipped section could not have reported the row: the reports and their
 /// order are those of an exhaustive scan. The row is sampled before the
 /// test, so a malformed row errors exactly where an exhaustive scan would.
 ///
-/// Every surviving section takes one probe path. The row's keys are hashed
-/// at the section's geometry key by key, and the section is dropped at its
-/// first key whose probes miss. Probes hashed for one section are reused by
-/// the next when the two share a geometry, so a batch of same-geometry
-/// sections hashes each key at most once. A section whose every key passes
-/// folds its weight sets.
+/// Every surviving section answers through its
+/// [`query_row`](WeightedProbe::query_row), with one probe set and one
+/// scratch reused across the shard. The probe set replays a key only at
+/// the geometry it was hashed at, so a batch of same-geometry sections
+/// hashes each key of a row at most once, and a section of another
+/// geometry hashes the row afresh.
 ///
 /// `meter`, when given, records the work performed: the full probe cost of
 /// every `(row, section)` pair that survives the test as `hash_ops`, every
@@ -282,7 +228,7 @@ pub type WbfScanSection<'a, F = WeightedBloomFilter> = (u32, &'a F, &'a [u64]);
 /// # Errors
 ///
 /// Propagates pattern-transformation errors (overflow, zero samples).
-pub fn scan_shard_wbf<F: WbfScanFilter>(
+pub fn scan_shard_wbf<F: WeightedProbe>(
     sections: &[WbfScanSection<'_, F>],
     shard: &[(UserId, &Pattern)],
     config: &DiMatchingConfig,
@@ -296,19 +242,17 @@ pub fn scan_shard_wbf<F: WbfScanFilter>(
             .saturating_mul(shard.len() / 64 + 1)
             .min(1 << 16),
     );
-    // Per-shard scratch: the key buffer, the probe core's intersection
+    // Per-shard scratch: the key buffer, the row query's intersection
     // buffer and the probe set are reused across every row, so the
     // per-(row × section) probe itself is allocation-free.
     let mut keys: Vec<u64> = Vec::with_capacity(config.samples);
     let mut scratch = QueryScratch::new();
-    let mut pre = PrecomputedProbes::new();
+    let mut probes = PrecomputedProbes::new();
     let most_hashes = sections.iter().map(|s| s.1.hashes()).max().unwrap_or(0);
-    pre.reserve(config.samples.saturating_mul(usize::from(most_hashes)));
+    probes.reserve(config.samples.saturating_mul(usize::from(most_hashes)));
     for &(user, pattern) in shard {
         let local_total = sample_keys_into(pattern, config, &mut keys)?;
         let slack = config.eps.saturating_mul(pattern.len() as u64);
-        // The geometry `pre` holds this row's probes for, if any.
-        let mut hashed = None;
         for &(query, filter, query_totals) in sections {
             // The exact prune. The meter charges each candidate its full
             // probe cost here, so the recorded cost depends on the row and
@@ -320,25 +264,9 @@ pub fn scan_shard_wbf<F: WbfScanFilter>(
                 continue;
             }
             if let Some(m) = meter {
-                m.record_hash_ops(filter.probe_cost(keys.len()));
+                m.record_hash_ops(probe_cost(keys.len(), filter.hashes()));
             }
-            let family = HashFamily::new(filter.hashes(), filter.seed());
-            let geometry = Some((family, filter.bit_len()));
-            if hashed != geometry {
-                pre.clear();
-                hashed = geometry;
-            }
-            let member = keys.iter().enumerate().all(|(ordinal, &key)| {
-                if ordinal == pre.key_count() {
-                    pre.push_key(&family, filter.bit_len(), key);
-                }
-                let (words, masks) = pre.key_masks(ordinal);
-                filter.passes_masks(words, masks)
-            });
-            if !member {
-                continue;
-            }
-            if let Some(set) = filter.fold_weights_precomputed(&pre, &mut scratch) {
+            if let Some(set) = filter.query_row(&keys, &mut probes, &mut scratch) {
                 if let Some(m) = meter {
                     m.record_comparisons(set.len() as u64 + 1);
                 }
@@ -375,7 +303,7 @@ pub fn scan_shard_bloom(
         sample_keys_into(pattern, config, &mut keys)?;
         for &(query, filter) in sections {
             if let Some(m) = meter {
-                m.record_hash_ops(filter.probe_cost(keys.len()));
+                m.record_hash_ops(probe_cost(keys.len(), filter.hashes()));
             }
             if keys.iter().all(|&k| filter.contains(k)) {
                 reports.push((query, user));
@@ -644,7 +572,10 @@ mod tests {
         let report = meter.report();
         assert_eq!(report.rows_pruned, 2 * 200);
         let probes = sample_keys(query.global(), &config).unwrap().0.len();
-        assert_eq!(report.hash_ops, 2 * 2 * built.filter.probe_cost(probes));
+        assert_eq!(
+            report.hash_ops,
+            2 * 2 * probe_cost(probes, built.filter.hashes())
+        );
         assert_eq!(report.blocks_skipped, 0);
     }
 

@@ -3,7 +3,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use dipm_core::{FilterCore, FilterParams, Weight, WeightedBloomFilter};
+use dipm_core::{FilterParams, Weight, WeightedBloomFilter};
 use dipm_mobilenet::UserId;
 use dipm_timeseries::{enumerate_combinations, AccumulatedPattern, SampledPattern};
 
@@ -25,13 +25,13 @@ pub struct BuildStats {
 }
 
 impl BuildStats {
-    /// Stats for a freshly built filter of either variant.
-    fn for_filter<F: FilterCore>(combinations: usize, inserted_values: u64, filter: &F) -> Self {
+    /// Stats for a filter of either variant freshly built at `params`.
+    fn for_params(combinations: usize, inserted_values: u64, params: FilterParams) -> Self {
         BuildStats {
             combinations,
             inserted_values,
-            bits: filter.bit_len(),
-            hashes: filter.hashes(),
+            bits: params.bits(),
+            hashes: params.hashes(),
         }
     }
 
@@ -204,7 +204,7 @@ pub fn build_wbf(queries: &[PatternQuery], config: &DiMatchingConfig) -> Result<
     let probe_keys = build.probe_keys();
     let params = sized_params(probe_keys.len(), config)?;
     let filter = WeightedBloomFilter::from_pairs(params, config.seed, build.pairs.iter().copied());
-    let stats = BuildStats::for_filter(build.combinations, build.pairs.len() as u64, &filter);
+    let stats = BuildStats::for_params(build.combinations, build.pairs.len() as u64, params);
     Ok(BuiltFilter {
         filter,
         query_totals: build.query_totals,
@@ -243,7 +243,7 @@ pub fn build_bloom(queries: &[PatternQuery], config: &DiMatchingConfig) -> Resul
     for &key in &probe_keys {
         filter.insert(key);
     }
-    let stats = BuildStats::for_filter(build.combinations, probe_keys.len() as u64, &filter);
+    let stats = BuildStats::for_params(build.combinations, probe_keys.len() as u64, params);
     Ok(BuiltBloom {
         filter,
         probe_keys,

@@ -67,9 +67,7 @@ mod strategy;
 mod streaming;
 pub mod wire;
 
-pub use basestation::{
-    scan_shard_bloom, scan_shard_wbf, BaseStation, Shards, WbfScanFilter, WbfScanSection,
-};
+pub use basestation::{scan_shard_bloom, scan_shard_wbf, BaseStation, Shards, WbfScanSection};
 pub use config::{AdmissionPolicy, DiMatchingConfig, HashScheme, RoutingPolicy};
 pub use datacenter::{
     aggregate_and_rank, build_bloom, build_wbf, BuildStats, BuiltBloom, BuiltFilter, RankedUser,

@@ -6,7 +6,7 @@
 //! filter, and the data center arranges those summaries as the leaves of a
 //! configurable-fanout tree whose interior nodes are the **unions** of
 //! their children. A query's probe set then descends only into subtrees
-//! whose union summary can match ([`BloomFilter::may_contain_any`]), and
+//! whose union summary holds some probe key ([`RoutingTree::route`]), and
 //! only the surviving leaf stations receive the broadcast.
 //!
 //! Routing is **sound** for the DI-matching scan: a station row survives

@@ -59,7 +59,7 @@ use std::collections::BTreeMap;
 use std::time::Instant;
 
 use bytes::Bytes;
-use dipm_core::{encode, FilterParams, Weight, WeightedBloomFilter};
+use dipm_core::{encode, FilterParams, Weight, WeightedBloomFilter, WeightedProbe};
 use dipm_distsim::{CostMeter, Mailbox, Network, NodeId, TrafficClass, DATA_CENTER};
 use dipm_mobilenet::Dataset;
 

@@ -18,12 +18,12 @@ use std::cell::Cell;
 
 use dipm_core::{
     encode, FilterDelta, FilterParams, WbfFrameView, Weight, WeightDiff, WeightSet,
-    WeightedBloomFilter,
+    WeightedBloomFilter, WeightedProbe,
 };
 use dipm_distsim::CostMeter;
 use dipm_mobilenet::UserId;
 use dipm_protocol::{
-    build_wbf, scan_shard_wbf, wire, DiMatchingConfig, PatternQuery, WbfScanFilter, WbfScanSection,
+    build_wbf, scan_shard_wbf, wire, DiMatchingConfig, PatternQuery, WbfScanSection,
 };
 use dipm_timeseries::Pattern;
 
@@ -82,7 +82,7 @@ fn query() -> PatternQuery {
     .expect("valid query")
 }
 
-fn measure_scan<F: WbfScanFilter>(
+fn measure_scan<F: WeightedProbe>(
     sections: &[WbfScanSection<'_, F>],
     rows: usize,
     config: &DiMatchingConfig,

@@ -18,14 +18,6 @@ pub enum DistSimError {
     DuplicateNode(NodeId),
     /// The receiving mailbox was dropped before delivery.
     Disconnected(NodeId),
-    /// The `DIPM_MODE` environment variable held a value outside the
-    /// documented grammar. Malformed operator input must fail loudly —
-    /// silently falling back to a default mode would run a benchmark or CI
-    /// job under the wrong runtime.
-    InvalidMode {
-        /// The rejected value, verbatim.
-        value: String,
-    },
 }
 
 impl fmt::Display for DistSimError {
@@ -37,13 +29,6 @@ impl fmt::Display for DistSimError {
             }
             DistSimError::Disconnected(node) => {
                 write!(f, "mailbox for {node} disconnected")
-            }
-            DistSimError::InvalidMode { value } => {
-                write!(
-                    f,
-                    "DIPM_MODE={value:?} is not a valid execution mode \
-                     (expected sequential|seq|async)"
-                )
             }
         }
     }

@@ -9,7 +9,6 @@
 //! the standing set.
 //!
 //! Run with: `cargo run --example streaming_monitor`
-//! (set `DIPM_MODE=seq|async` to switch runtimes)
 
 use std::collections::BTreeSet;
 
@@ -57,12 +56,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         fixed_geometry: Some(FilterParams::new(1 << 17, 5)?),
         ..DiMatchingConfig::default()
     };
-    // Async by default: the network models time. A 25 ms metro round trip
-    // at gigabit-ish throughput, 1 µs-tick flavour; every run models the
-    // same ticks, and the modeled timeline keeps going across days.
-    let mode = ExecutionMode::from_env(ExecutionMode::Async { workers: 1 })?;
+    // The network models time: a 25 ms metro round trip at gigabit-ish
+    // throughput, 1 µs-tick flavour; every run models the same ticks, and
+    // the modeled timeline keeps going across days.
     let options = PipelineOptions {
-        mode,
+        mode: ExecutionMode::Async { workers: 1 },
         shards: Shards::new(2),
         latency: LatencyModel {
             base_ticks: 25_000,

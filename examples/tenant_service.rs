@@ -15,7 +15,6 @@
 //!    first.
 //!
 //! Run with: `cargo run --example tenant_service`
-//! (set `DIPM_MODE=seq|async` to switch runtimes)
 
 use std::collections::BTreeMap;
 
@@ -63,7 +62,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         fixed_geometry: Some(FilterParams::new(1 << 17, 5)?),
         ..DiMatchingConfig::default()
     };
-    let mode = ExecutionMode::from_env(ExecutionMode::Sequential)?;
+    // An unmodeled network: the tenants' bytes and rankings are what a
+    // modeled one meters too.
+    let mode = ExecutionMode::Sequential;
     let options = PipelineOptions {
         mode,
         shards: Shards::new(2),

@@ -59,6 +59,7 @@ pub use dipm_timeseries as timeseries;
 pub mod prelude {
     pub use dipm_core::{
         BloomFilter, FilterDelta, FilterParams, Weight, WeightDiff, WeightSet, WeightedBloomFilter,
+        WeightedProbe,
     };
     pub use dipm_distsim::{
         CostReport, ExecutionMode, LatencyModel, LatencyReport, StationLatency,

@@ -17,7 +17,7 @@
 mod conformance;
 
 use dipm::core::{
-    encode, FilterParams, HashFamily, PrecomputedProbes, QueryScratch, Weight, WeightedBloomFilter,
+    encode, FilterParams, PrecomputedProbes, QueryScratch, Weight, WeightedBloomFilter,
 };
 use dipm::prelude::*;
 use dipm::protocol::{run_streaming, wire, EpochBroadcast, StreamingSession, StreamingUpdate};
@@ -103,7 +103,6 @@ fn replay_session_deltas(
     };
     let mut center = build(&[]);
     let mut station = center.clone();
-    let family = HashFamily::new(station.hashes(), station.seed());
     let mut pre = PrecomputedProbes::new();
     let (mut scratch, mut reference_scratch) = (QueryScratch::new(), QueryScratch::new());
     let mut live: Vec<(u64, Weight)> = Vec::new();
@@ -113,8 +112,7 @@ fn replay_session_deltas(
         // the delta lands on a filter with a built universe and fold masks.
         station.weight_universe();
         if let Some(&(key, _)) = live.iter().find(|&&(key, _)| station.contains(key)) {
-            pre.compute(&family, station.bit_len(), &[key]);
-            prop_assert!(station.query_precomputed(&pre, &mut scratch).is_some());
+            prop_assert!(station.query_row(&[key], &mut pre, &mut scratch).is_some());
         }
         for &(is_insert, pick) in epoch_ops {
             if is_insert || live.is_empty() {
@@ -159,8 +157,8 @@ fn replay_session_deltas(
         for probe in 0..next.max(8) {
             let (key, _) = pool(probe);
             prop_assert_eq!(
-                station.query(key),
-                center.query(key),
+                station.query_sequence([key]),
+                center.query_sequence([key]),
                 "query {} diverged after delta replay",
                 key
             );
@@ -176,13 +174,12 @@ fn replay_session_deltas(
         }
         probe_sets.extend(by_weight.into_iter().map(|(_, keys)| keys));
         for keys in &probe_sets {
-            pre.compute(&family, station.bit_len(), keys);
             prop_assert_eq!(
-                station.query_precomputed(&pre, &mut scratch).cloned(),
+                station.query_row(keys, &mut pre, &mut scratch).cloned(),
                 center
-                    .query_precomputed(&pre, &mut reference_scratch)
+                    .query_row(keys, &mut pre, &mut reference_scratch)
                     .cloned(),
-                "precomputed query {:?} diverged after delta replay",
+                "row query {:?} diverged after delta replay",
                 keys
             );
         }
